@@ -50,6 +50,14 @@ lands on identical bytes) and rank through the canonical
 answer facet queries with a typed ``"error"`` response, never a
 fan-out.
 
+One of each: shard verbs are records in :data:`SHARD_OPS` (kernel
+call, combine rule, modelled charge) run by :func:`execute_shard_op`
+on the one :class:`_ShardWorker` both tiers use; query kinds are
+records in :data:`QUERY_OPS` (parameter derivation, fan-out verb, merge
+rule); :meth:`_Broker.pump` is the only event pump -- the replicated
+tier's brokers and the analyst workbench run it with their own
+admission policy and item handler; :func:`_launch` starts every tier.
+
 Responses carry no timing fields; latencies live in the
 :class:`ServeReport`.  That is what makes serialized responses the
 byte-compare oracle for the determinism tests: identical across shard
@@ -63,7 +71,8 @@ import os
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -87,6 +96,7 @@ from repro.serve.query import (
 from repro.serve.store import (
     CURRENT_FILE,
     Container,
+    ShardFormatError,
     StoreManifest,
     current_generation,
     load_manifest,
@@ -126,19 +136,17 @@ class BrokerConfig:
 
 
 @dataclass
-class ServeReport:
-    """Outcome of one broker session over a workload."""
+class SessionReport:
+    """What every session report carries and derives from it.
+
+    Base of :class:`ServeReport`,
+    :class:`~repro.serve.router.TierReport` and
+    :class:`~repro.workbench.state.WorkbenchReport`, each of which
+    adds its own fields (a ``makespan`` among them).
+    """
 
     responses: list[dict]
     latencies: list[float]
-    rejected: list[dict]
-    failed_ranks: list[int]
-    makespan: float
-    metrics: dict = field(repr=False, default_factory=dict)
-    #: generation -> {"queries", "first_virtual_s"} of served queries
-    generations: dict = field(default_factory=dict)
-    #: ingest-driver outcome when an ingest plan ran alongside
-    ingest: Optional[dict] = None
 
     @property
     def served(self) -> int:
@@ -146,7 +154,7 @@ class ServeReport:
 
     @property
     def throughput(self) -> float:
-        """Served queries per virtual second."""
+        """Answered items per virtual second."""
         return self.served / self.makespan if self.makespan > 0 else 0.0
 
     @property
@@ -163,7 +171,7 @@ class ServeReport:
         return hits / self.served if self.served else 0.0
 
     def latency_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of served-query virtual latency."""
+        """Nearest-rank percentile of answered-item virtual latency."""
         if not self.latencies:
             return 0.0
         ordered = sorted(self.latencies)
@@ -171,250 +179,380 @@ class ServeReport:
         return ordered[idx]
 
 
+@dataclass
+class ServeReport(SessionReport):
+    """Outcome of one broker session over a workload."""
+
+    rejected: list[dict]
+    failed_ranks: list[int]
+    makespan: float
+    metrics: dict = field(repr=False, default_factory=dict)
+    #: generation -> {"queries", "first_virtual_s"} of served queries
+    generations: dict = field(default_factory=dict)
+    #: ingest-driver outcome when an ingest plan ran alongside
+    ingest: Optional[dict] = None
+
+
 # ----------------------------------------------------------------------
-# shard-server rank
+# shard operator table
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ShardOp:
+    """One shard verb, as a worker runs it over a segment list.
+
+    ``kernel(seg, params)`` is the per-segment call, returning its
+    partial answer in a tuple that ends with the bytes scanned (and,
+    for ``prunes`` verbs, the blocks skipped after that);
+    ``combine(model, params, parts)`` folds those tuples, in segment
+    order, into the wire payload; ``cpu`` / ``flops`` give the
+    modelled charge as ``(model, params, segs, payload, scanned) ->
+    amount`` (``None``: the verb charges nothing of that kind).
+    Facet verbs set ``reports_scan``: their payload travels as
+    ``(payload, scanned)`` so the broker can account facet bytes
+    separately (``facets.bytes_scanned``).
+    """
+
+    kernel: Callable
+    combine: Callable
+    cpu: Optional[Callable] = None
+    flops: Optional[Callable] = None
+    prunes: bool = False
+    reports_scan: bool = False
+
+
+def _search_batch(seg, p):
+    # one message, N queries: every member scores over the same
+    # segment, sharing its lazily-decoded postings blocks
+    outs = seg.op_search_batch(
+        p["requests"], p["icf"], pruned=p.get("pruned", True)
+    )
+    return (
+        [cands for cands, _s, _sk in outs],
+        sum(s for _c, s, _sk in outs),
+        sum(sk for _c, _s, sk in outs),
+    )
+
+
+def _set_kernel(count: Callable) -> Callable:
+    """Kernel of an exact-count verb over a result set's local rows;
+    ``count(postings, local rows, params)`` scans 16-byte postings."""
+
+    def kernel(seg, p):
+        local = seg._local_restrict(p["rows"])
+        if not local.size:
+            return None, 0
+        counts, postings = count(seg.postings, local, p)
+        return counts, postings * 16
+
+    return kernel
+
+
+def _windows(p) -> list[tuple[float, float]]:
+    """The request's ``[t0, t1)``, preceded -- when it asks for the
+    ``pair`` -- by the window of equal width just before it."""
+    if not p.get("pair"):
+        return [(p["t0"], p["t1"])]
+    return [(p["t0"] - (p["t1"] - p["t0"]), p["t0"]), (p["t0"], p["t1"])]
+
+
+def _window_tf(seg, p):
+    slots = []
+    scanned = 0
+    for t0, t1 in _windows(p):
+        totals, n_docs, s = seg.op_window_tf(t0, t1, p.get("source", -1))
+        slots.append((totals, n_docs))
+        scanned += s
+    return slots, scanned
+
+
+def _cat_cands(_model, _p, parts) -> list:
+    return [c for part in parts for c in part[0]]
+
+
+def _cat_batch(_model, p, parts) -> list[list]:
+    return [
+        [c for part in parts for c in part[0][m]]
+        for m in range(len(p["requests"]))
+    ]
+
+
+def _int_sum(shape: Callable) -> Callable:
+    """Combine rule: the exact int64 sum of the segment partials.
+
+    Integer sums are associative, so the broker-side sum over shard
+    payloads is layout-independent bit for bit.
+    """
+
+    def combine(model, p, parts):
+        total = np.zeros(shape(model, p), dtype=np.int64)
+        for part in parts:
+            if part[0] is not None:
+                total += part[0]
+        return total
+
+    return combine
+
+
+def _first_unit(_model, _p, parts):
+    found = (part[:2] for part in parts if part[0] is not None)
+    return next(found, (None, -1))
+
+
+def _sum_cluster(_model, _p, parts):
+    return (
+        sum(part[0] for part in parts),
+        [c for part in parts for c in part[1]],
+    )
+
+
+def _cat_region(model, _p, parts):
+    parts = [part for part in parts if part[0].size]
+    if not parts:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty((0, model.centroids.shape[1])),
+        )
+    return (
+        np.concatenate([part[0] for part in parts]),
+        np.concatenate([part[1] for part in parts], axis=0),
+    )
+
+
+def _sum_windows(model, p, parts):
+    # exact int64 per-term tf totals over each window's rows: like
+    # "set_tf", integer sums make the broker-side merge
+    # layout-independent
+    payload = []
+    for slot in range(len(_windows(p))):
+        totals = np.zeros(model.term_df.shape[0], dtype=np.int64)
+        n_docs = 0
+        for part in parts:
+            totals += part[0][slot][0]
+            n_docs += part[0][slot][1]
+        payload.append((totals, n_docs))
+    return payload
+
+
+def _cat_rows(_model, _p, parts):
+    parts = [part[0] for part in parts if part[0].size]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _scan_cost(unit_bytes: int, ops: int) -> Callable:
+    """Charge rule: ``ops`` per ``unit_bytes`` scanned."""
+    return lambda _model, _p, _segs, _out, scanned: (
+        scanned // unit_bytes * ops
+    )
+
+
+#: shard verb -> how a worker executes it
+SHARD_OPS: dict[str, ShardOp] = {
+    "search": ShardOp(
+        lambda seg, p: seg.op_search(
+            p["term_rows"],
+            p["icf"],
+            p["k"],
+            pruned=p.get("pruned", True),
+            restrict_rows=p.get("restrict_rows"),
+        ),
+        _cat_cands,
+        cpu=_scan_cost(16, 4),
+        prunes=True,
+    ),
+    "search_batch": ShardOp(
+        _search_batch, _cat_batch, cpu=_scan_cost(16, 4), prunes=True
+    ),
+    "matvec": ShardOp(
+        lambda seg, p: seg.op_matvec(
+            p["unit"],
+            p["k"],
+            p.get("skip_row", -1),
+            restrict_rows=p.get("restrict_rows"),
+        ),
+        _cat_cands,
+        flops=lambda _m, p, segs, _out, _s: (
+            2 * sum(s.n_docs for s in segs) * p["unit"].shape[0]
+        ),
+    ),
+    "set_tf": ShardOp(
+        _set_kernel(lambda post, local, _p: set_term_tf(post, local)),
+        _int_sum(lambda model, _p: model.term_df.shape[0]),
+        cpu=_scan_cost(16, 2),
+    ),
+    "set_cooc": ShardOp(
+        _set_kernel(
+            lambda post, local, p: set_term_cooccurrence(
+                post, local, p["term_rows"]
+            )
+        ),
+        _int_sum(lambda _m, p: (len(p["term_rows"]),) * 2),
+        cpu=lambda _m, p, _segs, _out, scanned: (
+            scanned // 16 * 2 + len(p["term_rows"]) ** 2
+        ),
+    ),
+    "fetch_unit": ShardOp(
+        lambda seg, p: seg.op_fetch_unit(p["doc_id"]), _first_unit
+    ),
+    "cluster": ShardOp(
+        lambda seg, p: seg.op_cluster(p["cluster"], p["n_docs"]),
+        _sum_cluster,
+        flops=lambda model, _p, _segs, out, _s: (
+            3 * out[0] * model.centroids.shape[1]
+        ),
+    ),
+    "region": ShardOp(
+        lambda seg, p: seg.op_region(p["x"], p["y"], p["radius"]),
+        _cat_region,
+        cpu=lambda _m, _p, segs, _out, _s: 2 * sum(s.n_docs for s in segs),
+    ),
+    "facet_counts": ShardOp(
+        lambda seg, p: seg.op_facet_counts(
+            p["t0"], p["t1"], p["n_sources"]
+        ),
+        _int_sum(lambda _m, p: p["n_sources"]),
+        cpu=_scan_cost(8, 1),
+        reports_scan=True,
+    ),
+    "window_tf": ShardOp(
+        _window_tf, _sum_windows, cpu=_scan_cost(16, 2), reports_scan=True
+    ),
+    "window_restrict": ShardOp(
+        lambda seg, p: seg.op_window_restrict(
+            p["rows"], p["t0"], p["t1"], p.get("source", -1)
+        ),
+        _cat_rows,
+        cpu=_scan_cost(8, 1),
+        reports_scan=True,
+    ),
+}
+
+
 def execute_shard_op(
     ctx, model, segs: list[ShardStore], op: str, params: dict
 ) -> tuple[object, int, int]:
     """Run one shard operator over a segment list.
 
     Returns ``(payload, bytes_scanned, blocks_skipped)``; charges the
-    per-op cpu/flops cost but leaves the io charge and metrics to the
-    caller (whose loop structure differs between the single-shard and
-    the replica worker).  Shared by :class:`_ShardWorker` and the
-    replica worker in :mod:`repro.serve.router` so replicas of a shard
-    are bit-identical by construction.
+    verb's cpu/flops cost from :data:`SHARD_OPS` but leaves the io
+    charge and metrics to the worker loop.  Every replica of a shard
+    runs the same record over the same segment list, so replicas are
+    bit-identical by construction.
     """
-    scanned = 0
-    skipped = 0
-    if op == "search":
-        cands: list = []
-        for seg in segs:
-            c, s, sk = seg.op_search(
-                params["term_rows"],
-                params["icf"],
-                params["k"],
-                pruned=params.get("pruned", True),
-                restrict_rows=params.get("restrict_rows"),
-            )
-            cands.extend(c)
-            scanned += s
-            skipped += sk
-        ctx.charge_cpu(scanned // 16 * 4)
-        payload: object = cands
-    elif op == "search_batch":
-        # one message, N queries: every member scores over the same
-        # segment list, sharing the lazily-decoded postings blocks
-        batch_payload: list[list] = []
-        for term_rows, k in params["requests"]:
-            cands = []
-            for seg in segs:
-                c, s, sk = seg.op_search(
-                    term_rows,
-                    params["icf"],
-                    k,
-                    pruned=params.get("pruned", True),
-                )
-                cands.extend(c)
-                scanned += s
-                skipped += sk
-            batch_payload.append(cands)
-        ctx.charge_cpu(scanned // 16 * 4)
-        payload = batch_payload
-    elif op == "matvec":
-        cands = []
-        n_docs = 0
-        for seg in segs:
-            c, s = seg.op_matvec(
-                params["unit"],
-                params["k"],
-                params.get("skip_row", -1),
-                restrict_rows=params.get("restrict_rows"),
-            )
-            cands.extend(c)
-            scanned += s
-            n_docs += seg.n_docs
-        ctx.charge_flops(2 * n_docs * params["unit"].shape[0])
-        payload = cands
-    elif op == "set_tf":
-        # exact int64 per-term tf totals over a result set's rows:
-        # integer sums are associative, so the broker-side sum over
-        # shard payloads is layout-independent bit for bit
-        totals = np.zeros(model.term_df.shape[0], dtype=np.int64)
-        for seg in segs:
-            local = seg._local_restrict(params["rows"])
-            if local.size:
-                t, s = set_term_tf(seg.postings, local)
-                totals += t
-                scanned += s * 16
-        ctx.charge_cpu(scanned // 16 * 2)
-        payload = totals
-    elif op == "set_cooc":
-        m_sel = len(params["term_rows"])
-        cooc = np.zeros((m_sel, m_sel), dtype=np.int64)
-        for seg in segs:
-            local = seg._local_restrict(params["rows"])
-            if local.size:
-                c2, s = set_term_cooccurrence(
-                    seg.postings, local, params["term_rows"]
-                )
-                cooc += c2
-                scanned += s * 16
-        ctx.charge_cpu(scanned // 16 * 2 + m_sel * m_sel)
-        payload = cooc
-    elif op == "fetch_unit":
-        payload = (None, -1)
-        for seg in segs:
-            unit, row, s = seg.op_fetch_unit(params["doc_id"])
-            scanned += s
-            if unit is not None and payload[0] is None:
-                payload = (unit, row)
-    elif op == "cluster":
-        size = 0
-        cands = []
-        for seg in segs:
-            sz, c, s = seg.op_cluster(
-                params["cluster"], params["n_docs"]
-            )
-            size += sz
-            cands.extend(c)
-            scanned += s
-        ctx.charge_flops(3 * size * model.centroids.shape[1])
-        payload = (size, cands)
-    elif op == "region":
-        rows_parts: list[np.ndarray] = []
-        block_parts: list[np.ndarray] = []
-        n_docs = 0
-        for seg in segs:
-            rows, block, s = seg.op_region(
-                params["x"], params["y"], params["radius"]
-            )
-            scanned += s
-            n_docs += seg.n_docs
-            if rows.size:
-                rows_parts.append(rows)
-                block_parts.append(block)
-        ctx.charge_cpu(2 * n_docs)
-        if rows_parts:
-            payload = (
-                np.concatenate(rows_parts),
-                np.concatenate(block_parts, axis=0),
-            )
-        else:
-            payload = (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, model.centroids.shape[1])),
-            )
-    elif op == "facet_counts":
-        # facet payloads carry their own scanned count so the broker
-        # can account facet bytes separately (facets.bytes_scanned)
-        counts = np.zeros(params["n_sources"], dtype=np.int64)
-        for seg in segs:
-            c, s = seg.op_facet_counts(
-                params["t0"], params["t1"], params["n_sources"]
-            )
-            counts += c
-            scanned += s
-        ctx.charge_cpu(scanned // 8)
-        payload = (counts, scanned)
-    elif op == "window_tf":
-        # exact int64 per-term tf totals over the window's rows (and
-        # optionally the preceding window): like "set_tf", integer
-        # sums make the broker-side merge layout-independent
-        pairs = [(params["t0"], params["t1"])]
-        if params.get("pair"):
-            width = params["t1"] - params["t0"]
-            pairs.insert(0, (params["t0"] - width, params["t0"]))
-        window_payload = []
-        for t0, t1 in pairs:
-            totals = np.zeros(model.term_df.shape[0], dtype=np.int64)
-            n_docs = 0
-            for seg in segs:
-                t, n, s = seg.op_window_tf(
-                    t0, t1, params.get("source", -1)
-                )
-                totals += t
-                n_docs += n
-                scanned += s
-            window_payload.append((totals, n_docs))
-        ctx.charge_cpu(scanned // 16 * 2)
-        payload = (window_payload, scanned)
-    elif op == "window_restrict":
-        rows_parts = []
-        for seg in segs:
-            rows, s = seg.op_window_restrict(
-                params["rows"],
-                params["t0"],
-                params["t1"],
-                params.get("source", -1),
-            )
-            scanned += s
-            if rows.size:
-                rows_parts.append(rows)
-        ctx.charge_cpu(scanned // 8)
-        payload = (
-            np.concatenate(rows_parts)
-            if rows_parts
-            else np.empty(0, dtype=np.int64),
-            scanned,
-        )
-    else:
+    rec = SHARD_OPS.get(op)
+    if rec is None:
         raise ValueError(f"unknown shard op {op!r}")
+    parts = [rec.kernel(seg, params) for seg in segs]
+    scanned = sum(part[-2 if rec.prunes else -1] for part in parts)
+    skipped = sum(part[-1] for part in parts) if rec.prunes else 0
+    payload = rec.combine(model, params, parts)
+    if rec.cpu is not None:
+        ctx.charge_cpu(rec.cpu(model, params, segs, payload, scanned))
+    if rec.flops is not None:
+        ctx.charge_flops(rec.flops(model, params, segs, payload, scanned))
+    if rec.reports_scan:
+        payload = (payload, scanned)
     return payload, scanned, skipped
 
 
+# ----------------------------------------------------------------------
+# shard worker rank
+# ----------------------------------------------------------------------
 class _ShardWorker:
-    """One shard rank's serving loop over the generations it is asked
-    about.
+    """One worker rank's serving loop over the shards it hosts.
 
-    Per epoch the rank serves a *segment list*: its base shard plus
-    every delta segment whose ``owner`` it is.  Manifests and segment
-    stores are cached across epochs (a generation's containers are
-    immutable once published).  With a single segment -- every static
-    store -- the per-op charge sequence and payloads are byte-identical
-    to the PR-4 single-shard loop.
+    Per ``(epoch, shard)`` the rank serves a *segment list*: the base
+    shard plus every delta segment that shard owns -- the identical
+    files on every replica of the shard, so replicas answer
+    bit-identically.  Manifests and segment stores are cached across
+    epochs (a generation's containers are immutable once published).
+
+    Single-copy tier (``rmap`` is ``None``): the rank hosts shard
+    ``rank - 1`` and takes broker rank 0's 3-field static / 4-field
+    generational requests, which name no shard.  Replicated tier: it
+    hosts what ``rmap`` places on worker ``rank - 1 - n_brokers``,
+    takes 5-field requests naming the shard from any broker, and
+    re-raises a :class:`~repro.serve.store.ShardFormatError` naming
+    which copy on which worker hit it.
     """
 
-    def __init__(self, ctx, store_dir: str):
+    def __init__(self, ctx, store_dir: str, rmap=None, n_brokers: int = 0):
         self.ctx = ctx
         self.store_dir = store_dir
-        self.shard_idx = ctx.rank - 1
+        self.rmap = rmap
+        self.n_brokers = n_brokers
+        self.worker_id = ctx.rank - 1 - n_brokers
         self.model = load_model(store_dir)
         self._manifests: dict[int, StoreManifest] = {}
-        self._segments: dict[int, list[ShardStore]] = {}
+        self._segments: dict[tuple[int, int], list[ShardStore]] = {}
         self._stores: dict[str, ShardStore] = {}
 
-    def _manifest(self, epoch: int) -> StoreManifest:
-        m = self._manifests.get(epoch)
-        if m is None:
-            m = load_manifest_generation(self.store_dir, epoch)
-            self._manifests[epoch] = m
-        return m
+    def _read(self, shard: int, load: Callable, *args):
+        """One store read on behalf of ``shard``."""
+        try:
+            return load(*args)
+        except ShardFormatError as exc:
+            if self.rmap is None:
+                raise
+            w, hosts = self.worker_id, self.rmap.workers_for(shard)
+            copy = hosts.index(w) if w in hosts else -1
+            raise ShardFormatError(
+                exc.path,
+                exc.reason,
+                context=(
+                    f"shard {shard} copy {copy} on worker {w} "
+                    f"(rank {self.ctx.rank})"
+                ),
+            ) from exc
 
-    def _store(self, fname: str) -> ShardStore:
+    def _store(self, fname: str, shard: int) -> ShardStore:
         s = self._stores.get(fname)
         if s is None:
-            s = ShardStore(
-                Container(os.path.join(self.store_dir, fname)), self.model
+            s = self._read(
+                shard,
+                lambda: ShardStore(
+                    Container(os.path.join(self.store_dir, fname)),
+                    self.model,
+                ),
             )
             self._stores[fname] = s
         return s
 
-    def segments(self, epoch: int) -> list[ShardStore]:
-        segs = self._segments.get(epoch)
+    def segments(self, epoch: int, shard: int) -> list[ShardStore]:
+        """The epoch's segment list for one hosted shard."""
+        segs = self._segments.get((epoch, shard))
         if segs is None:
-            m = self._manifest(epoch)
-            files = [m.shards[self.shard_idx].file]
-            files += [
-                d.file for d in m.deltas if d.owner == self.shard_idx
-            ]
-            segs = [self._store(f) for f in files]
-            self._segments[epoch] = segs
+            m = self._manifests.get(epoch)
+            if m is None:
+                m = self._read(
+                    shard, load_manifest_generation, self.store_dir, epoch
+                )
+                self._manifests[epoch] = m
+            files = [m.shards[shard].file]
+            files += [d.file for d in m.deltas if d.owner == shard]
+            segs = [self._store(f, shard) for f in files]
+            self._segments[(epoch, shard)] = segs
         return segs
 
+    def _requests(self):
+        """Yield ``(reply rank, request)`` until told to stop."""
+        comm = self.ctx.comm
+        if self.rmap is None:
+            while True:
+                yield 0, comm.recv(0, tag=TAG_REQ)
+        sources = list(range(self.n_brokers + 1))  # router + brokers
+        while True:
+            try:
+                yield comm.recv_any(sources=sources, tag=TAG_REQ)
+            except CommTimeoutError:
+                if 0 in self.ctx.failed_ranks():
+                    return
+            except RankFailedError as exc:
+                if 0 in exc.failed:
+                    return
+                sources = [r for r in sources if r not in set(exc.failed)]
+
     def run(self) -> int:
-        """Serve operators until the broker says stop."""
+        """Serve operators until the front rank says stop."""
         ctx = self.ctx
         bytes_scanned = ctx.metrics.counter(
             "serve.shard.bytes_scanned", ("shard",)
@@ -422,37 +560,441 @@ class _ShardWorker:
         blocks_skipped = ctx.metrics.counter(
             "serve.shard.blocks_skipped", ("shard",)
         )
-        skey = (str(self.shard_idx),)
         served = 0
-        while True:
-            msg = ctx.comm.recv(0, tag=TAG_REQ)
+        for src, msg in self._requests():
             if msg[0] == "stop":
-                return served
-            if len(msg) == 4:
-                qid, epoch, op, params = msg
-            else:
-                qid, op, params = msg
-                epoch = 0
-            segs = self.segments(epoch)
+                break
+            # (qid, op, params), with the epoch and then the shard
+            # spliced in after the qid when the tier needs them
+            qid, *pin, op, params = msg
+            epoch = pin[0] if pin else 0
+            shard = pin[1] if len(pin) > 1 else self.worker_id
             payload, scanned, skipped = execute_shard_op(
-                ctx, self.model, segs, op, params
+                ctx, self.model, self.segments(epoch, shard), op, params
             )
             ctx.charge_io(scanned, concurrent_readers=1)
+            skey = (str(shard),)
             bytes_scanned.inc(ctx.rank, float(scanned), key=skey)
             blocks_skipped.inc(ctx.rank, float(skipped), key=skey)
-            ctx.comm.send(0, (qid, self.shard_idx, payload), tag=TAG_RESP)
+            ctx.comm.send(src, (qid, shard, payload), tag=TAG_RESP)
             served += 1
+        return served
 
 
-def _shard_main(ctx, store_dir: str) -> int:
-    """Serve one shard's operators until the broker says stop."""
-    return _ShardWorker(ctx, store_dir).run()
+# ----------------------------------------------------------------------
+# query operator table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class QueryOp:
+    """One query kind, as a broker answers it.
+
+    ``derive(broker, query, at, restrict)`` turns the query into the
+    fan-out parameters of shard verb ``op`` -- returning ``(params,
+    None)`` -- or, when no fan-out is needed or possible, into the
+    finished answer: ``(None, response)``.  ``at`` supplies the
+    collection size and icf weights to derive against (the broker
+    itself, or a workbench session pinned to an older epoch);
+    ``restrict`` (ascending global rows) limits a ranked kind to a
+    saved set's members.  ``merge(broker, query, params, got,
+    dropped)`` folds the per-shard payloads into the response.
+    ``stamped`` kinds answer a typed error on stores without facet
+    sections, never a fan-out.
+    """
+
+    op: str
+    derive: Callable
+    merge: Callable
+    stamped: bool = False
+
+
+def _answer(kind: str, **fields) -> dict:
+    """A complete answer that needed no shard."""
+    return {"kind": kind, **fields, "partial": False, "failed_shards": []}
+
+
+def _unstamped(kind: str) -> dict:
+    """Typed answer for a facet query the store cannot serve."""
+    return _answer(
+        kind,
+        error=(
+            "store is not stamped: no facet sections "
+            "(rebuild from a stamped corpus)"
+        ),
+    )
+
+
+def _term_rows(model, query: Query) -> list[int]:
+    return [model.term_row[t] for t in query.terms if t in model.term_row]
+
+
+def _ranked_k(query: Query, pool: int, restrict=None) -> int:
+    """Candidates a ranked fan-out asks for: every member of the
+    restriction set, else the query's ``k`` clamped to the pool."""
+    if restrict is not None:
+        return int(restrict.size)
+    return min(max(1, query.k), pool)
+
+
+def _restricted(params: dict, restrict):
+    if restrict is not None:
+        params["restrict_rows"] = restrict
+    return params, None
+
+
+def _derive_search(b, query, at, restrict=None):
+    term_rows = _term_rows(b.model, query)
+    k = _ranked_k(query, at.n_docs, restrict)
+    if not term_rows or not b.model.has_postings or k < 1:
+        return None, _answer("search", hits=[])
+    return _restricted(
+        {
+            "term_rows": term_rows,
+            "icf": at.icf,
+            "k": k,
+            "pruned": b.config.pruned_search,
+        },
+        restrict,
+    )
+
+
+def _derive_query(b, query, at, restrict=None):
+    unit = pseudo_signature(b.model.association, _term_rows(b.model, query))
+    k = _ranked_k(query, at.n_docs, restrict)
+    if unit is None or k < 1:
+        return None, _answer("query", hits=[])
+    return _restricted({"unit": unit, "k": k}, restrict)
+
+
+def _derive_similar(b, query, at, restrict=None):
+    manifest = b.manifest
+    doc_id = query.doc_id
+    # base shards first, then the deltas their owners also serve
+    spans = chain(
+        enumerate(manifest.shards), ((d.owner, d) for d in manifest.deltas)
+    )
+    owner = next(
+        (o for o, g in spans if g.n_docs and g.doc_lo <= doc_id <= g.doc_hi),
+        None,
+    )
+    unknown = _answer("similar", hits=[], error=f"unknown doc_id {doc_id}")
+    if owner is None:
+        return None, unknown
+    # a one-target round either answers or drops its target, so a
+    # fetched unit means this round dropped nothing to carry over
+    got, dropped = {}, [owner]
+    if owner in b.live:
+        got, dropped = b._fanout([owner], "fetch_unit", {"doc_id": doc_id})
+    if owner not in got:
+        # the only shard that could anchor this query is gone or silent
+        gone = dropped or [owner]
+        return None, b._flag({"kind": "similar", "hits": []}, gone)
+    unit, global_row = got[owner]
+    if unit is None:
+        return None, unknown
+    k = _ranked_k(query, b.n_docs - 1)
+    return {"unit": unit, "k": k, "skip_row": global_row}, None
+
+
+def _derive_cluster(b, query, at, restrict=None):
+    kmax = b.model.centroids.shape[0]
+    if not 0 <= query.cluster < kmax:
+        return None, _answer(
+            "cluster",
+            error=f"cluster {query.cluster} out of range [0, {kmax})",
+        )
+    return {"cluster": query.cluster, "n_docs": query.n_docs}, None
+
+
+def _derive_region(b, query, at, restrict=None):
+    return {"x": query.x, "y": query.y, "radius": query.radius}, None
+
+
+def _derive_facet_counts(b, query, at, restrict=None):
+    n_sources = b.manifest.facets.n_sources
+    return {"t0": query.t0, "t1": query.t1, "n_sources": n_sources}, None
+
+
+def _derive_window(pair: bool) -> Callable:
+    def derive(b, query, at, restrict=None):
+        if not b.model.has_postings:
+            return None, _unstamped(query.kind)
+        params = {"t0": query.t0, "t1": query.t1, "source": query.source}
+        if pair:
+            params["pair"] = True
+        return params, None
+
+    return derive
+
+
+def merge_ranked(ctx, got: dict, k: int, overhead_ops: int, merge=merge_desc):
+    """Global top-``k`` of per-shard candidate lists, merged in sorted
+    shard order and charged per candidate plus ``overhead_ops``."""
+    per_shard = [got[s] for s in sorted(got)]
+    cands = merge(per_shard, k)
+    ctx.charge_cpu(sum(len(p) for p in per_shard) + overhead_ops)
+    return cands
+
+
+def _merge_hits(b, query, params, got, dropped):
+    cands = merge_ranked(b.ctx, got, params["k"], _DISPATCH_OPS)
+    return b._flag({"kind": query.kind, "hits": hits_payload(cands)}, dropped)
+
+
+def _merge_cluster(b, query, params, got, dropped):
+    centroid = b.model.centroids[query.cluster]
+    size = int(sum(got[s][0] for s in got))
+    reps = merge_ranked(
+        b.ctx,
+        {s: got[s][1] for s in got},
+        min(query.n_docs, size),
+        _DISPATCH_OPS,
+        merge_asc,
+    )
+    resp = {
+        "kind": "cluster",
+        "cluster": query.cluster,
+        "size": size,
+        "top_terms": top_positive_terms(
+            centroid, b.model.topic_terms, query.n_terms
+        ),
+        "representative_docs": [c.doc_id for c in reps],
+        "centroid_norm": float(np.linalg.norm(centroid)),
+    }
+    return b._flag(resp, dropped)
+
+
+def _merge_region(b, query, params, got, dropped):
+    parts = [got[s] for s in sorted(got) if got[s][0].size]
+    size = int(sum(got[s][0].size for s in got))
+    if size == 0:
+        return b._flag({"kind": "region", "size": 0, "terms": []}, dropped)
+    # reassembling the shard blocks in global row order rebuilds
+    # the exact contiguous array the reference session reduces, so
+    # the mean is bit-identical to the unsharded path; on static
+    # stores the permutation is the identity (shard order IS row
+    # order), on generational stores it interleaves delta rows back
+    # into collection order
+    rows = np.concatenate([p[0] for p in parts])
+    block = np.concatenate([p[1] for p in parts], axis=0)
+    order = np.argsort(rows, kind="stable")
+    mean_sig = block[order].mean(axis=0)
+    b.ctx.charge_flops(size * mean_sig.shape[0] + _DISPATCH_OPS)
+    resp = {
+        "kind": "region",
+        "size": size,
+        "terms": top_positive_terms(
+            mean_sig, b.model.topic_terms, query.n_terms
+        ),
+    }
+    return b._flag(resp, dropped)
+
+
+def _merge_facet_counts(b, query, params, got, dropped):
+    fac = b.manifest.facets
+    counts = np.zeros(fac.n_sources, dtype=np.int64)
+    scanned = 0
+    for s in sorted(got):
+        c, sc = got[s]
+        counts += c
+        scanned += sc
+    b.ctx.charge_cpu(fac.n_sources * max(1, len(got)) + _DISPATCH_OPS)
+    b._count_facets("facet_counts", scanned)
+    resp = {
+        "kind": "facet_counts",
+        "t0": query.t0,
+        "t1": query.t1,
+        "sources": list(fac.source_names),
+        "counts": [int(c) for c in counts],
+        "total": int(counts.sum()),
+    }
+    return b._flag(resp, dropped)
+
+
+def _window_totals(
+    model, got: dict[int, object], slot: int
+) -> tuple[np.ndarray, int, int]:
+    """Sum one window slot's per-shard int64 partials in sorted
+    shard order -- associative, so any shard layout lands on the
+    identical totals."""
+    totals = np.zeros(model.term_df.shape[0], dtype=np.int64)
+    n_docs = 0
+    scanned = 0
+    for s in sorted(got):
+        pairs, sc = got[s]
+        t, n = pairs[slot]
+        totals += t
+        n_docs += int(n)
+        scanned += sc
+    return totals, n_docs, scanned
+
+
+def _merge_window_terms(b, query, params, got, dropped):
+    totals, window_docs, scanned = _window_totals(b.model, got, 0)
+    pos = np.flatnonzero(totals > 0)
+    sel = topk_int_score_row(totals[pos], pos, max(1, query.n_terms))
+    rows = pos[sel]
+    b.ctx.charge_cpu(int(totals.shape[0]) + _DISPATCH_OPS)
+    b._count_facets("window_terms", scanned)
+    resp = {
+        "kind": "window_terms",
+        "t0": query.t0,
+        "t1": query.t1,
+        "source": query.source,
+        "window_docs": window_docs,
+        "terms": [
+            {"term": b.model.terms[int(r)], "tf": int(totals[int(r)])}
+            for r in rows
+        ],
+    }
+    return b._flag(resp, dropped)
+
+
+def _merge_emerging(b, query, params, got, dropped):
+    prev, prev_docs, scanned = _window_totals(b.model, got, 0)
+    cur, cur_docs, _ = _window_totals(b.model, got, 1)
+    scores = emerging_scores(prev, cur)
+    keep = np.flatnonzero((cur > 0) & (scores > 0))
+    sel = topk_int_score_row(scores[keep], keep, max(1, query.n_terms))
+    rows = keep[sel]
+    b.ctx.charge_cpu(3 * int(cur.shape[0]) + _DISPATCH_OPS)
+    b._count_facets("emerging", scanned, hits=int(rows.size))
+    resp = {
+        "kind": "emerging",
+        "t0": query.t0,
+        "t1": query.t1,
+        "source": query.source,
+        "window_docs": cur_docs,
+        "prev_docs": prev_docs,
+        "terms": [
+            {
+                "term": b.model.terms[int(r)],
+                "score": int(scores[int(r)]),
+                "tf": int(cur[int(r)]),
+                "prev_tf": int(prev[int(r)]),
+            }
+            for r in rows
+        ],
+    }
+    return b._flag(resp, dropped)
+
+
+#: query kind -> how a broker answers it
+QUERY_OPS: dict[str, QueryOp] = {
+    "search": QueryOp("search", _derive_search, _merge_hits),
+    "query": QueryOp("matvec", _derive_query, _merge_hits),
+    "similar": QueryOp("matvec", _derive_similar, _merge_hits),
+    "cluster": QueryOp("cluster", _derive_cluster, _merge_cluster),
+    "region": QueryOp("region", _derive_region, _merge_region),
+    "facet_counts": QueryOp(
+        "facet_counts",
+        _derive_facet_counts,
+        _merge_facet_counts,
+        stamped=True,
+    ),
+    "window_terms": QueryOp(
+        "window_tf", _derive_window(False), _merge_window_terms, stamped=True
+    ),
+    "emerging": QueryOp(
+        "window_tf", _derive_window(True), _merge_emerging, stamped=True
+    ),
+}
 
 
 # ----------------------------------------------------------------------
 # broker rank
 # ----------------------------------------------------------------------
+class _Loop:
+    """Books of one closed-loop session: the arrival heap, the finish
+    times admission reads its depth from, and what the report carries.
+
+    Heap entries carry the *position* in ``scripts``; response records
+    carry the script's own identity (they differ when a tier broker
+    pumps a routed subset of the client set).
+    """
+
+    def __init__(self, broker: "_Broker", scripts: list, handler):
+        self.broker = broker
+        self.scripts = scripts
+        self.handler = handler
+        #: per script, the items it holds for this handler
+        self.items = [getattr(script, handler.items) for script in scripts]
+        self.heap: list[tuple[float, int, int]] = []
+        for i, script in enumerate(scripts):
+            if self.items[i]:
+                heapq.heappush(self.heap, (script.think_s[0], i, 0))
+        self.responses: list[dict] = []
+        self.latencies: list[float] = []
+        self.rejected: list = []
+        self.finishes: list[float] = []  # ascending: server is sequential
+
+    def _schedule_next(self, idx: int, seq: int, now: float) -> None:
+        if seq + 1 < len(self.items[idx]):
+            think_s = self.scripts[idx].think_s[seq + 1]
+            heapq.heappush(self.heap, (now + think_s, idx, seq + 1))
+
+    def take(self, assembling: int = 0) -> Optional[tuple]:
+        """Pop the next arrival through counting and admission.
+
+        Returns the admitted ``(arrival, idx, seq, item)``, or ``None``
+        when the handler's policy turned it away (its client's next
+        arrival is then already scheduled).  ``assembling`` counts
+        arrivals admitted but not yet served -- the members of a batch
+        being drained -- on top of the accepted-but-unfinished depth.
+        """
+        b, handler = self.broker, self.handler
+        arrival, idx, seq = heapq.heappop(self.heap)
+        script = self.scripts[idx]
+        item = self.items[idx][seq]
+        handler.c_arrivals.inc(b.mrank, key=(getattr(item, handler.label),))
+        depth = (
+            len(self.finishes)
+            - bisect_right(self.finishes, arrival)
+            + assembling
+        )
+        if not handler._admit(script, depth):
+            b.ctx.charge_cpu(_REJECT_OPS)
+            handler._on_reject(script, seq, item, depth, self.rejected)
+            self._schedule_next(idx, seq, arrival)
+            return None
+        return arrival, idx, seq, item
+
+    def record(self, entry: tuple, resp: dict, cached: bool, gen: int) -> None:
+        """Book one answered arrival and schedule its client's next."""
+        b, handler = self.broker, self.handler
+        arrival, idx, seq, item = entry
+        script = self.scripts[idx]
+        label = getattr(item, handler.label)
+        finish = b.ctx.now
+        latency = finish - arrival
+        handler.h_latency.observe(b.mrank, latency, key=(label,))
+        stats = b.gen_stats.setdefault(
+            gen, {"queries": 0, "first_virtual_s": float(arrival)}
+        )
+        stats["queries"] += 1
+        envelope = {f: getattr(script, f) for f in handler.ident}
+        envelope["seq"] = seq
+        envelope[handler.label] = label
+        envelope["cached"] = cached
+        envelope["generation"] = gen
+        envelope["response"] = resp
+        self.responses.append(envelope)
+        self.latencies.append(latency)
+        self.finishes.append(finish)
+        self._schedule_next(idx, seq, finish)
+
+
 class _Broker:
+    """The single-copy tier's broker rank -- and the pump handler
+    that answers plain query scripts."""
+
+    #: what a pump handler declares of its scripts: the attribute
+    #: holding the items it serves, the item attribute naming the verb
+    #: (the metric label and the envelope field), and the script
+    #: fields saying whose item it is -- they head every response
+    #: envelope, the first is the replicated tier's sticky routing
+    #: key, and ``ident + ("seq",)`` is its merge order
+    items, label, ident = "queries", "kind", ("client",)
+
     def __init__(
         self,
         ctx,
@@ -479,7 +1021,7 @@ class _Broker:
         self.qid = 0
         self.icf = icf_weights(self.model.term_df, self.n_docs)
         m = ctx.metrics
-        self.c_queries = m.counter("serve.queries", ("kind",))
+        self.c_arrivals = m.counter("serve.queries", ("kind",))
         self.c_hit = m.counter("serve.cache.hit")
         self.c_miss = m.counter("serve.cache.miss")
         self.c_evict = m.counter("serve.cache.evict")
@@ -494,14 +1036,11 @@ class _Broker:
         # likewise: facet families exist only on stamped stores, so an
         # unstamped session's metric snapshot is byte-identical to the
         # pre-facet output
+        self.c_facet_windows = self.c_facet_bytes = self.c_facet_hits = None
         if manifest.facets is not None:
             self.c_facet_windows = m.counter("facets.windows", ("kind",))
             self.c_facet_bytes = m.counter("facets.bytes_scanned")
-            self.c_facet_emerging = m.counter("facets.emerging_hits")
-        else:
-            self.c_facet_windows = None
-            self.c_facet_bytes = None
-            self.c_facet_emerging = None
+            self.c_facet_hits = m.counter("facets.emerging_hits")
         self.cache: OrderedDict[tuple, dict] = OrderedDict()
         self.gen_stats: dict[int, dict] = {}
 
@@ -539,27 +1078,32 @@ class _Broker:
             return
 
     # -- fan-out -------------------------------------------------------
-    def _shard_rank(self, shard: int) -> int:
-        """Rank serving ``shard`` (single-copy tier: rank = shard + 1)."""
-        return shard + 1
-
     def _fanout(
-        self, targets: list[int], op: str, params: dict
+        self,
+        targets: list[int],
+        op: str,
+        params: dict,
+        epoch: Optional[int] = None,
     ) -> tuple[dict[int, object], list[int]]:
         """One request round over ``targets`` (shard indices); returns
-        (responses by shard index, shards dropped this query)."""
+        (responses by shard index, shards dropped this query).
+
+        ``epoch`` pins the round to a generation other than the
+        broker's current one (a workbench session's open-time epoch).
+        """
         ctx, cfg = self.ctx, self.config
         self.qid += 1
         qid = self.qid
         # static stores keep the PR-4 three-field messages (identical
         # wire sizes); generational fan-outs pin the query's epoch
         req = (
-            (qid, self.epoch, op, params)
+            (qid, self.epoch if epoch is None else epoch, op, params)
             if self.generational
             else (qid, op, params)
         )
+        # single-copy tier: shard s lives on rank s + 1
         for s in targets:
-            ctx.comm.send(self._shard_rank(s), req, tag=TAG_REQ)
+            ctx.comm.send(s + 1, req, tag=TAG_REQ)
         pending = set(targets)
         got: dict[int, object] = {}
         if not getattr(ctx.comm, "supports_recv_any", True):
@@ -569,7 +1113,7 @@ class _Broker:
             # shards in sorted order, so response bytes are unchanged.
             for s in sorted(pending):
                 _rqid, shard_idx, payload = ctx.comm.recv(
-                    self._shard_rank(s), tag=TAG_RESP
+                    s + 1, tag=TAG_RESP
                 )
                 got[shard_idx] = payload
             return got, []
@@ -577,7 +1121,7 @@ class _Broker:
         while pending:
             try:
                 src, msg = ctx.comm.recv_any(
-                    sources=sorted(self._shard_rank(s) for s in pending),
+                    sources=sorted(s + 1 for s in pending),
                     tag=TAG_RESP,
                     timeout=cfg.shard_timeout_s,
                 )
@@ -592,9 +1136,7 @@ class _Broker:
                 if resends < cfg.retries:
                     resends += 1
                     for s in sorted(pending):
-                        ctx.comm.send(
-                            self._shard_rank(s), req, tag=TAG_REQ
-                        )
+                        ctx.comm.send(s + 1, req, tag=TAG_REQ)
                     continue
                 break
             rqid, shard_idx, payload = msg
@@ -605,23 +1147,7 @@ class _Broker:
         dropped = sorted(pending)
         return got, dropped
 
-    def _merged_response(
-        self,
-        kind: str,
-        got: dict[int, object],
-        dropped: list[int],
-        k: int,
-        descending: bool = True,
-    ) -> dict:
-        per_shard = [got[s] for s in sorted(got)]
-        merge = merge_desc if descending else merge_asc
-        cands = merge(per_shard, k)
-        self.ctx.charge_cpu(sum(len(p) for p in per_shard) + _DISPATCH_OPS)
-        resp = {"kind": kind, "hits": hits_payload(cands)}
-        self._flag(resp, dropped)
-        return resp
-
-    def _flag(self, resp: dict, dropped: list[int]) -> None:
+    def _flag(self, resp: dict, dropped: list[int]) -> dict:
         """Mark a response that is missing any shard's documents.
 
         Permanently-dead shards count on every later query too: an
@@ -632,253 +1158,7 @@ class _Broker:
         missing = sorted(set(dropped) | set(dead))
         resp["partial"] = bool(missing)
         resp["failed_shards"] = missing
-
-    # -- operators -----------------------------------------------------
-    def execute(self, query: Query) -> dict:
-        """Fan one accepted, uncached query out and merge the answer."""
-        kind = query.kind
-        if kind == "search":
-            return self._exec_search(query)
-        if kind == "query":
-            return self._exec_query(query)
-        if kind == "similar":
-            return self._exec_similar(query)
-        if kind == "cluster":
-            return self._exec_cluster(query)
-        if kind == "facet_counts":
-            return self._exec_facet_counts(query)
-        if kind == "window_terms":
-            return self._exec_window_terms(query)
-        if kind == "emerging":
-            return self._exec_emerging(query)
-        return self._exec_region(query)
-
-    def _exec_search(self, query: Query) -> dict:
-        term_rows = [
-            self.model.term_row[t]
-            for t in query.terms
-            if t in self.model.term_row
-        ]
-        if not term_rows or not self.model.has_postings:
-            return {
-                "kind": "search",
-                "hits": [],
-                "partial": False,
-                "failed_shards": [],
-            }
-        k = min(max(1, query.k), self.n_docs)
-        got, dropped = self._fanout(
-            self.live,
-            "search",
-            {
-                "term_rows": term_rows,
-                "icf": self.icf,
-                "k": k,
-                "pruned": self.config.pruned_search,
-            },
-        )
-        return self._merged_response("search", got, dropped, k)
-
-    def _exec_search_batch(self, queries: list[Query]) -> list[dict]:
-        """Answer several search queries with one shard round-trip.
-
-        Members with no known terms (or a store without postings) get
-        the fixed empty response inline, exactly like
-        :meth:`_exec_search`; the rest share a single ``search_batch``
-        fan-out so every shard decodes its postings once per batch
-        instead of once per query.  Merging stays per member, so each
-        response is identical to what :meth:`_exec_search` would have
-        produced for that query alone.
-        """
-        empty = {
-            "kind": "search",
-            "hits": [],
-            "partial": False,
-            "failed_shards": [],
-        }
-        out: list[Optional[dict]] = [None] * len(queries)
-        resolved: list[tuple[int, list, int]] = []
-        for i, query in enumerate(queries):
-            term_rows = [
-                self.model.term_row[t]
-                for t in query.terms
-                if t in self.model.term_row
-            ]
-            if not term_rows or not self.model.has_postings:
-                out[i] = dict(empty)
-                continue
-            k = min(max(1, query.k), self.n_docs)
-            resolved.append((i, term_rows, k))
-        if resolved:
-            got, dropped = self._fanout(
-                self.live,
-                "search_batch",
-                {
-                    "requests": [(tr, k) for _, tr, k in resolved],
-                    "icf": self.icf,
-                    "pruned": self.config.pruned_search,
-                },
-            )
-            for m, (i, _tr, k) in enumerate(resolved):
-                got_m = {s: got[s][m] for s in got}
-                out[i] = self._merged_response("search", got_m, dropped, k)
-        return out
-
-    def _exec_query(self, query: Query) -> dict:
-        rows = [
-            self.model.term_row[t]
-            for t in query.terms
-            if t in self.model.term_row
-        ]
-        unit = pseudo_signature(self.model.association, rows)
-        if unit is None:
-            return {
-                "kind": "query",
-                "hits": [],
-                "partial": False,
-                "failed_shards": [],
-            }
-        k = min(max(1, query.k), self.n_docs)
-        got, dropped = self._fanout(
-            self.live, "matvec", {"unit": unit, "k": k}
-        )
-        return self._merged_response("query", got, dropped, k)
-
-    def _exec_similar(self, query: Query) -> dict:
-        manifest = self.manifest
-        owner = None
-        for i, s in enumerate(manifest.shards):
-            if s.n_docs and s.doc_lo <= query.doc_id <= s.doc_hi:
-                owner = i
-                break
-        if owner is None:
-            for d in manifest.deltas:
-                if d.n_docs and d.doc_lo <= query.doc_id <= d.doc_hi:
-                    owner = d.owner
-                    break
-        if owner is None:
-            return {
-                "kind": "similar",
-                "hits": [],
-                "error": f"unknown doc_id {query.doc_id}",
-                "partial": False,
-                "failed_shards": [],
-            }
-        if owner not in self.live:
-            # the only shard that could anchor this query is gone
-            resp = {"kind": "similar", "hits": []}
-            self._flag(resp, [owner])
-            return resp
-        got, dropped = self._fanout(
-            [owner], "fetch_unit", {"doc_id": query.doc_id}
-        )
-        fetched = got.get(owner)
-        if fetched is None:
-            resp = {"kind": "similar", "hits": []}
-            self._flag(resp, dropped or [owner])
-            return resp
-        if fetched[0] is None:
-            return {
-                "kind": "similar",
-                "hits": [],
-                "error": f"unknown doc_id {query.doc_id}",
-                "partial": False,
-                "failed_shards": [],
-            }
-        unit_row, global_row = fetched[0], fetched[1]
-        k = min(max(1, query.k), self.n_docs - 1)
-        got, dropped2 = self._fanout(
-            self.live,
-            "matvec",
-            {"unit": unit_row, "k": k, "skip_row": global_row},
-        )
-        return self._merged_response(
-            "similar", got, sorted(set(dropped) | set(dropped2)), k
-        )
-
-    def _exec_cluster(self, query: Query) -> dict:
-        kmax = self.model.centroids.shape[0]
-        if not 0 <= query.cluster < kmax:
-            return {
-                "kind": "cluster",
-                "error": (
-                    f"cluster {query.cluster} out of range [0, {kmax})"
-                ),
-                "partial": False,
-                "failed_shards": [],
-            }
-        centroid = self.model.centroids[query.cluster]
-        got, dropped = self._fanout(
-            self.live,
-            "cluster",
-            {"cluster": query.cluster, "n_docs": query.n_docs},
-        )
-        sizes = {s: got[s][0] for s in got}
-        per_shard = [got[s][1] for s in sorted(got)]
-        size = int(sum(sizes.values()))
-        take = min(query.n_docs, size)
-        reps = merge_asc(per_shard, take)
-        self.ctx.charge_cpu(
-            sum(len(p) for p in per_shard) + _DISPATCH_OPS
-        )
-        resp = {
-            "kind": "cluster",
-            "cluster": query.cluster,
-            "size": size,
-            "top_terms": top_positive_terms(
-                centroid, self.model.topic_terms, query.n_terms
-            ),
-            "representative_docs": [c.doc_id for c in reps],
-            "centroid_norm": float(np.linalg.norm(centroid)),
-        }
-        self._flag(resp, dropped)
         return resp
-
-    def _exec_region(self, query: Query) -> dict:
-        got, dropped = self._fanout(
-            self.live,
-            "region",
-            {"x": query.x, "y": query.y, "radius": query.radius},
-        )
-        parts = [got[s] for s in sorted(got) if got[s][0].size]
-        size = int(sum(got[s][0].size for s in got))
-        if size == 0:
-            resp = {"kind": "region", "size": 0, "terms": []}
-            self._flag(resp, dropped)
-            return resp
-        # reassembling the shard blocks in global row order rebuilds
-        # the exact contiguous array the reference session reduces, so
-        # the mean is bit-identical to the unsharded path; on static
-        # stores the permutation is the identity (shard order IS row
-        # order), on generational stores it interleaves delta rows back
-        # into collection order
-        rows = np.concatenate([p[0] for p in parts])
-        block = np.concatenate([p[1] for p in parts], axis=0)
-        order = np.argsort(rows, kind="stable")
-        mean_sig = block[order].mean(axis=0)
-        self.ctx.charge_flops(size * mean_sig.shape[0] + _DISPATCH_OPS)
-        resp = {
-            "kind": "region",
-            "size": size,
-            "terms": top_positive_terms(
-                mean_sig, self.model.topic_terms, query.n_terms
-            ),
-        }
-        self._flag(resp, dropped)
-        return resp
-
-    # -- window analytics (stamped stores) -----------------------------
-    def _facet_error(self, kind: str) -> dict:
-        """Typed answer for a facet query against an unstamped store."""
-        return {
-            "kind": kind,
-            "error": (
-                "store is not stamped: no facet sections "
-                "(rebuild from a stamped corpus)"
-            ),
-            "partial": False,
-            "failed_shards": [],
-        }
 
     def _count_facets(
         self, kind: str, scanned: int, hits: int = 0
@@ -888,328 +1168,230 @@ class _Broker:
         self.c_facet_windows.inc(self.mrank, key=(kind,))
         self.c_facet_bytes.inc(self.mrank, float(scanned))
         if hits:
-            self.c_facet_emerging.inc(self.mrank, float(hits))
+            self.c_facet_hits.inc(self.mrank, float(hits))
 
-    def _exec_facet_counts(self, query: Query) -> dict:
-        fac = self.manifest.facets
-        if fac is None:
-            return self._facet_error("facet_counts")
-        got, dropped = self._fanout(
-            self.live,
-            "facet_counts",
-            {"t0": query.t0, "t1": query.t1, "n_sources": fac.n_sources},
-        )
-        counts = np.zeros(fac.n_sources, dtype=np.int64)
-        scanned = 0
-        for s in sorted(got):
-            c, sc = got[s]
-            counts += c
-            scanned += sc
-        self.ctx.charge_cpu(
-            fac.n_sources * max(1, len(got)) + _DISPATCH_OPS
-        )
-        self._count_facets("facet_counts", scanned)
-        resp = {
-            "kind": "facet_counts",
-            "t0": query.t0,
-            "t1": query.t1,
-            "sources": list(fac.source_names),
-            "counts": [int(c) for c in counts],
-            "total": int(counts.sum()),
-        }
-        self._flag(resp, dropped)
-        return resp
+    # -- operators -----------------------------------------------------
+    def execute(self, query: Query) -> dict:
+        """Fan one accepted, uncached query out and merge the answer."""
+        rec = QUERY_OPS[query.kind]
+        if rec.stamped and self.manifest.facets is None:
+            return _unstamped(query.kind)
+        params, answer = rec.derive(self, query, self)
+        if params is None:
+            return answer
+        got, dropped = self._fanout(self.live, rec.op, params)
+        return rec.merge(self, query, params, got, dropped)
 
-    def _merge_window_tf(
-        self, got: dict[int, object], slot: int
-    ) -> tuple[np.ndarray, int, int]:
-        """Sum one window slot's per-shard int64 partials in sorted
-        shard order -- associative, so any shard layout lands on the
-        identical totals."""
-        totals = np.zeros(self.model.term_df.shape[0], dtype=np.int64)
-        n_docs = 0
-        scanned = 0
-        for s in sorted(got):
-            pairs, sc = got[s]
-            t, n = pairs[slot]
-            totals += t
-            n_docs += int(n)
-            scanned += sc
-        return totals, n_docs, scanned
+    def execute_search_batch(self, queries: list[Query]) -> list[dict]:
+        """Answer several search queries with one shard round-trip.
 
-    def _exec_window_terms(self, query: Query) -> dict:
-        fac = self.manifest.facets
-        if fac is None:
-            return self._facet_error("window_terms")
-        if not self.model.has_postings:
-            return self._facet_error("window_terms")
-        got, dropped = self._fanout(
-            self.live,
-            "window_tf",
-            {"t0": query.t0, "t1": query.t1, "source": query.source},
-        )
-        totals, window_docs, scanned = self._merge_window_tf(got, 0)
-        pos = np.flatnonzero(totals > 0)
-        sel = topk_int_score_row(
-            totals[pos], pos, max(1, query.n_terms)
-        )
-        rows = pos[sel]
-        self.ctx.charge_cpu(int(totals.shape[0]) + _DISPATCH_OPS)
-        self._count_facets("window_terms", scanned)
-        resp = {
-            "kind": "window_terms",
-            "t0": query.t0,
-            "t1": query.t1,
-            "source": query.source,
-            "window_docs": window_docs,
-            "terms": [
+        Members the derivation answers outright (no known terms, a
+        store without postings) get that answer inline; the rest share
+        a single ``search_batch`` fan-out so every shard decodes its
+        postings once per batch instead of once per query.  Merging
+        stays per member, so each response is identical to what
+        :meth:`execute` would have produced for that query alone.
+        """
+        rec = QUERY_OPS["search"]
+        derived = [rec.derive(self, query, self) for query in queries]
+        out = [answer for _params, answer in derived]
+        fanned = [(i, p) for i, (p, _a) in enumerate(derived) if p is not None]
+        if fanned:
+            got, dropped = self._fanout(
+                self.live,
+                "search_batch",
                 {
-                    "term": self.model.terms[int(r)],
-                    "tf": int(totals[int(r)]),
-                }
-                for r in rows
-            ],
-        }
-        self._flag(resp, dropped)
-        return resp
+                    "requests": [
+                        (p["term_rows"], p["k"]) for _, p in fanned
+                    ],
+                    "icf": self.icf,
+                    "pruned": self.config.pruned_search,
+                },
+            )
+            for m, (i, params) in enumerate(fanned):
+                got_m = {s: got[s][m] for s in got}
+                out[i] = rec.merge(self, queries[i], params, got_m, dropped)
+        return out
 
-    def _exec_emerging(self, query: Query) -> dict:
-        fac = self.manifest.facets
-        if fac is None:
-            return self._facet_error("emerging")
-        if not self.model.has_postings:
-            return self._facet_error("emerging")
-        got, dropped = self._fanout(
-            self.live,
-            "window_tf",
-            {
-                "t0": query.t0,
-                "t1": query.t1,
-                "source": query.source,
-                "pair": True,
-            },
-        )
-        prev, prev_docs, scanned = self._merge_window_tf(got, 0)
-        cur, cur_docs, _ = self._merge_window_tf(got, 1)
-        scores = emerging_scores(prev, cur)
-        keep = np.flatnonzero((cur > 0) & (scores > 0))
-        sel = topk_int_score_row(
-            scores[keep], keep, max(1, query.n_terms)
-        )
-        rows = keep[sel]
-        self.ctx.charge_cpu(3 * int(cur.shape[0]) + _DISPATCH_OPS)
-        self._count_facets("emerging", scanned, hits=int(rows.size))
-        resp = {
-            "kind": "emerging",
-            "t0": query.t0,
-            "t1": query.t1,
-            "source": query.source,
-            "window_docs": cur_docs,
-            "prev_docs": prev_docs,
-            "terms": [
-                {
-                    "term": self.model.terms[int(r)],
-                    "score": int(scores[int(r)]),
-                    "tf": int(cur[int(r)]),
-                    "prev_tf": int(prev[int(r)]),
-                }
-                for r in rows
-            ],
-        }
-        self._flag(resp, dropped)
-        return resp
-
-    # -- closed-loop event pump ----------------------------------------
+    # -- the pump's two hooks, for query scripts -----------------------
     def _admit(self, script: ClientScript, depth: int) -> bool:
         """Whether a query may enter at the given in-flight depth."""
         return depth < self.config.max_inflight
 
     def _on_reject(
         self,
-        client: int,
+        script: ClientScript,
         seq: int,
         query: Query,
-        script: ClientScript,
         depth: int,
         rejected: list,
     ) -> None:
-        """Record one turned-away query (subclass hook)."""
+        """Record one turned-away query."""
         self.c_rejected.inc(self.mrank)
-        rejected.append({"client": client, "seq": seq, "kind": query.kind})
+        rejected.append(
+            {"client": script.client, "seq": seq, "kind": query.kind}
+        )
+
+    def _cached(self, loop: _Loop, entry: tuple) -> Optional[tuple]:
+        """Answer an admitted query from the result cache.
+
+        Returns ``None`` after recording the hit, else the cache key
+        the freshly computed answer is to be stored under.
+        """
+        key = (self.epoch,) + entry[3].key()
+        if self.config.cache_capacity > 0 and key in self.cache:
+            self.c_hit.inc(self.mrank)
+            self.cache.move_to_end(key)
+            self.ctx.charge_cpu(_CACHE_HIT_OPS)
+            loop.record(entry, self.cache[key], True, self.epoch)
+            return None
+        self.c_miss.inc(self.mrank)
+        return key
+
+    def _answered(
+        self, loop: _Loop, entry: tuple, key: tuple, resp: dict
+    ) -> None:
+        """Cache (or count as degraded) and record a computed answer."""
+        if resp.get("partial"):
+            self.c_degraded.inc(self.mrank)
+        elif self.config.cache_capacity > 0:
+            self.cache[key] = resp
+            if len(self.cache) > self.config.cache_capacity:
+                self.cache.popitem(last=False)
+                self.c_evict.inc(self.mrank)
+        loop.record(entry, resp, False, self.epoch)
+
+    def _serve(self, loop: _Loop, entry: tuple) -> None:
+        """Answer one admitted query -- or, batching, it and the search
+        queries queued behind it."""
+        ctx, cfg = self.ctx, self.config
+        # pin this query's epoch: reload happens between queries,
+        # never inside a fan-out
+        self._maybe_reload()
+        key = self._cached(loop, entry)
+        if key is None:
+            return
+        query = entry[3]
+        if (
+            query.kind != "search"
+            or cfg.batch_max_queries <= 1
+            or self.generational
+        ):
+            self._answered(loop, entry, key, self.execute(query))
+            return
+        # cross-query batching: drain search queries that have already
+        # arrived into one shard round-trip.  Members pass the same
+        # admission check and cache lookup and keep their own response
+        # identity; they only share the fan-out (and with it the
+        # shard-side postings decode) and a common finish time.
+        batch = [(entry, key)]
+        while loop.heap and len(batch) < cfg.batch_max_queries:
+            a2, i2, s2 = loop.heap[0]
+            if a2 > ctx.now or loop.items[i2][s2].kind != "search":
+                break
+            # the depth a member sees counts the batch being assembled:
+            # its members are admitted but not served
+            member = loop.take(assembling=len(batch))
+            if member is not None:
+                key2 = self._cached(loop, member)
+                if key2 is not None:
+                    batch.append((member, key2))
+        resps = self.execute_search_batch([e[3] for e, _ in batch])
+        for (member, key2), resp in zip(batch, resps):
+            self._answered(loop, member, key2, resp)
 
     def _shutdown(self) -> None:
         """End-of-session: stop the shard ranks this broker owns."""
         for s in self.live:
-            self.ctx.comm.send(
-                self._shard_rank(s), ("stop",), tag=TAG_REQ
-            )
+            self.ctx.comm.send(s + 1, ("stop",), tag=TAG_REQ)
 
-    def _build_report(
-        self,
-        responses: list[dict],
-        latencies: list[float],
-        rejected: list,
-    ) -> ServeReport:
-        return ServeReport(
-            responses=responses,
-            latencies=latencies,
-            rejected=rejected,
-            failed_ranks=sorted(
+    def _session(self, loop: _Loop) -> dict:
+        """The report fields every handler's session shares."""
+        return {
+            "responses": loop.responses,
+            "latencies": loop.latencies,
+            "failed_ranks": sorted(
                 s + 1 for s in range(self.nshards) if s not in self.live
             ),
-            makespan=self.ctx.now,
-            generations=self.gen_stats,
-        )
+            "makespan": self.ctx.now,
+            "generations": self.gen_stats,
+        }
 
-    def pump(self, scripts: list[ClientScript]) -> ServeReport:
-        ctx, cfg = self.ctx, self.config
-        heap: list[tuple[float, int, int]] = []
-        for c, script in enumerate(scripts):
-            if script.queries:
-                heapq.heappush(heap, (script.think_s[0], c, 0))
-        responses: list[dict] = []
-        latencies: list[float] = []
-        rejected: list = []
-        finishes: list[float] = []  # ascending: server is sequential
+    def _report(self, loop: _Loop) -> ServeReport:
+        return ServeReport(rejected=loop.rejected, **self._session(loop))
 
-        def _next(client: int, seq: int, now: float) -> None:
-            script = scripts[client]
-            if seq + 1 < len(script.queries):
-                heapq.heappush(
-                    heap, (now + script.think_s[seq + 1], client, seq + 1)
-                )
+    # -- closed-loop event pump ----------------------------------------
+    def pump(self, scripts: list, handler=None):
+        """Serve ``scripts`` to completion: the one closed-loop pump.
 
-        def _record(
-            idx: int, seq: int, arrival: float, query: Query,
-            resp: dict, cached: bool,
-        ) -> None:
-            script = scripts[idx]
-            finish = ctx.now
-            latency = finish - arrival
-            self.h_latency.observe(self.mrank, latency, key=(query.kind,))
-            stats = self.gen_stats.setdefault(
-                self.epoch,
-                {"queries": 0, "first_virtual_s": float(arrival)},
-            )
-            stats["queries"] += 1
-            responses.append(
-                {
-                    "client": script.client,
-                    "seq": seq,
-                    "kind": query.kind,
-                    "cached": cached,
-                    "generation": self.epoch,
-                    "response": resp,
-                }
-            )
-            latencies.append(latency)
-            finishes.append(finish)
-            _next(idx, seq, finish)
-
-        def _store(key: tuple, resp: dict) -> None:
-            if resp.get("partial"):
-                self.c_degraded.inc(self.mrank)
-            elif cfg.cache_capacity > 0:
-                self.cache[key] = resp
-                if len(self.cache) > cfg.cache_capacity:
-                    self.cache.popitem(last=False)
-                    self.c_evict.inc(self.mrank)
-
-        while heap:
-            # heap entries carry the *position* in ``scripts``; response
-            # records carry the script's own client id (they differ when
-            # a tier broker pumps a routed subset of the client set)
-            arrival, idx, seq = heapq.heappop(heap)
-            script = scripts[idx]
-            query = script.queries[seq]
-            self.c_queries.inc(self.mrank, key=(query.kind,))
-            # admission control: accepted-but-unfinished depth at arrival
-            depth = len(finishes) - bisect_right(finishes, arrival)
-            if not self._admit(script, depth):
-                ctx.charge_cpu(_REJECT_OPS)
-                self._on_reject(
-                    script.client, seq, query, script, depth, rejected
-                )
-                _next(idx, seq, arrival)
+        Arrivals pop in (virtual arrival time, script position) order;
+        each is counted, put to the admission policy at the
+        accepted-but-unfinished depth it finds, and -- admitted -- has
+        the clock advanced to its arrival and is handed over to be
+        answered; its client's next item arrives one think time after
+        the answer.  ``handler`` (default: this broker, serving plain
+        query scripts) supplies the two hooks: the admission policy
+        (``_admit`` / ``_on_reject``) and the item handler
+        ``_serve(loop, entry)``, which records what it answers through
+        the loop and may take further arrivals off it.  It also names
+        its scripts' shape and metric families (see ``items``) and
+        closes the session with ``_report(loop)``.
+        """
+        handler = self if handler is None else handler
+        ctx = self.ctx
+        loop = _Loop(self, scripts, handler)
+        while loop.heap:
+            entry = loop.take()
+            if entry is None:
                 continue
-            if ctx.now < arrival:
-                ctx.charge(arrival - ctx.now)
-            # pin this query's epoch: reload happens between queries,
-            # never inside a fan-out
-            self._maybe_reload()
-            key = (self.epoch,) + query.key()
-            if cfg.cache_capacity > 0 and key in self.cache:
-                self.c_hit.inc(self.mrank)
-                self.cache.move_to_end(key)
-                ctx.charge_cpu(_CACHE_HIT_OPS)
-                _record(idx, seq, arrival, query, self.cache[key], True)
-                continue
-            self.c_miss.inc(self.mrank)
-            if (
-                query.kind != "search"
-                or cfg.batch_max_queries <= 1
-                or self.generational
-            ):
-                resp = self.execute(query)
-                _store(key, resp)
-                _record(idx, seq, arrival, query, resp, False)
-                continue
-            # -- cross-query batching: drain search queries that have
-            # already arrived into one shard round-trip.  Members keep
-            # their own admission check, cache lookup, and response
-            # identity; they only share the fan-out (and with it the
-            # shard-side postings decode) and a common finish time.
-            batch = [(idx, seq, arrival, query, key)]
-            while heap and len(batch) < cfg.batch_max_queries:
-                a2, i2, s2 = heap[0]
-                q2 = scripts[i2].queries[s2]
-                if a2 > ctx.now or q2.kind != "search":
-                    break
-                heapq.heappop(heap)
-                script2 = scripts[i2]
-                self.c_queries.inc(self.mrank, key=(q2.kind,))
-                # accepted-but-unfinished depth counts the batch being
-                # assembled: its members are admitted but not served
-                depth2 = (
-                    len(finishes)
-                    - bisect_right(finishes, a2)
-                    + len(batch)
-                )
-                if not self._admit(script2, depth2):
-                    ctx.charge_cpu(_REJECT_OPS)
-                    self._on_reject(
-                        script2.client, s2, q2, script2, depth2, rejected
-                    )
-                    _next(i2, s2, a2)
-                    continue
-                key2 = (self.epoch,) + q2.key()
-                if cfg.cache_capacity > 0 and key2 in self.cache:
-                    self.c_hit.inc(self.mrank)
-                    self.cache.move_to_end(key2)
-                    ctx.charge_cpu(_CACHE_HIT_OPS)
-                    _record(i2, s2, a2, q2, self.cache[key2], True)
-                    continue
-                self.c_miss.inc(self.mrank)
-                batch.append((i2, s2, a2, q2, key2))
-            resps = self._exec_search_batch([b[3] for b in batch])
-            for (i2, s2, a2, q2, key2), resp in zip(batch, resps):
-                _store(key2, resp)
-                _record(i2, s2, a2, q2, resp, False)
-
+            if ctx.now < entry[0]:
+                ctx.charge(entry[0] - ctx.now)
+            handler._serve(loop, entry)
         self._shutdown()
-        return self._build_report(responses, latencies, rejected)
+        return handler._report(loop)
 
 
-def _serve_main(
-    ctx, store_dir: str, scripts, config: BrokerConfig, nshards: int, ingest
+# ----------------------------------------------------------------------
+# tier launcher
+# ----------------------------------------------------------------------
+def _launch(
+    store_dir: str,
+    roles: list[tuple[int, Callable]],
+    front: str,
+    machine: Optional[MachineSpec],
+    faults,
+    ingest,
+    backend: str = "sim",
 ):
-    if ctx.rank == 0:
-        return _Broker(
-            ctx, store_dir, config, generational=ingest is not None
-        ).pump(list(scripts))
-    if ctx.rank <= nshards:
-        return _ShardWorker(ctx, store_dir).run()
-    return ingest.run(ctx, store_dir)
+    """Run one serving session and return rank 0's report.
+
+    ``roles`` lays the ranks out in order as ``(count, role)`` runs,
+    ``role(ctx)`` being what each of those ranks executes; ``ingest``
+    appends its one driver rank.  Under a fault plan the session
+    degrades rather than failing (the cluster runs with
+    ``raise_on_failure=False``) -- unless the ``front`` rank itself,
+    whose result is the report, is among the dead.  The report leaves
+    with the run's metrics snapshot, the runtime's view of the failed
+    ranks, and the ingest driver's outcome attached.
+    """
+    ranks = [role for count, role in roles for _ in range(count)]
+    if ingest is not None:
+        ranks.append(lambda ctx: ingest.run(ctx, store_dir))
+    nprocs = len(ranks)
+    cluster = Cluster(nprocs, machine=machine, faults=faults, backend=backend)
+    result = cluster.run(
+        lambda ctx: ranks[ctx.rank](ctx), raise_on_failure=False
+    )
+    report = result.rank_results[0]
+    if report is None:
+        raise RankFailedError(result.failed_ranks, f"{front} rank crashed")
+    report.metrics = result.metrics.snapshot()
+    report.failed_ranks = sorted(
+        set(report.failed_ranks) | set(result.failed_ranks)
+    )
+    if ingest is not None:
+        report.ingest = result.rank_results[nprocs - 1]
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -1242,33 +1424,19 @@ def serve(
     runtime's cross-backend contract.
     """
     store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
     config = config if config is not None else BrokerConfig()
-    nprocs = manifest.nshards + 1 + (1 if ingest is not None else 0)
-    cluster = Cluster(
-        nprocs, machine=machine, faults=faults, backend=backend
+
+    def broker(ctx):
+        b = _Broker(ctx, store_dir, config, generational=ingest is not None)
+        return b.pump(list(scripts))
+
+    def worker(ctx):
+        return _ShardWorker(ctx, store_dir).run()
+
+    roles = [(1, broker), (load_manifest(store_dir).nshards, worker)]
+    return _launch(
+        store_dir, roles, "broker", machine, faults, ingest, backend
     )
-    result = cluster.run(
-        _serve_main,
-        store_dir,
-        tuple(scripts),
-        config,
-        manifest.nshards,
-        ingest,
-        raise_on_failure=False,
-    )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(
-            result.failed_ranks, "broker rank crashed"
-        )
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[manifest.nshards + 1]
-    return report
 
 
 def query_store(

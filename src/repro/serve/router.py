@@ -7,7 +7,9 @@ ships each broker its script subset, collects the per-broker session
 reports, and stops the worker tier.  Ranks ``1..B`` are brokers, each
 running the PR-4 closed-loop event pump over its own clients with its
 own admission queue and result cache.  Ranks ``B+1..B+W`` are replica
-workers: worker ``w`` serves *every* shard that
+workers -- the single-copy tier's
+:class:`~repro.serve.broker._ShardWorker` loop, told its placement:
+worker ``w`` serves *every* shard that
 :class:`~repro.serve.replica.ReplicaMap` places on it, for whatever
 epoch a request pins.  Replicas of a shard resolve the identical
 per-epoch segment list through the same
@@ -46,28 +48,23 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.runtime.cluster import Cluster, MachineSpec
+from repro.runtime.cluster import MachineSpec
 from repro.runtime.errors import CommTimeoutError, RankFailedError
 from repro.serve.broker import (
     TAG_REQ,
     TAG_RESP,
+    SessionReport,
     _Broker,
-    execute_shard_op,
+    _launch,
+    _ShardWorker,
 )
-from repro.serve.query import ShardStore
 from repro.serve.replica import ReplicaHealth, ReplicaMap, stable_hash
-from repro.serve.store import (
-    Container,
-    ShardFormatError,
-    StoreManifest,
-    load_manifest,
-    load_manifest_generation,
-    load_model,
-)
+from repro.serve.store import load_manifest
 from repro.serve.workload import ClientScript
 
 TAG_SCRIPTS = 104
@@ -125,11 +122,9 @@ class ShedResponse:
 
 
 @dataclass
-class TierReport:
+class TierReport(SessionReport):
     """Outcome of one replicated-tier session over a workload."""
 
-    responses: list[dict]
-    latencies: list[float]
     shed: list[ShedResponse]
     failed_ranks: list[int]
     makespan: float
@@ -147,39 +142,9 @@ class TierReport:
     ingest: Optional[dict] = None
 
     @property
-    def served(self) -> int:
-        return len(self.responses)
-
-    @property
-    def throughput(self) -> float:
-        """Served queries per virtual second."""
-        return self.served / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def degraded(self) -> int:
-        return sum(1 for r in self.responses if r["response"].get("partial"))
-
-    @property
-    def degraded_rate(self) -> float:
-        return self.degraded / self.served if self.served else 0.0
-
-    @property
     def shed_rate(self) -> float:
         total = self.served + len(self.shed)
         return len(self.shed) / total if total else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        hits = sum(1 for r in self.responses if r.get("cached"))
-        return hits / self.served if self.served else 0.0
-
-    def latency_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of served-query virtual latency."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        idx = max(0, int(np.ceil(pct / 100.0 * len(ordered))) - 1)
-        return ordered[idx]
 
 
 def broker_of_client(client: int, brokers: int, seed: int = 0) -> int:
@@ -187,116 +152,13 @@ def broker_of_client(client: int, brokers: int, seed: int = 0) -> int:
     return stable_hash(f"{seed}/client-{client}") % brokers
 
 
-# ----------------------------------------------------------------------
-# replica worker rank
-# ----------------------------------------------------------------------
-class _ReplicaWorker:
-    """One worker rank serving every shard replica placed on it."""
-
-    def __init__(
-        self,
-        ctx,
-        store_dir: str,
-        rmap: ReplicaMap,
-        n_brokers: int,
-    ):
-        self.ctx = ctx
-        self.store_dir = store_dir
-        self.rmap = rmap
-        self.n_brokers = n_brokers
-        self.worker_id = ctx.rank - 1 - n_brokers
-        self.shards = rmap.shards_of(self.worker_id)
-        self.model = load_model(store_dir)
-        self._manifests: dict[int, StoreManifest] = {}
-        self._segments: dict[tuple[int, int], list[ShardStore]] = {}
-        self._stores: dict[str, ShardStore] = {}
-
-    def _identity(self, shard: int) -> str:
-        hosts = self.rmap.workers_for(shard)
-        copy = hosts.index(self.worker_id) if self.worker_id in hosts else -1
-        return (
-            f"shard {shard} copy {copy} on worker {self.worker_id} "
-            f"(rank {self.ctx.rank})"
-        )
-
-    def _manifest(self, epoch: int, shard: int) -> StoreManifest:
-        m = self._manifests.get(epoch)
-        if m is None:
-            try:
-                m = load_manifest_generation(self.store_dir, epoch)
-            except ShardFormatError as exc:
-                raise ShardFormatError(
-                    exc.path, exc.reason, context=self._identity(shard)
-                ) from exc
-            self._manifests[epoch] = m
-        return m
-
-    def _store(self, fname: str, shard: int) -> ShardStore:
-        s = self._stores.get(fname)
-        if s is None:
-            try:
-                s = ShardStore(
-                    Container(os.path.join(self.store_dir, fname)),
-                    self.model,
-                )
-            except ShardFormatError as exc:
-                raise ShardFormatError(
-                    exc.path, exc.reason, context=self._identity(shard)
-                ) from exc
-            self._stores[fname] = s
-        return s
-
-    def segments(self, epoch: int, shard: int) -> list[ShardStore]:
-        """The epoch's segment list for one hosted shard.
-
-        Identical files -- base shard plus owned deltas -- on every
-        replica of the shard, so replicas answer bit-identically.
-        """
-        segs = self._segments.get((epoch, shard))
-        if segs is None:
-            m = self._manifest(epoch, shard)
-            files = [m.shards[shard].file]
-            files += [d.file for d in m.deltas if d.owner == shard]
-            segs = [self._store(f, shard) for f in files]
-            self._segments[(epoch, shard)] = segs
-        return segs
-
-    def run(self) -> int:
-        ctx = self.ctx
-        bytes_scanned = ctx.metrics.counter(
-            "serve.shard.bytes_scanned", ("shard",)
-        )
-        blocks_skipped = ctx.metrics.counter(
-            "serve.shard.blocks_skipped", ("shard",)
-        )
-        served = 0
-        sources = list(range(self.n_brokers + 1))  # router + brokers
-        while True:
-            try:
-                src, msg = ctx.comm.recv_any(sources=sources, tag=TAG_REQ)
-            except CommTimeoutError:
-                if 0 in ctx.failed_ranks():
-                    return served
-                continue
-            except RankFailedError as exc:
-                if 0 in exc.failed:
-                    return served
-                sources = [r for r in sources if r not in set(exc.failed)]
-                if len(sources) <= 1:  # only the router left
-                    continue
-                continue
-            if msg[0] == "stop":
-                return served
-            qid, epoch, shard, op, params = msg
-            segs = self.segments(epoch, shard)
-            payload, scanned, skipped = execute_shard_op(
-                ctx, self.model, segs, op, params
-            )
-            ctx.charge_io(scanned, concurrent_readers=1)
-            bytes_scanned.inc(ctx.rank, float(scanned), key=(str(shard),))
-            blocks_skipped.inc(ctx.rank, float(skipped), key=(str(shard),))
-            ctx.comm.send(src, (qid, shard, payload), tag=TAG_RESP)
-            served += 1
+def _await(ctx, src: int, tag: int):
+    """Receive from a peer that is busy, not dead: outwait timeouts."""
+    while True:
+        try:
+            return ctx.comm.recv(src, tag=tag)
+        except CommTimeoutError:
+            continue
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +191,6 @@ class _TierBroker(_Broker):
         self.c_down = m.counter("serve.replica.down")
 
     # -- replica health ------------------------------------------------
-    def _worker_rank(self, worker: int) -> int:
-        return self.worker_base + worker
-
     def _mark_down(self, worker: int) -> None:
         if not self.health.is_down(worker):
             self.health.mark_down(worker)
@@ -374,21 +233,29 @@ class _TierBroker(_Broker):
 
     # -- replica-aware fan-out -----------------------------------------
     def _fanout(
-        self, targets: list[int], op: str, params: dict
+        self,
+        targets: list[int],
+        op: str,
+        params: dict,
+        epoch: Optional[int] = None,
     ) -> tuple[dict[int, object], list[int]]:
         ctx, cfg = self.ctx, self.config
         self.qid += 1
         qid = self.qid
+        epoch = self.epoch if epoch is None else epoch
         self._observe_failures()
         outstanding: dict[int, set[int]] = {}
         tried: dict[int, list[int]] = {}
 
-        def _send(shard: int, worker: int) -> None:
+        def _post(shard: int, worker: int) -> None:
             ctx.comm.send(
-                self._worker_rank(worker),
-                (qid, self.epoch, shard, op, params),
+                self.worker_base + worker,
+                (qid, epoch, shard, op, params),
                 tag=TAG_REQ,
             )
+
+        def _send(shard: int, worker: int) -> None:
+            _post(shard, worker)
             outstanding.setdefault(shard, set()).add(worker)
             tried.setdefault(shard, []).append(worker)
 
@@ -407,11 +274,7 @@ class _TierBroker(_Broker):
         resends = 0
         while pending:
             srcs = sorted(
-                {
-                    self._worker_rank(w)
-                    for s in pending
-                    for w in outstanding[s]
-                }
+                {self.worker_base + w for s in pending for w in outstanding[s]}
             )
             timeout = cfg.shard_timeout_s if hedged else cfg.hedge_delay_s
             try:
@@ -461,11 +324,7 @@ class _TierBroker(_Broker):
                     self._jitter(resends)
                     for s in sorted(pending):
                         for w in sorted(outstanding[s]):
-                            ctx.comm.send(
-                                self._worker_rank(w),
-                                (qid, self.epoch, s, op, params),
-                                tag=TAG_REQ,
-                            )
+                            _post(s, w)
                     continue
                 break  # drop whatever is still silent
             rqid, shard, payload = msg
@@ -483,18 +342,18 @@ class _TierBroker(_Broker):
         Priority 0 is the highest class; as depth grows the lowest
         classes (largest ``p``) shed first, deterministically.
         """
-        p = getattr(script, "priority", 0)
-        return depth < max(1, self.config.max_inflight // (2**p))
+        return depth < max(
+            1, self.config.max_inflight // (2**script.priority)
+        )
 
-    def _on_reject(self, client, seq, query, script, depth, rejected):
-        p = getattr(script, "priority", 0)
-        self.c_shed.inc(self.mrank, key=(str(p),))
+    def _on_reject(self, script, seq, query, depth, rejected):
+        self.c_shed.inc(self.mrank, key=(str(script.priority),))
         rejected.append(
             ShedResponse(
-                client=client,
+                client=script.client,
                 seq=seq,
                 kind=query.kind,
-                priority=p,
+                priority=script.priority,
                 broker=self.broker_idx,
                 depth=depth,
             )
@@ -504,91 +363,78 @@ class _TierBroker(_Broker):
     def _shutdown(self) -> None:
         """The router owns the workers; brokers stop nothing."""
 
-    def _build_report(self, responses, latencies, rejected) -> dict:
-        now = self.ctx.now
+    def _session(self, loop) -> dict:
+        """This broker's part of the tier report, as it travels to the
+        router: the fields every handler's part shares."""
         return {
             "broker": self.broker_idx,
-            "responses": responses,
-            "latencies": latencies,
-            "shed": rejected,
-            "failovers": self.n_failover,
-            "hedges": self.n_hedge,
-            "suspicions": self.health.suspicions,
-            "health": self.health.snapshot(now),
+            "responses": loop.responses,
+            "latencies": loop.latencies,
             "gen_stats": self.gen_stats,
-            "live": list(self.live),
-            "makespan": now,
+            "makespan": self.ctx.now,
         }
 
-    def run(self) -> dict:
-        ctx = self.ctx
-        while True:
-            try:
-                scripts = ctx.comm.recv(0, tag=TAG_SCRIPTS)
-                break
-            except CommTimeoutError:
-                continue
-        report = self.pump(list(scripts))
-        ctx.comm.send(0, report, tag=TAG_REPORT)
+    def _report(self, loop) -> dict:
+        return dict(
+            self._session(loop),
+            shed=loop.rejected,
+            failovers=self.n_failover,
+            hedges=self.n_hedge,
+            suspicions=self.health.suspicions,
+            health=self.health.snapshot(self.ctx.now),
+            live=list(self.live),
+        )
+
+    def run(self, handler=None) -> dict:
+        """Pump the script subset the router assigns; report back."""
+        scripts = _await(self.ctx, 0, TAG_SCRIPTS)
+        report = self.pump(list(scripts), handler)
+        self.ctx.comm.send(0, report, tag=TAG_REPORT)
         return report
 
 
 # ----------------------------------------------------------------------
 # router rank
 # ----------------------------------------------------------------------
-def _run_router(
-    ctx, scripts, cfg: RouterConfig, rmap: ReplicaMap
-) -> TierReport:
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    worker_base = 1 + nbrokers
-    assign: dict[int, list[ClientScript]] = {
-        b: [] for b in range(nbrokers)
-    }
+def _router_rank(
+    ctx, scripts, cfg: RouterConfig, ident: tuple, finish: Callable
+):
+    """Route the scripts, collect the brokers' parts, stop the
+    workers, and merge: ``finish(parts, order, session)`` builds the
+    report from the live parts, the merge order ``ident + ("seq",)``,
+    and the session fields every tier report shares."""
+    nbrokers = cfg.brokers
+    assign: dict[int, list] = {b: [] for b in range(nbrokers)}
+    # sticky routing on who the script belongs to: a client's cached
+    # results -- a tenant's quota and artifact state -- live on
+    # exactly one broker
     for script in scripts:
-        assign[broker_of_client(script.client, nbrokers, cfg.seed)].append(
-            script
-        )
+        owner = getattr(script, ident[0])
+        assign[broker_of_client(owner, nbrokers, cfg.seed)].append(script)
     for b in range(nbrokers):
         ctx.charge_cpu(_ROUTE_OPS * max(1, len(assign[b])))
         ctx.comm.send(1 + b, tuple(assign[b]), tag=TAG_SCRIPTS)
-    reports: list[Optional[dict]] = []
+    parts: list[dict] = []
     for b in range(nbrokers):
-        while True:
-            try:
-                reports.append(ctx.comm.recv(1 + b, tag=TAG_REPORT))
-                break
-            except CommTimeoutError:
-                continue
-            except RankFailedError:
-                reports.append(None)
-                break
+        try:
+            parts.append(_await(ctx, 1 + b, TAG_REPORT))
+        except RankFailedError:
+            pass  # a crashed broker contributes no part
     dead = set(ctx.failed_ranks())
-    for w in range(nworkers):
-        rank = worker_base + w
+    for w in range(cfg.workers):
+        rank = 1 + nbrokers + w
         if rank not in dead:
             ctx.comm.send(rank, ("stop",), tag=TAG_REQ)
-    return _merge_reports(ctx, reports, cfg, rmap, dead)
-
-
-def _merge_reports(
-    ctx, reports, cfg: RouterConfig, rmap: ReplicaMap, dead: set
-) -> TierReport:
-    live = [r for r in reports if r is not None]
-    indexed: list[tuple[tuple[int, int], dict, float]] = []
-    for rep in live:
-        for resp, lat in zip(rep["responses"], rep["latencies"]):
-            resp = dict(resp, broker=rep["broker"])
-            indexed.append(((resp["client"], resp["seq"]), resp, lat))
+    order = ident + ("seq",)
+    indexed: list[tuple[tuple, dict, float]] = []
+    for part in parts:
+        for resp, lat in zip(part["responses"], part["latencies"]):
+            resp = dict(resp, broker=part["broker"])
+            indexed.append((tuple(resp[f] for f in order), resp, lat))
     indexed.sort(key=lambda t: t[0])
-    responses = [r for _, r, _ in indexed]
-    latencies = [lat for _, _, lat in indexed]
-    shed = sorted(
-        (s for rep in live for s in rep["shed"]),
-        key=lambda s: (s.client, s.seq),
-    )
     generations: dict[int, dict] = {}
-    for rep in live:
-        for g, stats in rep["gen_stats"].items():
+    for part in parts:
+        for g, stats in part["gen_stats"].items():
             agg = generations.setdefault(
                 g,
                 {"queries": 0, "first_virtual_s": stats["first_virtual_s"]},
@@ -597,58 +443,96 @@ def _merge_reports(
             agg["first_virtual_s"] = min(
                 agg["first_virtual_s"], stats["first_virtual_s"]
             )
-    health: dict[str, list[int]] = {"up": [], "suspect": [], "down": []}
-    rank_of = {"up": 0, "suspect": 1, "down": 2}
-    worst: dict[int, str] = {}
-    for rep in live:
-        for state, workers in rep["health"].items():
-            for w in workers:
-                if (
-                    w not in worst
-                    or rank_of[state] > rank_of[worst[w]]
-                ):
-                    worst[w] = state
-    for w in sorted(worst):
-        health[worst[w]].append(w)
-    return TierReport(
-        responses=responses,
-        latencies=latencies,
-        shed=shed,
-        failed_ranks=sorted(dead),
-        makespan=max((rep["makespan"] for rep in live), default=ctx.now),
-        replica_map=rmap.to_dict(),
-        brokers=cfg.brokers,
-        workers=cfg.workers,
-        failovers=sum(rep["failovers"] for rep in live),
-        hedges=sum(rep["hedges"] for rep in live),
-        suspicions=sum(rep["suspicions"] for rep in live),
-        health=health,
-        generations=generations,
-        per_broker=[
-            {
-                "broker": rep["broker"],
-                "served": len(rep["responses"]),
-                "shed": len(rep["shed"]),
-                "failovers": rep["failovers"],
-                "hedges": rep["hedges"],
-                "makespan": rep["makespan"],
-            }
-            for rep in live
-        ],
+    session = {
+        "responses": [r for _, r, _ in indexed],
+        "latencies": [lat for _, _, lat in indexed],
+        "failed_ranks": sorted(dead),
+        "makespan": max((p["makespan"] for p in parts), default=ctx.now),
+        "generations": generations,
+    }
+    return finish(parts, order, session)
+
+
+def merged_rejects(parts: list[dict], field: str, order: tuple) -> list:
+    """Every part's typed turn-aways, in merge order."""
+    return sorted(
+        (r for part in parts for r in part[field]),
+        key=lambda r: tuple(getattr(r, f) for f in order),
     )
 
 
-def _tier_main(ctx, store_dir, scripts, cfg, rmap, ingest):
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    if ctx.rank == 0:
-        return _run_router(ctx, scripts, cfg, rmap)
-    if ctx.rank <= nbrokers:
-        return _TierBroker(
-            ctx, store_dir, cfg, rmap, generational=ingest is not None
-        ).run()
-    if ctx.rank <= nbrokers + nworkers:
-        return _ReplicaWorker(ctx, store_dir, rmap, nbrokers).run()
-    return ingest.run(ctx, store_dir)
+def _tier_report(
+    cfg: RouterConfig, rmap: ReplicaMap, parts, order, session
+) -> TierReport:
+    health: dict[str, list[int]] = {"up": [], "suspect": [], "down": []}
+    rank_of = {"up": 0, "suspect": 1, "down": 2}
+    worst: dict[int, str] = {}
+    for part in parts:
+        for state, workers in part["health"].items():
+            for w in workers:
+                worst[w] = max(worst.get(w, state), state, key=rank_of.get)
+    for w in sorted(worst):
+        health[worst[w]].append(w)
+    return TierReport(
+        shed=merged_rejects(parts, "shed", order),
+        replica_map=rmap.to_dict(),
+        brokers=cfg.brokers,
+        workers=cfg.workers,
+        failovers=sum(part["failovers"] for part in parts),
+        hedges=sum(part["hedges"] for part in parts),
+        suspicions=sum(part["suspicions"] for part in parts),
+        health=health,
+        per_broker=[
+            {
+                "broker": part["broker"],
+                "served": len(part["responses"]),
+                "shed": len(part["shed"]),
+                "failovers": part["failovers"],
+                "hedges": part["hedges"],
+                "makespan": part["makespan"],
+            }
+            for part in parts
+        ],
+        **session,
+    )
+
+
+def tier_roles(
+    store_dir: str,
+    config: Optional[RouterConfig],
+    router: Callable,
+    broker: Callable,
+) -> list[tuple[int, Callable]]:
+    """Rank layout of one replicated session: router, brokers, workers.
+
+    Resolves the config's store-dependent defaults and places
+    ``replicas`` copies of every shard by consistent hashing;
+    ``router(ctx, cfg, rmap)`` and ``broker(ctx, cfg, rmap)`` are the
+    front ranks' roles, handed the resolved config and the placement.
+    """
+    manifest = load_manifest(store_dir)
+    cfg = config if config is not None else RouterConfig()
+    replicas = cfg.replicas or max(1, manifest.replication)
+    workers = cfg.workers or max(manifest.nshards, replicas)
+    if cfg.brokers < 1:
+        raise ValueError(f"need at least one broker, got {cfg.brokers}")
+    cfg = replace(cfg, replicas=replicas, workers=workers)
+    rmap = ReplicaMap.place(
+        manifest.nshards,
+        replicas,
+        workers,
+        vnodes=cfg.vnodes,
+        seed=cfg.seed,
+    )
+
+    def worker(ctx):
+        return _ShardWorker(ctx, store_dir, rmap, cfg.brokers).run()
+
+    return [
+        (1, lambda ctx: router(ctx, cfg, rmap)),
+        (cfg.brokers, lambda ctx: broker(ctx, cfg, rmap)),
+        (workers, worker),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -673,38 +557,15 @@ def serve_replicated(
     ``raise_on_failure=False``.
     """
     store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
-    cfg = config if config is not None else RouterConfig()
-    replicas = cfg.replicas or max(1, manifest.replication)
-    workers = cfg.workers or max(manifest.nshards, replicas)
-    if cfg.brokers < 1:
-        raise ValueError(f"need at least one broker, got {cfg.brokers}")
-    cfg = replace(cfg, replicas=replicas, workers=workers)
-    rmap = ReplicaMap.place(
-        manifest.nshards,
-        replicas,
-        workers,
-        vnodes=cfg.vnodes,
-        seed=cfg.seed,
-    )
-    nprocs = 1 + cfg.brokers + workers + (1 if ingest is not None else 0)
-    cluster = Cluster(nprocs, machine=machine, faults=faults)
-    result = cluster.run(
-        _tier_main,
-        store_dir,
-        tuple(scripts),
-        cfg,
-        rmap,
-        ingest,
-        raise_on_failure=False,
-    )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(result.failed_ranks, "router rank crashed")
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[nprocs - 1]
-    return report
+
+    def router(ctx, cfg, rmap):
+        finish = partial(_tier_report, cfg, rmap)
+        return _router_rank(ctx, scripts, cfg, _TierBroker.ident, finish)
+
+    def broker(ctx, cfg, rmap):
+        return _TierBroker(
+            ctx, store_dir, cfg, rmap, generational=ingest is not None
+        ).run()
+
+    roles = tier_roles(store_dir, config, router, broker)
+    return _launch(store_dir, roles, "router", machine, faults, ingest)

@@ -3,11 +3,11 @@
 Topologies:
 
 - :func:`serve_workbench` -- ``nshards + 1`` ranks (plus one optional
-  ingest-driver rank): rank 0 is a *workbench broker* (the PR-4 query
-  broker extended with session state), ranks ``1..nshards`` are the
-  unchanged shard workers.  Every workbench fan-out rides the existing
-  ``TAG_REQ``/``TAG_RESP`` wire protocol, pinned to the session's
-  epoch.
+  ingest-driver rank): rank 0 is a query broker pumping analyst
+  scripts through the workbench layer it is handed, ranks
+  ``1..nshards`` are the unchanged shard workers.  Every workbench
+  fan-out rides the existing ``TAG_REQ``/``TAG_RESP`` wire protocol,
+  pinned to the session's epoch.
 - :func:`serve_workbench_replicated` -- ``1 + brokers + workers``
   ranks: rank 0 routes each *tenant* to a sticky workbench broker
   (quota state is broker-local, so a tenant's sessions must share a
@@ -35,33 +35,30 @@ the tenant's byte budget.
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
 
-from repro.analysis.session import pseudo_signature
 from repro.index.termindex import topk_score_row
-from repro.runtime.cluster import Cluster, MachineSpec
-from repro.runtime.errors import CommTimeoutError, RankFailedError
+from repro.runtime.cluster import MachineSpec
 from repro.serve.broker import (
     _REJECT_OPS,
-    TAG_REQ,
-    _Broker,
-    _ShardWorker,
+    QUERY_OPS,
     BrokerConfig,
+    _Broker,
+    _launch,
+    _ShardWorker,
+    merge_ranked,
 )
-from repro.serve.query import canonical_response, hits_payload, merge_desc
-from repro.serve.replica import ReplicaMap
+from repro.serve.query import canonical_response, hits_payload
 from repro.serve.router import (
-    TAG_REPORT,
-    TAG_SCRIPTS,
     RouterConfig,
-    _ReplicaWorker,
+    _router_rank,
     _TierBroker,
-    broker_of_client,
+    merged_rejects,
+    tier_roles,
 )
 from repro.serve.store import load_manifest
 from repro.workbench.state import (
@@ -84,18 +81,43 @@ _ALGEBRA_OPS_PER_CAND = 4
 #: modelled broker-side cost of assembling one artifact
 _DERIVE_OPS = 500
 
+#: session tallies: :class:`WorkbenchReport` field -> metric family
+_TALLIES = {
+    "sessions_opened": "workbench.sessions.opened",
+    "sessions_closed": "workbench.sessions.closed",
+    "sessions_evicted": "workbench.sessions.evicted",
+    "sets_saved": "workbench.sets.saved",
+    "artifact_hits": "workbench.artifact.hit",
+    "artifact_misses": "workbench.artifact.miss",
+    "artifact_evictions": "workbench.artifact.evict",
+}
+
+_ALGEBRA = {
+    "union": union_sets,
+    "diff": diff_sets,
+    "intersect": intersect_sets,
+}
+
+
+class _Rejected(Exception):
+    """An op failed the precondition its message names as the typed
+    reject reason; nothing was charged or mutated."""
+
 
 class _WorkbenchCore:
-    """Session/op layer shared by both broker flavours.
+    """The session/op layer: a client of the broker it holds.
 
-    Mixed in front of :class:`~repro.serve.broker._Broker` (single
-    tier) or :class:`~repro.serve.router._TierBroker` (replicated
-    tier): uses only the host's fan-out, flagging, reload, and
-    shutdown hooks, so replica failover and hedging come along for
-    free in the replicated flavour.
+    The pump handler that answers analyst scripts.  Uses only the
+    broker's fan-out, flagging, reload, and operator derivation, so
+    over a :class:`~repro.serve.router._TierBroker` replica failover
+    and hedging come along for free.
     """
 
-    def _init_workbench(self, wcfg: WorkbenchConfig) -> None:
+    items, label, ident = "ops", "verb", ("tenant", "client")
+
+    def __init__(self, broker: _Broker, wcfg: WorkbenchConfig):
+        self.b = broker
+        self.ctx = broker.ctx
         self.wcfg = wcfg
         #: (tenant, client) -> open session
         self.sessions: dict[tuple[int, int], WorkbenchSession] = {}
@@ -104,26 +126,19 @@ class _WorkbenchCore:
         #: tenant -> artifact LRU: key -> (response dict, nbytes)
         self.art_cache: dict[int, OrderedDict[tuple, tuple[dict, int]]] = {}
         self.art_bytes: dict[int, int] = {}
-        self.n_opened = 0
-        self.n_closed = 0
-        self.n_evicted = 0
-        self.n_sets = 0
-        self.n_art_hit = 0
-        self.n_art_miss = 0
-        self.n_art_evict = 0
+        self.rejected: list[WorkbenchReject] = []
+        self.counts = dict.fromkeys(_TALLIES, 0)
         m = self.ctx.metrics
-        self.c_wb_ops = m.counter("workbench.ops", ("verb",))
-        self.c_wb_opened = m.counter("workbench.sessions.opened")
-        self.c_wb_closed = m.counter("workbench.sessions.closed")
-        self.c_wb_evicted = m.counter("workbench.sessions.evicted")
-        self.c_wb_rejected = m.counter("workbench.rejected", ("reason",))
-        self.c_wb_sets = m.counter("workbench.sets.saved")
-        self.c_art_hit = m.counter("workbench.artifact.hit")
-        self.c_art_miss = m.counter("workbench.artifact.miss")
-        self.c_art_evict = m.counter("workbench.artifact.evict")
-        self.h_wb_latency = m.histogram(
+        self.c_tallies = {f: m.counter(name) for f, name in _TALLIES.items()}
+        self.c_arrivals = m.counter("workbench.ops", ("verb",))
+        self.c_rejected = m.counter("workbench.rejected", ("reason",))
+        self.h_latency = m.histogram(
             "workbench.latency", label_names=("verb",)
         )
+
+    def _tally(self, field: str) -> None:
+        self.counts[field] += 1
+        self.c_tallies[field].inc(self.b.mrank)
 
     # -- lifecycle -----------------------------------------------------
     def _evict_idle(self, now: float) -> None:
@@ -134,8 +149,7 @@ class _WorkbenchCore:
             if now - sess.last_active_s > ttl:
                 del self.sessions[key]
                 self.evicted_keys.add(key)
-                self.n_evicted += 1
-                self.c_wb_evicted.inc(self.mrank)
+                self._tally("sessions_evicted")
 
     def _tenant_sessions(self, tenant: int) -> int:
         return sum(1 for t, _ in self.sessions if t == tenant)
@@ -148,22 +162,17 @@ class _WorkbenchCore:
         )
 
     # -- epoch-pinned fan-out ------------------------------------------
-    def _session_fanout(
+    def _fanout(
         self, sess: WorkbenchSession, op: str, params: dict
     ) -> tuple[dict[int, object], list[int]]:
         """One shard round pinned to the session's open-time epoch.
 
         The broker's own epoch may have moved on (hot reload between
-        ops); swapping it in around the fan-out makes the wire
-        messages carry the pinned generation, so every shard resolves
-        the segment list the session was opened against.
+        ops); the wire messages carry the pinned generation, so every
+        shard resolves the segment list the session was opened
+        against.
         """
-        saved = self.epoch
-        self.epoch = sess.epoch
-        try:
-            return self._fanout(self.live, op, params)
-        finally:
-            self.epoch = saved
+        return self.b._fanout(self.b.live, op, params, epoch=sess.epoch)
 
     # -- ranked execution over a session -------------------------------
     def _wb_query(
@@ -174,71 +183,38 @@ class _WorkbenchCore:
     ) -> tuple[list, list[int]]:
         """Ranked candidates of one set-builder query.
 
-        ``restrict`` (ascending global rows) is the refine path: only
-        those rows compete, with unchanged per-row floats.
+        The broker's own derivation for the query's kind, against the
+        session's pinned collection size and icf weights.  ``restrict``
+        (ascending global rows) is the refine path: only those rows
+        compete, with unchanged per-row floats.
         """
-        if query.kind == "search":
-            term_rows = [
-                self.model.term_row[t]
-                for t in query.terms
-                if t in self.model.term_row
-            ]
-            if not term_rows or not self.model.has_postings:
-                return [], []
-            k = (
-                int(restrict.size)
-                if restrict is not None
-                else min(max(1, query.k), sess.n_docs)
-            )
-            if k < 1:
-                return [], []
-            params = {
-                "term_rows": term_rows,
-                "icf": sess.icf,
-                "k": k,
-                "pruned": self.config.pruned_search,
-            }
-            if restrict is not None:
-                params["restrict_rows"] = restrict
-            got, dropped = self._session_fanout(sess, "search", params)
-        else:  # "query": pseudo-signature cosine ranking
-            rows = [
-                self.model.term_row[t]
-                for t in query.terms
-                if t in self.model.term_row
-            ]
-            unit = pseudo_signature(self.model.association, rows)
-            if unit is None:
-                return [], []
-            k = (
-                int(restrict.size)
-                if restrict is not None
-                else min(max(1, query.k), sess.n_docs)
-            )
-            if k < 1:
-                return [], []
-            params = {"unit": unit, "k": k}
-            if restrict is not None:
-                params["restrict_rows"] = restrict
-            got, dropped = self._session_fanout(sess, "matvec", params)
-        cands = merge_desc([got[s] for s in sorted(got)], k)
-        self.ctx.charge_cpu(sum(len(got[s]) for s in got) + _DERIVE_OPS)
-        return cands, dropped
+        rec = QUERY_OPS[query.kind]
+        params, _empty = rec.derive(self.b, query, sess, restrict)
+        if params is None:
+            return [], []
+        got, dropped = self._fanout(sess, rec.op, params)
+        return merge_ranked(self.ctx, got, params["k"], _DERIVE_OPS), dropped
+
+    def _summed(
+        self, sess: WorkbenchSession, op: str, params: dict, shape
+    ) -> tuple[np.ndarray, list[int]]:
+        """Fan an exact-count verb out and sum its int64 partials in
+        sorted shard order."""
+        got, dropped = self._fanout(sess, op, params)
+        total = np.zeros(shape, dtype=np.int64)
+        for s in sorted(got):
+            total += got[s]
+        self.ctx.charge_cpu(total.size * len(got) + _DERIVE_OPS)
+        return total, dropped
 
     def _wb_set_tf(
         self, sess: WorkbenchSession, rows: np.ndarray
     ) -> tuple[np.ndarray, list[int]]:
-        """Exact per-term tf totals of a set, summed in shard order."""
-        totals = np.zeros(self.model.term_df.shape[0], dtype=np.int64)
+        """Exact per-term tf totals of a set."""
+        n_terms = self.b.model.term_df.shape[0]
         if rows.size == 0:
-            return totals, []
-        got, dropped = self._session_fanout(
-            sess, "set_tf", {"rows": rows}
-        )
-        for s in sorted(got):
-            totals += got[s]
-        self.ctx.charge_cpu(totals.shape[0] * len(got) + _DERIVE_OPS)
-        return totals, dropped
+            return np.zeros(n_terms, dtype=np.int64), []
+        return self._summed(sess, "set_tf", {"rows": rows}, n_terms)
 
     def _wb_cooc(
         self,
@@ -260,15 +236,12 @@ class _WorkbenchCore:
             totals[nz].astype(np.float64), nz, min(n, int(nz.size))
         )
         term_rows = [int(r) for r in nz[sel]]
-        got, dropped2 = self._session_fanout(
-            sess, "set_cooc", {"rows": rows, "term_rows": term_rows}
+        counts, dropped2 = self._summed(
+            sess,
+            "set_cooc",
+            {"rows": rows, "term_rows": term_rows},
+            (len(term_rows),) * 2,
         )
-        counts = np.zeros(
-            (len(term_rows), len(term_rows)), dtype=np.int64
-        )
-        for s in sorted(got):
-            counts += got[s]
-        self.ctx.charge_cpu(counts.size * len(got) + _DERIVE_OPS)
         return term_rows, counts, sorted(set(dropped) | set(dropped2))
 
     # -- artifact cache ------------------------------------------------
@@ -281,8 +254,7 @@ class _WorkbenchCore:
         if cache is None or key not in cache:
             return None
         cache.move_to_end(key)
-        self.n_art_hit += 1
-        self.c_art_hit.inc(self.mrank)
+        self._tally("artifact_hits")
         return cache[key][0]
 
     def _artifact_store(
@@ -304,24 +276,18 @@ class _WorkbenchCore:
         while cache and used + nbytes > self.wcfg.max_derived_bytes:
             _, (_, old) = cache.popitem(last=False)
             used -= old
-            self.n_art_evict += 1
-            self.c_art_evict.inc(self.mrank)
+            self._tally("artifact_evictions")
         cache[key] = (resp, nbytes)
         self.art_bytes[tenant] = used + nbytes
         return None
 
     # -- op execution --------------------------------------------------
     def _reject(
-        self,
-        script: WorkbenchScript,
-        seq: int,
-        op: WorkbenchOp,
-        reason: str,
-        rejected: list,
+        self, script: WorkbenchScript, seq: int, op: WorkbenchOp, reason: str
     ) -> dict:
         self.ctx.charge_cpu(_REJECT_OPS)
-        self.c_wb_rejected.inc(self.mrank, key=(reason,))
-        rejected.append(
+        self.c_rejected.inc(self.b.mrank, key=(reason,))
+        self.rejected.append(
             WorkbenchReject(
                 tenant=script.tenant,
                 client=script.client,
@@ -332,35 +298,12 @@ class _WorkbenchCore:
         )
         return {"kind": "reject", "verb": op.verb, "reason": reason}
 
-    def _get_session(
-        self, script: WorkbenchScript
-    ) -> tuple[Optional[WorkbenchSession], str]:
-        key = (script.tenant, script.client)
-        sess = self.sessions.get(key)
-        if sess is not None:
-            return sess, ""
-        if key in self.evicted_keys:
-            return None, "session_evicted"
-        return None, "no_session"
-
-    def _set_response(
-        self,
-        verb: str,
-        name: str,
-        cands: tuple,
-        dropped: list[int],
-    ) -> dict:
-        resp = {
-            "kind": verb,
-            "set": name,
-            "size": len(cands),
-            "digest": set_digest(cands),
-            "hits": hits_payload(
-                list(cands[: self.wcfg.preview_hits])
-            ),
-        }
-        self._flag(resp, dropped)
-        return resp
+    @staticmethod
+    def _operand(sess: WorkbenchSession, name: str) -> tuple:
+        cands = sess.sets.get(name)
+        if cands is None:
+            raise _Rejected("unknown_set")
+        return cands
 
     def _save_set(
         self,
@@ -370,552 +313,235 @@ class _WorkbenchCore:
         sess: WorkbenchSession,
         cands: tuple,
         dropped: list[int],
-        rejected: list,
-    ) -> dict:
-        resp = self._set_response(op.verb, op.name, cands, dropped)
-        if resp["partial"]:
+    ) -> tuple[dict, bool]:
+        """Answer a set-building op: save ``cands`` under ``op.name``."""
+        resp = {
+            "kind": op.verb,
+            "set": op.name,
+            "size": len(cands),
+            "digest": set_digest(cands),
+            "hits": hits_payload(list(cands[: self.wcfg.preview_hits])),
+        }
+        if self.b._flag(resp, dropped)["partial"]:
             # a set missing shards would silently corrupt every later
             # derive; answer degraded but save nothing
             resp["saved"] = False
-            return resp
-        if (
+        elif (
             op.name not in sess.sets
             and self._tenant_sets(script.tenant) >= self.wcfg.max_sets
         ):
-            return self._reject(script, seq, op, "set_quota", rejected)
-        sess.sets[op.name] = cands
-        self.n_sets += 1
-        self.c_wb_sets.inc(self.mrank)
-        resp["saved"] = True
-        return resp
+            resp = self._reject(script, seq, op, "set_quota")
+        else:
+            sess.sets[op.name] = cands
+            self._tally("sets_saved")
+            resp["saved"] = True
+        sess.last_active_s = float(self.ctx.now)
+        return resp, False
 
-    def _exec_wb_op(
-        self,
-        script: WorkbenchScript,
-        seq: int,
-        op: WorkbenchOp,
-        rejected: list,
-    ) -> tuple[dict, bool, int]:
-        """Answer one op: ``(response, artifact_cached, generation)``."""
-        wcfg = self.wcfg
-        ctx = self.ctx
+    def _op_open(self, script, seq, op, _sess):
         key = (script.tenant, script.client)
-        if op.verb == "open":
-            if key in self.sessions:
-                return (
-                    self._reject(
-                        script, seq, op, "already_open", rejected
-                    ),
-                    False,
-                    self.epoch,
-                )
-            if self._tenant_sessions(script.tenant) >= wcfg.max_sessions:
-                return (
-                    self._reject(
-                        script, seq, op, "session_quota", rejected
-                    ),
-                    False,
-                    self.epoch,
-                )
-            self.evicted_keys.discard(key)
-            self.sessions[key] = WorkbenchSession(
-                tenant=script.tenant,
-                client=script.client,
-                epoch=self.epoch,
-                n_docs=self.n_docs,
-                icf=self.icf,
-                opened_s=float(ctx.now),
-                last_active_s=float(ctx.now),
-            )
-            self.n_opened += 1
-            self.c_wb_opened.inc(self.mrank)
-            return {"kind": "open"}, False, self.epoch
+        if key in self.sessions:
+            raise _Rejected("already_open")
+        if self._tenant_sessions(script.tenant) >= self.wcfg.max_sessions:
+            raise _Rejected("session_quota")
+        self.evicted_keys.discard(key)
+        now = float(self.ctx.now)
+        self.sessions[key] = WorkbenchSession(
+            tenant=script.tenant,
+            client=script.client,
+            epoch=self.b.epoch,
+            n_docs=self.b.n_docs,
+            icf=self.b.icf,
+            opened_s=now,
+            last_active_s=now,
+        )
+        self._tally("sessions_opened")
+        return {"kind": "open"}, False
 
-        sess, why = self._get_session(script)
-        if sess is None:
-            return (
-                self._reject(script, seq, op, why, rejected),
-                False,
-                self.epoch,
-            )
-        gen = sess.epoch
+    def _op_close(self, script, seq, op, sess):
+        del self.sessions[(script.tenant, script.client)]
+        self._tally("sessions_closed")
+        return {"kind": "close", "sets": sorted(sess.sets)}, False
 
-        if op.verb == "close":
-            del self.sessions[key]
-            self.n_closed += 1
-            self.c_wb_closed.inc(self.mrank)
-            return (
-                {"kind": "close", "sets": sorted(sess.sets)},
-                False,
-                gen,
-            )
+    def _op_rank(self, script, seq, op, sess):
+        """``search`` / ``refine``: a ranked query saved as a set."""
+        if op.query is None or op.query.kind not in SET_QUERY_KINDS:
+            raise _Rejected("bad_query")
+        restrict = None
+        if op.verb == "refine":
+            restrict = set_rows(self._operand(sess, op.base))
+        cands, dropped = self._wb_query(sess, op.query, restrict)
+        return self._save_set(script, seq, op, sess, tuple(cands), dropped)
 
-        if op.verb in ("search", "refine"):
-            if (
-                op.query is None
-                or op.query.kind not in SET_QUERY_KINDS
-            ):
-                return (
-                    self._reject(script, seq, op, "bad_query", rejected),
-                    False,
-                    gen,
-                )
-            restrict = None
-            if op.verb == "refine":
-                base = sess.sets.get(op.base)
-                if base is None:
-                    return (
-                        self._reject(
-                            script, seq, op, "unknown_set", rejected
-                        ),
-                        False,
-                        gen,
-                    )
-                restrict = set_rows(base)
-            cands, dropped = self._wb_query(sess, op.query, restrict)
-            resp = self._save_set(
-                script, seq, op, sess, tuple(cands), dropped, rejected
+    def _op_window(self, script, seq, op, sess):
+        base = self._operand(sess, op.base)
+        if self.b.manifest.facets is None:
+            raise _Rejected("unstamped_store")
+        rows = set_rows(base)
+        dropped: list[int] = []
+        kept: set[int] = set()
+        if rows.size:
+            window = {"t0": op.t0, "t1": op.t1, "source": op.source}
+            got, dropped = self._fanout(
+                sess, "window_restrict", {"rows": rows, **window}
             )
-            sess.last_active_s = float(ctx.now)
-            return resp, False, gen
+            scanned = 0
+            for s in sorted(got):
+                in_window, shard_scanned = got[s]
+                kept.update(int(r) for r in in_window)
+                scanned += int(shard_scanned)
+            self.b._count_facets("window_restrict", scanned)
+        # filtering the base set preserves its canonical order
+        cands = tuple(c for c in base if c.row in kept)
+        self.ctx.charge_cpu(_ALGEBRA_OPS_PER_CAND * len(base) + _DERIVE_OPS)
+        return self._save_set(script, seq, op, sess, cands, dropped)
 
-        if op.verb == "window":
-            base = sess.sets.get(op.base)
-            if base is None:
-                return (
-                    self._reject(
-                        script, seq, op, "unknown_set", rejected
-                    ),
-                    False,
-                    gen,
-                )
-            if self.manifest.facets is None:
-                return (
-                    self._reject(
-                        script, seq, op, "unstamped_store", rejected
-                    ),
-                    False,
-                    gen,
-                )
-            rows = set_rows(base)
-            dropped: list[int] = []
-            kept: set[int] = set()
-            if rows.size:
-                got, dropped = self._session_fanout(
-                    sess,
-                    "window_restrict",
-                    {
-                        "rows": rows,
-                        "t0": op.t0,
-                        "t1": op.t1,
-                        "source": op.source,
-                    },
-                )
-                scanned = 0
-                for s in sorted(got):
-                    in_window, shard_scanned = got[s]
-                    kept.update(int(r) for r in in_window)
-                    scanned += int(shard_scanned)
-                self._count_facets("window_restrict", scanned)
-            # filtering the base set preserves its canonical order
-            cands = tuple(c for c in base if c.row in kept)
-            ctx.charge_cpu(
-                _ALGEBRA_OPS_PER_CAND * len(base) + _DERIVE_OPS
-            )
-            resp = self._save_set(
-                script, seq, op, sess, cands, dropped, rejected
-            )
-            sess.last_active_s = float(ctx.now)
-            return resp, False, gen
+    def _op_algebra(self, script, seq, op, sess):
+        a = self._operand(sess, op.base)
+        b = self._operand(sess, op.other)
+        self.ctx.charge_cpu(
+            _ALGEBRA_OPS_PER_CAND * (len(a) + len(b)) + _DERIVE_OPS
+        )
+        return self._save_set(
+            script, seq, op, sess, _ALGEBRA[op.verb](a, b), []
+        )
 
-        if op.verb in ("union", "diff", "intersect"):
-            a = sess.sets.get(op.base)
-            b = sess.sets.get(op.other)
-            if a is None or b is None:
-                return (
-                    self._reject(
-                        script, seq, op, "unknown_set", rejected
-                    ),
-                    False,
-                    gen,
-                )
-            ctx.charge_cpu(
-                _ALGEBRA_OPS_PER_CAND * (len(a) + len(b)) + _DERIVE_OPS
-            )
-            combine = {
-                "union": union_sets,
-                "diff": diff_sets,
-                "intersect": intersect_sets,
-            }[op.verb]
-            resp = self._save_set(
-                script, seq, op, sess, combine(a, b), [], rejected
-            )
-            sess.last_active_s = float(ctx.now)
-            return resp, False, gen
+    def _keyphrases(self, sess, op, rows):
+        totals, dropped = self._wb_set_tf(sess, rows)
+        nz = np.flatnonzero(totals > 0)
+        scores = totals[nz].astype(np.float64) * sess.icf[nz]
+        sel = topk_score_row(scores, nz, min(op.n, int(nz.size)))
+        terms = [
+            {
+                "term": self.b.model.terms[int(nz[i])],
+                "tf": int(totals[int(nz[i])]),
+                "score": float(scores[int(i)]),
+            }
+            for i in sel
+        ]
+        return {"terms": terms}, dropped
 
-        # -- derives: keyphrases / cooccur / relations ----------------
-        base = sess.sets.get(op.base)
-        if base is None:
-            return (
-                self._reject(script, seq, op, "unknown_set", rejected),
-                False,
-                gen,
-            )
+    def _cooccur(self, sess, op, rows):
+        term_rows, counts, dropped = self._wb_cooc(sess, rows, op.n)
+        terms = [self.b.model.terms[r] for r in term_rows]
+        return {"terms": terms, "counts": counts.tolist()}, dropped
+
+    def _relations(self, sess, op, rows):
+        """The entity-relation summary: co-occurring term pairs."""
+        term_rows, counts, dropped = self._wb_cooc(sess, rows, op.n)
+        terms = [self.b.model.terms[r] for r in term_rows]
+        linked = sorted(
+            (-int(counts[i, j]), term_rows[i], term_rows[j], i, j)
+            for i in range(len(terms))
+            for j in range(i + 1, len(terms))
+            if counts[i, j] >= op.min_support
+        )
+        pairs = [
+            {"a": terms[i], "b": terms[j], "count": -neg}
+            for neg, _ri, _rj, i, j in linked
+        ]
+        return {"min_support": op.min_support, "pairs": pairs}, dropped
+
+    def _op_derive(self, script, seq, op, sess):
+        """``keyphrases`` / ``cooccur`` / ``relations`` over a set."""
+        base = self._operand(sess, op.base)
         digest = set_digest(base)
-        ck = (digest, gen, op.verb, op.n, op.min_support)
+        ck = (digest, sess.epoch, op.verb, op.n, op.min_support)
         cached = self._artifact_lookup(script.tenant, ck)
         if cached is not None:
-            sess.last_active_s = float(ctx.now)
-            return cached, True, gen
-        self.n_art_miss += 1
-        self.c_art_miss.inc(self.mrank)
-        rows = set_rows(base)
-        if op.verb == "keyphrases":
-            totals, dropped = self._wb_set_tf(sess, rows)
-            nz = np.flatnonzero(totals > 0)
-            scores = totals[nz].astype(np.float64) * sess.icf[nz]
-            sel = topk_score_row(
-                scores, nz, min(op.n, int(nz.size))
-            )
-            resp = {
-                "kind": "keyphrases",
-                "set": op.base,
-                "size": len(base),
-                "digest": digest,
-                "terms": [
-                    {
-                        "term": self.model.terms[int(nz[i])],
-                        "tf": int(totals[int(nz[i])]),
-                        "score": float(scores[int(i)]),
-                    }
-                    for i in sel
-                ],
-            }
-        else:
-            term_rows, counts, dropped = self._wb_cooc(
-                sess, rows, op.n
-            )
-            terms = [self.model.terms[r] for r in term_rows]
-            if op.verb == "cooccur":
-                resp = {
-                    "kind": "cooccur",
-                    "set": op.base,
-                    "size": len(base),
-                    "digest": digest,
-                    "terms": terms,
-                    "counts": counts.tolist(),
-                }
-            else:  # relations: the entity-relation summary
-                linked = sorted(
-                    (
-                        (-int(counts[i, j]), term_rows[i], term_rows[j], i, j)
-                        for i in range(len(terms))
-                        for j in range(i + 1, len(terms))
-                        if counts[i, j] >= op.min_support
-                    ),
-                )
-                pairs = [
-                    {"a": terms[i], "b": terms[j], "count": -neg}
-                    for neg, _ri, _rj, i, j in linked
-                ]
-                resp = {
-                    "kind": "relations",
-                    "set": op.base,
-                    "size": len(base),
-                    "digest": digest,
-                    "min_support": op.min_support,
-                    "pairs": pairs,
-                }
-        self._flag(resp, dropped)
-        sess.last_active_s = float(ctx.now)
-        if resp["partial"]:
-            return resp, False, gen  # degraded: never cached
-        reason = self._artifact_store(script.tenant, ck, resp)
-        if reason is not None:
-            return (
-                self._reject(script, seq, op, reason, rejected),
-                False,
-                gen,
-            )
-        return resp, False, gen
-
-    # -- event pump ----------------------------------------------------
-    def pump_workbench(self, wscripts: list[WorkbenchScript]):
-        """Closed-loop pump over analyst scripts (one op in flight per
-        session, think times between ops)."""
-        ctx = self.ctx
-        heap: list[tuple[float, int, int]] = []
-        for i, script in enumerate(wscripts):
-            if script.ops:
-                heapq.heappush(heap, (script.think_s[0], i, 0))
-        responses: list[dict] = []
-        latencies: list[float] = []
-        rejected: list[WorkbenchReject] = []
-        while heap:
-            arrival, idx, seq = heapq.heappop(heap)
-            script = wscripts[idx]
-            op = script.ops[seq]
-            self.c_wb_ops.inc(self.mrank, key=(op.verb,))
-            if ctx.now < arrival:
-                ctx.charge(arrival - ctx.now)
-            self._evict_idle(ctx.now)
-            self._maybe_reload()
-            resp, art_cached, gen = self._exec_wb_op(
-                script, seq, op, rejected
-            )
-            finish = ctx.now
-            latency = finish - arrival
-            self.h_wb_latency.observe(
-                self.mrank, latency, key=(op.verb,)
-            )
-            stats = self.gen_stats.setdefault(
-                gen, {"queries": 0, "first_virtual_s": float(arrival)}
-            )
-            stats["queries"] += 1
-            responses.append(
-                {
-                    "tenant": script.tenant,
-                    "client": script.client,
-                    "seq": seq,
-                    "verb": op.verb,
-                    "cached": art_cached,
-                    "generation": gen,
-                    "response": resp,
-                }
-            )
-            latencies.append(latency)
-            if seq + 1 < len(script.ops):
-                heapq.heappush(
-                    heap,
-                    (finish + script.think_s[seq + 1], idx, seq + 1),
-                )
-        self._shutdown()
-        return self._build_wb_report(responses, latencies, rejected)
-
-    def _build_wb_report(
-        self, responses, latencies, rejected
-    ) -> WorkbenchReport:
-        return WorkbenchReport(
-            responses=responses,
-            latencies=latencies,
-            rejected=rejected,
-            failed_ranks=sorted(
-                s + 1
-                for s in range(self.nshards)
-                if s not in self.live
-            ),
-            makespan=self.ctx.now,
-            sessions_opened=self.n_opened,
-            sessions_closed=self.n_closed,
-            sessions_evicted=self.n_evicted,
-            sets_saved=self.n_sets,
-            artifact_hits=self.n_art_hit,
-            artifact_misses=self.n_art_miss,
-            artifact_evictions=self.n_art_evict,
-            generations=self.gen_stats,
-        )
-
-
-class _WorkbenchBroker(_WorkbenchCore, _Broker):
-    """Single-tier workbench broker over the PR-4 shard ranks."""
-
-    def __init__(
-        self,
-        ctx,
-        store_dir: str,
-        config: BrokerConfig,
-        wcfg: WorkbenchConfig,
-        generational: bool = False,
-    ):
-        _Broker.__init__(
-            self, ctx, store_dir, config, generational=generational
-        )
-        self._init_workbench(wcfg)
-
-
-class _WorkbenchTierBroker(_WorkbenchCore, _TierBroker):
-    """Replicated-tier workbench broker with failover/hedging."""
-
-    def __init__(
-        self,
-        ctx,
-        store_dir: str,
-        config: RouterConfig,
-        wcfg: WorkbenchConfig,
-        rmap: ReplicaMap,
-        generational: bool,
-    ):
-        _TierBroker.__init__(
-            self, ctx, store_dir, config, rmap, generational
-        )
-        self._init_workbench(wcfg)
-
-    def _build_wb_report(self, responses, latencies, rejected) -> dict:
-        return {
-            "broker": self.broker_idx,
-            "responses": responses,
-            "latencies": latencies,
-            "rejected": rejected,
-            "counts": {
-                "sessions_opened": self.n_opened,
-                "sessions_closed": self.n_closed,
-                "sessions_evicted": self.n_evicted,
-                "sets_saved": self.n_sets,
-                "artifact_hits": self.n_art_hit,
-                "artifact_misses": self.n_art_miss,
-                "artifact_evictions": self.n_art_evict,
-            },
-            "gen_stats": self.gen_stats,
-            "makespan": self.ctx.now,
+            sess.last_active_s = float(self.ctx.now)
+            return cached, True
+        self._tally("artifact_misses")
+        body, dropped = _ARTIFACTS[op.verb](self, sess, op, set_rows(base))
+        resp = {
+            "kind": op.verb,
+            "set": op.base,
+            "size": len(base),
+            "digest": digest,
+            **body,
         }
+        self.b._flag(resp, dropped)
+        sess.last_active_s = float(self.ctx.now)
+        if not resp["partial"]:  # degraded: never cached
+            reason = self._artifact_store(script.tenant, ck, resp)
+            if reason is not None:
+                resp = self._reject(script, seq, op, reason)
+        return resp, False
 
-    def run(self) -> dict:
-        ctx = self.ctx
-        while True:
-            try:
-                scripts = ctx.comm.recv(0, tag=TAG_SCRIPTS)
-                break
-            except CommTimeoutError:
-                continue
-        report = self.pump_workbench(list(scripts))
-        ctx.comm.send(0, report, tag=TAG_REPORT)
-        return report
+    # -- the pump's two hooks, for analyst scripts ---------------------
+    def _admit(self, script: WorkbenchScript, depth: int) -> bool:
+        """Every op enters: quotas answer in-band, per op."""
+        return True
 
+    def _serve(self, loop, entry: tuple) -> None:
+        """Answer one op (one in flight per session, think times
+        between ops)."""
+        _arrival, idx, seq, op = entry
+        script = loop.scripts[idx]
+        self._evict_idle(self.ctx.now)
+        self.b._maybe_reload()
+        key = (script.tenant, script.client)
+        opening = op.verb == "open"
+        sess = None if opening else self.sessions.get(key)
+        gen = self.b.epoch if sess is None else sess.epoch
+        try:
+            if sess is None and not opening:
+                evicted = key in self.evicted_keys
+                raise _Rejected("session_evicted" if evicted else "no_session")
+            resp, art_cached = _VERBS[op.verb](self, script, seq, op, sess)
+        except _Rejected as rej:
+            resp = self._reject(script, seq, op, str(rej))
+            art_cached = False
+        loop.record(entry, resp, art_cached, gen)
 
-# ----------------------------------------------------------------------
-# router (replicated flavour)
-# ----------------------------------------------------------------------
-def _run_workbench_router(
-    ctx, wscripts, cfg: RouterConfig, rmap: ReplicaMap
-) -> WorkbenchReport:
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    worker_base = 1 + nbrokers
-    assign: dict[int, list[WorkbenchScript]] = {
-        b: [] for b in range(nbrokers)
-    }
-    # sticky *tenant* routing: a tenant's quota and artifact state
-    # live on exactly one broker
-    for script in wscripts:
-        assign[
-            broker_of_client(script.tenant, nbrokers, cfg.seed)
-        ].append(script)
-    for b in range(nbrokers):
-        ctx.charge_cpu(50 * max(1, len(assign[b])))
-        ctx.comm.send(1 + b, tuple(assign[b]), tag=TAG_SCRIPTS)
-    reports: list[Optional[dict]] = []
-    for b in range(nbrokers):
-        while True:
-            try:
-                reports.append(ctx.comm.recv(1 + b, tag=TAG_REPORT))
-                break
-            except CommTimeoutError:
-                continue
-            except RankFailedError:
-                reports.append(None)
-                break
-    dead = set(ctx.failed_ranks())
-    for w in range(nworkers):
-        rank = worker_base + w
-        if rank not in dead:
-            ctx.comm.send(rank, ("stop",), tag=TAG_REQ)
-    live = [r for r in reports if r is not None]
-    indexed: list[tuple[tuple[int, int, int], dict, float]] = []
-    for rep in live:
-        for resp, lat in zip(rep["responses"], rep["latencies"]):
-            resp = dict(resp, broker=rep["broker"])
-            indexed.append(
-                (
-                    (resp["tenant"], resp["client"], resp["seq"]),
-                    resp,
-                    lat,
-                )
-            )
-    indexed.sort(key=lambda t: t[0])
-    rejected = sorted(
-        (r for rep in live for r in rep["rejected"]),
-        key=lambda r: (r.tenant, r.client, r.seq),
-    )
-    generations: dict[int, dict] = {}
-    for rep in live:
-        for g, stats in rep["gen_stats"].items():
-            agg = generations.setdefault(
-                g,
-                {
-                    "queries": 0,
-                    "first_virtual_s": stats["first_virtual_s"],
-                },
-            )
-            agg["queries"] += stats["queries"]
-            agg["first_virtual_s"] = min(
-                agg["first_virtual_s"], stats["first_virtual_s"]
-            )
-    totals = {
-        k: sum(rep["counts"][k] for rep in live)
-        for k in (
-            "sessions_opened",
-            "sessions_closed",
-            "sessions_evicted",
-            "sets_saved",
-            "artifact_hits",
-            "artifact_misses",
-            "artifact_evictions",
+    def _report(self, loop):
+        session = self.b._session(loop)
+        if isinstance(self.b, _TierBroker):
+            # a part of the tier report: the router sums the tallies
+            return dict(session, rejected=self.rejected, counts=self.counts)
+        return WorkbenchReport(
+            rejected=self.rejected, **self.counts, **session
         )
-    }
+
+
+_ARTIFACTS = {
+    "keyphrases": _WorkbenchCore._keyphrases,
+    "cooccur": _WorkbenchCore._cooccur,
+    "relations": _WorkbenchCore._relations,
+}
+
+#: workbench verb -> the method answering it
+_VERBS = {
+    "open": _WorkbenchCore._op_open,
+    "close": _WorkbenchCore._op_close,
+    "search": _WorkbenchCore._op_rank,
+    "refine": _WorkbenchCore._op_rank,
+    "window": _WorkbenchCore._op_window,
+    **dict.fromkeys(_ALGEBRA, _WorkbenchCore._op_algebra),
+    **dict.fromkeys(_ARTIFACTS, _WorkbenchCore._op_derive),
+}
+
+
+# ----------------------------------------------------------------------
+# entry points
+# ----------------------------------------------------------------------
+def _workbench_tier_report(
+    parts: list[dict], order: tuple, session: dict
+) -> WorkbenchReport:
     return WorkbenchReport(
-        responses=[r for _, r, _ in indexed],
-        latencies=[lat for _, _, lat in indexed],
-        rejected=rejected,
-        failed_ranks=sorted(dead),
-        makespan=max(
-            (rep["makespan"] for rep in live), default=ctx.now
-        ),
-        generations=generations,
+        rejected=merged_rejects(parts, "rejected", order),
         per_broker=[
             {
-                "broker": rep["broker"],
-                "served": len(rep["responses"]),
-                "rejected": len(rep["rejected"]),
-                "makespan": rep["makespan"],
+                "broker": part["broker"],
+                "served": len(part["responses"]),
+                "rejected": len(part["rejected"]),
+                "makespan": part["makespan"],
             }
-            for rep in live
+            for part in parts
         ],
-        **totals,
+        **{f: sum(part["counts"][f] for part in parts) for f in _TALLIES},
+        **session,
     )
-
-
-# ----------------------------------------------------------------------
-# rank mains + entry points
-# ----------------------------------------------------------------------
-def _workbench_main(
-    ctx, store_dir, wscripts, wcfg, bcfg, nshards, ingest
-):
-    if ctx.rank == 0:
-        return _WorkbenchBroker(
-            ctx, store_dir, bcfg, wcfg, generational=ingest is not None
-        ).pump_workbench(list(wscripts))
-    if ctx.rank <= nshards:
-        return _ShardWorker(ctx, store_dir).run()
-    return ingest.run(ctx, store_dir)
-
-
-def _workbench_tier_main(
-    ctx, store_dir, wscripts, wcfg, cfg, rmap, ingest
-):
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    if ctx.rank == 0:
-        return _run_workbench_router(ctx, wscripts, cfg, rmap)
-    if ctx.rank <= nbrokers:
-        return _WorkbenchTierBroker(
-            ctx,
-            store_dir,
-            cfg,
-            wcfg,
-            rmap,
-            generational=ingest is not None,
-        ).run()
-    if ctx.rank <= nbrokers + nworkers:
-        return _ReplicaWorker(ctx, store_dir, rmap, nbrokers).run()
-    return ingest.run(ctx, store_dir)
 
 
 def serve_workbench(
@@ -937,35 +563,20 @@ def serve_workbench(
     transcripts are bit-exact across both.
     """
     store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
     wcfg = config if config is not None else WorkbenchConfig()
     bcfg = broker if broker is not None else BrokerConfig()
-    nprocs = manifest.nshards + 1 + (1 if ingest is not None else 0)
-    cluster = Cluster(
-        nprocs, machine=machine, faults=faults, backend=backend
+
+    def front(ctx):
+        b = _Broker(ctx, store_dir, bcfg, generational=ingest is not None)
+        return b.pump(list(wscripts), _WorkbenchCore(b, wcfg))
+
+    def worker(ctx):
+        return _ShardWorker(ctx, store_dir).run()
+
+    roles = [(1, front), (load_manifest(store_dir).nshards, worker)]
+    return _launch(
+        store_dir, roles, "workbench broker", machine, faults, ingest, backend
     )
-    result = cluster.run(
-        _workbench_main,
-        store_dir,
-        tuple(wscripts),
-        wcfg,
-        bcfg,
-        manifest.nshards,
-        ingest,
-        raise_on_failure=False,
-    )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(
-            result.failed_ranks, "workbench broker rank crashed"
-        )
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[manifest.nshards + 1]
-    return report
 
 
 def serve_workbench_replicated(
@@ -976,56 +587,31 @@ def serve_workbench_replicated(
     machine: Optional[MachineSpec] = None,
     faults=None,
     ingest=None,
-    backend: str = "sim",
 ) -> WorkbenchReport:
     """Run one workbench session over the replicated worker tier.
 
     Tenants route stickily to ``router.brokers`` workbench brokers;
     shard requests fan out over ``replicas`` copies with failover and
     hedging, so with ``replicas >= 2`` a worker crash mid-session is
-    masked byte-for-byte.
+    masked byte-for-byte.  Like :func:`~repro.serve.router.
+    serve_replicated`, the replicated tier runs on the ``sim`` backend
+    only: its failover fan-out needs ``recv_any``.
     """
-    from dataclasses import replace as _replace
-
     store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
     wcfg = config if config is not None else WorkbenchConfig()
-    cfg = router if router is not None else RouterConfig()
-    replicas = cfg.replicas or max(1, manifest.replication)
-    workers = cfg.workers or max(manifest.nshards, replicas)
-    if cfg.brokers < 1:
-        raise ValueError(f"need at least one broker, got {cfg.brokers}")
-    cfg = _replace(cfg, replicas=replicas, workers=workers)
-    rmap = ReplicaMap.place(
-        manifest.nshards,
-        replicas,
-        workers,
-        vnodes=cfg.vnodes,
-        seed=cfg.seed,
-    )
-    nprocs = 1 + cfg.brokers + workers + (1 if ingest is not None else 0)
-    cluster = Cluster(
-        nprocs, machine=machine, faults=faults, backend=backend
-    )
-    result = cluster.run(
-        _workbench_tier_main,
-        store_dir,
-        tuple(wscripts),
-        wcfg,
-        cfg,
-        rmap,
-        ingest,
-        raise_on_failure=False,
-    )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(
-            result.failed_ranks, "workbench router rank crashed"
+
+    def route(ctx, cfg, rmap):
+        return _router_rank(
+            ctx, wscripts, cfg, _WorkbenchCore.ident, _workbench_tier_report
         )
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
+
+    def front(ctx, cfg, rmap):
+        b = _TierBroker(
+            ctx, store_dir, cfg, rmap, generational=ingest is not None
+        )
+        return b.run(_WorkbenchCore(b, wcfg))
+
+    roles = tier_roles(store_dir, router, route, front)
+    return _launch(
+        store_dir, roles, "workbench router", machine, faults, ingest
     )
-    if ingest is not None:
-        report.ingest = result.rank_results[nprocs - 1]
-    return report

@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.index.termindex import topk_score_row
+from repro.serve.broker import SessionReport
 from repro.serve.query import Candidate, Query
 
 WORKBENCH_VERBS = (
@@ -269,11 +270,9 @@ def set_rows(cands: tuple[Candidate, ...]) -> np.ndarray:
 # session report
 # ----------------------------------------------------------------------
 @dataclass
-class WorkbenchReport:
+class WorkbenchReport(SessionReport):
     """Outcome of one workbench tier session over analyst scripts."""
 
-    responses: list[dict]
-    latencies: list[float]
     rejected: list[WorkbenchReject]
     failed_ranks: list[int]
     makespan: float
@@ -290,15 +289,6 @@ class WorkbenchReport:
     ingest: Optional[dict] = None
 
     @property
-    def served(self) -> int:
-        return len(self.responses)
-
-    @property
-    def throughput(self) -> float:
-        """Answered ops per virtual second."""
-        return self.served / self.makespan if self.makespan > 0 else 0.0
-
-    @property
     def reject_rate(self) -> float:
         return (
             len(self.rejected) / self.served if self.served else 0.0
@@ -308,11 +298,3 @@ class WorkbenchReport:
     def artifact_hit_rate(self) -> float:
         total = self.artifact_hits + self.artifact_misses
         return self.artifact_hits / total if total else 0.0
-
-    def latency_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of answered-op virtual latency."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        idx = max(0, int(np.ceil(pct / 100.0 * len(ordered))) - 1)
-        return ordered[idx]

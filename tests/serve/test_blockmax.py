@@ -25,6 +25,7 @@ from repro.index.termindex import (
     accumulate_tficf,
     icf_weights,
 )
+from repro.runtime.metrics import counter_totals
 from repro.serve.broker import BrokerConfig, serve
 from repro.serve.query import ShardStore, blockmax_search, canonical_response
 from repro.serve.store import (
@@ -315,3 +316,51 @@ class TestBatchedBrokerIdentity:
             config=BrokerConfig(batch_max_queries=16, max_inflight=64),
         )
         assert batched.makespan < solo.makespan
+
+    def test_drain_admits_caches_and_stops_like_the_solo_path(
+        self, stores
+    ):
+        """The batch drain under pressure: members rejected by
+        admission, members answered from the cache, and a non-search
+        arrival ending the drain (seed 5 at ``max_inflight=6`` drives
+        all three while a batch is being assembled -- a burst of
+        rejects needs a client set that arrived inside one fan-out).
+        Every served answer must still be the answer the same query
+        gets unbatched with roomy admission, and the pump's accounting
+        must balance."""
+        scripts = generate_workload(
+            store_profile(stores[4]),
+            n_clients=8,
+            queries_per_client=12,
+            seed=5,
+            hot_fraction=0.5,
+            hot_pool=4,
+            mean_think_s=0.0,
+        )
+        assert len({q.kind for s in scripts for q in s.queries}) > 1
+        reference = self._answers(
+            serve(stores[4], scripts, config=BrokerConfig(max_inflight=64))
+        )
+        report = serve(
+            stores[4],
+            scripts,
+            config=BrokerConfig(batch_max_queries=4, max_inflight=6),
+        )
+        served = self._answers(report)
+        turned_away = {(r["client"], r["seq"]) for r in report.rejected}
+        assert report.rejected and any(
+            r["kind"] == "search" for r in report.rejected
+        )
+        assert any(
+            r["cached"] and r["kind"] == "search" for r in report.responses
+        )
+        assert all(reference[key] == served[key] for key in served)
+        assert not turned_away & set(served)
+        assert len(turned_away) == len(report.rejected)
+        totals = counter_totals(report.metrics)
+        assert totals["serve.queries"] == len(served) + len(turned_away)
+        assert (
+            totals["serve.cache.hit"] + totals["serve.cache.miss"]
+            == len(served)
+        )
+        assert totals["serve.rejected"] == len(turned_away)

@@ -6,8 +6,15 @@ import pytest
 
 from repro.runtime.faults import CrashFault, FaultPlan
 from repro.runtime.metrics import counter_totals, render_report
-from repro.serve.broker import BrokerConfig, query_store, serve
-from repro.serve.query import Query
+from repro.serve.broker import (
+    QUERY_OPS,
+    SHARD_OPS,
+    BrokerConfig,
+    execute_shard_op,
+    query_store,
+    serve,
+)
+from repro.serve.query import FACET_QUERY_KINDS, QUERY_KINDS, Query
 from repro.serve.workload import ClientScript, generate_workload, store_profile
 
 
@@ -238,3 +245,23 @@ class TestReport:
     def test_bad_query_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown query kind"):
             Query(kind="bogus")
+
+
+class TestOperatorTables:
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_every_kind_has_its_records(self, kind, stores):
+        # dict keys: one record per kind, one per shard verb it names
+        assert sorted(QUERY_OPS) == sorted(QUERY_KINDS)
+        rec = QUERY_OPS[kind]
+        assert rec.op in SHARD_OPS
+        assert rec.stamped == (kind in FACET_QUERY_KINDS)
+        if rec.stamped:
+            # the serve fixture stores are unstamped
+            resp = query_store(stores[2], Query(kind=kind, t0=0.0, t1=1.0))
+            assert "store is not stamped" in resp["error"]
+            assert resp["partial"] is False
+            assert resp["failed_shards"] == []
+
+    def test_unknown_shard_op_is_named(self):
+        with pytest.raises(ValueError, match="unknown shard op 'bogus'"):
+            execute_shard_op(None, None, [], "bogus", {})

@@ -15,13 +15,12 @@ from repro.runtime.faults import (
     StragglerFault,
 )
 from repro.runtime.metrics import counter_totals, render_report
-from repro.serve.broker import BrokerConfig, serve
+from repro.serve.broker import BrokerConfig, _ShardWorker, serve
 from repro.serve.query import canonical_response
 from repro.serve.replica import ReplicaMap
 from repro.serve.router import (
     RouterConfig,
     ShedResponse,
-    _ReplicaWorker,
     broker_of_client,
     serve_replicated,
 )
@@ -266,7 +265,7 @@ class TestWorkerIdentityErrors:
             rank = 4  # worker id 4 - 1 - brokers(1) = 2
 
         rmap = ReplicaMap.place(manifest.nshards, 2, 4)
-        worker = _ReplicaWorker(_Ctx(), str(store), rmap, n_brokers=1)
+        worker = _ShardWorker(_Ctx(), str(store), rmap, n_brokers=1)
         with pytest.raises(ShardFormatError) as exc:
             worker.segments(0, 0)
         msg = str(exc.value)

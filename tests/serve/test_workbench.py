@@ -111,6 +111,16 @@ class TestByteIdentity:
         assert _transcript(mp) == _transcript(reports[2])
         assert mp.rejected == reports[2].rejected
 
+    def test_replicated_tier_takes_no_backend(
+        self, replicated_store, wb_scripts
+    ):
+        """The failover fan-out needs ``recv_any``, which mp lacks: the
+        combination is refused at the call, not inside a crashed rank."""
+        with pytest.raises(TypeError, match="backend"):
+            serve_workbench_replicated(
+                replicated_store, wb_scripts, backend="mp"
+            )
+
     def test_slowpath_identical(
         self, stores, wb_scripts, reports, monkeypatch
     ):
