@@ -61,7 +61,7 @@ def _reap_mp_children():
     its children -- with a timeout and a terminate fallback -- before
     the next one starts.
     """
-    from repro.bench.wallclock import reap_children
+    from repro.bench.studies import reap_children
 
     yield
     leaked = reap_children(timeout=10.0)

@@ -7,23 +7,19 @@ Commands
                and export results + ThemeView
 ``analyze``    interactive queries against a saved result
 ``figures``    regenerate the paper's evaluation figures
-``bench-wallclock``  measure the simulator's real runtime cost,
-               write ``BENCH_runtime.json``, fail on regression
+``bench``      run the bench studies (engine, serving, replicated tier,
+               workbench, dashboard, pruning, live ingest), write
+               ``BENCH_virtual.json``, fail on drift or a false oracle
 ``metrics-report``  print the P x P communication matrix, per-stage
                load-imbalance factors, and hashmap RPC locality from
                a saved result (or a fresh downscaled run)
 ``serve-build``  shard a saved result into an on-disk serving store
 ``serve-query``  answer one query from a sharded store via the broker
-``serve-bench``  replay a seeded closed-loop workload (plus a crash
-               fault plan) through the broker, write
-               ``BENCH_serving.json``, fail on drift
 ``ingest-feed``  append seeded document batches to an ingest journal
 ``ingest-publish``  replay a journal against a store: project each
                batch into a delta segment and publish generations
 ``ingest-compact``  fold a store's delta segments into base shards
 ``ingest-status``  verify a store and print its generation state
-``bench-ingest``  benchmark live ingest (freshness lag, churn-time
-               latency, crash degradation), write ``BENCH_ingest.json``
 
 Examples
 --------
@@ -151,47 +147,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     b = sub.add_parser(
-        "bench-wallclock",
-        help="measure real runtime cost and check for regressions",
+        "bench",
+        help="run the bench studies and compare against a baseline",
     )
     b.add_argument(
-        "--procs",
-        type=str,
-        default="1,4,8,16",
-        help="comma-separated processor counts",
+        "studies",
+        nargs="*",
+        metavar="STUDY",
+        help="studies to run (default: all)",
     )
-    b.add_argument("--repeats", type=int, default=5)
-    b.add_argument(
-        "--dataset", choices=("pubmed", "trec"), default="pubmed"
-    )
-    b.add_argument(
-        "--backends",
-        type=str,
-        default="sim,mp",
-        help=(
-            "comma-separated execution backends to measure "
-            "(subset of: sim, mp)"
-        ),
-    )
-    b.add_argument("--downscale", type=float, default=10_000.0)
-    b.add_argument("--seed", type=int, default=7)
     b.add_argument(
         "--out",
         type=Path,
-        default=Path("BENCH_runtime.json"),
-        help="report path (doubles as the committed baseline)",
+        default=Path("BENCH_virtual.json"),
+        help="report path (doubles as the next run's baseline)",
     )
     b.add_argument(
         "--baseline",
         type=Path,
         default=None,
         help="baseline report to compare against (default: --out)",
-    )
-    b.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="fail when end-to-end time regresses beyond this fraction",
     )
     b.add_argument(
         "--update-baseline",
@@ -361,67 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the JSON payload here instead of stdout",
     )
 
-    sv = sub.add_parser(
-        "serve-bench",
-        help="benchmark the serving layer, write BENCH_serving.json",
-    )
-    sv.add_argument(
-        "--shards",
-        type=str,
-        default="1,2,4,8",
-        help="comma-separated shard counts",
-    )
-    sv.add_argument("--corpus-bytes", type=int, default=120_000)
-    sv.add_argument("--corpus-seed", type=int, default=4)
-    sv.add_argument("--workload-seed", type=int, default=7)
-    sv.add_argument("--clients", type=int, default=4)
-    sv.add_argument("--queries-per-client", type=int, default=30)
-    sv.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_serving.json"),
-        help="report path (doubles as the committed baseline)",
-    )
-    sv.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline report to compare against (default: --out)",
-    )
-    sv.add_argument(
-        "--replica-matrix",
-        type=str,
-        default=None,
-        metavar="S:W:B:R:C:Q[,...]",
-        help=(
-            "replicated-tier study rows as "
-            "shards:workers:brokers:replicas:clients:queries-per-client"
-            " (comma-separated; default runs the built-in 64-rank"
-            " matrix)"
-        ),
-    )
-    sv.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="skip the comparison and rewrite the baseline file",
-    )
-    sv.add_argument(
-        "--pruning-corpus-bytes",
-        type=int,
-        default=40_000_000,
-        help=(
-            "corpus size of the term-search-heavy pruning study "
-            "(larger than the virtual-cost corpus so block-max "
-            "skipping has room to work; 0 skips the study)"
-        ),
-    )
-    sv.add_argument(
-        "--batch-sizes",
-        type=str,
-        default="1,4,16",
-        help="broker batch sizes B for the pruning study",
-    )
-
     wb = sub.add_parser(
         "workbench-serve",
         help="replay a seeded analyst workload through the workbench",
@@ -572,43 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify a store and print its generation state",
     )
     st.add_argument("--store", type=Path, required=True)
-
-    bi = sub.add_parser(
-        "bench-ingest",
-        help="benchmark live ingest, write BENCH_ingest.json",
-    )
-    bi.add_argument(
-        "--shards",
-        type=str,
-        default="1,2,4",
-        help="comma-separated shard counts",
-    )
-    bi.add_argument("--corpus-bytes", type=int, default=120_000)
-    bi.add_argument("--corpus-seed", type=int, default=4)
-    bi.add_argument("--feed-seed", type=int, default=4)
-    bi.add_argument("--workload-seed", type=int, default=7)
-    bi.add_argument("--clients", type=int, default=3)
-    bi.add_argument("--queries-per-client", type=int, default=20)
-    bi.add_argument("--batches", type=int, default=4)
-    bi.add_argument("--batch-docs", type=int, default=10)
-    bi.add_argument("--compact-max-deltas", type=int, default=2)
-    bi.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_ingest.json"),
-        help="report path (doubles as the committed baseline)",
-    )
-    bi.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline report to compare against (default: --out)",
-    )
-    bi.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="skip the comparison and rewrite the baseline file",
-    )
 
     return parser
 
@@ -805,30 +682,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_wallclock(args: argparse.Namespace) -> int:
-    from repro.bench.wallclock import run_bench
+def _cmd_bench(args: argparse.Namespace) -> int:
+    import repro.bench.studies  # noqa: F401 - registers the studies
+    from repro.bench.study import run_studies
 
-    procs = tuple(
-        int(tok) for tok in args.procs.split(",") if tok.strip()
-    )
-    backends = tuple(
-        tok.strip() for tok in args.backends.split(",") if tok.strip()
-    )
-    bad = [b for b in backends if b not in ("sim", "mp")]
-    if bad:
-        print(f"error: unknown backend(s): {bad}", file=sys.stderr)
-        return 2
-    return run_bench(
-        out_path=args.out,
-        baseline_path=args.baseline,
-        procs=procs,
-        repeats=args.repeats,
-        dataset=args.dataset,
-        downscale=args.downscale,
-        seed=args.seed,
-        threshold=args.threshold,
+    return run_studies(
+        args.studies,
+        out=args.out,
+        baseline=args.baseline,
         update_baseline=args.update_baseline,
-        backends=backends,
     )
 
 
@@ -1105,41 +967,6 @@ def _cmd_themeview_slices(args: argparse.Namespace) -> int:
     else:
         print(doc)
     return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.bench.serving import ReplicaSpec, run_bench
-
-    shards = tuple(
-        int(tok) for tok in args.shards.split(",") if tok.strip()
-    )
-    replica_matrix = None
-    if args.replica_matrix is not None:
-        try:
-            replica_matrix = tuple(
-                ReplicaSpec.parse(tok)
-                for tok in args.replica_matrix.split(",")
-                if tok.strip()
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    return run_bench(
-        out_path=args.out,
-        baseline_path=args.baseline,
-        shards=shards,
-        corpus_bytes=args.corpus_bytes,
-        corpus_seed=args.corpus_seed,
-        workload_seed=args.workload_seed,
-        n_clients=args.clients,
-        queries_per_client=args.queries_per_client,
-        replica_matrix=replica_matrix,
-        update_baseline=args.update_baseline,
-        pruning_corpus_bytes=args.pruning_corpus_bytes,
-        batch_sizes=tuple(
-            int(tok) for tok in args.batch_sizes.split(",") if tok.strip()
-        ),
-    )
 
 
 def _cmd_workbench_serve(args: argparse.Namespace) -> int:
@@ -1457,29 +1284,6 @@ def _cmd_ingest_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_ingest(args: argparse.Namespace) -> int:
-    from repro.bench.ingest import run_bench
-
-    shards = tuple(
-        int(tok) for tok in args.shards.split(",") if tok.strip()
-    )
-    return run_bench(
-        out_path=args.out,
-        baseline_path=args.baseline,
-        shards=shards,
-        corpus_bytes=args.corpus_bytes,
-        corpus_seed=args.corpus_seed,
-        feed_seed=args.feed_seed,
-        workload_seed=args.workload_seed,
-        n_clients=args.clients,
-        queries_per_client=args.queries_per_client,
-        n_batches=args.batches,
-        batch_docs=args.batch_docs,
-        compact_max_deltas=args.compact_max_deltas,
-        update_baseline=args.update_baseline,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -1487,20 +1291,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "analyze": _cmd_analyze,
         "figures": _cmd_figures,
-        "bench-wallclock": _cmd_bench_wallclock,
+        "bench": _cmd_bench,
         "metrics-report": _cmd_metrics_report,
         "serve-build": _cmd_serve_build,
         "serve-query": _cmd_serve_query,
         "facet-query": _cmd_facet_query,
         "themeview-slices": _cmd_themeview_slices,
-        "serve-bench": _cmd_serve_bench,
         "workbench-serve": _cmd_workbench_serve,
         "workbench-session": _cmd_workbench_session,
         "ingest-feed": _cmd_ingest_feed,
         "ingest-publish": _cmd_ingest_publish,
         "ingest-compact": _cmd_ingest_compact,
         "ingest-status": _cmd_ingest_status,
-        "bench-ingest": _cmd_bench_ingest,
     }
     return handlers[args.command](args)
 

@@ -17,8 +17,8 @@ from typing import Iterator
 import numpy as np
 
 #: set to a non-empty value (other than "0") to make every traced
-#: region also record its *real* (perf_counter) extent; used by the
-#: wall-clock benchmark harness (``repro.bench.wallclock``)
+#: region also record its *real* (perf_counter) extent; used by
+#: perfbench's traced runs (``engine.p4.*_wall_s``)
 WALL_ENV = "REPRO_TRACE_WALL"
 
 

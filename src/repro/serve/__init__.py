@@ -11,7 +11,7 @@ places R consistent-hashed replicas of every shard,
 :mod:`~repro.serve.router` serves through a router-fronted broker tier
 with replica failover, hedged requests and priority load-shedding, and
 :mod:`~repro.serve.workload` generates seeded closed-loop workloads
-(uniform-hot-pool and Zipf hot-spot) for the ``serve-bench`` harness.
+(uniform-hot-pool and Zipf hot-spot) for the ``bench`` studies.
 """
 
 from repro.serve.broker import BrokerConfig, ServeReport, query_store, serve

@@ -1,128 +1,93 @@
-"""Serving benchmark harness tests (small downscale)."""
+"""What the serving-side bench studies record, at toy sizes.
 
+(The mechanism they share -- whole-document compare, oracles, the
+runner -- is tested once for every study in ``test_study.py``.)
+"""
+
+import copy
 import json
 
-import pytest
+from repro.bench.study import SCHEMA, compare, run_studies
 
-from repro.bench.serving import (
-    SCHEMA,
-    ReplicaPoint,
-    ReplicaSpec,
-    ServePoint,
-    build_report,
-    compare,
-    measure,
-    run_bench,
-)
-
-# one tiny replica row: 2 shards x 3 workers x 2 brokers + router = 6
-# ranks, 4 clients x 3 queries
-_SPEC = ReplicaSpec(
-    nshards=2,
-    workers=3,
-    brokers=2,
-    replicas=2,
-    n_clients=4,
-    queries_per_client=3,
-)
-
-SMALL = dict(
-    shards=(1, 2),
-    corpus_bytes=40_000,
-    n_clients=2,
-    queries_per_client=6,
-    replica_matrix=(_SPEC,),
-    # the pruning study gets its own dedicated test below -- keeping
-    # it out of SMALL keeps the (noisy, wall-clock-gated) study from
-    # slowing or flaking every harness test
-    pruning_corpus_bytes=0,
-)
+from .conftest import TOY, TOY_LABEL
 
 
-@pytest.fixture(scope="module")
-def measured():
-    return measure(progress=None, **SMALL)
-
-
-def test_replica_spec_parse():
-    assert ReplicaSpec.parse("2:3:2:2:4:3") == _SPEC
-    assert _SPEC.nprocs == 6
-    assert _SPEC.label == "2s-3w-2b-r2-c4"
-    with pytest.raises(ValueError):
-        ReplicaSpec.parse("2:3:2")
-
-
-def test_measure_matrix(measured):
-    (
-        points,
-        fault_point,
-        fault_meta,
-        replica_points,
-        failover,
-        pruning,
-        workbench,
-        dashboard,
-    ) = measured
-    assert pruning is None  # SMALL disables the study
-    assert set(points) == {1, 2}
-    total = SMALL["n_clients"] * SMALL["queries_per_client"]
+def test_measure_matrix(toy_docs):
+    points = toy_docs["serving"]["points"]
+    assert set(points) == {"1", "2"}
+    sizes = TOY["serving"]
+    total = sizes["n_clients"] * sizes["queries_per_client"]
     for p, pt in points.items():
-        assert pt.nshards == p
-        assert pt.served + pt.rejected == total
-        assert pt.degraded == 0
-        assert pt.throughput_qps > 0
-        assert 0 < pt.p50_latency_s <= pt.p99_latency_s
-        assert pt.counters["serve.queries"] == total
-        assert pt.counters["serve.shard.bytes_scanned"] > 0
+        assert pt["nshards"] == int(p)
+        assert pt["served"] + pt["rejected"] == total
+        assert pt["degraded"] == 0
+        assert pt["throughput"] > 0
+        assert 0 < pt["p50_latency_s"] <= pt["p99_latency_s"]
+        assert pt["counters"]["serve.queries"] == total
+        assert pt["counters"]["serve.shard.bytes_scanned"] > 0
     # identical workload replays at every P: same query totals
-    assert points[1].served == points[2].served
+    assert points["1"]["served"] == points["2"]["served"]
 
 
-def test_fault_run_degrades_but_completes(measured):
-    _, fault_point, fault_meta, _, _, _, _, _ = measured
-    assert fault_meta["completed"]
-    assert fault_meta["nshards"] == 2
-    assert fault_meta["failed_ranks"] == [fault_meta["crashed_rank"]]
-    assert fault_point.degraded > 0
-    assert fault_point.degraded_rate > 0
+def test_fault_run_degrades_but_completes(toy_docs):
+    doc = toy_docs["serving"]
+    fault = doc["fault"]
+    assert doc["oracles"] == {
+        "crash_run_answers_every_query": True,
+        "crash_run_degrades": True,
+    }
+    assert fault["point"]["nshards"] == 2
+    assert fault["failed_ranks"] == [fault["crashed_rank"]]
+    assert fault["point"]["degraded"] > 0
+    assert fault["point"]["degraded_rate"] > 0
 
 
-def test_replica_matrix_point(measured):
-    _, _, _, replica_points, _, _, _, _ = measured
-    assert set(replica_points) == {_SPEC.label}
-    pt = replica_points[_SPEC.label]
-    assert isinstance(pt, ReplicaPoint)
-    assert pt.ranks == _SPEC.nprocs == 6
-    assert pt.replicas == 2
-    total = _SPEC.n_clients * _SPEC.queries_per_client
-    assert pt.served + pt.shed == total
-    assert pt.degraded == 0
-    assert pt.throughput_qps > 0
-    assert pt.counters["serve.queries"] >= pt.served
+def test_replica_matrix_point(toy_docs):
+    matrix = toy_docs["replica"]["matrix"]
+    assert set(matrix) == {TOY_LABEL}
+    pt = matrix[TOY_LABEL]
+    assert pt["ranks"] == 6
+    assert pt["replicas"] == 2
+    assert pt["served"] + pt["shed"] == 4 * 3
+    assert pt["degraded"] == 0
+    assert pt["throughput"] > 0
+    assert pt["counters"]["serve.queries"] >= pt["served"]
+    assert toy_docs["replica"]["oracles"][
+        "matrix_serves_or_sheds_every_query"
+    ]
 
 
-def test_failover_study(measured):
-    _, _, _, _, failover, _, _, _ = measured
+def test_failover_study(toy_docs):
+    doc = toy_docs["replica"]
+    failover = doc["failover"]
     # the crash-masked run answers everything exactly like the
     # fault-free run; the single-replica control reproduces the
     # degradation the tier exists to prevent
     assert failover["fault_r2"]["degraded"] == 0
     assert failover["fault_r2"]["failovers"] >= 1
-    assert failover["exact_match_r2"] is True
     assert failover["fault_r1"]["degraded"] > 0
     assert failover["baseline"]["degraded"] == 0
     assert failover["crashed_rank"] == 1 + 2 + failover["crashed_worker"]
+    assert all(doc["oracles"].values())
+    assert {
+        "r2_crash_run_not_degraded",
+        "r2_crash_run_fails_over",
+        "r2_crash_run_equals_fault_free",
+        "r1_crash_run_degrades",
+    } <= set(doc["oracles"])
 
 
-def test_workbench_study(measured):
-    *_rest, workbench, _dashboard = measured
-    assert workbench["exact_match_shards"] is True
-    assert workbench["exact_match_slowpath"] is True
-    assert set(workbench["points"]) == {"1", "2"}
-    for pt in workbench["points"].values():
+def test_workbench_study(toy_docs):
+    doc = toy_docs["workbench"]
+    assert doc["oracles"] == {
+        "transcripts_equal_across_shards": True,
+        "transcript_equal_under_slowpath": True,
+    }
+    assert set(doc["points"]) == {"1", "2"}
+    for pt in doc["points"].values():
         assert pt["served"] > 0
         assert pt["sessions_opened"] > 0
-        assert pt["throughput_ops_s"] > 0
+        assert pt["throughput"] > 0
         # the tight study quotas shed at least one open, and the
         # paused sessions idle past the TTL
         assert pt["quota_shed"] > 0
@@ -131,421 +96,196 @@ def test_workbench_study(measured):
             pt["sessions_opened"]
         )
     # the same workload replays at every count
-    served = {pt["served"] for pt in workbench["points"].values()}
-    assert len(served) == 1
+    assert len({pt["served"] for pt in doc["points"].values()}) == 1
 
 
-def test_dashboard_study(measured):
-    *_rest, dashboard = measured
-    assert dashboard["exact_match_shards"] is True
-    assert dashboard["exact_match_slowpath"] is True
-    assert dashboard["exact_match_mp"] is True
-    assert dashboard["exact_match_churn"] is True
-    assert dashboard["churn"]["live_compactions"] > 0
-    points = dashboard["points"]
+def test_dashboard_study(toy_docs):
+    doc = toy_docs["dashboard"]
+    assert doc["oracles"] == {
+        "answers_equal_across_shards": True,
+        "answers_equal_under_slowpath": True,
+        "answers_equal_under_mp": True,
+        "churn_answers_equal_under_slowpath": True,
+    }
+    assert doc["churn"]["live_compactions"] > 0
+    assert doc["churn"]["point"]["served"] > 0
+    points = doc["points"]
     assert set(points) == {"1", "2", "4"}
     for pt in points.values():
         assert pt["served"] > 0
-        assert pt["facet_windows"] > 0
-        assert pt["facet_bytes_scanned"] > 0
-        assert pt["counters"]["facets.windows"] == pt["facet_windows"]
+        assert pt["counters"]["facets.windows"] > 0
+        assert pt["counters"]["facets.bytes_scanned"] > 0
     # the same poll transcript replays at every count
     assert len({pt["served"] for pt in points.values()}) == 1
-    assert len({pt["facet_windows"] for pt in points.values()}) == 1
-
-
-def test_measure_is_deterministic(measured):
-    (
-        points,
-        fault_point,
-        _,
-        replica_points,
-        failover,
-        _,
-        workbench,
-        dashboard,
-    ) = measured
-    (
-        again,
-        fault_again,
-        _,
-        replica_again,
-        failover_again,
-        _,
-        wb_again,
-        dash_again,
-    ) = measure(progress=None, **SMALL)
-    for p in points:
-        assert points[p] == again[p]
-    assert fault_point == fault_again
-    assert replica_points == replica_again
-    assert failover == failover_again
-    assert workbench == wb_again
-    assert dashboard == dash_again
-
-
-def _point(p, **over):
-    base = dict(
-        nshards=p,
-        served=12,
-        rejected=0,
-        degraded=0,
-        degraded_rate=0.0,
-        cache_hit_rate=0.25,
-        throughput_qps=50.0,
-        p50_latency_s=0.001,
-        p99_latency_s=0.002,
-        makespan_s=0.24,
-        counters={},
+    assert (
+        len({pt["counters"]["facets.windows"] for pt in points.values()})
+        == 1
     )
-    base.update(over)
-    return ServePoint(**base)
 
 
-def _replica_point(**over):
-    base = dict(
-        label=_SPEC.label,
-        nshards=2,
-        workers=3,
-        brokers=2,
-        replicas=2,
-        ranks=6,
-        n_clients=4,
-        served=12,
-        shed=0,
-        shed_rate=0.0,
-        degraded=0,
-        failovers=0,
-        hedges=0,
-        suspicions=0,
-        cache_hit_rate=0.25,
-        throughput_qps=50.0,
-        p50_latency_s=0.001,
-        p99_latency_s=0.002,
-        makespan_s=0.24,
-        counters={},
-    )
-    base.update(over)
-    return ReplicaPoint(**base)
+def test_pruning_study_small(toy_docs):
+    doc = toy_docs["pruning"]
+    runs = doc["runs"]
+    assert set(runs) == {"exhaustive", "blockmax-b1", "blockmax-b4"}
+    assert runs["exhaustive"]["pruned"] is False
+    for label in ("blockmax-b1", "blockmax-b4"):
+        assert doc["oracles"][f"{label}_equals_exhaustive"] is True
+        assert runs[label]["served"] == runs["exhaustive"]["served"]
+        assert runs[label]["info"]["wall_s"] > 0
+    assert doc["n_docs"] > 0
 
 
-def _baseline(points, fault_point, replica_points=None, failover=None):
-    from dataclasses import asdict
+def test_measure_is_deterministic(toy_docs, run_toy):
+    # test_study.py reruns every study through compare(); a study
+    # without wall clocks is equal as a plain value too
+    for name in ("serving", "replica", "workbench"):
+        assert run_toy(name) == toy_docs[name]
 
-    doc = {
-        "schema": SCHEMA,
-        "commit": "feedc0de",
-        "results": {str(p): asdict(pt) for p, pt in points.items()},
-        "fault": {"point": asdict(fault_point)},
-    }
-    if replica_points is not None or failover is not None:
-        doc["replica"] = {
-            "matrix": {
-                label: asdict(pt)
-                for label, pt in (replica_points or {}).items()
-            },
-            "failover": failover,
-        }
+
+def _paths(drifts):
+    return [d.path for d in drifts]
+
+
+def _perturb(doc, *path, by=1):
+    doc = copy.deepcopy(doc)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] += by
     return doc
 
 
-def test_compare_exact_match_passes():
-    points = {2: _point(2)}
-    fault = _point(2, degraded=5, degraded_rate=5 / 12)
-    assert compare(points, fault, _baseline(points, fault)) == []
+def test_compare_exact_match_passes(toy_docs):
+    doc = toy_docs["serving"]
+    assert compare(json.loads(json.dumps(doc)), doc) == []
 
 
-def test_compare_flags_any_drift():
-    points = {2: _point(2)}
-    fault = _point(2)
-    base = _baseline(points, fault)
-    drifted = {2: _point(2, throughput_qps=49.0)}
-    regs = compare(drifted, fault, base)
-    assert [r.field for r in regs] == ["throughput_qps"]
-    assert regs[0].nshards == 2
-
-    fault_drift = _point(2, degraded=1, degraded_rate=1 / 12)
-    regs = compare(points, fault_drift, base)
-    assert {r.field for r in regs} == {"fault.degraded"}
-
-
-def test_compare_flags_replica_drift():
-    from dataclasses import asdict
-
-    points = {2: _point(2)}
-    fault = _point(2)
-    replica = {_SPEC.label: _replica_point()}
-    failover = {
-        run: asdict(_replica_point())
-        for run in ("baseline", "fault_r2", "fault_r1")
-    }
-    base = _baseline(points, fault, replica, failover)
-    assert compare(points, fault, base, replica, failover) == []
-
-    drifted = {_SPEC.label: _replica_point(failovers=2, shed=1)}
-    regs = compare(points, fault, base, drifted, failover)
-    assert {r.field for r in regs} == {
-        f"replica[{_SPEC.label}].shed",
-        f"replica[{_SPEC.label}].failovers",
-    }
-
-    fo_drift = dict(failover, fault_r2=asdict(_replica_point(hedges=3)))
-    regs = compare(points, fault, base, replica, fo_drift)
-    assert {r.field for r in regs} == {"failover.fault_r2.hedges"}
+def test_compare_flags_any_drift(toy_docs):
+    doc = toy_docs["serving"]
+    drifted = _perturb(doc, "points", "2", "throughput", by=-1.0)
+    assert _paths(compare(drifted, doc)) == ["points.2.throughput"]
+    drifted = _perturb(doc, "fault", "point", "degraded")
+    assert _paths(compare(drifted, doc)) == ["fault.point.degraded"]
+    # counters were recorded but never compared before
+    drifted = _perturb(doc, "points", "1", "counters", "serve.cache.hit")
+    assert _paths(compare(drifted, doc)) == [
+        "points.1.counters.serve.cache.hit"
+    ]
 
 
-def _workbench_point(**over):
-    base = dict(
-        nshards=2,
-        served=40,
-        rejected=6,
-        quota_shed=4,
-        quota_shed_rate=4 / 46,
-        sessions_opened=4,
-        sessions_closed=3,
-        sessions_evicted=1,
-        sets_saved=12,
-        artifact_hit_rate=0.5,
-        throughput_ops_s=30.0,
-        p50_latency_s=0.001,
-        p99_latency_s=0.002,
-        makespan_s=1.5,
-        counters={},
+def test_compare_flags_replica_drift(toy_docs):
+    doc = toy_docs["replica"]
+    drifted = _perturb(doc, "matrix", TOY_LABEL, "failovers", by=2)
+    drifted = _perturb(drifted, "matrix", TOY_LABEL, "shed")
+    assert _paths(compare(drifted, doc)) == [
+        f"matrix.{TOY_LABEL}.shed",
+        f"matrix.{TOY_LABEL}.failovers",
+    ]
+    drifted = _perturb(doc, "failover", "fault_r2", "hedges", by=3)
+    assert _paths(compare(drifted, doc)) == ["failover.fault_r2.hedges"]
+    # a field the old per-field tuple forgot
+    drifted = _perturb(doc, "matrix", TOY_LABEL, "suspicions")
+    assert _paths(compare(drifted, doc)) == [
+        f"matrix.{TOY_LABEL}.suspicions"
+    ]
+
+
+def test_compare_flags_workbench_drift(toy_docs):
+    doc = toy_docs["workbench"]
+    drifted = _perturb(doc, "points", "2", "sessions_evicted")
+    assert _paths(compare(drifted, doc)) == ["points.2.sessions_evicted"]
+
+
+def test_compare_flags_dashboard_drift(toy_docs):
+    doc = toy_docs["dashboard"]
+    drifted = _perturb(
+        doc, "points", "2", "counters", "facets.emerging_hits"
     )
-    base.update(over)
-    return base
+    assert _paths(compare(drifted, doc)) == [
+        "points.2.counters.facets.emerging_hits"
+    ]
+    # the churn run's point was recorded but never compared before
+    drifted = _perturb(doc, "churn", "point", "p99_latency_s", by=1e-9)
+    assert _paths(compare(drifted, doc)) == ["churn.point.p99_latency_s"]
 
 
-def test_compare_flags_workbench_drift():
-    points = {2: _point(2)}
-    fault = _point(2)
-    base = _baseline(points, fault)
-    base["workbench"] = {"points": {"2": _workbench_point()}}
-    wb = {"points": {"2": _workbench_point()}}
-    assert compare(points, fault, base, workbench=wb) == []
-
-    drifted = {
-        "points": {"2": _workbench_point(sessions_evicted=2)}
-    }
-    regs = compare(points, fault, base, workbench=drifted)
-    assert {r.field for r in regs} == {"workbench.sessions_evicted"}
-
-
-def _dashboard_point(**over):
-    base = dict(
-        nshards=2,
-        served=48,
-        rejected=0,
-        degraded=0,
-        facet_windows=24.0,
-        facet_bytes_scanned=4096.0,
-        emerging_hits=9.0,
-        cache_hit_rate=0.1,
-        throughput_qps=80.0,
-        p50_latency_s=0.001,
-        p99_latency_s=0.002,
-        makespan_s=0.6,
-        counters={},
-    )
-    base.update(over)
-    return base
-
-
-def test_compare_flags_dashboard_drift():
-    points = {2: _point(2)}
-    fault = _point(2)
-    base = _baseline(points, fault)
-    base["dashboard"] = {"points": {"2": _dashboard_point()}}
-    dash = {"points": {"2": _dashboard_point()}}
-    assert compare(points, fault, base, dashboard=dash) == []
-
-    drifted = {
-        "points": {"2": _dashboard_point(emerging_hits=10.0)}
-    }
-    regs = compare(points, fault, base, dashboard=drifted)
-    assert {r.field for r in regs} == {"dashboard.emerging_hits"}
-
-
-def _pruning_run(**over):
-    base = dict(
-        label="blockmax-b1",
-        pruned=True,
-        batch_max_queries=1,
-        served=12,
-        cache_hit_rate=0.0,
-        bytes_scanned=1024.0,
-        blocks_skipped=3.0,
-        makespan_s=0.2,
-        p50_latency_s=0.001,
-        p99_latency_s=0.002,
-        wall_s=0.1,
-        wall_throughput_qps=120.0,
-        exact_match=True,
-    )
-    base.update(over)
-    return base
-
-
-def test_compare_flags_pruning_drift():
-    points = {2: _point(2)}
-    fault = _point(2)
-    base = _baseline(points, fault)
-    base["pruning"] = {
-        "nshards": 1,
-        "runs": {"blockmax-b1": _pruning_run()},
-    }
-    pruning = {"nshards": 1, "runs": {"blockmax-b1": _pruning_run()}}
-    assert compare(points, fault, base, None, None, pruning) == []
-
-    drifted = {
-        "nshards": 1,
-        "runs": {"blockmax-b1": _pruning_run(blocks_skipped=4.0)},
-    }
-    regs = compare(points, fault, base, None, None, drifted)
-    assert {r.field for r in regs} == {
-        "pruning[blockmax-b1].blocks_skipped"
-    }
-
+def test_compare_flags_pruning_drift(toy_docs):
+    doc = toy_docs["pruning"]
+    blocks = ("runs", "blockmax-b1", "counters", "serve.shard.blocks_skipped")
+    drifted = _perturb(doc, *blocks)
+    assert _paths(compare(drifted, doc)) == [".".join(blocks)]
     # wall-clock is machine-local: never compared against the baseline
-    walled = {
-        "nshards": 1,
-        "runs": {
-            "blockmax-b1": _pruning_run(
-                wall_s=9.9, wall_throughput_qps=1.2
-            )
-        },
-    }
-    assert compare(points, fault, base, None, None, walled) == []
+    walled = _perturb(doc, "runs", "blockmax-b1", "info", "wall_s", by=9.9)
+    assert compare(walled, doc) == []
 
 
-def test_pruning_study_small(tmp_path):
-    from repro.bench.serving import _measure_pruning
-
-    study = _measure_pruning(
-        tmp_path,
-        corpus_seed=4,
-        workload_seed=7,
-        pruning_corpus_bytes=300_000,
-        batch_sizes=(1, 4),
-        progress=None,
-    )
-    assert set(study["runs"]) == {
-        "exhaustive",
-        "blockmax-b1",
-        "blockmax-b4",
-    }
-    assert study["runs"]["exhaustive"]["exact_match"] is None
-    for label in ("blockmax-b1", "blockmax-b4"):
-        run = study["runs"][label]
-        assert run["exact_match"] is True  # the oracle
-        assert run["served"] == study["runs"]["exhaustive"]["served"]
-        assert run["wall_s"] > 0
-    assert study["exact_match_all"] is True
-    assert study["best_config"].startswith("blockmax-")
-    json.dumps(study)
-
-
-def test_pruning_study_disabled(tmp_path):
-    from repro.bench.serving import _measure_pruning
-
-    assert (
-        _measure_pruning(tmp_path, 4, 7, 0, (1, 4), None) is None
-    )
-
-
-def test_compare_ignores_unknown_shard_counts():
-    points = {4: _point(4)}
-    fault = _point(4)
-    base = _baseline({2: _point(2)}, fault)
-    assert compare(points, fault, base) == []
-    # unknown replica labels are likewise skipped
-    replica = {"9s-9w-9b-r9-c9": _replica_point(label="9s-9w-9b-r9-c9")}
-    assert compare(points, fault, base, replica, None) == []
-
-
-def test_build_report_schema(measured):
-    (
-        points,
-        fault_point,
-        fault_meta,
-        replica_points,
-        failover,
-        pruning,
-        workbench,
-        dashboard,
-    ) = measured
-    report, regs = build_report(
-        points,
-        fault_point,
-        fault_meta,
-        {"shards": [1, 2]},
-        replica_points=replica_points,
-        failover=failover,
-        pruning=pruning,
-        workbench=workbench,
-        dashboard=dashboard,
-    )
-    assert regs == []
-    assert report["schema"] == SCHEMA
-    assert set(report["results"]) == {"1", "2"}
-    assert report["fault"]["completed"]
-    assert set(report["replica"]["matrix"]) == {_SPEC.label}
-    assert report["replica"]["failover"]["exact_match_r2"] is True
-    assert report["pruning"] is None  # disabled in SMALL
-    assert report["workbench"]["exact_match_shards"] is True
-    assert report["dashboard"]["exact_match_shards"] is True
-    assert report["dashboard"]["exact_match_churn"] is True
-    assert "baseline" not in report
-    json.dumps(report)  # must be serializable
-
-
-def test_run_bench_baseline_cycle(tmp_path, capsys):
-    out = tmp_path / "BENCH_serving.json"
-    rc = run_bench(
-        out_path=out, update_baseline=True, progress=None, **SMALL
-    )
-    assert rc == 0
-    assert out.exists()
-
-    # identical rerun against its own baseline: no drift
-    rc = run_bench(out_path=out, progress=None, **SMALL)
-    assert rc == 0
+def test_build_report_schema(tmp_path, toy_docs, canned):
+    for name in ("serving", "replica"):
+        canned(name, toy_docs[name])
+    out = tmp_path / "b.json"
+    assert run_studies(["serving", "replica"], out=out, progress=None) == 0
     report = json.loads(out.read_text())
-    assert report["baseline"]["regressions"] == []
+    assert report["schema"] == SCHEMA
+    assert set(report) == {"schema", "commit", "env", "studies"}
+    assert report["studies"] == {
+        "serving": toy_docs["serving"],
+        "replica": toy_docs["replica"],
+    }
 
 
-def test_run_bench_detects_drift(tmp_path):
-    out = tmp_path / "BENCH_serving.json"
-    assert run_bench(
-        out_path=out, update_baseline=True, progress=None, **SMALL
+def test_run_bench_baseline_cycle(tmp_path, toy_docs, canned):
+    canned("serving", toy_docs["serving"])
+    out = tmp_path / "b.json"
+    assert run_studies(
+        ["serving"], out=out, update_baseline=True, progress=None
     ) == 0
-    doc = json.loads(out.read_text())
-    doc["results"]["2"]["throughput_qps"] += 1.0
-    out.write_text(json.dumps(doc))
-    messages = []
-    rc = run_bench(out_path=out, progress=messages.append, **SMALL)
-    assert rc == 1
-    assert any("DRIFT" in m for m in messages)
+    # identical rerun against its own baseline: no drift
+    assert run_studies(["serving"], out=out, progress=None) == 0
+    report = json.loads(out.read_text())
+    assert report["baseline"]["drift"] == []
 
 
-def test_run_bench_detects_replica_drift(tmp_path):
-    out = tmp_path / "BENCH_serving.json"
-    assert run_bench(
-        out_path=out, update_baseline=True, progress=None, **SMALL
+def _rerun_against_perturbed_file(tmp_path, canned, name, doc, *path):
+    canned(name, doc)
+    out = tmp_path / "b.json"
+    assert run_studies(
+        [name], out=out, update_baseline=True, progress=None
     ) == 0
-    doc = json.loads(out.read_text())
-    doc["replica"]["matrix"][_SPEC.label]["p99_latency_s"] += 1.0
-    out.write_text(json.dumps(doc))
+    report = json.loads(out.read_text())
+    report["studies"][name] = _perturb(doc, *path, by=1.0)
+    out.write_text(json.dumps(report))
     messages = []
-    rc = run_bench(out_path=out, progress=messages.append, **SMALL)
+    rc = run_studies([name], out=out, progress=messages.append)
+    return rc, [m for m in messages if m.startswith("DRIFT")]
+
+
+def test_run_bench_detects_drift(tmp_path, toy_docs, canned):
+    rc, drift = _rerun_against_perturbed_file(
+        tmp_path,
+        canned,
+        "serving",
+        toy_docs["serving"],
+        "points",
+        "2",
+        "throughput",
+    )
     assert rc == 1
-    assert any("DRIFT" in m for m in messages)
+    assert len(drift) == 1
+    assert drift[0].startswith("DRIFT serving.points.2.throughput: ")
 
 
-def test_run_bench_ignores_foreign_schema(tmp_path):
-    out = tmp_path / "BENCH_serving.json"
-    out.write_text(json.dumps({"schema": "something-else/9"}))
-    messages = []
-    rc = run_bench(out_path=out, progress=messages.append, **SMALL)
-    assert rc == 0
-    assert any("unknown schema" in m for m in messages)
+def test_run_bench_detects_replica_drift(tmp_path, toy_docs, canned):
+    rc, drift = _rerun_against_perturbed_file(
+        tmp_path,
+        canned,
+        "replica",
+        toy_docs["replica"],
+        "matrix",
+        TOY_LABEL,
+        "p99_latency_s",
+    )
+    assert rc == 1
+    assert len(drift) == 1
+    assert drift[0].startswith(
+        f"DRIFT replica.matrix.{TOY_LABEL}.p99_latency_s: "
+    )

@@ -1,179 +1,113 @@
-"""Wall-clock benchmark harness tests (small downscale)."""
+"""What the ``runtime`` bench study records, at toy sizes.
+
+(The file keeps the name of the wall-clock harness it used to test so
+the test ids stay stable; the wall threshold, best-of-N repeats and mp
+advisories it covered are gone -- perfbench owns wall time.)
+"""
 
 import json
 
-from repro.bench.wallclock import (
-    SCHEMA,
-    BenchPoint,
-    backend_compare,
-    build_report,
-    compare,
-    measure,
-    reap_children,
-    run_bench,
-)
+from repro.bench.studies import reap_children
+from repro.bench.study import SCHEMA, compare, run_studies
 
 
-def test_measure_produces_stage_breakdown():
-    points = measure(
-        procs=(1, 2), repeats=1, downscale=50_000.0, progress=None
-    )
-    assert set(points) == {1, 2}
-    for p, pt in points.items():
-        assert pt.wall_seconds > 0
-        assert pt.virtual_seconds > 0
-        # stage windows captured via REPRO_TRACE_WALL
-        assert "scan" in pt.stages_wall_seconds
-        assert "clusproj" in pt.stages_wall_seconds
-        assert all(v >= 0 for v in pt.stages_wall_seconds.values())
+def test_measure_produces_stage_breakdown(toy_docs):
+    sim = toy_docs["runtime"]["sim"]
+    assert set(sim) == {"1", "2"}
+    for pt in sim.values():
+        assert pt["info"]["wall_s"] > 0
+        assert pt["virtual_seconds"] > 0
+        assert {"scan", "clusproj"} <= set(pt["stages_virtual_seconds"])
+        assert all(v >= 0 for v in pt["stages_virtual_seconds"].values())
+        assert pt["counters"]["comm.coll.calls"] > 0
     # parallelism reduces virtual time
-    assert points[2].virtual_seconds < points[1].virtual_seconds
+    assert sim["2"]["virtual_seconds"] < sim["1"]["virtual_seconds"]
 
 
-def _point(p, wall, virtual):
-    return BenchPoint(
-        nprocs=p,
-        wall_seconds=wall,
-        wall_seconds_all=[wall],
-        virtual_seconds=virtual,
-        stages_wall_seconds={},
-        stages_virtual_seconds={},
-    )
-
-
-def _baseline(wall, virtual):
-    return {
-        "schema": SCHEMA,
-        "commit": "feedc0de",
-        "results": {
-            "2": {"wall_seconds": wall, "virtual_seconds": virtual}
-        },
+def test_measure_mp_backend_agrees_with_sim(toy_docs):
+    doc = toy_docs["runtime"]
+    sim, mp = doc["sim"]["2"], doc["mp"]["2"]
+    assert mp["virtual_seconds"] == sim["virtual_seconds"]
+    assert mp["stages_virtual_seconds"] == sim["stages_virtual_seconds"]
+    assert mp["counters"] == sim["counters"]
+    assert doc["oracles"] == {
+        "sim_equals_mp": True,
+        "counters_recorded": True,
     }
-
-
-def test_compare_flags_wall_regression():
-    points = {2: _point(2, wall=2.0, virtual=10.0)}
-    speedups, regs = compare(points, _baseline(1.0, 10.0), threshold=0.15)
-    assert speedups == {"2": 0.5}
-    assert [r.kind for r in regs] == ["wall"]
-
-
-def test_compare_accepts_within_threshold():
-    points = {2: _point(2, wall=1.1, virtual=10.0)}
-    _, regs = compare(points, _baseline(1.0, 10.0), threshold=0.15)
-    assert regs == []
-
-
-def test_compare_flags_virtual_drift():
-    points = {2: _point(2, wall=1.0, virtual=10.000001)}
-    _, regs = compare(points, _baseline(1.0, 10.0), threshold=0.15)
-    assert [r.kind for r in regs] == ["virtual"]
-
-
-def test_run_bench_roundtrip(tmp_path, capsys):
-    out = tmp_path / "BENCH_runtime.json"
-    # first run: no baseline yet, just writes the report
-    rc = run_bench(
-        out_path=out,
-        procs=(2,),
-        repeats=1,
-        downscale=50_000.0,
-        progress=lambda *_: None,
-    )
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["schema"] == SCHEMA
-    assert "2" in report["results"]
-    assert "baseline" not in report
-
-    # second run compares against the first and must not regress
-    # (same machine, same workload, generous threshold)
-    rc = run_bench(
-        out_path=out,
-        procs=(2,),
-        repeats=1,
-        downscale=50_000.0,
-        threshold=5.0,
-        progress=lambda *_: None,
-    )
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["baseline"]["regressions"] == []
-    assert "2" in report["baseline"]["speedup_vs_baseline"]
-
-
-def test_build_report_schema_fields():
-    points = {4: _point(4, wall=0.5, virtual=20.0)}
-    report, regs, advisories = build_report(
-        {"sim": points}, {"dataset": "pubmed"}
-    )
-    assert regs == []
-    assert advisories == []
-    assert report["schema"] == SCHEMA
-    assert report["config"] == {"dataset": "pubmed"}
-    assert set(report["env"]) == {"python", "numpy", "machine", "cpus"}
-    assert report["results"]["4"]["wall_seconds"] == 0.5
-    # single backend: no cross-backend table
-    assert "backend_compare" not in report
-    mvm = report["backends"]["sim"]["4"]["modeled_vs_measured"]
-    assert mvm["end_to_end"] == {
-        "modeled_seconds": 20.0,
-        "measured_seconds": 0.5,
-    }
-
-
-def test_backend_compare_flags_virtual_drift():
-    sim = {8: _point(8, wall=1.0, virtual=10.0)}
-    mp = {8: _point(8, wall=0.5, virtual=10.000001)}
-    table, regs, advisories = backend_compare({"sim": sim, "mp": mp})
-    assert table["8"]["virtual_match"] is False
-    assert [r.kind for r in regs] == ["virtual-backend"]
-    assert advisories == []
-
-
-def test_backend_compare_slow_mp_is_advisory_only():
-    sim = {8: _point(8, wall=1.0, virtual=10.0)}
-    mp = {8: _point(8, wall=2.0, virtual=10.0)}
-    table, regs, advisories = backend_compare({"sim": sim, "mp": mp})
-    assert regs == []
-    assert len(advisories) == 1
-    assert table["8"]["mp_speedup"] == 0.5
-    # below P=8 the wall comparison is not even advisory
-    sim = {2: _point(2, wall=1.0, virtual=10.0)}
-    mp = {2: _point(2, wall=2.0, virtual=10.0)}
-    _, regs, advisories = backend_compare({"sim": sim, "mp": mp})
-    assert regs == [] and advisories == []
-
-
-def test_build_report_cross_backend_and_baseline_mp_virtual():
-    sim = {8: _point(8, wall=1.0, virtual=10.0)}
-    mp = {8: _point(8, wall=0.9, virtual=10.0)}
-    baseline = {
-        "schema": SCHEMA,
-        "commit": "feedc0de",
-        "results": {
-            "8": {"wall_seconds": 1.0, "virtual_seconds": 10.0}
-        },
-    }
-    report, regs, _ = build_report(
-        {"sim": sim, "mp": mp}, {}, baseline
-    )
-    assert regs == []
-    assert report["backend_compare"]["8"]["mp_speedup"] > 1.0
-    # mp virtual drift against the committed baseline is a hard fail
-    mp_drift = {8: _point(8, wall=0.9, virtual=11.0)}
-    _, regs, _ = build_report({"sim": sim, "mp": mp_drift}, {}, baseline)
-    assert "virtual-backend" in {r.kind for r in regs}
-    assert "virtual" in {r.kind for r in regs}
-
-
-def test_measure_mp_backend_agrees_with_sim():
-    kwargs = dict(procs=(2,), repeats=1, downscale=50_000.0)
-    sim = measure(backend="sim", **kwargs)
-    mp = measure(backend="mp", **kwargs)
-    assert mp[2].backend == "mp"
-    assert mp[2].virtual_seconds == sim[2].virtual_seconds
-    assert mp[2].stages_virtual_seconds == sim[2].stages_virtual_seconds
-    assert mp[2].counters == sim[2].counters
     # teardown left no orphaned children behind
     assert reap_children() == []
+
+
+def _drifted_mp(doc):
+    doc = json.loads(json.dumps(doc))
+    doc["mp"]["2"]["virtual_seconds"] += 1e-6
+    return doc
+
+
+def test_compare_flags_virtual_drift(toy_docs):
+    doc = toy_docs["runtime"]
+    drifted = json.loads(json.dumps(doc))
+    drifted["sim"]["2"]["virtual_seconds"] += 1e-6
+    assert [d.path for d in compare(drifted, doc)] == [
+        "sim.2.virtual_seconds"
+    ]
+    # the one wall clock kept per point is never compared
+    drifted = json.loads(json.dumps(doc))
+    drifted["sim"]["2"]["info"]["wall_s"] *= 100
+    assert compare(drifted, doc) == []
+
+
+def test_backend_compare_flags_virtual_drift(toy_docs):
+    # the sim_equals_mp oracle is this comparison
+    doc = _drifted_mp(toy_docs["runtime"])
+    assert [d.path for d in compare(doc["sim"], doc["mp"])] == [
+        "2.virtual_seconds"
+    ]
+
+
+def test_build_report_cross_backend_and_baseline_mp_virtual(
+    tmp_path, toy_docs, canned
+):
+    # mp virtual drift against a baseline is a hard failure, and a
+    # study whose backends disagree fails on its oracle as well
+    doc = toy_docs["runtime"]
+    canned("runtime", doc)
+    out = tmp_path / "b.json"
+    assert run_studies(
+        ["runtime"], out=out, update_baseline=True, progress=None
+    ) == 0
+    drifted = _drifted_mp(doc)
+    drifted["oracles"]["sim_equals_mp"] = False
+    canned("runtime", drifted)
+    messages = []
+    assert run_studies(["runtime"], out=out, progress=messages.append) == 1
+    assert "ORACLE runtime.sim_equals_mp" in messages
+    assert any(
+        m.startswith("DRIFT runtime.mp.2.virtual_seconds: ")
+        for m in messages
+    )
+
+
+def test_build_report_schema_fields(tmp_path, toy_docs, canned):
+    canned("runtime", toy_docs["runtime"])
+    out = tmp_path / "b.json"
+    assert run_studies(["runtime"], out=out, progress=None) == 0
+    report = json.loads(out.read_text())
+    assert report["schema"] == SCHEMA
+    assert set(report["env"]) == {"python", "numpy", "machine", "cpus"}
+    assert report["commit"]
+    assert report["studies"]["runtime"] == toy_docs["runtime"]
+    # first run, nothing to compare against
+    assert "baseline" not in report
+
+
+def test_run_bench_roundtrip(tmp_path, toy_docs, canned):
+    canned("runtime", toy_docs["runtime"])
+    out = tmp_path / "b.json"
+    # first run: no baseline yet, just writes the report
+    assert run_studies(["runtime"], out=out, progress=None) == 0
+    # second run compares against the first
+    assert run_studies(["runtime"], out=out, progress=None) == 0
+    report = json.loads(out.read_text())
+    assert report["baseline"]["drift"] == []
+    assert report["baseline"]["uncompared"] == []

@@ -516,54 +516,27 @@ def test_metrics_report_snapshot_roundtrip(
 
 
 def test_serve_bench_smoke(tmp_path, capsys):
-    out = tmp_path / "BENCH_serving.json"
-    rc = main(
-        [
-            "serve-bench",
-            "--shards",
-            "1,2",
-            "--corpus-bytes",
-            "40000",
-            "--clients",
-            "2",
-            "--queries-per-client",
-            "5",
-            "--replica-matrix",
-            "2:3:2:2:4:3",
-            "--pruning-corpus-bytes",
-            "0",
-            "--out",
-            str(out),
-            "--update-baseline",
-        ]
-    )
+    out = tmp_path / "b.json"
+    rc = main(["bench", "workbench", "--out", str(out), "--update-baseline"])
     assert rc == 0
     import json
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "repro-bench-serving/5"
-    assert report["workbench"]["exact_match_shards"] is True
-    assert report["dashboard"]["exact_match_shards"] is True
-    assert report["dashboard"]["exact_match_churn"] is True
-    assert set(report["results"]) == {"1", "2"}
-    assert report["pruning"] is None  # 0 bytes skips the study
-    assert report["fault"]["completed"]
-    assert set(report["replica"]["matrix"]) == {"2s-3w-2b-r2-c4"}
-    assert report["replica"]["failover"]["exact_match_r2"] is True
-
-
-def test_serve_bench_rejects_bad_replica_matrix(tmp_path, capsys):
-    rc = main(
-        [
-            "serve-bench",
-            "--replica-matrix",
-            "2:3:2",
-            "--out",
-            str(tmp_path / "out.json"),
-        ]
-    )
-    assert rc == 1
-    assert "replica spec" in capsys.readouterr().err
+    assert report["schema"] == "repro-bench/1"
+    assert set(report["studies"]) == {"workbench"}
+    study = report["studies"]["workbench"]
+    assert set(study["points"]) == {"1", "2", "4"}
+    assert study["oracles"] == {
+        "transcripts_equal_across_shards": True,
+        "transcript_equal_under_slowpath": True,
+    }
+    # a named baseline that cannot be compared against is an error
+    # before any study runs, not a silent pass
+    capsys.readouterr()
+    missing = tmp_path / "nope.json"
+    rc = main(["bench", "workbench", "--baseline", str(missing)])
+    assert rc == 2
+    assert f"error: {missing}: " in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():
@@ -720,34 +693,28 @@ def test_ingest_status_rejects_corrupt_store(tmp_path, capsys):
 
 
 def test_bench_ingest_smoke(tmp_path, capsys):
-    out = tmp_path / "BENCH_ingest.json"
-    rc = main(
-        [
-            "bench-ingest",
-            "--shards",
-            "1",
-            "--corpus-bytes",
-            "40000",
-            "--clients",
-            "2",
-            "--queries-per-client",
-            "4",
-            "--batches",
-            "2",
-            "--batch-docs",
-            "4",
-            "--out",
-            str(out),
-            "--update-baseline",
-        ]
-    )
+    out = tmp_path / "b.json"
+    rc = main(["bench", "ingest", "--out", str(out), "--update-baseline"])
     assert rc == 0
     import json
 
     report = json.loads(out.read_text())
-    assert report["schema"] == "repro-bench-ingest/1"
-    assert report["results"]["1"]["docs_ingested"] == 8
-    assert report["fault"]["completed"]
+    assert set(report["studies"]) == {"ingest"}
+    study = report["studies"]["ingest"]
+    assert study["points"]["1"]["docs_ingested"] == 40
+    assert all(study["oracles"].values())
+    # rerun against the file just written: exit status is the check
+    again = tmp_path / "b2.json"
+    rc = main(
+        ["bench", "ingest", "--baseline", str(out), "--out", str(again)]
+    )
+    assert rc == 0
+    baseline = json.loads(again.read_text())["baseline"]
+    assert baseline == {
+        "commit": report["commit"],
+        "drift": [],
+        "uncompared": [],
+    }
 
 
 @pytest.fixture(scope="module")
