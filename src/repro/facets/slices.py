@@ -16,12 +16,12 @@ import numpy as np
 from repro.analysis.session import top_positive_terms
 from repro.facets.stamp import FacetsUnavailableError
 from repro.facets.windows import window_edges
-from repro.serve.store import Container, load_manifest, load_model
+from repro.serve.store import Container, StoreManifest, load_model
 from repro.viz.themeview import ThemeView, build_themeview
 
 
 def _store_rows(
-    store_dir: str,
+    store: str, manifest: StoreManifest
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global-row-order ``(coords, assignments, stamps)`` of a store.
 
@@ -29,14 +29,6 @@ def _store_rows(
     row layout (deltas are appended after every earlier segment's
     rows), so slice membership matches what window queries see.
     """
-    store = str(store_dir)
-    manifest = load_manifest(store)
-    if manifest.facets is None:
-        raise FacetsUnavailableError(
-            store,
-            "store is not stamped: no facet sections "
-            "(rebuild from a stamped corpus)",
-        )
     coords_parts = []
     assign_parts = []
     stamp_parts = []
@@ -66,18 +58,19 @@ def themeview_slices(
     where ``view`` is a :class:`~repro.viz.themeview.ThemeView`
     (``None`` for empty windows).  All slices share the manifest-bbox
     grid; peak labels come from the frozen model's cluster centroids.
-    Raises :class:`FacetsUnavailableError` on unstamped stores.
+    Raises :class:`FacetsUnavailableError` on unstamped stores.  The
+    store's manifest is read once, so a concurrent publish cannot mix
+    two generations into one sequence.
     """
-    store = str(store_dir)
-    manifest = load_manifest(store)
+    model = load_model(store_dir)
+    manifest = model.manifest
     if manifest.facets is None:
         raise FacetsUnavailableError(
-            store,
+            model.store_dir,
             "store is not stamped: no facet sections "
             "(rebuild from a stamped corpus)",
         )
-    coords, assignments, stamps = _store_rows(store)
-    model = load_model(store)
+    coords, assignments, stamps = _store_rows(model.store_dir, manifest)
     labels = {
         c: top_positive_terms(
             model.centroids[c], model.topic_terms, label_terms

@@ -96,10 +96,10 @@ from repro.serve.query import (
 from repro.serve.store import (
     CURRENT_FILE,
     Container,
+    ServeModel,
     ShardFormatError,
     StoreManifest,
     current_generation,
-    load_manifest,
     load_manifest_generation,
     load_model,
 )
@@ -473,16 +473,21 @@ class _ShardWorker:
     takes 5-field requests naming the shard from any broker, and
     re-raises a :class:`~repro.serve.store.ShardFormatError` naming
     which copy on which worker hit it.
+
+    ``model`` is the session's opened store, shared with every other
+    rank; its manifest seeds the per-epoch manifest cache.
     """
 
-    def __init__(self, ctx, store_dir: str, rmap=None, n_brokers: int = 0):
+    def __init__(self, ctx, model: ServeModel, rmap=None, n_brokers: int = 0):
         self.ctx = ctx
-        self.store_dir = store_dir
+        self.store_dir = model.store_dir
         self.rmap = rmap
         self.n_brokers = n_brokers
         self.worker_id = ctx.rank - 1 - n_brokers
-        self.model = load_model(store_dir)
-        self._manifests: dict[int, StoreManifest] = {}
+        self.model = model
+        self._manifests: dict[int, StoreManifest] = {
+            model.manifest.generation: model.manifest
+        }
         self._segments: dict[tuple[int, int], list[ShardStore]] = {}
         self._stores: dict[str, ShardStore] = {}
 
@@ -998,21 +1003,21 @@ class _Broker:
     def __init__(
         self,
         ctx,
-        store_dir: str,
+        model: ServeModel,
         config: BrokerConfig,
         generational: bool = False,
     ):
         self.ctx = ctx
-        self.store_dir = store_dir
+        self.store_dir = model.store_dir
         self.config = config
-        self.model = load_model(store_dir)
-        manifest = self.model.manifest
+        self.model = model
+        manifest = model.manifest
         self.manifest = manifest
         self.nshards = manifest.nshards
         self.epoch = manifest.generation
         self.n_docs = manifest.n_docs
         self.generational = generational or os.path.exists(
-            os.path.join(store_dir, CURRENT_FILE)
+            os.path.join(self.store_dir, CURRENT_FILE)
         )
         #: live shard indices (0-based); shrinks on RankFailedError
         self.live = list(range(self.nshards))
@@ -1355,7 +1360,7 @@ class _Broker:
 # tier launcher
 # ----------------------------------------------------------------------
 def _launch(
-    store_dir: str,
+    model: ServeModel,
     roles: list[tuple[int, Callable]],
     front: str,
     machine: Optional[MachineSpec],
@@ -1363,7 +1368,8 @@ def _launch(
     ingest,
     backend: str = "sim",
 ):
-    """Run one serving session and return rank 0's report.
+    """Run one serving session over an opened store and return rank
+    0's report.
 
     ``roles`` lays the ranks out in order as ``(count, role)`` runs,
     ``role(ctx)`` being what each of those ranks executes; ``ingest``
@@ -1372,16 +1378,23 @@ def _launch(
     ``raise_on_failure=False``) -- unless the ``front`` rank itself,
     whose result is the report, is among the dead.  The report leaves
     with the run's metrics snapshot, the runtime's view of the failed
-    ranks, and the ingest driver's outcome attached.
+    ranks, and the ingest driver's outcome attached.  A rank that hit
+    a corrupt store file surfaces as that rank's
+    :class:`~repro.serve.store.ShardFormatError`.
     """
     ranks = [role for count, role in roles for _ in range(count)]
     if ingest is not None:
-        ranks.append(lambda ctx: ingest.run(ctx, store_dir))
+        ranks.append(lambda ctx: ingest.run(ctx, model.store_dir))
     nprocs = len(ranks)
     cluster = Cluster(nprocs, machine=machine, faults=faults, backend=backend)
-    result = cluster.run(
-        lambda ctx: ranks[ctx.rank](ctx), raise_on_failure=False
-    )
+    try:
+        result = cluster.run(
+            lambda ctx: ranks[ctx.rank](ctx), raise_on_failure=False
+        )
+    except RuntimeError as exc:
+        if isinstance(exc.__cause__, ShardFormatError):
+            raise exc.__cause__ from None
+        raise
     report = result.rank_results[0]
     if report is None:
         raise RankFailedError(result.failed_ranks, f"{front} rank crashed")
@@ -1422,20 +1435,22 @@ def serve(
     ``backend`` selects the runtime execution backend (``"sim"`` or
     ``"mp"``); reports are bit-identical across backends by the
     runtime's cross-backend contract.
+
+    The store is opened once, here: every rank shares the one model.
     """
-    store_dir = str(store_dir)
+    model = load_model(store_dir)
     config = config if config is not None else BrokerConfig()
 
     def broker(ctx):
-        b = _Broker(ctx, store_dir, config, generational=ingest is not None)
+        b = _Broker(ctx, model, config, generational=ingest is not None)
         return b.pump(list(scripts))
 
     def worker(ctx):
-        return _ShardWorker(ctx, store_dir).run()
+        return _ShardWorker(ctx, model).run()
 
-    roles = [(1, broker), (load_manifest(store_dir).nshards, worker)]
+    roles = [(1, broker), (model.manifest.nshards, worker)]
     return _launch(
-        store_dir, roles, "broker", machine, faults, ingest, backend
+        model, roles, "broker", machine, faults, ingest, backend
     )
 
 

@@ -64,7 +64,7 @@ from repro.serve.broker import (
     _ShardWorker,
 )
 from repro.serve.replica import ReplicaHealth, ReplicaMap, stable_hash
-from repro.serve.store import load_manifest
+from repro.serve.store import ServeModel, load_model
 from repro.serve.workload import ClientScript
 
 TAG_SCRIPTS = 104
@@ -173,9 +173,9 @@ class _TierBroker(_Broker):
     (the router owns the workers' lifecycle).
     """
 
-    def __init__(self, ctx, store_dir: str, config: RouterConfig,
+    def __init__(self, ctx, model: ServeModel, config: RouterConfig,
                  rmap: ReplicaMap, generational: bool):
-        super().__init__(ctx, store_dir, config, generational=generational)
+        super().__init__(ctx, model, config, generational=generational)
         self.rmap = rmap
         self.broker_idx = ctx.rank - 1
         self.worker_base = 1 + config.brokers
@@ -498,19 +498,20 @@ def _tier_report(
 
 
 def tier_roles(
-    store_dir: str,
+    model: ServeModel,
     config: Optional[RouterConfig],
     router: Callable,
     broker: Callable,
 ) -> list[tuple[int, Callable]]:
     """Rank layout of one replicated session: router, brokers, workers.
 
-    Resolves the config's store-dependent defaults and places
-    ``replicas`` copies of every shard by consistent hashing;
-    ``router(ctx, cfg, rmap)`` and ``broker(ctx, cfg, rmap)`` are the
-    front ranks' roles, handed the resolved config and the placement.
+    Resolves the config's store-dependent defaults from the opened
+    store and places ``replicas`` copies of every shard by consistent
+    hashing; ``router(ctx, cfg, rmap)`` and ``broker(ctx, cfg, rmap)``
+    are the front ranks' roles, handed the resolved config and the
+    placement.  Every worker shares ``model``.
     """
-    manifest = load_manifest(store_dir)
+    manifest = model.manifest
     cfg = config if config is not None else RouterConfig()
     replicas = cfg.replicas or max(1, manifest.replication)
     workers = cfg.workers or max(manifest.nshards, replicas)
@@ -526,7 +527,7 @@ def tier_roles(
     )
 
     def worker(ctx):
-        return _ShardWorker(ctx, store_dir, rmap, cfg.brokers).run()
+        return _ShardWorker(ctx, model, rmap, cfg.brokers).run()
 
     return [
         (1, lambda ctx: router(ctx, cfg, rmap)),
@@ -556,7 +557,7 @@ def serve_replicated(
     over to surviving replicas; the cluster runs with
     ``raise_on_failure=False``.
     """
-    store_dir = str(store_dir)
+    model = load_model(store_dir)
 
     def router(ctx, cfg, rmap):
         finish = partial(_tier_report, cfg, rmap)
@@ -564,8 +565,8 @@ def serve_replicated(
 
     def broker(ctx, cfg, rmap):
         return _TierBroker(
-            ctx, store_dir, cfg, rmap, generational=ingest is not None
+            ctx, model, cfg, rmap, generational=ingest is not None
         ).run()
 
-    roles = tier_roles(store_dir, config, router, broker)
-    return _launch(store_dir, roles, "router", machine, faults, ingest)
+    roles = tier_roles(model, config, router, broker)
+    return _launch(model, roles, "router", machine, faults, ingest)

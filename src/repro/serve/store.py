@@ -21,12 +21,14 @@ Container format (one file)::
 The header JSON lists the ordered section table (name, dtype, shape)
 plus free-form ``meta``; section offsets are *recomputed* from that
 table identically by writer and reader, so they can never disagree
-with the payload.  Sections are loaded lazily via ``np.memmap`` --
-opening a store touches only headers, and a query reads only the
-sections (and pages) it scans.
+with the payload.  Each container file is memory-mapped once, on the
+first section load, and every section is a read-only zero-copy view
+on that one map -- opening a store touches only headers, and a query
+reads only the sections (and pages) it scans.
 
 Malformed input -- bad magic, unsupported version, truncated or
-corrupt header, section table overrunning the file -- raises
+corrupt header, section table overrunning the file (when the header
+is read, or when the file is mapped) -- raises
 :class:`ShardFormatError` carrying the offending path.
 
 Postings are stored delta-encoded.  Version-1 containers restart the
@@ -76,6 +78,7 @@ offending path.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -136,6 +139,11 @@ class ShardFormatError(Exception):
         self.context = context
         suffix = f" [{context}]" if context else ""
         super().__init__(f"{path}: {reason}{suffix}")
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip from an mp
+        # rank process to the caller
+        return type(self), (self.path, self.reason, self.context)
 
 
 def _pad(n: int) -> int:
@@ -206,8 +214,9 @@ def write_container(
 class Container:
     """Lazy reader of one container file.
 
-    The header is parsed eagerly (and validated); each section becomes
-    a read-only ``np.memmap`` on first access and is cached.
+    The header is parsed eagerly (and validated).  The first section
+    load maps the whole file once, read-only; each section is then a
+    cached zero-copy, non-writeable ndarray view on that one map.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -256,6 +265,11 @@ class Container:
             raise ShardFormatError(
                 self.path, f"corrupt header: {exc}"
             ) from exc
+        self._check_layout(size)
+        self._map: mmap.mmap | None = None
+        self._cache: dict[str, np.ndarray] = {}
+
+    def _check_layout(self, size: int) -> None:
         for name, (off, nbytes) in self._layout.items():
             if off + nbytes > size:
                 raise ShardFormatError(
@@ -263,7 +277,25 @@ class Container:
                     f"section {name!r} [{off}, {off + nbytes}) overruns "
                     f"file size {size}",
                 )
-        self._cache: dict[str, np.ndarray] = {}
+
+    def _mapping(self) -> mmap.mmap:
+        """The file's one read-only map, made on first use.
+
+        The file may have shrunk since its header was read, so the
+        section table is checked against its size again first.
+        """
+        if self._map is None:
+            try:
+                with open(self.path, "rb") as f:
+                    self._check_layout(os.fstat(f.fileno()).st_size)
+                    self._map = mmap.mmap(
+                        f.fileno(), 0, access=mmap.ACCESS_READ
+                    )
+            except OSError as exc:
+                raise ShardFormatError(
+                    self.path, f"unreadable: {exc}"
+                ) from exc
+        return self._map
 
     @property
     def section_names(self) -> list[str]:
@@ -277,20 +309,22 @@ class Container:
         return name in self._sections
 
     def load(self, name: str) -> np.ndarray:
-        """Memory-map one section (cached, read-only)."""
-        if name not in self._cache:
+        """One section as a view on the file's map (cached, read-only)."""
+        arr = self._cache.get(name)
+        if arr is None:
             if name not in self._sections:
                 raise KeyError(f"{self.path}: no section {name!r}")
             dtype, shape = self._sections[name]
-            offset, _ = self._layout[name]
-            self._cache[name] = np.memmap(
-                self.path,
-                mode="r",
-                dtype=np.dtype(dtype),
-                shape=shape,
+            offset, nbytes = self._layout[name]
+            dtype = np.dtype(dtype)
+            arr = np.frombuffer(
+                self._mapping(),
+                dtype=dtype,
+                count=nbytes // dtype.itemsize,
                 offset=offset,
-            )
-        return self._cache[name]
+            ).reshape(shape)
+            self._cache[name] = arr
+        return arr
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +441,7 @@ class BlockPostings:
         self.offsets = np.asarray(
             container.load("post_offsets"), dtype=np.int64
         )
-        # left as memmaps: a query touches only the blocks it scans
+        # left as map views: a query touches only the blocks it scans
         self.delta = container.load("post_rows_delta")
         self.tf = container.load("post_tf")
         self.block_offsets = np.asarray(
@@ -691,7 +725,7 @@ def encode_facet_sections(
 class FacetSections:
     """Lazily-read facet arrays of one shard container.
 
-    Stamps and sources stay memmapped; the small per-block stamp
+    Stamps and sources stay map views; the small per-block stamp
     bounds are materialized eagerly so a window query can prune whole
     blocks -- ``[t0, t1)`` only touches blocks whose
     ``[block_lo, block_hi]`` envelope intersects the window.  The
@@ -1397,18 +1431,29 @@ def build_shards(
 # model-side loading helpers
 # ----------------------------------------------------------------------
 def load_model(store_dir: str | os.PathLike) -> "ServeModel":
-    """Open the store's replicated model container."""
-    manifest = load_manifest(store_dir)
-    cont = Container(os.path.join(str(store_dir), manifest.model_file))
-    return ServeModel(manifest=manifest, container=cont)
+    """Open a store: its current manifest and its model container.
+
+    A serving session calls this once, in the calling process, and
+    hands the result to every rank.
+    """
+    store = str(store_dir)
+    manifest = load_manifest(store)
+    cont = Container(os.path.join(store, manifest.model_file))
+    return ServeModel(manifest=manifest, container=cont, store_dir=store)
 
 
 @dataclass
 class ServeModel:
-    """Replicated per-collection state every query consults."""
+    """Replicated per-collection state every query consults.
+
+    Read-only once built: one instance is shared by every rank of a
+    session (sim ranks directly, mp ranks through the fork).
+    ``manifest`` is the generation current when the store was opened.
+    """
 
     manifest: StoreManifest
     container: Container
+    store_dir: str
 
     def __post_init__(self):
         c = self.container

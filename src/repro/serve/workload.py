@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serve.query import Query
-from repro.serve.store import StoreManifest, load_manifest, load_model
+from repro.serve.store import load_model
 
 #: default query-kind mix (must sum to 1)
 DEFAULT_MIX: dict[str, float] = {
@@ -76,8 +76,8 @@ class StoreProfile:
 
 def store_profile(store_dir: str | os.PathLike) -> StoreProfile:
     """Extract a workload profile from a store directory."""
-    manifest: StoreManifest = load_manifest(store_dir)
     model = load_model(store_dir)
+    manifest = model.manifest
     # shard boundary doc ids bracket the id space; sampling uniformly
     # between doc_lo/doc_hi per shard keeps ids inside real ranges
     doc_ids: list[int] = []

@@ -60,7 +60,7 @@ from repro.serve.router import (
     merged_rejects,
     tier_roles,
 )
-from repro.serve.store import load_manifest
+from repro.serve.store import load_model
 from repro.workbench.state import (
     SET_QUERY_KINDS,
     WorkbenchConfig,
@@ -562,20 +562,20 @@ def serve_workbench(
     ``backend`` selects the execution backend (``sim``/``mp``);
     transcripts are bit-exact across both.
     """
-    store_dir = str(store_dir)
+    model = load_model(store_dir)
     wcfg = config if config is not None else WorkbenchConfig()
     bcfg = broker if broker is not None else BrokerConfig()
 
     def front(ctx):
-        b = _Broker(ctx, store_dir, bcfg, generational=ingest is not None)
+        b = _Broker(ctx, model, bcfg, generational=ingest is not None)
         return b.pump(list(wscripts), _WorkbenchCore(b, wcfg))
 
     def worker(ctx):
-        return _ShardWorker(ctx, store_dir).run()
+        return _ShardWorker(ctx, model).run()
 
-    roles = [(1, front), (load_manifest(store_dir).nshards, worker)]
+    roles = [(1, front), (model.manifest.nshards, worker)]
     return _launch(
-        store_dir, roles, "workbench broker", machine, faults, ingest, backend
+        model, roles, "workbench broker", machine, faults, ingest, backend
     )
 
 
@@ -597,7 +597,7 @@ def serve_workbench_replicated(
     serve_replicated`, the replicated tier runs on the ``sim`` backend
     only: its failover fan-out needs ``recv_any``.
     """
-    store_dir = str(store_dir)
+    model = load_model(store_dir)
     wcfg = config if config is not None else WorkbenchConfig()
 
     def route(ctx, cfg, rmap):
@@ -607,11 +607,11 @@ def serve_workbench_replicated(
 
     def front(ctx, cfg, rmap):
         b = _TierBroker(
-            ctx, store_dir, cfg, rmap, generational=ingest is not None
+            ctx, model, cfg, rmap, generational=ingest is not None
         )
         return b.run(_WorkbenchCore(b, wcfg))
 
-    roles = tier_roles(store_dir, router, route, front)
+    roles = tier_roles(model, router, route, front)
     return _launch(
-        store_dir, roles, "workbench router", machine, faults, ingest
+        model, roles, "workbench router", machine, faults, ingest
     )

@@ -8,20 +8,23 @@ matter which writer persisted them: a fresh ``build_shards``, an
 import numpy as np
 import pytest
 
-from repro.facets import FacetData, extract_facets
+import repro.serve.store as store_mod
+from repro.facets import FacetData, extract_facets, themeview_slices
 from repro.index.termindex import concat_postings
 from repro.ingest.delta import extend_result
 from repro.ingest.compact import compact_store
 from repro.ingest.delta import append_generation, build_delta
 from repro.ingest.feed import FeedConfig, FeedSource
+from repro.runtime.metrics import counter_totals
 from repro.serve.broker import serve
 from repro.serve.query import Query, canonical_response
 from repro.serve.store import (
     Container,
     build_shards,
     load_manifest,
+    load_model,
 )
-from repro.serve.workload import ClientScript
+from repro.serve.workload import ClientScript, store_profile
 
 from .conftest import ENGINE_CONFIG, N_SOURCES
 
@@ -62,6 +65,22 @@ def grown_store(result, postings, facets, feed_batches, tmp_path_factory):
         for corpus, _arrival in feed_batches
     ]
     append_generation(store, deltas, published_s=0.0)
+    return store
+
+
+@pytest.fixture(scope="module")
+def two_gen_store(result, postings, facets, feed_batches, tmp_path_factory):
+    """A stamped store with two published generations, one delta each."""
+    store = tmp_path_factory.mktemp("two-gen") / "store"
+    build_shards(result, store, 2, postings=postings, facets=facets)
+    for corpus, _arrival in feed_batches:
+        delta = build_delta(
+            result,
+            corpus.documents,
+            tokenizer_config=ENGINE_CONFIG.tokenizer,
+            facets=extract_facets(corpus),
+        )
+        append_generation(store, [delta], published_s=0.0)
     return store
 
 
@@ -234,3 +253,67 @@ def test_window_answers_unchanged_by_compaction(
         for r in rep.responses
     }
     assert key(before) == key(after)
+
+
+def test_serve_sim_matches_mp_on_two_generations(two_gen_store, feed_batches):
+    """All eight kinds answer alike on both backends, every rank
+    sharing the one model the session opened."""
+    model = load_model(two_gen_store)
+    manifest = model.manifest
+    assert manifest.generation == 2 and len(manifest.deltas) == 2
+    x0, y0, x1, y1 = manifest.bbox
+    lo, hi = manifest.facets.stamp_lo, manifest.facets.stamp_hi
+    mid = (lo + hi) / 2
+    terms = tuple(model.terms[:2])
+    queries = (
+        Query(kind="search", terms=terms, k=10),
+        Query(kind="query", terms=terms, k=10),
+        Query(kind="similar", doc_id=feed_batches[1][0].documents[0].doc_id),
+        Query(kind="cluster", cluster=0),
+        Query(
+            kind="region",
+            x=(x0 + x1) / 2,
+            y=(y0 + y1) / 2,
+            radius=0.3 * max(x1 - x0, y1 - y0),
+        ),
+        Query(kind="facet_counts", t0=lo, t1=hi + 1.0),
+        Query(kind="window_terms", t0=lo, t1=mid),
+        Query(kind="emerging", t0=mid, t1=hi + 1.0),
+    )
+    scripts = [
+        ClientScript(client=c, queries=queries, think_s=(0.0,) * 8)
+        for c in range(2)
+    ]
+    sim = serve(two_gen_store, scripts)
+    mp = serve(two_gen_store, scripts, backend="mp")
+    assert sim.served == 16
+    assert {r["generation"] for r in sim.responses} == {2}
+    assert not any(r["response"].get("error") for r in sim.responses)
+    assert [canonical_response(r) for r in sim.responses] == [
+        canonical_response(r) for r in mp.responses
+    ]
+    # the mp fan-out receives shards in sorted order rather than as
+    # they answer: that moves the broker's wait, never a count
+    sim_counts, mp_counts = (
+        {k: v for k, v in counter_totals(r.metrics).items()
+         if k != "sched.blocked_seconds"}
+        for r in (sim, mp)
+    )
+    assert sim_counts == mp_counts
+
+
+def test_one_manifest_read_per_call(two_gen_store, monkeypatch):
+    """A publish between two reads could mix generations: each call
+    reads the current manifest exactly once."""
+    reads = []
+    load = store_mod.load_manifest_generation
+
+    def counting(store_dir, generation):
+        reads.append(generation)
+        return load(store_dir, generation)
+
+    monkeypatch.setattr(store_mod, "load_manifest_generation", counting)
+    themeview_slices(two_gen_store, n_slices=2, grid=16)
+    assert reads == [2]
+    store_profile(two_gen_store)
+    assert reads == [2, 2]

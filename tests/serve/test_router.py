@@ -24,7 +24,7 @@ from repro.serve.router import (
     broker_of_client,
     serve_replicated,
 )
-from repro.serve.store import ShardFormatError, load_manifest
+from repro.serve.store import ShardFormatError, load_model
 from repro.serve.workload import (
     generate_workload,
     generate_zipf_workload,
@@ -257,7 +257,8 @@ class TestWorkerIdentityErrors:
     ):
         store = tmp_path / "corrupt"
         shutil.copytree(replicated_store, store)
-        manifest = load_manifest(store)
+        model = load_model(store)
+        manifest = model.manifest
         victim_file = store / manifest.shards[0].file
         victim_file.write_bytes(b"not a shard container")
 
@@ -265,7 +266,7 @@ class TestWorkerIdentityErrors:
             rank = 4  # worker id 4 - 1 - brokers(1) = 2
 
         rmap = ReplicaMap.place(manifest.nshards, 2, 4)
-        worker = _ShardWorker(_Ctx(), str(store), rmap, n_brokers=1)
+        worker = _ShardWorker(_Ctx(), model, rmap, n_brokers=1)
         with pytest.raises(ShardFormatError) as exc:
             worker.segments(0, 0)
         msg = str(exc.value)

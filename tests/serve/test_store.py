@@ -56,10 +56,36 @@ class TestContainer:
             assert cont._layout[name][0] % 64 == 0
 
     def test_load_is_lazy_memmap(self, tmp_path):
-        path = _write(tmp_path)
+        path = _write(
+            tmp_path,
+            {"a": np.arange(5), "b": np.ones((2, 3)), "c": np.arange(0)},
+        )
         cont = Container(path)
-        assert isinstance(cont.load("a"), np.memmap)
+        assert cont._map is None  # opening touches only the header
+        sections = [cont.load(name) for name in ("a", "b", "c")]
+        for arr in sections:
+            assert type(arr) is np.ndarray
+            assert not arr.flags.writeable
+            assert arr.ctypes.data % 64 == 0 or arr.size == 0
+            base = arr
+            while isinstance(base, np.ndarray):
+                base = base.base
+            # one mapping for the whole file
+            assert memoryview(base).obj is cont._map
         assert cont.load("a") is cont.load("a")
+        with pytest.raises(ValueError):
+            sections[0][0] = 7
+
+    def test_truncated_after_open(self, tmp_path):
+        path = _write(tmp_path, {"a": np.arange(4), "b": np.arange(100)})
+        cont = Container(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 128])
+        with pytest.raises(ShardFormatError) as err:
+            cont.load("a")
+        assert err.value.path == str(path)
+        assert "section 'b'" in str(err.value)
+        assert "overruns" in str(err.value)
 
     def test_unknown_section_raises_keyerror(self, tmp_path):
         cont = Container(_write(tmp_path))
