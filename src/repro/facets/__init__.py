@@ -4,7 +4,8 @@ The Textiverse-scenario layer of the reproduction: documents carry
 seeded arrival stamps and source-region ids (drawn from an rng stream
 separate from their content, so unstamped output is byte-identical to
 the pre-facet generators), every store writer persists per-shard facet
-sections behind a container version bump, and the broker answers
+sections (optional in the one container format, detected by
+presence), and the broker answers
 window queries -- faceted counts, per-window top terms, emerging-term
 detection -- with exact int64 partial sums merged in the canonical
 ``(-score, row)`` order.  A time-sliced ThemeView export and a

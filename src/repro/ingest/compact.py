@@ -4,16 +4,18 @@ Delta segments keep publishes cheap, but every segment a shard rank
 owns adds per-query scan overhead.  When a policy threshold trips
 (:func:`should_compact`), :func:`compact_store` rewrites the store's
 documents -- base rows followed by delta rows, i.e. global row order
--- into ``nshards`` fresh contiguous shards with the same
-``np.array_split`` convention as :func:`repro.serve.store.build_shards`
-and publishes them as a new generation with an empty delta list.  The
-rewrite reuses the stored arrays byte for byte and reassembles postings
-with :func:`repro.index.termindex.concat_postings`, so a compacted
-store answers every query bit-identically to both the pre-compaction
-generational store and a fresh build over the grown collection.
-Stamped (version-3) stores carry their facet stamp/source sections
-through the rewrite the same way, re-encoded per shard with the same
-block bounds a fresh stamped build would produce.
+-- into ``nshards`` fresh contiguous shards through the same
+:func:`repro.serve.store.write_shards` loop as
+:func:`repro.serve.store.build_shards`, and publishes them as a new
+generation with an empty delta list.  The rewrite reuses the stored
+arrays byte for byte, decodes each segment's postings through
+:meth:`repro.serve.store.BlockPostings.to_term_postings` and
+reassembles them with :func:`repro.index.termindex.concat_postings`,
+so a compacted store answers every query bit-identically to both the
+pre-compaction generational store and a fresh build over the grown
+collection.  A stamped store's facet sections ride through the
+rewrite the same way, re-encoded per shard with the same block bounds
+a fresh stamped build would produce.
 
 The model container is untouched: compaction reorganizes documents,
 it never changes the frozen model (vocabulary drift is handled by the
@@ -27,21 +29,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.index.termindex import TermPostings, concat_postings
+from repro.index.termindex import concat_postings
 from repro.serve.store import (
+    POSTINGS_SECTIONS,
+    SHARD_COLUMNS,
+    BlockPostings,
     Container,
-    FACET_FORMAT_VERSION,
-    FORMAT_VERSION,
-    ShardInfo,
+    FacetData,
     StoreManifest,
-    encode_facet_sections,
-    encode_postings_sections,
+    check_sections,
     generation_dir,
     load_manifest,
-    load_segment_postings,
     publish_generation,
-    write_container,
-    write_generation_manifest,
+    write_shards,
 )
 
 
@@ -75,11 +75,6 @@ def should_compact(
     )
 
 
-def _segment_postings(container: Container) -> TermPostings:
-    n_docs = int(container.meta["row_hi"]) - int(container.meta["row_lo"])
-    return load_segment_postings(container, n_docs)
-
-
 def compact_store(
     store_dir: str | os.PathLike, published_s: float = 0.0
 ) -> StoreManifest:
@@ -99,95 +94,46 @@ def compact_store(
     os.makedirs(os.path.join(store, gdir), exist_ok=True)
 
     # base shards in row order, then deltas in row order: global rows
+    infos = manifest.shards + manifest.deltas
     segments = [
-        Container(os.path.join(store, s.file)) for s in manifest.shards
-    ] + [Container(os.path.join(store, d.file)) for d in manifest.deltas]
-    doc_ids = np.concatenate(
-        [np.asarray(c.load("doc_ids")) for c in segments]
-    )
-    signatures = np.concatenate(
-        [np.asarray(c.load("signatures")) for c in segments], axis=0
-    )
-    coords = np.concatenate(
-        [np.asarray(c.load("coords")) for c in segments], axis=0
-    )
-    assignments = np.concatenate(
-        [np.asarray(c.load("assignments")) for c in segments]
-    )
-    has_postings = all("post_offsets" in c for c in segments)
-    postings = (
-        concat_postings([_segment_postings(c) for c in segments])
-        if has_postings
-        else None
-    )
-    stamped = manifest.facets is not None
-    if stamped:
-        facet_stamp = np.concatenate(
-            [np.asarray(c.load("facet_stamp_s")) for c in segments]
+        check_sections(Container(os.path.join(store, s.file)))
+        for s in infos
+    ]
+    columns = {
+        name: np.concatenate([c.load(name) for c in segments])
+        for name in SHARD_COLUMNS
+    }
+    postings = None
+    if all(POSTINGS_SECTIONS[0] in c for c in segments):
+        postings = concat_postings(
+            [
+                BlockPostings(c, s.n_docs).to_term_postings()
+                for c, s in zip(segments, infos)
+            ]
         )
-        facet_source = np.concatenate(
-            [np.asarray(c.load("facet_source")) for c in segments]
-        )
-    n_docs = manifest.n_docs
-
-    splits = np.array_split(np.arange(n_docs, dtype=np.int64), manifest.nshards)
-    shards: list[ShardInfo] = []
-    for i, rows in enumerate(splits):
-        row_lo = int(rows[0]) if rows.size else (
-            shards[-1].row_hi if shards else 0
-        )
-        row_hi = int(rows[-1]) + 1 if rows.size else row_lo
-        fname = f"{gdir}/shard-{i:03d}.repro"
-        arrays = {
-            "doc_ids": np.asarray(doc_ids[row_lo:row_hi], dtype=np.int64),
-            "signatures": np.asarray(
-                signatures[row_lo:row_hi], dtype=np.float64
+    facets = None
+    if manifest.facets is not None:
+        facets = FacetData(
+            stamp_s=np.concatenate(
+                [c.load("facet_stamp_s") for c in segments]
             ),
-            "coords": np.asarray(coords[row_lo:row_hi], dtype=np.float64),
-            "assignments": np.asarray(
-                assignments[row_lo:row_hi], dtype=np.int64
-            ),
-        }
-        if postings is not None:
-            local = postings.restrict(row_lo, row_hi)
-            arrays.update(encode_postings_sections(local))
-        if stamped:
-            arrays.update(
-                encode_facet_sections(
-                    facet_stamp[row_lo:row_hi],
-                    facet_source[row_lo:row_hi],
-                )
-            )
-        meta = {
-            "kind": "shard",
-            "shard": i,
-            "row_lo": row_lo,
-            "row_hi": row_hi,
-            "corpus_name": manifest.corpus_name,
-        }
-        nbytes = write_container(
-            os.path.join(store, fname),
-            arrays,
-            meta,
-            version=FACET_FORMAT_VERSION if stamped else FORMAT_VERSION,
-        )
-        shards.append(
-            ShardInfo(
-                file=fname,
-                row_lo=row_lo,
-                row_hi=row_hi,
-                doc_lo=int(doc_ids[row_lo]) if row_hi > row_lo else 0,
-                doc_hi=int(doc_ids[row_hi - 1]) if row_hi > row_lo else 0,
-                nbytes=nbytes,
-            )
+            source=np.concatenate([c.load("facet_source") for c in segments]),
+            n_sources=manifest.facets.n_sources,
         )
     compacted = replace(
         manifest,
         generation=gen,
-        shards=tuple(shards),
+        shards=write_shards(
+            store,
+            f"{gdir}/",
+            manifest.nshards,
+            columns,
+            postings,
+            facets,
+            manifest.corpus_name,
+        ),
         deltas=(),
         published_s=float(published_s),
     )
-    write_generation_manifest(store, compacted)
     publish_generation(store, compacted)
     return compacted

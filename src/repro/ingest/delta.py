@@ -4,9 +4,10 @@ Each arriving batch is projected through the frozen model
 (:func:`repro.engine.incremental.project_new_documents`) and inverted
 onto the model's major terms
 (:func:`repro.index.termindex.build_batch_postings`); the results
-become one *delta segment* -- a REPROSHD container with exactly the
-base shards' section layout (doc_ids, signatures, coords, assignments,
-delta-coded postings) covering a new global row range appended after
+become one *delta segment* -- a REPROSHD container written by the
+base shards' own :func:`~repro.serve.store.write_segment` (doc_ids,
+signatures, coords, assignments, block-aligned postings, and facet
+sections when stamped) covering a new global row range appended after
 everything already published.  Segments are assigned to serving shards
 round-robin by delta index, so load from fresh documents spreads over
 the existing ranks.
@@ -32,17 +33,14 @@ from repro.engine.incremental import ProjectedBatch, project_new_documents
 from repro.engine.results import EngineResult
 from repro.index.termindex import TermPostings, build_batch_postings
 from repro.serve.store import (
+    SHARD_COLUMNS,
     DeltaInfo,
-    FACET_FORMAT_VERSION,
-    FORMAT_VERSION,
     FacetData,
-    MANIFEST_FORMAT_GEN,
     StoreManifest,
     generation_dir,
     load_manifest,
     publish_generation,
-    write_container,
-    write_generation_manifest,
+    write_segment,
 )
 from repro.text.documents import Corpus, Document
 
@@ -125,11 +123,6 @@ def append_generation(
     its virtual publish instant (live ingest passes ``ctx.now``); the
     default 0.0 marks an offline publish, visible from session start.
     """
-    from repro.serve.store import (
-        encode_facet_sections,
-        encode_postings_sections,
-    )
-
     if not deltas:
         raise ValueError("append_generation needs at least one batch")
     store = str(store_dir)
@@ -167,34 +160,24 @@ def append_generation(
         n = d.n_docs
         owner = delta_seq % manifest.nshards
         fname = f"{gdir}/delta-{delta_seq:05d}.repro"
-        arrays = {
-            "doc_ids": np.asarray(p.doc_ids, dtype=np.int64),
-            "signatures": np.asarray(p.signatures, dtype=np.float64),
-            "coords": np.asarray(p.coords, dtype=np.float64),
-            "assignments": np.asarray(p.assignments, dtype=np.int64),
-            **encode_postings_sections(d.postings),
-        }
+        nbytes = write_segment(
+            os.path.join(store, fname),
+            {name: getattr(p, name) for name in SHARD_COLUMNS},
+            d.postings,
+            d.facets,
+            {
+                "kind": "delta",
+                "generation": gen,
+                "delta": delta_seq,
+                "owner": owner,
+                "row_lo": row_base,
+                "row_hi": row_base + n,
+                "corpus_name": manifest.corpus_name,
+            },
+        )
         if stamped:
-            arrays.update(
-                encode_facet_sections(d.facets.stamp_s, d.facets.source)
-            )
             stamp_lo = min(stamp_lo, float(d.facets.stamp_s.min()))
             stamp_hi = max(stamp_hi, float(d.facets.stamp_s.max()))
-        meta = {
-            "kind": "delta",
-            "generation": gen,
-            "delta": delta_seq,
-            "owner": owner,
-            "row_lo": row_base,
-            "row_hi": row_base + n,
-            "corpus_name": manifest.corpus_name,
-        }
-        nbytes = write_container(
-            os.path.join(store, fname),
-            arrays,
-            meta,
-            version=FACET_FORMAT_VERSION if stamped else FORMAT_VERSION,
-        )
         new_infos.append(
             DeltaInfo(
                 file=fname,
@@ -213,7 +196,6 @@ def append_generation(
 
     updated = replace(
         manifest,
-        format=MANIFEST_FORMAT_GEN,
         generation=gen,
         n_docs=row_base,
         bbox=bbox,
@@ -226,7 +208,6 @@ def append_generation(
             else None
         ),
     )
-    write_generation_manifest(store, updated)
     publish_generation(store, updated)
     return updated
 

@@ -128,7 +128,7 @@ class BrokerConfig:
     #: resend rounds after a CommTimeoutError before degrading
     retries: int = 1
     #: use block-max top-k pruning for search ops (answers are
-    #: bit-identical either way; legacy stores fall back regardless)
+    #: bit-identical either way)
     pruned_search: bool = True
     #: max queued same-arrival ``search`` queries drained into one
     #: fan-out message; 1 preserves the one-query-per-round protocol

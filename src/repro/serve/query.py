@@ -46,8 +46,8 @@ from repro.serve.store import (
     Container,
     FacetSections,
     ServeModel,
+    check_sections,
     load_facet_sections,
-    load_segment_postings,
 )
 
 #: window-analytics kinds: answerable only on stamped (facet) stores
@@ -129,10 +129,16 @@ class Candidate:
 
 
 class ShardStore:
-    """One shard's documents, loaded lazily from its container."""
+    """One shard's documents, loaded lazily from its container.
+
+    Opening checks the container's sections against the store's
+    layout (:func:`repro.serve.store.check_sections`), so a shard
+    missing a column or holding a partial postings or facet group is a
+    :class:`~repro.serve.store.ShardFormatError` before any query.
+    """
 
     def __init__(self, container: Container, model: ServeModel):
-        self.container = container
+        self.container = check_sections(container, model.shard_sections)
         self.model = model
         self.row_lo = int(container.meta["row_lo"])
         self.row_hi = int(container.meta["row_hi"])
@@ -142,9 +148,7 @@ class ShardStore:
         self._sigs: Optional[np.ndarray] = None
         self._postings: Optional[TermPostings] = None
         self._blocks: Optional[BlockPostings] = None
-        self._blocks_probed = False
         self._facets: Optional[FacetSections] = None
-        self._facets_probed = False
 
     @property
     def n_docs(self) -> int:
@@ -163,36 +167,31 @@ class ShardStore:
         return self._unit
 
     @property
-    def postings(self) -> TermPostings:
-        if self._postings is None:
+    def blocks(self) -> BlockPostings:
+        """Lazy block-aligned postings, what every search reads."""
+        if self._blocks is None:
             if "post_offsets" not in self.container:
                 raise KeyError(
                     f"{self.container.path}: shard was built without "
                     "postings (pass a corpus to build_shards)"
                 )
-            self._postings = load_segment_postings(
-                self.container, self.n_docs
-            )
-        return self._postings
-
-    @property
-    def blocks(self) -> Optional[BlockPostings]:
-        """Lazy block-aligned postings, or ``None`` on legacy (v1)
-        containers without block sections -- the exhaustive-fallback
-        signal for :meth:`op_search`."""
-        if not self._blocks_probed:
-            self._blocks_probed = True
-            if "post_block_offsets" in self.container:
-                self._blocks = BlockPostings(self.container, self.n_docs)
+            self._blocks = BlockPostings(self.container, self.n_docs)
         return self._blocks
 
     @property
+    def postings(self) -> TermPostings:
+        """Fully-decoded postings (exhaustive and restricted search,
+        window and set kernels)."""
+        if self._postings is None:
+            self._postings = self.blocks.to_term_postings()
+        return self._postings
+
+    @property
     def facets(self) -> Optional[FacetSections]:
-        """Lazy facet sections, or ``None`` on pre-facet (v1/v2)
-        containers -- the unstamped-store signal the broker turns into
-        a typed error instead of a fan-out."""
-        if not self._facets_probed:
-            self._facets_probed = True
+        """Lazy facet sections, or ``None`` on an unstamped shard --
+        the signal the broker turns into a typed error instead of a
+        fan-out."""
+        if self._facets is None:
             self._facets = load_facet_sections(
                 self.container, self.n_docs
             )
@@ -299,11 +298,11 @@ class ShardStore:
         """Local tf·icf ranked search over the shard's postings.
 
         Returns ``(candidates, bytes scanned, blocks skipped)``.  With
-        block sections present (format v2) and ``pruned``, runs the
-        exact block-max kernel and reports only the posting bytes it
-        actually decoded; legacy containers and ``pruned=False`` score
-        exhaustively (0 blocks skipped by definition).  Both paths
-        return bit-identical candidates -- the pruning exactness oracle.
+        ``pruned`` (the default), runs the exact block-max kernel and
+        reports only the posting bytes it actually decoded;
+        ``pruned=False`` and negative weights score exhaustively (0
+        blocks skipped by definition).  Both paths return bit-identical
+        candidates -- the pruning exactness oracle.
 
         ``restrict_rows`` (global rows) limits the ranking to a result
         set's members (the workbench ``refine`` path).  Restricted
@@ -331,15 +330,14 @@ class ShardStore:
                 scanned_postings * 16,
                 0,
             )
-        blocks = self.blocks if pruned else None
-        if blocks is not None and not np.any(
+        if pruned and not np.any(
             np.asarray(icf, dtype=np.float64)[
                 np.asarray(term_rows, dtype=np.int64)
             ]
             < 0
         ):
             idx, cand_scores, scanned_postings, skipped = blockmax_search(
-                blocks, term_rows, icf, k
+                self.blocks, term_rows, icf, k
             )
             return (
                 self._candidate_list(idx, cand_scores),
@@ -430,7 +428,7 @@ class ShardStore:
         if facets is None:
             raise KeyError(
                 f"{self.container.path}: shard has no facet sections "
-                "(pre-facet store; rebuild from a stamped corpus)"
+                "(unstamped store; rebuild from a stamped corpus)"
             )
         return facets
 

@@ -1,17 +1,18 @@
-"""Versioned on-disk shard store for the serving layer.
+"""On-disk shard store for the serving layer.
 
 A *store* is a directory holding one ``model`` container (the
 replicated per-collection state: major-term dictionary and statistics,
 association matrix, cluster centroids, optional PCA projection), P
 ``shard-XXX`` containers (each a contiguous document-row slice of the
 result: doc ids, L1-normalized signatures, landscape coordinates,
-cluster assignments, and delta-encoded major-term postings), and a
+cluster assignments, block-aligned delta-coded major-term postings
+and, for stamped collections, facet sections), and a
 ``manifest.json`` describing the layout.
 
-Container format (one file)::
+Container format (one file, one version)::
 
     offset 0   magic     b"REPROSHD"                       (8 bytes)
-    offset 8   version   u32 little-endian                 (4 bytes)
+    offset 8   version   u32 little-endian, FORMAT_VERSION (4 bytes)
     offset 12  reserved  u32, zero                         (4 bytes)
     offset 16  hdr_len   u64 little-endian                 (8 bytes)
     offset 24  header    UTF-8 JSON, hdr_len bytes
@@ -26,32 +27,35 @@ first section load, and every section is a read-only zero-copy view
 on that one map -- opening a store touches only headers, and a query
 reads only the sections (and pages) it scans.
 
-Malformed input -- bad magic, unsupported version, truncated or
-corrupt header, section table overrunning the file (when the header
-is read, or when the file is mapped) -- raises
-:class:`ShardFormatError` carrying the offending path.
+Sections come in groups.  Every container holds the required columns
+of its kind (:data:`MODEL_SECTIONS`, or :data:`SHARD_SECTIONS` for
+shards and delta segments), and each optional group of
+:data:`SECTION_GROUPS` -- the five postings sections, the four facet
+sections, the three PCA sections -- whole or not at all.
+:func:`check_sections` enforces both from the header alone; every
+reader runs it when it opens a container.
 
-Postings are stored delta-encoded.  Version-1 containers restart the
-coding at each *term run*: the run's first document row is absolute
-and the rest are gaps, so decoding a term is one ``np.cumsum`` over
-its slice.  Version-2 containers add the block-max sections
-``post_block_offsets`` / ``post_block_maxtf`` (see
-:func:`repro.index.termindex.compute_posting_blocks`) and restart the
-coding at each *block* instead -- every block's first entry is an
-absolute row, so a block is independently decodable and a pruned
-search that skips a block really skips its decode.  The reader accepts
-both versions; containers without block sections fall back to
-exhaustive scoring.
+Malformed input -- bad magic, any version but :data:`FORMAT_VERSION`,
+truncated or corrupt header, section table overrunning the file (when
+the header is read, or when the file is mapped), a missing required
+section or a partial group -- raises :class:`ShardFormatError`
+carrying the offending path.
 
-Version-3 containers add the *facet* sections ``facet_stamp_s`` /
-``facet_source`` (per-document arrival stamp and source-region id, in
-row order) plus per-block stamp bounds ``facet_block_lo`` /
-``facet_block_hi`` (:data:`FACET_BLOCK_ROWS` rows per block), letting
-a window query prune whole row blocks by stamp range without touching
-their stamps.  Version 3 is written *only* for stamped collections --
-an unstamped build emits byte-identical version-2 containers -- and
-version-1/2 stores remain fully readable (facet queries on them get a
-typed error, not a crash).
+Postings are stored block-aligned: each term run is chunked into
+blocks (:func:`repro.index.termindex.compute_posting_blocks`) whose
+boundaries and max tf are the sections ``post_block_offsets`` /
+``post_block_maxtf``, and the row delta coding restarts at each block
+-- every block's first entry is an absolute row, so a block is
+independently decodable and a pruned search that skips a block really
+skips its decode.
+
+Facet sections -- ``facet_stamp_s`` / ``facet_source`` (per-document
+arrival stamp and source-region id, in row order) plus per-block stamp
+bounds ``facet_block_lo`` / ``facet_block_hi``
+(:data:`FACET_BLOCK_ROWS` rows per block) -- are written only for
+stamped collections and detected by presence.  They let a window query
+prune whole row blocks by stamp range without touching their stamps;
+a facet query on an unstamped store gets a typed error, not a crash.
 
 Generational stores (live ingest)
 ---------------------------------
@@ -61,18 +65,19 @@ first delta generation.  Generation 0 is the static layout above
 (``manifest.json``).  Generation ``k >= 1`` adds a directory
 ``gen-0000k/`` holding that generation's new containers (delta
 segments, or rewritten base shards after a compaction) plus a manifest
-``manifest-0000k.json`` (format ``repro-serve/2``) recording the base
-shard table *and* the ordered delta list.  A small ``CURRENT`` pointer
-file names the active generation and is replaced atomically
+``manifest-0000k.json`` -- the same :data:`MANIFEST_FORMAT` as
+``manifest.json``, written and read by the same codec -- recording the
+base shard table *and* the ordered delta list.  A small ``CURRENT``
+pointer file names the active generation and is replaced atomically
 (``os.replace``), so a reader either sees the old complete generation
 or the new complete generation -- never a torn store.  Publish order
 is therefore: delta containers, then the generation manifest, then
 ``CURRENT``.
 
 A stale pointer (``CURRENT`` naming a manifest that does not exist),
-a corrupt pointer, or a generation manifest referencing a missing or
-truncated container all raise :class:`ShardFormatError` carrying the
-offending path.
+a corrupt pointer, a manifest missing a field, or a generation
+manifest referencing a missing or truncated container all raise
+:class:`ShardFormatError` carrying the offending path.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,17 +99,11 @@ from repro.project.pca import PCATransform
 from repro.signature.topicality import RankedTerm
 
 MAGIC = b"REPROSHD"
-FORMAT_VERSION = 2
-#: container version carrying facet sections (stamped collections)
-FACET_FORMAT_VERSION = 3
-#: container versions this reader understands (1 = run-aligned delta
-#: coding, no block sections; 2 = block-aligned coding + block-max
-#: sections; 3 = adds facet stamp/source sections + block stamp bounds)
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: the one container version; a file stamped with any other is refused
+FORMAT_VERSION = 4
 #: document rows per facet block (one min/max stamp pair per block)
 FACET_BLOCK_ROWS = 128
-MANIFEST_FORMAT = "repro-serve/1"
-MANIFEST_FORMAT_GEN = "repro-serve/2"
+MANIFEST_FORMAT = "repro-serve/3"
 CURRENT_FORMAT = "repro-serve-current/1"
 _ALIGN = 64
 _PREFIX_LEN = 24
@@ -114,19 +113,58 @@ MODEL_FILE = "model.repro"
 MANIFEST_FILE = "manifest.json"
 CURRENT_FILE = "CURRENT"
 
+#: sections every model container holds
+MODEL_SECTIONS = (
+    "association",
+    "centroids",
+    "term_gid",
+    "term_score",
+    "term_df",
+    "term_cf",
+)
+#: per-row columns every shard and delta segment holds, with dtypes
+SHARD_COLUMNS = {
+    "doc_ids": np.int64,
+    "signatures": np.float64,
+    "coords": np.float64,
+    "assignments": np.int64,
+}
+SHARD_SECTIONS = tuple(SHARD_COLUMNS)
+POSTINGS_SECTIONS = (
+    "post_offsets",
+    "post_rows_delta",
+    "post_tf",
+    "post_block_offsets",
+    "post_block_maxtf",
+)
+#: optional section groups: a container holds each whole or not at all
+SECTION_GROUPS = {
+    "postings": POSTINGS_SECTIONS,
+    "facet": (
+        "facet_stamp_s",
+        "facet_source",
+        "facet_block_lo",
+        "facet_block_hi",
+    ),
+    "projection": ("pca_mean", "pca_components", "pca_explained_variance"),
+}
+
 
 def generation_dir(generation: int) -> str:
     """Relative directory name of one published generation."""
     return f"gen-{generation:05d}"
 
 
-def generation_manifest_file(generation: int) -> str:
-    """Manifest filename of one published generation (k >= 1)."""
+def manifest_file(generation: int) -> str:
+    """Manifest filename of one generation (0 = the static layout)."""
+    if generation == 0:
+        return MANIFEST_FILE
     return f"manifest-{generation:05d}.json"
 
 
 class ShardFormatError(Exception):
-    """A store file is malformed, truncated, or version-incompatible.
+    """A store file is malformed, truncated, incomplete, or of another
+    format version.
 
     ``context`` names *which copy* hit the problem when replicas are
     in play (e.g. ``"shard 3 copy 1 on worker 5 (rank 9)"``), so an
@@ -167,17 +205,9 @@ def _section_layout(
 
 
 def write_container(
-    path: str | os.PathLike,
-    arrays: dict[str, np.ndarray],
-    meta: dict,
-    version: int = FORMAT_VERSION,
+    path: str | os.PathLike, arrays: dict[str, np.ndarray], meta: dict
 ) -> int:
-    """Write one container file; returns its size in bytes.
-
-    ``version`` defaults to the current format; passing an older
-    supported version writes a legacy-layout container (the fallback
-    tests use this to fabricate pre-block-max stores).
-    """
+    """Write one container file; returns its size in bytes."""
     sections = []
     payload = []
     for name, arr in arrays.items():
@@ -191,16 +221,9 @@ def write_container(
     header = json.dumps(
         {"sections": sections, "meta": meta}, sort_keys=True
     ).encode("utf-8")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"cannot write container version {version}; "
-            f"supported: {SUPPORTED_VERSIONS}"
-        )
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(
-            int(version).to_bytes(4, "little") + b"\x00\x00\x00\x00"
-        )
+        f.write(FORMAT_VERSION.to_bytes(4, "little") + b"\x00\x00\x00\x00")
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
         f.write(b"\x00" * _pad(_PREFIX_LEN + len(header)))
@@ -230,13 +253,12 @@ class Container:
                         self.path, "bad magic: not a repro shard container"
                     )
                 version = int.from_bytes(prefix[8:12], "little")
-                if version not in SUPPORTED_VERSIONS:
+                if version != FORMAT_VERSION:
                     raise ShardFormatError(
                         self.path,
                         f"unsupported format version {version} "
-                        f"(reader supports {SUPPORTED_VERSIONS})",
+                        f"(reader supports {FORMAT_VERSION})",
                     )
-                self.version = version
                 hdr_len = int.from_bytes(prefix[16:24], "little")
                 if hdr_len > _MAX_HEADER or _PREFIX_LEN + hdr_len > size:
                     raise ShardFormatError(
@@ -327,93 +349,62 @@ class Container:
         return arr
 
 
-# ----------------------------------------------------------------------
-# postings delta coding
-# ----------------------------------------------------------------------
-def delta_encode_postings(postings: TermPostings) -> np.ndarray:
-    """Per-term delta code of the postings' document rows.
+def check_sections(
+    container: Container, required: tuple[str, ...] = SHARD_SECTIONS
+) -> Container:
+    """``container``, once it holds every ``required`` section and each
+    of :data:`SECTION_GROUPS` whole or not at all.
 
-    Rows ascend within each term run; each run stores its first row
-    absolute and subsequent rows as gaps.
+    Reads only the parsed header (no map, no decode); a violation
+    raises :class:`ShardFormatError` naming the path and the section.
     """
-    delta = np.diff(postings.rows, prepend=0).astype(np.int64)
-    starts = postings.offsets[:-1][np.diff(postings.offsets) > 0]
-    delta[starts] = postings.rows[starts]
-    return delta
+    for group, names in SECTION_GROUPS.items():
+        missing = [name for name in names if name not in container]
+        if 0 < len(missing) < len(names):
+            raise ShardFormatError(
+                container.path,
+                f"missing section {missing[0]!r} of the partial "
+                f"{group} group",
+            )
+    for name in required:
+        if name not in container:
+            raise ShardFormatError(
+                container.path, f"missing section {name!r}"
+            )
+    return container
 
 
-def decode_term_rows(
-    delta: np.ndarray, offsets: np.ndarray, term_row: int
-) -> np.ndarray:
-    """Absolute document rows of one term's delta-coded run."""
-    lo = int(offsets[term_row])
-    hi = int(offsets[term_row + 1])
-    return np.cumsum(delta[lo:hi])
-
-
-def decode_postings(
-    n_docs: int, offsets: np.ndarray, delta: np.ndarray, tf: np.ndarray
-) -> TermPostings:
-    """Decode a full delta-coded postings block."""
-    rows = np.asarray(delta, dtype=np.int64).copy()
-    offsets = np.asarray(offsets, dtype=np.int64)
-    for t in range(offsets.shape[0] - 1):
-        lo, hi = int(offsets[t]), int(offsets[t + 1])
-        if hi > lo:
-            rows[lo:hi] = np.cumsum(rows[lo:hi])
-    return TermPostings(
-        n_docs=n_docs,
-        offsets=offsets,
-        rows=rows,
-        tf=np.asarray(tf, dtype=np.int64),
-    )
-
-
-def delta_encode_blocked(postings: TermPostings) -> np.ndarray:
-    """Block-aligned delta code of the postings' document rows.
-
-    Like :func:`delta_encode_postings` but the coding restarts at
-    every *block* boundary (block starts include every run start), so
-    each block decodes independently with one ``np.cumsum`` -- the
-    property that lets the block-max kernel skip a block's decode
-    entirely, and that makes a block's first row readable without any
-    decode at all.
-    """
-    if postings.block_offsets is None:
-        raise ValueError(
-            "delta_encode_blocked needs block metadata; call "
-            "TermPostings.with_blocks first"
-        )
-    delta = np.diff(postings.rows, prepend=0).astype(np.int64)
-    starts = postings.block_offsets[:-1]
-    delta[starts] = postings.rows[starts]
-    return delta
-
-
+# ----------------------------------------------------------------------
+# postings: block-aligned delta coding
+# ----------------------------------------------------------------------
 def encode_postings_sections(
     postings: TermPostings, block_size: int = BLOCK_SIZE
 ) -> dict[str, np.ndarray]:
-    """The five current-format postings sections of one segment.
+    """The five postings sections of one segment.
 
-    Shared by :func:`build_shards`, the ingest delta builder, and the
-    compactor, so every writer produces byte-identical sections for
-    identical postings (the compaction-parity invariant).
+    Document rows are delta-coded with the coding restarting at every
+    *block* boundary (block starts include every run start), so each
+    block decodes independently with one ``np.cumsum`` -- the property
+    that lets the block-max kernel skip a block's decode entirely, and
+    that makes a block's first row readable without any decode at all.
+
+    Every segment writer goes through here, so identical postings
+    always encode to identical bytes (the compaction-parity invariant).
     """
-    blocked = (
-        postings
-        if postings.block_size == block_size
-        and postings.block_offsets is not None
-        else postings.with_blocks(block_size)
-    )
+    if postings.block_size != block_size or postings.block_offsets is None:
+        postings = postings.with_blocks(block_size)
+    delta = np.diff(postings.rows, prepend=0).astype(np.int64)
+    starts = postings.block_offsets[:-1]
+    delta[starts] = postings.rows[starts]
     return {
-        "post_offsets": np.asarray(blocked.offsets, dtype=np.int64),
-        "post_rows_delta": delta_encode_blocked(blocked),
-        "post_tf": np.asarray(blocked.tf, dtype=np.int64),
+        "post_offsets": np.asarray(postings.offsets, dtype=np.int64),
+        "post_rows_delta": delta,
+        "post_tf": np.asarray(postings.tf, dtype=np.int64),
         "post_block_offsets": np.asarray(
-            blocked.block_offsets, dtype=np.int64
+            postings.block_offsets, dtype=np.int64
         ),
         "post_block_maxtf": np.asarray(
-            blocked.block_maxtf, dtype=np.int64
+            postings.block_maxtf, dtype=np.int64
         ),
     }
 
@@ -518,18 +509,6 @@ class BlockPostings:
         )
         return lo, hi
 
-    def block_bounds(self, block: int) -> tuple[int, int]:
-        """Posting-index range ``[lo, hi)`` of one block."""
-        return (
-            int(self.block_offsets[block]),
-            int(self.block_offsets[block + 1]),
-        )
-
-    def block_len(self, block: int) -> int:
-        return int(
-            self.block_offsets[block + 1] - self.block_offsets[block]
-        )
-
     @property
     def block_firsts(self) -> np.ndarray:
         """First document row of every block, without any decode
@@ -539,9 +518,6 @@ class BlockPostings:
                 self.delta[self.block_offsets[:-1]], dtype=np.int64
             )
         return self._firsts
-
-    def block_first_row(self, block: int) -> int:
-        return int(self.block_firsts[block])
 
     def run_rows(self, j0: int, j1: int) -> np.ndarray:
         """Decoded document rows of the contiguous block run
@@ -592,7 +568,8 @@ class BlockPostings:
         return self.run_tf(block, block + 1)
 
     def to_term_postings(self) -> TermPostings:
-        """Fully-decoded postings (compaction and parity tests)."""
+        """Fully-decoded postings (exhaustive search, set kernels and
+        the compactor), via one segmented cumsum over every block."""
         if self.n_blocks:
             rows = self.run_rows(0, self.n_blocks)
         else:
@@ -605,27 +582,8 @@ class BlockPostings:
         )
 
 
-def load_segment_postings(
-    container: Container, n_docs: int
-) -> TermPostings:
-    """Fully-decoded postings of one segment, any supported coding.
-
-    Containers with block sections decode block-aligned; legacy
-    containers decode run-aligned.  Used by the compactor, which needs
-    whole posting lists regardless of on-disk layout.
-    """
-    if "post_block_offsets" in container:
-        return BlockPostings(container, n_docs).to_term_postings()
-    return decode_postings(
-        n_docs,
-        np.asarray(container.load("post_offsets")),
-        np.asarray(container.load("post_rows_delta")),
-        np.asarray(container.load("post_tf")),
-    )
-
-
 # ----------------------------------------------------------------------
-# facet sections (stamped collections, container version 3)
+# facet sections (stamped collections, detected by presence)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FacetData:
@@ -694,10 +652,9 @@ def encode_facet_sections(
 ) -> dict[str, np.ndarray]:
     """The four facet sections of one stamped segment.
 
-    Shared by :func:`build_shards`, the ingest delta builder, and the
-    compactor, so every writer produces byte-identical facet sections
-    for identical rows (the compaction-parity invariant extends to
-    facets).
+    Every segment writer goes through here, so identical rows always
+    encode to identical facet sections (the compaction-parity
+    invariant extends to facets).
     """
     stamp = np.ascontiguousarray(np.asarray(stamp_s, dtype=np.float64))
     src = np.ascontiguousarray(np.asarray(source, dtype=np.int64))
@@ -914,7 +871,6 @@ class StoreManifest:
     delta segments; ``n_docs`` always counts base plus deltas.
     """
 
-    format: str
     nshards: int
     n_docs: int
     corpus_name: str
@@ -963,80 +919,56 @@ class StoreManifest:
         raise KeyError(f"row {row} outside store of {self.n_docs} docs")
 
 
-def _facets_doc(facets: FacetsInfo) -> dict:
-    """JSON form of a manifest's facet summary."""
-    return {
-        "n_sources": facets.n_sources,
-        "source_names": list(facets.source_names),
-        "stamp_lo": facets.stamp_lo,
-        "stamp_hi": facets.stamp_hi,
-        "block_rows": facets.block_rows,
-    }
-
-
-def _manifest_from_data(
-    path: str, data: dict, expect_format: str
-) -> StoreManifest:
+def _manifest_from_data(path: str, data: dict) -> StoreManifest:
+    """Decode a manifest document; every field is required."""
     try:
-        if data["format"] != expect_format:
+        if data["format"] != MANIFEST_FORMAT:
             raise ShardFormatError(
                 path,
                 f"unsupported store format {data['format']!r} "
-                f"(reader supports {expect_format!r})",
+                f"(reader supports {MANIFEST_FORMAT!r})",
             )
-        fac = data.get("facets")
-        facets = (
-            FacetsInfo(
-                n_sources=int(fac["n_sources"]),
-                source_names=tuple(fac["source_names"]),
-                stamp_lo=float(fac["stamp_lo"]),
-                stamp_hi=float(fac["stamp_hi"]),
-                block_rows=int(fac.get("block_rows", FACET_BLOCK_ROWS)),
-            )
-            if fac is not None
-            else None
-        )
+        fac = data["facets"]
         return StoreManifest(
-            format=data["format"],
             nshards=int(data["nshards"]),
             n_docs=int(data["n_docs"]),
             corpus_name=data["corpus_name"],
             model_file=data["model_file"],
             bbox=tuple(data["bbox"]),
-            shards=tuple(
-                ShardInfo(
-                    file=s["file"],
-                    row_lo=int(s["row_lo"]),
-                    row_hi=int(s["row_hi"]),
-                    doc_lo=int(s["doc_lo"]),
-                    doc_hi=int(s["doc_hi"]),
-                    nbytes=int(s["nbytes"]),
-                )
-                for s in data["shards"]
+            shards=tuple(ShardInfo(**s) for s in data["shards"]),
+            generation=int(data["generation"]),
+            deltas=tuple(DeltaInfo(**d) for d in data["deltas"]),
+            ingested_batches=int(data["ingested_batches"]),
+            published_s=float(data["published_s"]),
+            replication=int(data["replication"]),
+            facets=None if fac is None else FacetsInfo(
+                **{**fac, "source_names": tuple(fac["source_names"])}
             ),
-            generation=int(data.get("generation", 0)),
-            deltas=tuple(
-                DeltaInfo(
-                    file=d["file"],
-                    generation=int(d["generation"]),
-                    owner=int(d["owner"]),
-                    row_lo=int(d["row_lo"]),
-                    row_hi=int(d["row_hi"]),
-                    doc_lo=int(d["doc_lo"]),
-                    doc_hi=int(d["doc_hi"]),
-                    nbytes=int(d["nbytes"]),
-                )
-                for d in data.get("deltas", ())
-            ),
-            ingested_batches=int(data.get("ingested_batches", 0)),
-            published_s=float(data.get("published_s", 0.0)),
-            replication=int(data.get("replication", 1)),
-            facets=facets,
         )
     except ShardFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ShardFormatError(path, f"corrupt manifest: {exc}") from exc
+
+
+def write_manifest(
+    store_dir: str | os.PathLike, manifest: StoreManifest
+) -> str:
+    """Write one generation's manifest file; returns its path.
+
+    The one writer of both ``manifest.json`` (generation 0) and
+    ``manifest-0000k.json``: every field, always.
+    """
+    path = os.path.join(str(store_dir), manifest_file(manifest.generation))
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(
+            {"format": MANIFEST_FORMAT, **asdict(manifest)},
+            f,
+            indent=2,
+            sort_keys=True,
+        )
+        f.write("\n")
+    return path
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -1086,22 +1018,14 @@ def load_manifest_generation(
     naming it a *stale generation pointer* -- the pointer survived but
     the generation it names is gone.
     """
-    store = str(store_dir)
-    if generation == 0:
-        path = os.path.join(store, MANIFEST_FILE)
-        return _manifest_from_data(
-            path, _read_json(path, "manifest"), MANIFEST_FORMAT
-        )
-    path = os.path.join(store, generation_manifest_file(generation))
-    if not os.path.exists(path):
+    path = os.path.join(str(store_dir), manifest_file(generation))
+    if generation and not os.path.exists(path):
         raise ShardFormatError(
             path,
             f"stale generation pointer: generation {generation} "
             "manifest does not exist",
         )
-    return _manifest_from_data(
-        path, _read_json(path, "manifest"), MANIFEST_FORMAT_GEN
-    )
+    return _manifest_from_data(path, _read_json(path, "manifest"))
 
 
 def load_manifest(store_dir: str | os.PathLike) -> StoreManifest:
@@ -1115,86 +1039,31 @@ def load_manifest(store_dir: str | os.PathLike) -> StoreManifest:
     )
 
 
-def write_generation_manifest(
-    store_dir: str | os.PathLike, manifest: StoreManifest
-) -> str:
-    """Write one generation's manifest file (not yet published)."""
-    if manifest.generation < 1:
-        raise ValueError(
-            "generation manifests start at 1; generation 0 is the "
-            "static manifest.json"
-        )
-    path = os.path.join(
-        str(store_dir), generation_manifest_file(manifest.generation)
-    )
-    doc = {
-        "format": MANIFEST_FORMAT_GEN,
-        "generation": manifest.generation,
-        "nshards": manifest.nshards,
-        "n_docs": manifest.n_docs,
-        "ingested_batches": manifest.ingested_batches,
-        "published_s": manifest.published_s,
-        "replication": manifest.replication,
-        "corpus_name": manifest.corpus_name,
-        "model_file": manifest.model_file,
-        "bbox": list(manifest.bbox),
-        "shards": [
-            {
-                "file": s.file,
-                "row_lo": s.row_lo,
-                "row_hi": s.row_hi,
-                "doc_lo": s.doc_lo,
-                "doc_hi": s.doc_hi,
-                "nbytes": s.nbytes,
-            }
-            for s in manifest.shards
-        ],
-        "deltas": [
-            {
-                "file": d.file,
-                "generation": d.generation,
-                "owner": d.owner,
-                "row_lo": d.row_lo,
-                "row_hi": d.row_hi,
-                "doc_lo": d.doc_lo,
-                "doc_hi": d.doc_hi,
-                "nbytes": d.nbytes,
-            }
-            for d in manifest.deltas
-        ],
-    }
-    if manifest.facets is not None:
-        doc["facets"] = _facets_doc(manifest.facets)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
-
-
 def publish_generation(
     store_dir: str | os.PathLike, manifest: StoreManifest
 ) -> None:
-    """Atomically flip the store's ``CURRENT`` pointer to a manifest.
+    """Write a generation's manifest, then atomically flip the store's
+    ``CURRENT`` pointer to it.
 
-    The generation's containers and manifest must already be on disk;
-    the pointer is written to a temporary file and ``os.replace``\\ d
-    into place, so concurrent readers see either the previous or the
-    new generation in full.
+    The generation's containers must already be on disk; the pointer
+    is written to a temporary file and ``os.replace``\\ d into place,
+    so concurrent readers see either the previous or the new
+    generation in full.
     """
-    store = str(store_dir)
-    manifest_file = generation_manifest_file(manifest.generation)
-    if not os.path.exists(os.path.join(store, manifest_file)):
+    if manifest.generation < 1:
         raise ValueError(
-            f"generation {manifest.generation} manifest not written; "
-            "call write_generation_manifest first"
+            "published generations start at 1; generation 0 is the "
+            "static manifest.json"
         )
+    store = str(store_dir)
+    write_manifest(store, manifest)
     tmp = os.path.join(store, CURRENT_FILE + ".tmp")
     with open(tmp, "w", encoding="utf-8") as f:
         json.dump(
             {
                 "format": CURRENT_FORMAT,
                 "generation": manifest.generation,
-                "manifest": manifest_file,
+                "manifest": manifest_file(manifest.generation),
             },
             f,
             sort_keys=True,
@@ -1206,27 +1075,103 @@ def publish_generation(
 
 
 def verify_store(store_dir: str | os.PathLike) -> StoreManifest:
-    """Open every container the current generation references.
+    """Open the model and every container the current generation
+    references.
 
-    Validates the generation pointer, the manifest, and each referenced
-    container's header and section table (which catches truncation and
-    a missing generation directory), raising :class:`ShardFormatError`
-    with the offending path on the first problem.  Returns the verified
+    Validates the generation pointer, the manifest, and each
+    referenced container's header, section table and section groups
+    (which catches truncation, a dropped section and a missing
+    generation directory), raising :class:`ShardFormatError` with the
+    offending path on the first problem.  Returns the verified
     manifest.
     """
-    store = str(store_dir)
-    manifest = load_manifest(store)
-    Container(os.path.join(store, manifest.model_file))
-    for s in manifest.shards:
-        Container(os.path.join(store, s.file))
-    for d in manifest.deltas:
-        Container(os.path.join(store, d.file))
+    model = load_model(store_dir)
+    manifest = model.manifest
+    for seg in manifest.shards + manifest.deltas:
+        check_sections(
+            Container(os.path.join(model.store_dir, seg.file)),
+            model.shard_sections,
+        )
     return manifest
 
 
 # ----------------------------------------------------------------------
-# building
+# writing
 # ----------------------------------------------------------------------
+def write_segment(
+    path: str | os.PathLike,
+    columns: dict[str, np.ndarray],
+    postings: TermPostings | None,
+    facets: FacetData | None,
+    meta: dict,
+) -> int:
+    """Write one shard or delta segment container; returns its size.
+
+    ``columns`` maps each of :data:`SHARD_SECTIONS` to the segment's
+    rows; ``postings`` (segment-local rows) and ``facets`` add the
+    optional postings and facet groups.
+    """
+    arrays = {
+        name: np.asarray(columns[name], dtype=dtype)
+        for name, dtype in SHARD_COLUMNS.items()
+    }
+    if postings is not None:
+        arrays.update(encode_postings_sections(postings))
+    if facets is not None:
+        arrays.update(encode_facet_sections(facets.stamp_s, facets.source))
+    return write_container(path, arrays, meta)
+
+
+def write_shards(
+    store_dir: str,
+    prefix: str,
+    nshards: int,
+    columns: dict[str, np.ndarray],
+    postings: TermPostings | None,
+    facets: FacetData | None,
+    corpus_name: str,
+) -> tuple[ShardInfo, ...]:
+    """Split global-row ``columns`` into ``nshards`` contiguous shards.
+
+    The one shard-split loop of :func:`build_shards` and the
+    compactor: the pipeline partitioner's ``np.array_split`` row
+    ranges, shard ``i`` written to ``<prefix>shard-<i>.repro`` under
+    ``store_dir``.  Returns the shard table.
+    """
+    doc_ids = columns["doc_ids"]
+    n_docs = int(doc_ids.shape[0])
+    shards: list[ShardInfo] = []
+    row_lo = 0
+    for i, rows in enumerate(np.array_split(np.arange(n_docs), nshards)):
+        row_hi = row_lo + int(rows.size)
+        fname = f"{prefix}shard-{i:03d}.repro"
+        nbytes = write_segment(
+            os.path.join(store_dir, fname),
+            {name: col[row_lo:row_hi] for name, col in columns.items()},
+            None if postings is None else postings.restrict(row_lo, row_hi),
+            None if facets is None else facets.slice(row_lo, row_hi),
+            {
+                "kind": "shard",
+                "shard": i,
+                "row_lo": row_lo,
+                "row_hi": row_hi,
+                "corpus_name": corpus_name,
+            },
+        )
+        shards.append(
+            ShardInfo(
+                file=fname,
+                row_lo=row_lo,
+                row_hi=row_hi,
+                doc_lo=int(doc_ids[row_lo]) if row_hi > row_lo else 0,
+                doc_hi=int(doc_ids[row_hi - 1]) if row_hi > row_lo else 0,
+                nbytes=nbytes,
+            )
+        )
+        row_lo = row_hi
+    return tuple(shards)
+
+
 def build_shards(
     result: EngineResult,
     out_dir: str | os.PathLike,
@@ -1250,10 +1195,8 @@ def build_shards(
 
     ``facets`` (or a stamped ``corpus`` whose ``meta["facets"]``
     carries them) makes the store *stamped*: every shard gains the
-    facet sections, the containers are written at version 3, and the
-    manifest records a :class:`FacetsInfo` summary.  Unstamped builds
-    are byte-identical to what this function wrote before facets
-    existed.
+    facet sections and the manifest records a :class:`FacetsInfo`
+    summary.  An unstamped build simply has no facet sections.
     """
     if replication < 1:
         raise ValueError(f"replication must be >= 1, got {replication}")
@@ -1276,7 +1219,6 @@ def build_shards(
             f"facet arrays cover {facets.n_docs} docs but the result "
             f"has {n_docs}"
         )
-    version = FACET_FORMAT_VERSION if facets is not None else FORMAT_VERSION
     out = str(out_dir)
     os.makedirs(out, exist_ok=True)
 
@@ -1317,61 +1259,15 @@ def build_shards(
         )
     write_container(os.path.join(out, MODEL_FILE), model_arrays, model_meta)
 
-    splits = np.array_split(np.arange(n_docs, dtype=np.int64), nshards)
-    shards: list[ShardInfo] = []
-    for i, rows in enumerate(splits):
-        row_lo = int(rows[0]) if rows.size else (
-            shards[-1].row_hi if shards else 0
-        )
-        row_hi = int(rows[-1]) + 1 if rows.size else row_lo
-        fname = f"shard-{i:03d}.repro"
-        arrays = {
-            "doc_ids": np.asarray(
-                result.doc_ids[row_lo:row_hi], dtype=np.int64
-            ),
-            "signatures": np.asarray(
-                result.signatures[row_lo:row_hi], dtype=np.float64
-            ),
-            "coords": np.asarray(
-                result.coords[row_lo:row_hi], dtype=np.float64
-            ),
-            "assignments": np.asarray(
-                result.assignments[row_lo:row_hi], dtype=np.int64
-            ),
-        }
-        if postings is not None:
-            local = postings.restrict(row_lo, row_hi)
-            arrays.update(encode_postings_sections(local))
-        if facets is not None:
-            arrays.update(
-                encode_facet_sections(
-                    facets.stamp_s[row_lo:row_hi],
-                    facets.source[row_lo:row_hi],
-                )
-            )
-        meta = {
-            "kind": "shard",
-            "shard": i,
-            "row_lo": row_lo,
-            "row_hi": row_hi,
-            "corpus_name": result.corpus_name,
-        }
-        nbytes = write_container(
-            os.path.join(out, fname), arrays, meta, version=version
-        )
-        shards.append(
-            ShardInfo(
-                file=fname,
-                row_lo=row_lo,
-                row_hi=row_hi,
-                doc_lo=int(result.doc_ids[row_lo]) if row_hi > row_lo else 0,
-                doc_hi=int(result.doc_ids[row_hi - 1])
-                if row_hi > row_lo
-                else 0,
-                nbytes=nbytes,
-            )
-        )
-
+    shards = write_shards(
+        out,
+        "",
+        nshards,
+        {name: getattr(result, name) for name in SHARD_COLUMNS},
+        postings,
+        facets,
+        result.corpus_name,
+    )
     bbox = (
         float(result.coords[:, 0].min()) if n_docs else 0.0,
         float(result.coords[:, 1].min()) if n_docs else 0.0,
@@ -1387,45 +1283,17 @@ def build_shards(
             stamp_hi=float(facets.stamp_s.max()) if n_docs else 0.0,
         )
     manifest = StoreManifest(
-        format=MANIFEST_FORMAT,
         nshards=nshards,
         n_docs=n_docs,
         corpus_name=result.corpus_name,
         model_file=MODEL_FILE,
         bbox=bbox,
-        shards=tuple(shards),
+        shards=shards,
         replication=replication,
         facets=facets_info,
     )
-    doc = {
-        "format": manifest.format,
-        "nshards": manifest.nshards,
-        "n_docs": manifest.n_docs,
-        "replication": manifest.replication,
-        "corpus_name": manifest.corpus_name,
-        "model_file": manifest.model_file,
-        "bbox": list(manifest.bbox),
-        "shards": [
-            {
-                "file": s.file,
-                "row_lo": s.row_lo,
-                "row_hi": s.row_hi,
-                "doc_lo": s.doc_lo,
-                "doc_hi": s.doc_hi,
-                "nbytes": s.nbytes,
-            }
-            for s in manifest.shards
-        ],
-    }
-    if manifest.facets is not None:
-        doc["facets"] = _facets_doc(manifest.facets)
-    with open(
-        os.path.join(out, MANIFEST_FILE), "w", encoding="utf-8"
-    ) as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_manifest(out, manifest)
     return manifest
-
 
 # ----------------------------------------------------------------------
 # model-side loading helpers
@@ -1456,7 +1324,7 @@ class ServeModel:
     store_dir: str
 
     def __post_init__(self):
-        c = self.container
+        c = check_sections(self.container, MODEL_SECTIONS)
         self.terms: list[str] = list(c.meta["terms"])
         self.topic_terms: list[str] = list(c.meta["topic_terms"])
         self.term_row = {t: i for i, t in enumerate(self.terms)}
@@ -1468,6 +1336,13 @@ class ServeModel:
     @property
     def n_docs(self) -> int:
         return self.manifest.n_docs
+
+    @property
+    def shard_sections(self) -> tuple[str, ...]:
+        """Sections every shard and delta segment of this store holds."""
+        if self.has_postings:
+            return SHARD_SECTIONS + POSTINGS_SECTIONS
+        return SHARD_SECTIONS
 
     def major_terms(self) -> list[RankedTerm]:
         c = self.container

@@ -1,4 +1,4 @@
-"""Facet sections on disk: version bump, fallback, corruption."""
+"""Facet sections on disk: presence, corruption, window pruning."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.serve.query import Query
 from repro.serve.store import (
     FACET_BLOCK_ROWS,
-    FACET_FORMAT_VERSION,
-    FORMAT_VERSION,
+    SECTION_GROUPS,
     Container,
     FacetSections,
     ShardFormatError,
@@ -18,23 +17,21 @@ from repro.serve.store import (
 )
 
 
-def test_stamped_store_bumps_container_version(stamped_stores):
+def test_stamped_store_writes_facet_sections(stamped_stores):
     manifest = load_manifest(stamped_stores[2])
     assert manifest.facets is not None
     for shard in manifest.shards:
         cont = Container(str(stamped_stores[2] / shard.file))
-        assert cont.version == FACET_FORMAT_VERSION
-        assert "facet_stamp_s" in cont
-        assert "facet_block_lo" in cont
+        assert all(name in cont for name in SECTION_GROUPS["facet"])
+        assert load_facet_sections(cont, shard.n_docs) is not None
 
 
-def test_unstamped_store_keeps_old_version(plain_store):
+def test_unstamped_store_has_no_facet_sections(plain_store):
     manifest = load_manifest(plain_store)
     assert manifest.facets is None
     for shard in manifest.shards:
         cont = Container(str(plain_store / shard.file))
-        assert cont.version == FORMAT_VERSION
-        assert "facet_stamp_s" not in cont
+        assert not any(name in cont for name in SECTION_GROUPS["facet"])
         assert load_facet_sections(cont, shard.n_docs) is None
 
 
@@ -94,9 +91,7 @@ def test_corrupt_facet_sections_raise_naming_path(
     path = store / shard.file
     arrays, meta = _read_arrays(path)
     arrays.update(mutate(arrays))
-    write_container(
-        str(path), arrays, meta, version=FACET_FORMAT_VERSION
-    )
+    write_container(str(path), arrays, meta)
     with pytest.raises(ShardFormatError) as exc_info:
         FacetSections(Container(str(path)), shard.n_docs)
     assert str(path) in str(exc_info.value)

@@ -23,18 +23,15 @@ from repro.analysis.session import topk_desc
 from repro.index.termindex import (
     TermPostings,
     accumulate_tficf,
-    icf_weights,
 )
 from repro.runtime.metrics import counter_totals
 from repro.serve.broker import BrokerConfig, serve
-from repro.serve.query import ShardStore, blockmax_search, canonical_response
+from repro.serve.query import blockmax_search, canonical_response
 from repro.serve.store import (
     BlockPostings,
     Container,
     ShardFormatError,
-    delta_encode_postings,
     encode_postings_sections,
-    load_model,
     write_container,
 )
 from repro.serve.workload import generate_workload, store_profile
@@ -233,38 +230,6 @@ class TestBlockSectionCorruption:
         with pytest.raises(ShardFormatError) as err:
             BlockPostings(Container(str(path)), 40)
         assert "tile" in str(err.value)
-
-
-class TestLegacyFallback:
-    def test_v1_container_serves_exhaustively(self, stores, tmp_path):
-        """A v1 container (no block sections) answers identically via
-        the exhaustive path, with the blocks property reporting None."""
-        store_dir = stores[1]
-        model = load_model(store_dir)
-        manifest_shard = Path(store_dir) / "shard-000.repro"
-        v2 = Container(str(manifest_shard))
-        postings = ShardStore(v2, model).postings
-        legacy = {
-            "doc_ids": np.asarray(v2.load("doc_ids")),
-            "signatures": np.asarray(v2.load("signatures")),
-            "coords": np.asarray(v2.load("coords")),
-            "assignments": np.asarray(v2.load("assignments")),
-            "post_offsets": postings.offsets,
-            "post_rows_delta": delta_encode_postings(postings),
-            "post_tf": postings.tf,
-        }
-        v1_path = tmp_path / "legacy.repro"
-        write_container(str(v1_path), legacy, dict(v2.meta), version=1)
-        old = ShardStore(Container(str(v1_path)), model)
-        new = ShardStore(v2, model)
-        assert old.blocks is None
-        assert new.blocks is not None
-        icf = icf_weights(model.term_df, model.n_docs)
-        term_rows = [0, min(3, len(model.terms) - 1)]
-        got_old = old.op_search(term_rows, icf, 10, pruned=True)
-        got_new = new.op_search(term_rows, icf, 10, pruned=True)
-        assert got_old[0] == got_new[0]  # identical candidates
-        assert got_old[2] == 0  # v1 can never skip a block
 
 
 class TestBatchedBrokerIdentity:

@@ -1,4 +1,4 @@
-"""Shard store format: round-trips, delta coding, typed errors."""
+"""Shard store format: round-trips, block delta coding, typed errors."""
 
 import json
 
@@ -9,12 +9,11 @@ from repro.serve.query import ShardStore
 from repro.serve.store import (
     FORMAT_VERSION,
     MAGIC,
-    SUPPORTED_VERSIONS,
+    BlockPostings,
     Container,
     ShardFormatError,
     build_shards,
-    decode_postings,
-    delta_encode_postings,
+    encode_postings_sections,
     load_manifest,
     load_model,
     write_container,
@@ -106,15 +105,32 @@ class TestShardFormatError:
         assert err.value.path == str(path)
         assert "magic" in str(err.value)
 
-    def test_version_mismatch(self, tmp_path):
-        unsupported = max(SUPPORTED_VERSIONS) + 1
+    @staticmethod
+    def _stamp_version(tmp_path, version):
         path = _write(tmp_path)
         data = bytearray(path.read_bytes())
-        data[8:12] = unsupported.to_bytes(4, "little")
+        data[8:12] = version.to_bytes(4, "little")
         path.write_bytes(bytes(data))
+        return path
+
+    def test_writes_the_one_version(self, tmp_path):
+        data = _write(tmp_path).read_bytes()
+        assert data[8:12] == FORMAT_VERSION.to_bytes(4, "little")
+
+    def test_version_mismatch(self, tmp_path):
+        unsupported = FORMAT_VERSION + 1
+        path = self._stamp_version(tmp_path, unsupported)
         with pytest.raises(ShardFormatError) as err:
             Container(path)
         assert f"version {unsupported}" in str(err.value)
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_earlier_versions_are_refused(self, tmp_path, version):
+        path = self._stamp_version(tmp_path, version)
+        with pytest.raises(ShardFormatError) as err:
+            Container(path)
+        assert f"unsupported format version {version}" in str(err.value)
         assert err.value.path == str(path)
 
     def test_truncated_file(self, tmp_path):
@@ -199,11 +215,11 @@ class TestManifest:
 
 
 class TestDeltaCoding:
-    def test_encode_decode_round_trip(self, postings):
-        delta = delta_encode_postings(postings)
-        decoded = decode_postings(
-            postings.n_docs, postings.offsets, delta, postings.tf
-        )
+    def test_encode_decode_round_trip(self, postings, tmp_path):
+        path = _write(tmp_path, encode_postings_sections(postings))
+        decoded = BlockPostings(
+            Container(path), postings.n_docs
+        ).to_term_postings()
         np.testing.assert_array_equal(decoded.rows, postings.rows)
         np.testing.assert_array_equal(decoded.tf, postings.tf)
         np.testing.assert_array_equal(
@@ -211,11 +227,17 @@ class TestDeltaCoding:
         )
 
     def test_deltas_are_small(self, postings):
-        # the point of the coding: gaps are smaller than absolute rows
-        delta = delta_encode_postings(postings)
+        # the point of the coding: gaps are smaller than absolute rows,
+        # and each block's first entry is its absolute first row
+        sections = encode_postings_sections(postings)
+        delta = sections["post_rows_delta"]
         if len(postings):
             assert delta.max() <= postings.rows.max()
             assert (delta >= 0).all()
+            starts = sections["post_block_offsets"][:-1]
+            np.testing.assert_array_equal(
+                delta[starts], postings.rows[starts]
+            )
 
 
 class TestBuildShards:
@@ -295,17 +317,17 @@ class TestReplication:
         )
         assert data["replication"] == 2
 
-    def test_default_is_one(self, stores):
+    def test_default_is_one(self, stores, tmp_path):
         assert load_manifest(stores[4]).replication == 1
-        # pre-replication manifests (no field at all) parse as 1
+        # every manifest field is required: one without the replica
+        # count is corrupt, not silently unreplicated
         data = json.loads((stores[1] / "manifest.json").read_text())
-        data.pop("replication", None)
-        (stores[1] / "manifest.json").write_text(json.dumps(data))
-        try:
-            assert load_manifest(stores[1]).replication == 1
-        finally:
-            data["replication"] = 1
-            (stores[1] / "manifest.json").write_text(json.dumps(data))
+        data.pop("replication")
+        (tmp_path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(ShardFormatError) as err:
+            load_manifest(tmp_path)
+        assert "corrupt manifest" in str(err.value)
+        assert "replication" in str(err.value)
 
     def test_rejects_bad_replication(self, result, tmp_path):
         with pytest.raises(ValueError, match="replication"):
