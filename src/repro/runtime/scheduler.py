@@ -22,7 +22,9 @@ the *mechanism* has two interchangeable implementations:
 
 * the default fast path keeps runnable candidates in a heap keyed on
   ``(virtual time, kind, rank)`` and wakes only the next turn-holder
-  through a per-rank :class:`threading.Event`.  A rank that yields but
+  by opening its per-rank gate (a raw ``_thread`` lock, cheaper to park
+  on than a :class:`threading.Event`, whose every wait builds a
+  condition waiter).  A rank that yields but
   is still the minimum-clock runnable rank *retains the turn* without
   any context switch or wakeup at all -- the dominant case in
   compute-heavy stages;
@@ -51,6 +53,7 @@ deadline is only taken when no READY rank could still run at an earlier
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import os
 import threading
@@ -102,9 +105,14 @@ class Scheduler:
         self._cv = threading.Condition(self._lock)
         #: the driver's wait_all parks here in both mechanisms
         self._driver_cv = threading.Condition(self._lock)
-        #: fast path: one wakeup primitive per rank, set only for the
-        #: rank actually granted the turn
-        self._turn_evt = [threading.Event() for _ in range(nprocs)]
+        #: fast path: one gate per rank -- a raw lock held while the
+        #: gate is closed, released only for the rank actually granted
+        #: the turn; ``_gate_open`` mirrors it under ``_lock`` so an
+        #: already-open gate is never released twice
+        self._gate = [_thread.allocate_lock() for _ in range(nprocs)]
+        for gate in self._gate:
+            gate.acquire()
+        self._gate_open = [False] * nprocs
         #: fast path: dispatch candidates as (t, kind, rank, gen); a
         #: rank's entries are lazily invalidated by bumping its _gen.
         #: Seeded with every rank at t=0 (all start READY) so the very
@@ -450,23 +458,29 @@ class Scheduler:
         return None
 
     def _await_turn(self, rank: int) -> None:
-        """Park until this rank's wakeup primitive grants it the turn."""
-        evt = self._turn_evt[rank]
+        """Park on this rank's gate until it is granted the turn."""
+        gate = self._gate[rank]
         while True:
-            evt.wait()
+            gate.acquire()  # returns once opened, leaving it closed
             with self._lock:
-                evt.clear()
+                self._gate_open[rank] = False
                 self._check_error_locked()
                 if self._current == rank:
                     return
+
+    def _open_gate_locked(self, rank: int) -> None:
+        """Let ``rank``'s parked thread run; a no-op if already open."""
+        if not self._gate_open[rank]:
+            self._gate_open[rank] = True
+            self._gate[rank].release()
 
     def _abort_wake_all_locked(self) -> None:
         """Wake every parked rank thread so it can observe the abort."""
         if self.slowpath:
             self._cv.notify_all()
         else:
-            for evt in self._turn_evt:
-                evt.set()
+            for rank in range(self.nprocs):
+                self._open_gate_locked(rank)
 
     def _notify_driver_locked(self) -> None:
         if self._done_count >= self.nprocs or self._error is not None:
@@ -494,7 +508,7 @@ class Scheduler:
             self._current = rank
             self._state[rank] = _RUNNING
             if rank != caller:
-                self._turn_evt[rank].set()
+                self._open_gate_locked(rank)
             return
         if self._done_count >= self.nprocs:
             return

@@ -36,10 +36,15 @@ sections, the three PCA sections -- whole or not at all.
 reader runs it when it opens a container.
 
 Malformed input -- bad magic, any version but :data:`FORMAT_VERSION`,
-truncated or corrupt header, section table overrunning the file (when
-the header is read, or when the file is mapped), a missing required
-section or a partial group -- raises :class:`ShardFormatError`
-carrying the offending path.
+truncated or corrupt header, a section entry with a negative or
+non-int dimension or an object or zero-size dtype, section table
+overrunning the file (when the header is read, or when the file is
+mapped), a missing required section or a partial group -- raises
+:class:`ShardFormatError` carrying the offending path.
+
+The framing is frozen: container sizes are data (live publish charges
+a delta's size as I/O, the compaction policy compares delta with base
+sizes), so changing a byte of it moves virtual time.
 
 Postings are stored block-aligned: each term run is chunked into
 blocks (:func:`repro.index.termindex.compute_posting_blocks`) whose
@@ -82,6 +87,7 @@ manifest referencing a missing or truncated container all raise
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import os
@@ -188,20 +194,54 @@ def _pad(n: int) -> int:
     return (-n) % _ALIGN
 
 
-def _section_layout(
-    sections: list[dict], header_len: int
-) -> list[tuple[int, int]]:
-    """(offset, nbytes) per section, recomputed from the ordered table."""
-    pos = _PREFIX_LEN + header_len
+@functools.lru_cache(maxsize=64)
+def _section_dtype(spec: str) -> np.dtype:
+    """The dtype a header names; ``ValueError`` if no section may hold
+    it (object dtypes and zero-size items cannot be a raw array view)."""
+    dtype = np.dtype(spec)
+    if dtype.hasobject or dtype.itemsize <= 0:
+        raise ValueError(f"{spec!r} is not a raw array dtype")
+    return dtype
+
+
+def _parse_sections(path: str, sections: list, hdr_len: int) -> dict:
+    """``name -> (dtype, shape, offset, nbytes)`` from the ordered
+    section table, validated once.
+
+    Offsets are recomputed exactly as :func:`write_container` lays them
+    out.  Sizes are Python-int products, so no shape can overflow into
+    a small byte count; a negative or non-int dimension, or a dtype no
+    section can hold, is a corrupt header naming the section.
+    """
+    pos = _PREFIX_LEN + hdr_len
     pos += _pad(pos)
-    layout = []
+    table = {}
     for sec in sections:
-        nbytes = int(np.dtype(sec["dtype"]).itemsize) * int(
-            np.prod(sec["shape"], dtype=np.int64)
-        )
-        layout.append((pos, nbytes))
+        name = sec["name"]
+        shape = sec["shape"]
+        if type(shape) is not list:
+            raise ShardFormatError(
+                path, f"corrupt header: section {name!r} shape {shape!r}"
+            )
+        count = 1
+        for dim in shape:
+            if type(dim) is not int or dim < 0:
+                raise ShardFormatError(
+                    path,
+                    f"corrupt header: section {name!r} shape {shape!r} "
+                    "has a dimension that is not a non-negative int",
+                )
+            count *= dim
+        try:
+            dtype = _section_dtype(sec["dtype"])
+        except (TypeError, ValueError) as exc:
+            raise ShardFormatError(
+                path, f"corrupt header: section {name!r} dtype: {exc}"
+            ) from exc
+        nbytes = count * dtype.itemsize
+        table[name] = (dtype, tuple(shape), pos, nbytes)
         pos += nbytes + _pad(nbytes)
-    return layout
+    return table
 
 
 def write_container(
@@ -245,8 +285,8 @@ class Container:
     def __init__(self, path: str | os.PathLike):
         self.path = str(path)
         try:
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb") as f:
+            with open(self.path, "rb", buffering=0) as f:
+                size = os.fstat(f.fileno()).st_size
                 prefix = f.read(_PREFIX_LEN)
                 if len(prefix) < _PREFIX_LEN or prefix[:8] != MAGIC:
                     raise ShardFormatError(
@@ -272,16 +312,9 @@ class Container:
             raise ShardFormatError(self.path, f"unreadable: {exc}") from exc
         try:
             header = json.loads(raw.decode("utf-8"))
-            self._sections = {
-                sec["name"]: (sec["dtype"], tuple(sec["shape"]))
-                for sec in header["sections"]
-            }
             self.meta = header["meta"]
-            self._layout = dict(
-                zip(
-                    (s["name"] for s in header["sections"]),
-                    _section_layout(header["sections"], hdr_len),
-                )
+            self._sections = _parse_sections(
+                self.path, header["sections"], hdr_len
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise ShardFormatError(
@@ -292,7 +325,7 @@ class Container:
         self._cache: dict[str, np.ndarray] = {}
 
     def _check_layout(self, size: int) -> None:
-        for name, (off, nbytes) in self._layout.items():
+        for name, (_dtype, _shape, off, nbytes) in self._sections.items():
             if off + nbytes > size:
                 raise ShardFormatError(
                     self.path,
@@ -308,7 +341,7 @@ class Container:
         """
         if self._map is None:
             try:
-                with open(self.path, "rb") as f:
+                with open(self.path, "rb", buffering=0) as f:
                     self._check_layout(os.fstat(f.fileno()).st_size)
                     self._map = mmap.mmap(
                         f.fileno(), 0, access=mmap.ACCESS_READ
@@ -325,7 +358,7 @@ class Container:
 
     def nbytes(self, name: str) -> int:
         """Payload size of one section (bytes-scanned accounting)."""
-        return self._layout[name][1]
+        return self._sections[name][3]
 
     def __contains__(self, name: str) -> bool:
         return name in self._sections
@@ -336,9 +369,7 @@ class Container:
         if arr is None:
             if name not in self._sections:
                 raise KeyError(f"{self.path}: no section {name!r}")
-            dtype, shape = self._sections[name]
-            offset, nbytes = self._layout[name]
-            dtype = np.dtype(dtype)
+            dtype, shape, offset, nbytes = self._sections[name]
             arr = np.frombuffer(
                 self._mapping(),
                 dtype=dtype,
@@ -460,7 +491,7 @@ class BlockPostings:
                 f"[{int(bo[0])}..{int(bo[-1])}] do not tile "
                 f"{total} postings"
             )
-        if bo.shape[0] > 1 and not np.all(np.diff(bo) > 0):
+        if not (bo[1:] > bo[:-1]).all():
             self._fail(
                 "corrupt block sections: post_block_offsets not "
                 "strictly increasing"
@@ -477,10 +508,10 @@ class BlockPostings:
                 f"{int(self.tf.shape[0])} != post_rows_delta length "
                 f"{total}"
             )
-        # every term run must start and end on a block boundary
-        hits = np.searchsorted(bo, self.offsets)
-        if not np.array_equal(bo[np.minimum(hits, bo.shape[0] - 1)],
-                              self.offsets):
+        # every term run must start and end on a block boundary: the
+        # boundary at each offset's insertion point is the offset
+        hits = bo.searchsorted(self.offsets)
+        if not (bo.take(hits, mode="clip") == self.offsets).all():
             self._fail(
                 "corrupt block sections: term offsets misaligned with "
                 "post_block_offsets"
@@ -973,8 +1004,8 @@ def write_manifest(
 
 def _read_json(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+        with open(path, "rb") as f:
+            return json.loads(f.read().decode("utf-8"))
     except OSError as exc:
         raise ShardFormatError(path, f"unreadable: {exc}") from exc
     except ValueError as exc:

@@ -5,6 +5,8 @@ shared module-wide; stores at several shard counts are built from it
 on demand.
 """
 
+import json
+
 import pytest
 
 from repro.datasets.pubmed import generate_pubmed
@@ -49,3 +51,21 @@ def replicated_store(result, postings, tmp_path_factory):
     out = tmp_path_factory.mktemp("rstore") / "store"
     build_shards(result, out, 4, postings=postings, replication=2)
     return out
+
+
+def patch_section(path, name, **fields):
+    """Rewrite one section-table entry of a container in place.
+
+    The header keeps its length (re-encoded compactly, then padded
+    with JSON whitespace), so only the entry itself is corrupt.
+    """
+    data = bytearray(path.read_bytes())
+    hdr_len = int.from_bytes(data[16:24], "little")
+    header = json.loads(data[24 : 24 + hdr_len])
+    for sec in header["sections"]:
+        if sec["name"] == name:
+            sec.update(fields)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert len(raw) <= hdr_len
+    data[24 : 24 + hdr_len] = raw.ljust(hdr_len)
+    path.write_bytes(bytes(data))

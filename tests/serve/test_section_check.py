@@ -30,7 +30,7 @@ from repro.serve.store import (
     verify_store,
     write_container,
 )
-from tests.serve.conftest import ENGINE_CONFIG
+from tests.serve.conftest import ENGINE_CONFIG, patch_section
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 SHARD_FILE = "shard-001.repro"
@@ -135,6 +135,15 @@ def _stamp_version(store: Path, tmp_path: Path, version: int) -> tuple:
     return copy, path
 
 
+def _patch(store: Path, tmp_path: Path, name: str, **fields) -> tuple:
+    """A copy of ``store`` with one corrupt shard section-table entry."""
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    path = copy / SHARD_FILE
+    patch_section(path, name, **fields)
+    return copy, path
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
@@ -144,8 +153,24 @@ def _stamp_version(store: Path, tmp_path: Path, version: int) -> tuple:
          "missing section 'post_tf' of the partial postings group"),
         (lambda s, t: _stamp_version(s, t, 2),
          "unsupported format version 2"),
+        (lambda s, t: _patch(s, t, "assignments", shape=[-4]),
+         "corrupt header: section 'assignments'"),
+        (lambda s, t: _patch(s, t, "doc_ids", shape=[-1, -4]),
+         "corrupt header: section 'doc_ids'"),
+        (lambda s, t: _patch(s, t, "post_tf", shape=[2**61, 8]),
+         "section 'post_tf'"),
+        (lambda s, t: _patch(s, t, "signatures", dtype="|O"),
+         "corrupt header: section 'signatures'"),
     ],
-    ids=["assignments", "post_tf", "version-2"],
+    ids=[
+        "assignments",
+        "post_tf",
+        "version-2",
+        "negative-dim",
+        "negative-dims",
+        "overflowing-dims",
+        "object-dtype",
+    ],
 )
 def test_serve_query_cli_reports_damaged_shard(
     stamped_store, tmp_path, damage, reason

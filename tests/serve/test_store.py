@@ -1,5 +1,6 @@
 """Shard store format: round-trips, block delta coding, typed errors."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.serve.store import (
     load_model,
     write_container,
 )
+from tests.serve.conftest import patch_section
 
 
 def _write(tmp_path, arrays=None, meta=None):
@@ -52,7 +54,7 @@ class TestContainer:
         )
         cont = Container(path)
         for name in cont.section_names:
-            assert cont._layout[name][0] % 64 == 0
+            assert cont._sections[name][2] % 64 == 0
 
     def test_load_is_lazy_memmap(self, tmp_path):
         path = _write(
@@ -169,6 +171,64 @@ class TestShardFormatError:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ShardFormatError):
             Container(tmp_path / "absent.repro")
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            # used to load 112 elements running into the next section
+            ({"shape": [-4]}, "corrupt header: section 'a'"),
+            # used to overflow np.prod to 0 bytes and pass the check
+            ({"shape": [2**61, 8]}, "section 'a'"),
+            ({"shape": [-1, -4]}, "corrupt header: section 'a'"),
+            ({"shape": [4.0]}, "corrupt header: section 'a'"),
+            ({"shape": 4}, "corrupt header: section 'a'"),
+            ({"dtype": "|O"}, "corrupt header: section 'a'"),
+            ({"dtype": "|V0"}, "corrupt header: section 'a'"),
+            ({"dtype": "<q9"}, "corrupt header: section 'a'"),
+        ],
+        ids=[
+            "negative-dim",
+            "overflowing-dims",
+            "negative-dims",
+            "float-dim",
+            "scalar-shape",
+            "object-dtype",
+            "zero-itemsize",
+            "unknown-dtype",
+        ],
+    )
+    def test_corrupt_section_entry(self, tmp_path, fields, reason):
+        path = _write(
+            tmp_path,
+            {"a": np.arange(4, dtype=np.int64), "b": np.arange(100)},
+            # a list meta, so the compact re-encoding leaves room
+            {"kind": "test", "labels": list("abcdefghijklmnop")},
+        )
+        patch_section(path, "a", **fields)
+        with pytest.raises(ShardFormatError) as err:
+            Container(path).load("a")
+        assert err.value.path == str(path)
+        assert reason in err.value.reason
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    """The container framing is frozen: live publish charges a delta's
+    size as I/O and compaction compares delta with base sizes, so any
+    change to these bytes moves virtual time and must be deliberate."""
+    arrays = {
+        "ids": np.arange(5, dtype=np.int64),
+        "x": np.linspace(0.0, 1.0, 6).reshape(2, 3),
+        "small": np.arange(3, dtype=np.int8),
+        "big": np.arange(4, dtype=">i4"),
+        "empty": np.empty((0, 2), dtype=np.float64),
+    }
+    path = tmp_path / "pinned.repro"
+    nbytes = write_container(path, arrays, {"kind": "shard", "n": 5})
+    data = path.read_bytes()
+    assert nbytes == len(data) == 576
+    assert hashlib.sha256(data).hexdigest() == (
+        "7634b4804efc17bdc5092b384ac7fba39a80312d77a9484e6421ec456b643402"
+    )
 
 
 class TestManifest:
