@@ -2,11 +2,13 @@
 
 These are *real-time* benchmarks (pytest-benchmark statistics) of the
 hot paths: tokenization, FAST-INV inversion, signature generation,
-k-means assignment, PCA, and the simulated runtime's own primitives
-(collectives, atomics, hashmap inserts).
+k-means assignment, PCA, the simulated runtime's own primitives
+(collectives, atomics, hashmap inserts), and the serving layer's term
+search against its exhaustive reference.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster import assign_points, kmeanspp_seeds
 from repro.datasets import generate_pubmed
@@ -147,3 +149,87 @@ def test_fastinv_order_vectorized(benchmark):
     gids = rng.integers(0, 512, size=1024).astype(np.int64)
     order = benchmark(_fastinv_order_vectorized, gids)
     assert order.shape == gids.shape
+
+
+# ----------------------------------------------------------------------
+# term search: the serving kernel against its exhaustive reference
+# ----------------------------------------------------------------------
+def _search_shard(tmp_path, n_docs: int, n_terms: int = 200):
+    """A synthetic shard container of block postings: Zipf-skewed
+    document frequencies, Pareto-skewed tf, 128-entry blocks."""
+    from repro.index.termindex import TermPostings
+    from repro.serve.store import (
+        Container,
+        encode_postings_sections,
+        write_container,
+    )
+
+    rng = np.random.default_rng(n_docs)
+    dfs = np.minimum(
+        n_docs, (0.3 * n_docs / np.arange(1, n_terms + 1)).astype(int) + 1
+    )
+    rows = [np.sort(rng.choice(n_docs, size=df, replace=False)) for df in dfs]
+    postings = TermPostings(
+        n_docs=n_docs,
+        offsets=np.concatenate(([0], np.cumsum(dfs))).astype(np.int64),
+        rows=np.concatenate(rows).astype(np.int64),
+        tf=(rng.pareto(1.2, size=int(dfs.sum())) + 1.0).astype(np.int64),
+    )
+    path = tmp_path / f"shard-{n_docs}.repro"
+    write_container(
+        str(path),
+        dict(encode_postings_sections(postings)),
+        {"kind": "shard", "row_lo": 0, "row_hi": n_docs},
+    )
+    icf = np.log1p(n_docs / dfs.astype(np.float64))
+    queries = [
+        rng.choice(n_terms, size=int(rng.integers(1, 4)), replace=False)
+        .tolist()
+        for _ in range(30)
+    ]
+    return Container(str(path)), icf, queries
+
+
+@pytest.mark.parametrize("state", ("warm", "cold"))
+@pytest.mark.parametrize("kernel", ("topk_search", "reference"))
+@pytest.mark.parametrize("n_docs", (2_000, 20_000))
+def test_term_search_kernel(benchmark, tmp_path, n_docs, kernel, state):
+    """``topk_search`` vs the ``op_search(pruned=False)`` reference
+    (full decode, dense accumulation, stable top-k): 30 uniform 1-3
+    term queries at k=10 per round; ``cold`` opens fresh block
+    postings every round, so first-touch decode is paid again.
+    Compare the pairs by ``n_docs`` and ``state``; not a gate."""
+    from repro.analysis.session import topk_desc
+    from repro.index.termindex import accumulate_tficf
+    from repro.serve.query import topk_search
+    from repro.serve.store import BlockPostings
+
+    container, icf, queries = _search_shard(tmp_path, n_docs)
+    warm = BlockPostings(container, n_docs)
+
+    def run(blocks):
+        out = []
+        if kernel == "topk_search":
+            for q in queries:
+                out.append(topk_search(blocks, q, icf, 10)[0])
+            return out
+        postings = blocks.to_term_postings()
+        for q in queries:
+            scores = np.zeros(n_docs, dtype=np.float64)
+            accumulate_tficf(postings, q, icf, scores)
+            idx = topk_desc(scores, 10)
+            out.append(idx[scores[idx] > 0])
+        return out
+
+    if state == "warm":
+        run(warm)
+        got = benchmark(run, warm)
+    else:
+        got = benchmark.pedantic(
+            run,
+            setup=lambda: ((BlockPostings(container, n_docs),), {}),
+            rounds=30,
+        )
+    assert [r.tolist() for r in got] == [
+        r.tolist() for r in run(BlockPostings(container, n_docs))
+    ]

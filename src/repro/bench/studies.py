@@ -35,10 +35,10 @@ tests pass toy sizes as keyword arguments.
     must be byte-identical across shard counts, schedulers, backends,
     and between schedulers while live ingest churns generations.
 ``pruning``
-    a term-search-heavy workload over a 40 MB corpus replayed
-    exhaustively and with the exact block-max kernel at broker batch
-    sizes B in {1, 4, 16}; every pruned run's answers are
-    byte-compared against the exhaustive run's.
+    a term-search-heavy workload over a 40 MB corpus replayed through
+    the term-search kernel at broker batch sizes B in {1, 4, 16};
+    every run's answers are compared, bit for bit, with the
+    single-node ``AnalysisSession.term_search`` reference.
 ``ingest``
     the serving workload while a seeded document feed publishes
     generations (and compacts) under it, plus the crash run: publish
@@ -53,6 +53,7 @@ import os
 import shutil
 import time
 
+from repro.analysis.session import AnalysisSession
 from repro.bench.harness import default_figure_config, make_workload
 from repro.bench.study import (
     CORPUS_SEED,
@@ -679,12 +680,13 @@ def pruning(
     corpus_bytes=PRUNING_CORPUS_BYTES,
     batch_sizes=PRUNING_BATCH_SIZES,
 ) -> dict:
-    """Block-max pruning + batching study on a term-search workload.
+    """Term-search kernel + batching study on a term-search workload.
 
-    Replays an all-search workload exhaustively (the reference) and
-    with the block-max kernel at each broker batch size.  The virtual
-    clock cannot see Python/numpy kernel costs, so each run also
-    records one un-gated wall time under ``info``.
+    Replays an all-search workload at each broker batch size and
+    checks every answer against the single-node session's
+    ``term_search`` over the same queries.  The virtual clock cannot
+    see Python/numpy kernel costs, so each run also records one
+    un-gated wall time under ``info``.
     """
     large = Fixture(fixture.tmp, corpus_bytes, engine=_PRUNING_ENGINE)
     store_dir = large.store(_PRUNING_SHARDS)
@@ -696,33 +698,40 @@ def pruning(
         mix={"search": 1.0},
         mean_think_s=0.0,
     )
-    configs = {
-        "exhaustive": BrokerConfig(
-            pruned_search=False, max_inflight=_PRUNING_MAX_INFLIGHT
-        )
+    session = AnalysisSession(large.result, postings=large.postings)
+    reference = {
+        (s.client, seq): [
+            (h.doc_id, h.score, h.cluster)
+            for h in session.term_search(list(q.terms), k=q.k)
+        ]
+        for s in scripts
+        for seq, q in enumerate(s.queries)
     }
-    for b in batch_sizes:
-        configs[f"blockmax-b{b}"] = BrokerConfig(
-            pruned_search=True,
-            batch_max_queries=b,
-            max_inflight=_PRUNING_MAX_INFLIGHT,
-        )
     runs, answers = {}, {}
-    for label, config in configs.items():
+    for b in batch_sizes:
+        label = f"blockmax-b{b}"
+        config = BrokerConfig(
+            batch_max_queries=b, max_inflight=_PRUNING_MAX_INFLIGHT
+        )
         t0 = time.perf_counter()
         report = serve(store_dir, scripts, config=config)
         wall = time.perf_counter() - t0
         runs[label] = pt = point(
             report,
             "serve.",
-            pruned=config.pruned_search,
-            batch_max_queries=config.batch_max_queries,
+            batch_max_queries=b,
             info={
                 "wall_s": round(wall, 6),
                 "wall_throughput_qps": round(report.served / wall, 3),
             },
         )
-        answers[label] = _answers(report)
+        answers[label] = {
+            (r["client"], r["seq"]): [
+                (h["doc"], h["score"], h["cluster"])
+                for h in r["response"]["hits"]
+            ]
+            for r in report.responses
+        }
         say(
             progress,
             f"pruning {label}",
@@ -733,20 +742,18 @@ def pruning(
             f"{pt['counters']['serve.shard.bytes_scanned'] / 1e6:.2f} MB "
             "scanned",
         )
-    pruned = [label for label in runs if label != "exhaustive"]
     return {
         "corpus_bytes": corpus_bytes,
         "n_docs": int(large.result.n_docs),
         "runs": runs,
         "oracles": {
             **{
-                f"{label}_equals_exhaustive": answers[label]
-                == answers["exhaustive"]
-                for label in pruned
+                f"{label}_equals_reference": answers[label] == reference
+                for label in runs
             },
             "some_run_skips_blocks": any(
-                runs[label]["counters"]["serve.shard.blocks_skipped"] > 0
-                for label in pruned
+                pt["counters"]["serve.shard.blocks_skipped"] > 0
+                for pt in runs.values()
             ),
         },
     }

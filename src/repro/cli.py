@@ -278,14 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="landscape region to describe",
     )
     sq.add_argument("--top", type=int, default=10)
-    sq.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help=(
-            "disable block-max pruned search (answers are "
-            "bit-identical either way; this is the A/B knob)"
-        ),
-    )
 
     fq = sub.add_parser(
         "facet-query",
@@ -830,12 +822,7 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
 def _cmd_serve_query(args: argparse.Namespace) -> int:
     import json
 
-    from repro.serve import (
-        BrokerConfig,
-        Query,
-        ShardFormatError,
-        query_store,
-    )
+    from repro.serve import Query, ShardFormatError, query_store
 
     query = None
     if args.search is not None:
@@ -868,11 +855,7 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
         )
         return 1
     try:
-        response = query_store(
-            args.store,
-            query,
-            config=BrokerConfig(pruned_search=not args.exhaustive),
-        )
+        response = query_store(args.store, query)
     except ShardFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -933,6 +916,11 @@ def _cmd_facet_query(args: argparse.Namespace) -> int:
         response = query_store(args.store, query)
     except ShardFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if "error" in response:
+        # a store the window query cannot serve, e.g. one built
+        # without postings: same convention as the unstamped case
+        print(f"error: {args.store}: {response['error']}", file=sys.stderr)
         return 1
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0

@@ -48,7 +48,8 @@ partials in sorted shard order (associative sums -- any shard layout
 lands on identical bytes) and rank through the canonical
 ``(-score, row)`` order on the integers directly.  Unstamped stores
 answer facet queries with a typed ``"error"`` response, never a
-fan-out.
+fan-out; so do stamped stores built without postings for the two
+term-window kinds.
 
 One of each: shard verbs are records in :data:`SHARD_OPS` (kernel
 call, combine rule, modelled charge) run by :func:`execute_shard_op`
@@ -127,9 +128,6 @@ class BrokerConfig:
     cache_capacity: int = 128
     #: resend rounds after a CommTimeoutError before degrading
     retries: int = 1
-    #: use block-max top-k pruning for search ops (answers are
-    #: bit-identical either way)
-    pruned_search: bool = True
     #: max queued same-arrival ``search`` queries drained into one
     #: fan-out message; 1 preserves the one-query-per-round protocol
     batch_max_queries: int = 1
@@ -223,9 +221,7 @@ class ShardOp:
 def _search_batch(seg, p):
     # one message, N queries: every member scores over the same
     # segment, sharing its lazily-decoded postings blocks
-    outs = seg.op_search_batch(
-        p["requests"], p["icf"], pruned=p.get("pruned", True)
-    )
+    outs = seg.op_search_batch(p["requests"], p["icf"])
     return (
         [cands for cands, _s, _sk in outs],
         sum(s for _c, s, _sk in outs),
@@ -352,7 +348,6 @@ SHARD_OPS: dict[str, ShardOp] = {
             p["term_rows"],
             p["icf"],
             p["k"],
-            pruned=p.get("pruned", True),
             restrict_rows=p.get("restrict_rows"),
         ),
         _cat_cands,
@@ -628,6 +623,18 @@ def _unstamped(kind: str) -> dict:
     )
 
 
+def _no_postings(kind: str) -> dict:
+    """Typed answer for a term-window query on a store whose shards
+    hold no postings (its facet sections alone cannot count terms)."""
+    return _answer(
+        kind,
+        error=(
+            "store was built without postings: window term queries "
+            "need them (rebuild with the corpus)"
+        ),
+    )
+
+
 def _term_rows(model, query: Query) -> list[int]:
     return [model.term_row[t] for t in query.terms if t in model.term_row]
 
@@ -656,7 +663,9 @@ def _derive_search(b, query, at, restrict=None):
             "term_rows": term_rows,
             "icf": at.icf,
             "k": k,
-            "pruned": b.config.pruned_search,
+            # read by nothing; kept so modelled message sizes (and
+            # every virtual latency) stay those of the flagged wire
+            "pruned": True,
         },
         restrict,
     )
@@ -722,7 +731,7 @@ def _derive_facet_counts(b, query, at, restrict=None):
 def _derive_window(pair: bool) -> Callable:
     def derive(b, query, at, restrict=None):
         if not b.model.has_postings:
-            return None, _unstamped(query.kind)
+            return None, _no_postings(query.kind)
         params = {"t0": query.t0, "t1": query.t1, "source": query.source}
         if pair:
             params["pair"] = True
@@ -1210,7 +1219,8 @@ class _Broker:
                         (p["term_rows"], p["k"]) for _, p in fanned
                     ],
                     "icf": self.icf,
-                    "pruned": self.config.pruned_search,
+                    # read by nothing; kept for the wire size
+                    "pruned": True,
                 },
             )
             for m, (i, params) in enumerate(fanned):

@@ -180,7 +180,7 @@ class ShardStore:
 
     @property
     def postings(self) -> TermPostings:
-        """Fully-decoded postings (exhaustive and restricted search,
+        """Fully-decoded postings (the exhaustive reference search,
         window and set kernels)."""
         if self._postings is None:
             self._postings = self.blocks.to_term_postings()
@@ -298,26 +298,22 @@ class ShardStore:
         """Local tf·icf ranked search over the shard's postings.
 
         Returns ``(candidates, bytes scanned, blocks skipped)``.  With
-        ``pruned`` (the default), runs the exact block-max kernel and
-        reports only the posting bytes it actually decoded;
-        ``pruned=False`` and negative weights score exhaustively (0
-        blocks skipped by definition).  Both paths return bit-identical
-        candidates -- the pruning exactness oracle.
+        ``pruned`` (the default), runs :func:`topk_search` and reports
+        only the posting bytes it actually decoded; ``pruned=False`` is
+        the exhaustive reference (fully-decoded postings, 0 blocks
+        skipped by definition).  Both return bit-identical candidates.
 
         ``restrict_rows`` (global rows) limits the ranking to a result
         set's members (the workbench ``refine`` path).  Restricted
-        search always scores exhaustively: block-max prunes by global
-        score bounds, which are not bounds within an arbitrary subset.
-        Restriction never changes a surviving row's float -- scores are
-        accumulated over all postings in query-term order first, then
-        filtered -- so refined scores equal unrestricted scores on the
+        search accumulates every term run (block-skip thresholds are
+        global, not bounds within an arbitrary subset) and then
+        filters, so refined scores equal unrestricted scores on the
         same rows bit for bit.
         """
         if restrict_rows is not None:
-            postings = self.postings
-            scores = np.zeros(self.n_docs, dtype=np.float64)
-            scanned_postings = accumulate_tficf(
-                postings, term_rows, icf, scores
+            blocks = self.blocks
+            scores, scanned_postings = accumulate_runs(
+                blocks, term_runs(blocks, term_rows, icf)
             )
             local = self._local_restrict(restrict_rows)
             sc = scores[local]
@@ -330,13 +326,8 @@ class ShardStore:
                 scanned_postings * 16,
                 0,
             )
-        if pruned and not np.any(
-            np.asarray(icf, dtype=np.float64)[
-                np.asarray(term_rows, dtype=np.int64)
-            ]
-            < 0
-        ):
-            idx, cand_scores, scanned_postings, skipped = blockmax_search(
+        if pruned:
+            idx, cand_scores, scanned_postings, skipped = topk_search(
                 self.blocks, term_rows, icf, k
             )
             return (
@@ -356,23 +347,19 @@ class ShardStore:
         return self._candidates(idx, scores), scanned_postings * 16, 0
 
     def op_search_batch(
-        self,
-        requests: list[tuple[list[int], int]],
-        icf: np.ndarray,
-        pruned: bool = True,
+        self, requests: list[tuple[list[int], int]], icf: np.ndarray
     ) -> list[tuple[list[Candidate], int, int]]:
         """Batched :meth:`op_search` over ``(term_rows, k)`` requests.
 
         The batch members share one lazy postings decode (the
-        :class:`BlockPostings` per-block row cache persists across
+        :class:`BlockPostings` per-run row cache persists across
         members), so N queries hitting overlapping terms pay the
         cumsum/decode cost once.  Each member's candidate list is
         bit-identical to a solo :meth:`op_search` call -- the batching
         identity contract.
         """
         return [
-            self.op_search(term_rows, icf, k, pruned=pruned)
-            for term_rows, k in requests
+            self.op_search(term_rows, icf, k) for term_rows, k in requests
         ]
 
     def op_cluster(
@@ -488,7 +475,7 @@ class ShardStore:
 
 
 # ----------------------------------------------------------------------
-# block-max exact top-k
+# exact top-k term search
 # ----------------------------------------------------------------------
 def _single_term_search(
     blocks: BlockPostings, lo: int, hi: int, wp: float, k: int
@@ -544,253 +531,75 @@ def _single_term_search(
     return rows_c[sel], sc_c[sel], scanned, nb - int(kept.size)
 
 
-def blockmax_search(
+def term_runs(
+    blocks: BlockPostings, term_rows: list[int], icf: np.ndarray
+) -> list[tuple[int, int, float]]:
+    """``(block lo, block hi, weight)`` of each query term, in query
+    order (duplicates kept: a repeated term adds its run twice)."""
+    icf = np.asarray(icf, dtype=np.float64)
+    return [
+        (*blocks.term_block_range(int(r)), float(icf[int(r)]))
+        for r in term_rows
+    ]
+
+
+def accumulate_runs(
+    blocks: BlockPostings, runs: list[tuple[int, int, float]]
+) -> tuple[np.ndarray, int]:
+    """Dense ``tf * w`` scores over the shard's rows, term runs added
+    in the given order -- the same float ops, in the same order, as
+    ``accumulate_tficf`` over the decoded postings, so the scores are
+    the reference's bit for bit for any sign of weight.  Returns
+    ``(scores, postings scanned)``, counting each run once per
+    occurrence."""
+    scores = np.zeros(blocks.n_docs, dtype=np.float64)
+    scanned = 0
+    for lo, hi, w in runs:
+        if hi > lo:
+            scores[blocks.run_rows(lo, hi)] += blocks.run_tf(lo, hi) * w
+            scanned += int(
+                blocks.block_offsets[hi] - blocks.block_offsets[lo]
+            )
+    return scores, scanned
+
+
+def topk_search(
     blocks: BlockPostings,
     term_rows: list[int],
     icf: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Exact top-k tf·icf search with block-level early termination.
+    """Exact top-k tf·icf search over one shard's block postings.
 
     Returns ``(local rows, scores, postings decoded, blocks skipped)``
     where the rows/scores are bit-identical -- values *and* tie order --
     to exhaustive ``accumulate_tficf`` + stable ``topk_desc`` + the
     positive-score filter.
 
-    The kernel prunes only *candidate generation*; every survivor is
-    rescored from scratch with the identical in-query-term-order float
-    accumulation, so determinism never rests on the pruning math.
-    Phase A walks terms in descending max-contribution order,
-    accumulating partial scores per block while maintaining a running
-    k-th-partial-score threshold; a block whose upper bound
-    (``icf·block_maxtf`` plus the unprocessed-term remainder) cannot
-    reach the threshold is skipped without decoding -- its bound is
-    banked in a per-row ``slack`` array so no already-touched document
-    can be lost.  All bound comparisons are inflated/deflated by a
-    conservative float-error margin, so a pruning decision can only
-    ever *keep* a document that exact arithmetic would drop, never the
-    reverse.  Phase B selects survivors whose optimistic bound
-    (partial + slack + remainder) reaches the threshold; phase C
-    rescores them exactly; phase D applies the reference
-    ``(-score, row)`` selection.
+    A one-term query runs :func:`_single_term_search`, whose exact
+    integer threshold skips the blocks that cannot reach the top k.
+    Every other query accumulates its term runs densely
+    (:func:`accumulate_runs`), reports every run it read and no skipped
+    block, and selects the top k among the positive scores by a
+    partition threshold plus ``(-score, row)`` over the rows reaching
+    it.  Multi-term block-max bounds skipped almost nothing on real
+    shards and cost more than this accumulation (see the architecture
+    notes, "Term search").
     """
-    n_docs = blocks.n_docs
-    positions = [int(r) for r in term_rows]
-    n_pos = len(positions)
-    icf = np.asarray(icf, dtype=np.float64)
-    w = np.array([float(icf[r]) for r in positions], dtype=np.float64)
-    ranges = [blocks.term_block_range(r) for r in positions]
-
-    if n_pos == 1:
-        lo, hi = ranges[0]
-        return _single_term_search(blocks, lo, hi, float(w[0]), k)
-
-    relevant: set[int] = set()
-    for lo, hi in ranges:
-        relevant.update(range(lo, hi))
-
-    ub = np.zeros(n_pos, dtype=np.float64)
-    for p, (lo, hi) in enumerate(ranges):
-        if hi > lo and w[p] > 0.0:
-            ub[p] = w[p] * float(blocks.block_maxtf[lo:hi].max())
-
-    order = np.lexsort((np.arange(n_pos), -ub))
-    ub_sorted = ub[order]
-    # suffix[i] = upper bound on everything at sorted position >= i
-    suffix = np.zeros(n_pos + 1, dtype=np.float64)
-    if n_pos:
-        suffix[:n_pos] = np.cumsum(ub_sorted[::-1])[::-1]
-    # conservative float margin: partial sums have at most ~n_pos
-    # roundings, so a 4·(n_pos+2)·ulp relative band strictly separates
-    # "provably below threshold" from "possibly top-k"
-    eps = 4.0 * (n_pos + 2) * 2.0**-52
-    inflate = 1.0 + eps
-    deflate = 1.0 - 2.0 * eps
-
-    acc = np.zeros(n_docs, dtype=np.float64)
-    slack_diff: Optional[np.ndarray] = None
-    decoded: set[int] = set()
-    firsts = blocks.block_firsts
-    theta = 0.0
-    rem = 0.0
-    first_processed = True
-    for i in range(n_pos):
-        if theta > 0.0 and suffix[i] * inflate < theta * deflate:
-            rem = float(suffix[i])
-            break
-        p = int(order[i])
-        lo, hi = ranges[p]
-        wp = float(w[p])
-        if hi <= lo or wp <= 0.0:
-            continue
-        after = float(suffix[i + 1])
-        if theta > 0.0:
-            ubj = wp * np.asarray(
-                blocks.block_maxtf[lo:hi], dtype=np.float64
-            )
-            keep_mask = (ubj + after) * inflate >= theta * deflate
-            all_kept = bool(keep_mask.all())
-        else:
-            all_kept = True
-        if all_kept:
-            acc[blocks.run_rows(lo, hi)] += blocks.run_tf(lo, hi) * wp
-            decoded.update(range(lo, hi))
-        else:
-            skip = np.flatnonzero(~keep_mask) + lo
-            # bank each skipped block's bound over its row span: its
-            # first row is readable without decode, and its rows end
-            # before the next block's first row (same term run)
-            if slack_diff is None:
-                slack_diff = np.zeros(n_docs + 1, dtype=np.float64)
-            r0 = firsts[skip]
-            nxt = skip + 1
-            r1 = np.where(
-                nxt < hi, firsts[np.minimum(nxt, hi - 1)], n_docs
-            )
-            np.add.at(slack_diff, r0, ubj[skip - lo])
-            np.add.at(slack_diff, r1, -ubj[skip - lo])
-            kept = np.flatnonzero(keep_mask) + lo
-            if kept.size:
-                # decode contiguous kept runs: one segmented cumsum each
-                breaks = np.flatnonzero(np.diff(kept) > 1) + 1
-                for seg in np.split(kept, breaks):
-                    j0, j1 = int(seg[0]), int(seg[-1]) + 1
-                    acc[blocks.run_rows(j0, j1)] += (
-                        blocks.run_tf(j0, j1) * wp
-                    )
-                    decoded.update(range(j0, j1))
-        # a stale (smaller) theta is still a valid lower bound on the
-        # k-th final score, so only pay for a tighter one when a future
-        # position could actually use it
-        if 0 < k < n_docs and i + 1 < n_pos and ub_sorted[i + 1] > 0.0:
-            if first_processed:
-                # acc is exactly this one term's contributions, which
-                # are nonzero only on its postings: partition the run
-                # (cheap) instead of the dense score array
-                contrib = blocks.run_tf(lo, hi) * wp
-                if contrib.size >= k:
-                    theta = float(
-                        np.partition(contrib, contrib.size - k)[
-                            contrib.size - k
-                        ]
-                    )
-            else:
-                theta = float(
-                    np.partition(acc, n_docs - k)[n_docs - k]
-                )
-        first_processed = False
-
-    if theta > 0.0:
-        bound = acc if slack_diff is None else (
-            acc + np.cumsum(slack_diff[:-1])
-        )
-        cand = np.flatnonzero(
-            (bound + rem) * inflate >= theta * deflate
-        )
-    else:
-        cand = np.flatnonzero(acc > 0)
-
-    # adaptive bail: a dense candidate set means pruning bought
-    # nothing, and per-candidate rescoring would cost more than the
-    # straight dense accumulation -- which is trivially exact because
-    # it IS the exhaustive reference computation (in query-term order)
-    n_occ = int(
-        sum(
-            int(blocks.block_offsets[hi] - blocks.block_offsets[lo])
-            for lo, hi in ranges
-        )
-    )
-    if cand.size and cand.size * n_pos * 4 > n_occ:
-        acc2 = np.zeros(n_docs, dtype=np.float64)
-        for p in range(n_pos):
-            lo, hi = ranges[p]
-            if hi <= lo:
-                continue
-            acc2[blocks.run_rows(lo, hi)] += (
-                blocks.run_tf(lo, hi) * float(w[p])
-            )
-        take = min(k, n_docs)
-        # top-take by (-score, row) without a dense stable argsort:
-        # every row tying the take-th score survives the partition
-        # threshold, so the candidate lexsort reproduces the reference
-        # tie order exactly
-        if 0 < take < n_docs:
-            kth = float(
-                np.partition(acc2, n_docs - take)[n_docs - take]
-            )
-        else:
-            kth = 0.0
-        cand2 = np.flatnonzero(acc2 >= kth if kth > 0.0 else acc2 > 0)
-        sc2 = acc2[cand2]
-        sel2 = topk_score_row(sc2, cand2, take)
-        sel2 = sel2[sc2[sel2] > 0]
-        return cand2[sel2], sc2[sel2], n_occ, 0
-
-    # exact rescore of survivors, in original query-term order.  Per
-    # candidate and term occurrence this performs exactly one
-    # ``score += tf * w`` add, so the floats match the exhaustive
-    # accumulation bit-for-bit regardless of which decode path serves
-    # the lookup.
-    scores = np.zeros(cand.size, dtype=np.float64)
-    if cand.size:
-        for p in range(n_pos):
-            lo, hi = ranges[p]
-            wp = float(w[p])
-            if hi <= lo or wp == 0.0:
-                continue
-            # block index of each candidate within this term's run
-            bidx = (
-                lo
-                + np.searchsorted(firsts[lo:hi], cand, side="right")
-                - 1
-            )
-            valid = bidx >= lo
-            if not valid.any():
-                continue
-            # decode demand is charged per candidate-containing block
-            # (pure per-query accounting, independent of cache state)
-            decoded.update(np.unique(bidx[valid]).tolist())
-            full = blocks.cached_rows(lo, hi)
-            if full is not None:
-                # whole run already decoded: one lookup pass
-                pos = np.searchsorted(full, cand)
-                clip = np.minimum(pos, full.size - 1)
-                hit = full[clip] == cand
-                if hit.any():
-                    scores[hit] += (
-                        blocks.run_tf(lo, hi)[pos[hit]] * wp
-                    )
-                continue
-            cidx = np.flatnonzero(valid)
-            vblocks = bidx[cidx]
-            uniq, starts = np.unique(vblocks, return_index=True)
-            bounds = np.append(starts, vblocks.size)
-            for m, j in enumerate(uniq.tolist()):
-                csel = cidx[bounds[m] : bounds[m + 1]]
-                sub = cand[csel]
-                rows_j = blocks.block_rows(j)
-                pos = np.searchsorted(rows_j, sub)
-                clip = np.minimum(pos, rows_j.size - 1)
-                hit = rows_j[clip] == sub
-                if hit.any():
-                    scores[csel[hit]] += (
-                        blocks.block_tf(j)[pos[hit]] * wp
-                    )
-
-    keep = scores > 0
-    cand_pos = cand[keep]
-    sc_pos = scores[keep]
-    sel = topk_score_row(sc_pos, cand_pos, k)
-    if decoded:
-        ja = np.fromiter(decoded, dtype=np.int64, count=len(decoded))
-        scanned = int(
-            (blocks.block_offsets[ja + 1] - blocks.block_offsets[ja])
-            .sum()
-        )
-    else:
-        scanned = 0
-    skipped = len(relevant) - len(decoded)
-    return cand_pos[sel], sc_pos[sel], scanned, skipped
+    runs = term_runs(blocks, term_rows, icf)
+    if len(runs) == 1:
+        return _single_term_search(blocks, *runs[0], k)
+    scores, scanned = accumulate_runs(blocks, runs)
+    cand = np.flatnonzero(scores > 0)
+    sc = scores[cand]
+    if 0 < k < cand.size:
+        # every row tying the k-th score survives the threshold, so
+        # the candidate lexsort reproduces the reference tie order
+        kth = np.partition(sc, cand.size - k)[cand.size - k]
+        keep = sc >= kth
+        cand, sc = cand[keep], sc[keep]
+    sel = topk_score_row(sc, cand, k)
+    return cand[sel], sc[sel], scanned, 0
 
 
 # ----------------------------------------------------------------------

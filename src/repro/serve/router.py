@@ -102,8 +102,6 @@ class RouterConfig:
     max_inflight: int = 8
     #: per-broker LRU result-cache capacity; 0 disables caching
     cache_capacity: int = 128
-    #: block-max pruned top-k for search ops (exact either way)
-    pruned_search: bool = True
     #: max queued search queries drained into one shard round-trip;
     #: 1 preserves the strictly per-query fan-out
     batch_max_queries: int = 1

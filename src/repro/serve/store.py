@@ -51,8 +51,8 @@ blocks (:func:`repro.index.termindex.compute_posting_blocks`) whose
 boundaries and max tf are the sections ``post_block_offsets`` /
 ``post_block_maxtf``, and the row delta coding restarts at each block
 -- every block's first entry is an absolute row, so a block is
-independently decodable and a pruned search that skips a block really
-skips its decode.
+independently decodable and a search that skips a block really skips
+its decode.
 
 Facet sections -- ``facet_stamp_s`` / ``facet_source`` (per-document
 arrival stamp and source-region id, in row order) plus per-block stamp
@@ -444,12 +444,10 @@ class BlockPostings:
     """Lazily-decoded block-aligned postings of one shard container.
 
     Wraps the raw ``post_*`` sections without decoding anything: block
-    boundaries, per-block max-tf, and each block's first document row
-    (the absolute first entry of its delta slice) are all readable
-    up front, while a block's full row list is cumsum-decoded only on
-    first touch and cached.  The block-max search kernel consumes this
-    interface; the honest bytes-scanned accounting counts exactly the
-    blocks touched.
+    boundaries and per-block max-tf are readable up front, while a
+    contiguous block run's rows are cumsum-decoded only on first touch
+    and cached.  The term-search kernel consumes this interface; the
+    honest bytes-scanned accounting counts exactly the blocks touched.
 
     Corrupt block sections -- boundaries that do not tile the postings,
     term runs not aligned to block boundaries, or a max-tf table of the
@@ -472,15 +470,17 @@ class BlockPostings:
         self.block_maxtf = np.asarray(
             container.load("post_block_maxtf"), dtype=np.int64
         )
-        self._validate()
+        #: first block of each term's run (and one past the last run)
+        self.term_blocks = self._validate()
         self._rows: dict[tuple[int, int], np.ndarray] = {}
         self._tfs: dict[tuple[int, int], np.ndarray] = {}
-        self._firsts: np.ndarray | None = None
 
     def _fail(self, reason: str) -> None:
         raise ShardFormatError(self.path, reason)
 
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """Check the block sections; return each term offset's block
+        index."""
         bo = self.block_offsets
         total = int(self.delta.shape[0])
         if bo.ndim != 1 or bo.shape[0] < 1:
@@ -516,6 +516,7 @@ class BlockPostings:
                 "corrupt block sections: term offsets misaligned with "
                 "post_block_offsets"
             )
+        return hits
 
     @property
     def n_terms(self) -> int:
@@ -530,25 +531,8 @@ class BlockPostings:
 
     def term_block_range(self, term_row: int) -> tuple[int, int]:
         """Block-index range ``[lo, hi)`` of one term's run."""
-        lo = int(
-            np.searchsorted(self.block_offsets, self.offsets[term_row])
-        )
-        hi = int(
-            np.searchsorted(
-                self.block_offsets, self.offsets[term_row + 1]
-            )
-        )
-        return lo, hi
-
-    @property
-    def block_firsts(self) -> np.ndarray:
-        """First document row of every block, without any decode
-        (block-aligned coding stores each block's first row absolute)."""
-        if self._firsts is None:
-            self._firsts = np.asarray(
-                self.delta[self.block_offsets[:-1]], dtype=np.int64
-            )
-        return self._firsts
+        tb = self.term_blocks
+        return int(tb[term_row]), int(tb[term_row + 1])
 
     def run_rows(self, j0: int, j1: int) -> np.ndarray:
         """Decoded document rows of the contiguous block run
@@ -577,11 +561,6 @@ class BlockPostings:
             self._rows[(j0, j1)] = rows
         return rows
 
-    def cached_rows(self, j0: int, j1: int) -> np.ndarray | None:
-        """The run's decoded rows if already cached, else ``None``
-        (a pure cache probe -- never decodes)."""
-        return self._rows.get((j0, j1))
-
     def run_tf(self, j0: int, j1: int) -> np.ndarray:
         tf = self._tfs.get((j0, j1))
         if tf is None:
@@ -591,16 +570,10 @@ class BlockPostings:
             self._tfs[(j0, j1)] = tf
         return tf
 
-    def block_rows(self, block: int) -> np.ndarray:
-        """Decoded (absolute, ascending) document rows of one block."""
-        return self.run_rows(block, block + 1)
-
-    def block_tf(self, block: int) -> np.ndarray:
-        return self.run_tf(block, block + 1)
-
     def to_term_postings(self) -> TermPostings:
-        """Fully-decoded postings (exhaustive search, set kernels and
-        the compactor), via one segmented cumsum over every block."""
+        """Fully-decoded postings (the exhaustive reference search, set
+        kernels and the compactor), via one segmented cumsum over every
+        block."""
         if self.n_blocks:
             rows = self.run_rows(0, self.n_blocks)
         else:

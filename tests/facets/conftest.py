@@ -65,3 +65,12 @@ def plain_store(result, postings, tmp_path_factory):
     out = tmp_path_factory.mktemp("plain-store") / "store"
     build_shards(result, out, 2, postings=postings)
     return out
+
+
+@pytest.fixture(scope="session")
+def postingless_store(result, facets, tmp_path_factory):
+    """A stamped store built without postings: facet counts answer,
+    the term-window kinds must name the missing postings."""
+    out = tmp_path_factory.mktemp("postingless-store") / "store"
+    build_shards(result, out, 2, facets=facets)
+    return out

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runtime.metrics import facets_summary
-from repro.serve.broker import serve
+from repro.cli import main
+from repro.serve.broker import query_store, serve
 from repro.serve.query import Query, canonical_response
 from repro.serve.workload import (
     ClientScript,
@@ -201,3 +202,40 @@ def test_dashboard_windows_slide_forward(stamped_stores):
         ends = [q.t1 for q in script.queries]
         assert ends == sorted(ends)
         assert ends[-1] == pytest.approx(hi)
+
+
+def test_store_without_postings_names_the_missing_postings(
+    postingless_store,
+):
+    counts = query_store(
+        postingless_store, Query(kind="facet_counts", t0=0.0, t1=600.0)
+    )
+    assert "error" not in counts
+    assert sum(counts["counts"]) > 0
+    for kind in ("window_terms", "emerging"):
+        resp = query_store(
+            postingless_store, Query(kind=kind, t0=100.0, t1=400.0)
+        )
+        assert "without postings" in resp["error"]
+        assert "rebuild with the corpus" in resp["error"]
+        assert "not stamped" not in resp["error"]
+        assert resp["partial"] is False
+
+
+@pytest.mark.parametrize("kind", ("terms", "emerging"))
+def test_facet_query_cli_rejects_store_without_postings(
+    postingless_store, capsys, kind
+):
+    rc = main(
+        ["facet-query", "--store", str(postingless_store), "--kind", kind]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {postingless_store}: ")
+    assert "without postings" in captured.err
+    assert "Traceback" not in captured.err
+    rc = main(
+        ["facet-query", "--store", str(postingless_store), "--kind", "counts"]
+    )
+    assert rc == 0

@@ -1,12 +1,14 @@
-"""Block-max pruning: exactness oracle, corruption, batching identity.
+"""The term-search kernel: exactness oracle, accounting, corruption,
+batching identity.
 
-The pruned search kernel's one contract is byte-identity: for any
-postings, any query, any k, :func:`blockmax_search` must return
-*exactly* what the exhaustive ``accumulate_tficf`` + stable
-``topk_desc`` + positive-filter path returns -- same rows, same score
-bits, same tie order.  The Hypothesis suite here hammers that contract
-over adversarial shapes (tiny blocks, skewed tf, duplicate query
-terms, zero weights, k past n_docs); the corruption tests pin the
+The kernel's one contract is byte-identity: for any postings, any
+query, any k, :func:`topk_search` must return *exactly* what the
+exhaustive ``accumulate_tficf`` + stable ``topk_desc`` +
+positive-filter path returns -- same rows, same score bits, same tie
+order.  The Hypothesis suite here hammers that contract over
+adversarial shapes (tiny blocks, skewed tf, duplicate query terms,
+zero and negative weights, k past n_docs) and pins the scan
+accounting of both paths; the corruption tests pin the
 ``ShardFormatError`` surface of the block sections; the broker tests
 pin the cross-query batching identity at every batch size.
 """
@@ -23,15 +25,23 @@ from repro.analysis.session import topk_desc
 from repro.index.termindex import (
     TermPostings,
     accumulate_tficf,
+    icf_weights,
+    topk_score_row,
 )
 from repro.runtime.metrics import counter_totals
 from repro.serve.broker import BrokerConfig, serve
-from repro.serve.query import blockmax_search, canonical_response
+from repro.analysis.session import AnalysisSession
+from repro.serve.query import (
+    ShardStore,
+    canonical_response,
+    topk_search,
+)
 from repro.serve.store import (
     BlockPostings,
     Container,
     ShardFormatError,
     encode_postings_sections,
+    load_model,
     write_container,
 )
 from repro.serve.workload import generate_workload, store_profile
@@ -101,7 +111,9 @@ class TestBlockmaxExactness:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_pruned_equals_exhaustive(self, data):
-        """Property: pruned == exhaustive, bit for bit, any input."""
+        """Property: topk_search == exhaustive, bit for bit, any
+        input; a multi-term query scans every run it names (each
+        occurrence) and skips nothing."""
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
         n_docs = data.draw(st.integers(1, 60), label="n_docs")
         n_terms = data.draw(st.integers(1, 8), label="n_terms")
@@ -124,12 +136,19 @@ class TestBlockmaxExactness:
             label="zero_weight_terms",
         )
         icf[zero_out] = 0.0
+        # negative weights never come from icf_weights, but the dense
+        # path is exact for any sign
+        negate = data.draw(
+            st.lists(st.integers(0, n_terms - 1), max_size=2),
+            label="negative_weight_terms",
+        )
+        icf[negate] = -icf[negate]
         with tempfile.TemporaryDirectory() as tmp:
             container = _write_block_container(
                 Path(tmp) / "shard.repro", postings
             )
             blocks = BlockPostings(container, n_docs)
-            got_idx, got_sc, scanned, skipped = blockmax_search(
+            got_idx, got_sc, scanned, skipped = topk_search(
                 blocks, term_rows, icf, k
             )
         want_idx, want_sc = _exhaustive(postings, term_rows, icf, k)
@@ -139,10 +158,16 @@ class TestBlockmaxExactness:
             np.asarray(got_sc, dtype=np.float64),
             np.asarray(want_sc, dtype=np.float64),
         )
-        assert 0 <= skipped <= blocks.n_blocks
-        # duplicate query terms legitimately rescan a run, so the
-        # bound is per processed term, not per stored posting
-        assert 0 <= scanned <= len(term_rows) * len(postings.rows)
+        if len(term_rows) > 1:
+            # duplicate query terms rescan their run: one count each
+            assert scanned == sum(
+                int(postings.offsets[r + 1] - postings.offsets[r])
+                for r in term_rows
+            )
+            assert skipped == 0
+        else:
+            assert 0 <= skipped <= blocks.n_blocks
+            assert 0 <= scanned <= len(postings.rows)
 
     def test_skips_fire_on_skewed_single_term(self):
         """One heavy-tailed term: most blocks fall under the threshold."""
@@ -163,7 +188,7 @@ class TestBlockmaxExactness:
                 Path(tmp) / "shard.repro", postings
             )
             blocks = BlockPostings(container, n_docs)
-            got_idx, got_sc, scanned, skipped = blockmax_search(
+            got_idx, got_sc, scanned, skipped = topk_search(
                 blocks, [0], icf, 8
             )
         want_idx, want_sc = _exhaustive(postings, [0], icf, 8)
@@ -171,6 +196,57 @@ class TestBlockmaxExactness:
         assert np.array_equal(got_sc, want_sc)
         assert skipped > 0
         assert scanned < n_docs
+
+
+class TestRestrictedSearch:
+    """Refine: dense run accumulation restricted to a set gives the
+    candidates and scanned bytes of the full-decode path it replaced."""
+
+    @staticmethod
+    def _full_decode(shard, term_rows, icf, k, restrict_rows):
+        scores = np.zeros(shard.n_docs, dtype=np.float64)
+        scanned = accumulate_tficf(shard.postings, term_rows, icf, scores)
+        local = shard._local_restrict(restrict_rows)
+        sc = scores[local]
+        local, sc = local[sc > 0], sc[sc > 0]
+        sel = topk_score_row(sc, local, k)
+        return shard._candidate_list(local[sel], sc[sel]), scanned * 16
+
+    @pytest.mark.parametrize("nshards", (1, 2))
+    def test_restricted_matches_full_decode(self, stores, nshards):
+        model = load_model(stores[nshards])
+        icf = icf_weights(model.term_df, model.n_docs)
+        # the refine cases of the workbench tests: a two-term anchor,
+        # refined by itself and by a one-term query
+        t = store_profile(stores[4]).terms
+        queries = [
+            [model.term_row[x] for x in terms]
+            for terms in ((t[0], t[1]), (t[2],), (t[0], t[1], t[0]))
+        ]
+        shards = [
+            ShardStore(Container(str(stores[nshards] / s.file)), model)
+            for s in model.manifest.shards
+        ]
+        for anchor in queries:
+            rows = np.sort(
+                [
+                    c.row
+                    for shard in shards
+                    for c in shard.op_search(anchor, icf, 12)[0]
+                ]
+            ).astype(np.int64)
+            for restrict in (rows, np.arange(model.n_docs), rows[:0]):
+                for term_rows in queries:
+                    k = max(1, int(restrict.size))
+                    for shard in shards:
+                        cands, scanned, skipped = shard.op_search(
+                            term_rows, icf, k, restrict_rows=restrict
+                        )
+                        want = self._full_decode(
+                            shard, term_rows, icf, k, restrict
+                        )
+                        assert (cands, scanned) == want
+                        assert skipped == 0
 
 
 class TestBlockSectionCorruption:
@@ -252,22 +328,29 @@ class TestBatchedBrokerIdentity:
         }
 
     def test_batch_sizes_and_pruning_answer_identically(
-        self, stores, scripts
+        self, stores, scripts, result, postings
     ):
-        reference = None
-        configs = [BrokerConfig(pruned_search=False, max_inflight=64)]
-        configs += [
-            BrokerConfig(batch_max_queries=b, max_inflight=64)
-            for b in (1, 4, 16)
-        ]
-        for config in configs:
+        session = AnalysisSession(result, postings=postings)
+        reference = {
+            (script.client, seq): [
+                (h.doc_id, h.score, h.cluster)
+                for h in session.term_search(list(q.terms), k=q.k)
+            ]
+            for script in scripts
+            for seq, q in enumerate(script.queries)
+        }
+        for b in (1, 4, 16):
+            config = BrokerConfig(batch_max_queries=b, max_inflight=64)
             report = serve(stores[4], scripts, config=config)
             assert not report.rejected
-            answers = self._answers(report)
-            if reference is None:
-                reference = answers
-            else:
-                assert answers == reference
+            answers = {
+                (r["client"], r["seq"]): [
+                    (h["doc"], h["score"], h["cluster"])
+                    for h in r["response"]["hits"]
+                ]
+                for r in report.responses
+            }
+            assert answers == reference
 
     def test_batching_reduces_virtual_makespan(self, stores, scripts):
         solo = serve(
