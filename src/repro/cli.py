@@ -29,14 +29,51 @@ Examples
     python -m repro run --corpus corpus.jsonl --nprocs 8 --out results/
     python -m repro analyze --results results/result.npz --query "some terms"
     python -m repro figures --out figures/
+
+Every command reports a bad input the same way: ``error: <message>``
+on stderr (naming the offending path) and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import pickle
 import sys
+import zipfile
 from pathlib import Path
 from typing import Optional, Sequence
+
+
+class InputError(Exception):
+    """An input the command cannot use: a missing or malformed file
+    (named in the message) or a bad option value."""
+
+
+def _read_input(path: Path, parse, what: str):
+    """``parse(path)``; a missing or malformed file raises
+    :class:`InputError` naming it."""
+    try:
+        return parse(path)
+    except (
+        OSError,
+        ValueError,
+        KeyError,
+        TypeError,
+        zipfile.BadZipFile,
+        pickle.UnpicklingError,
+    ) as exc:
+        raise InputError(f"{path} is not {what} ({exc})") from exc
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text())
+
+
+def _load_result(path: Path):
+    from repro.engine import load_result
+
+    return _read_input(path, load_result, "a saved engine result")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -529,12 +566,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_svg,
     )
 
-    corpus = read_source(args.corpus)
+    corpus = _read_input(args.corpus, read_source, "a readable corpus")
     fault_plan = None
     if args.fault_plan is not None:
         from repro.runtime import FaultPlan
 
-        fault_plan = FaultPlan.from_json(args.fault_plan.read_text())
+        fault_plan = _read_input(
+            args.fault_plan,
+            lambda p: FaultPlan.from_json(p.read_text()),
+            "a fault plan",
+        )
         print(f"replaying fault plan from {args.fault_plan}")
     config = EngineConfig(
         n_major_terms=args.major_terms,
@@ -591,9 +632,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import AnalysisSession
-    from repro.engine import load_result
 
-    result = load_result(args.results)
+    result = _load_result(args.results)
     session = AnalysisSession(result)
     did_something = False
     if args.query:
@@ -687,8 +727,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics_report(args: argparse.Namespace) -> int:
-    import json
-
     from repro.runtime.metrics import (
         render_report,
         to_prometheus,
@@ -696,45 +734,18 @@ def _cmd_metrics_report(args: argparse.Namespace) -> int:
     )
 
     if args.snapshot is not None:
-        try:
-            snap = json.loads(args.snapshot.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"error: {args.snapshot} is not a metrics snapshot "
-                f"({exc})",
-                file=sys.stderr,
-            )
-            return 1
+        snap = _read_input(
+            args.snapshot,
+            lambda p: validate_snapshot(_read_json(p)),
+            "a metrics snapshot",
+        )
     elif args.results is not None:
-        import pickle
-        import zipfile
-
-        from repro.engine import load_result
-
-        try:
-            result = load_result(args.results)
-        except (
-            OSError,
-            KeyError,
-            ValueError,
-            zipfile.BadZipFile,
-            json.JSONDecodeError,
-            pickle.UnpicklingError,
-        ) as exc:
-            print(
-                f"error: {args.results} is not a saved engine result "
-                f"({exc})",
-                file=sys.stderr,
-            )
-            return 1
-        snap = result.metrics
+        snap = _load_result(args.results).metrics
         if snap is None:
-            print(
+            raise InputError(
                 f"{args.results} predates the metrics layer "
-                "(no metrics block saved)",
-                file=sys.stderr,
+                "(no metrics block saved)"
             )
-            return 1
     else:
         from repro.bench.harness import (
             default_figure_config,
@@ -766,7 +777,6 @@ def _cmd_metrics_report(args: argparse.Namespace) -> int:
             ),
         )
         snap = engine.run(workload.corpus).metrics
-    validate_snapshot(snap)
     if args.format == "prometheus":
         print(to_prometheus(snap), end="")
     else:
@@ -780,17 +790,16 @@ def _cmd_metrics_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_build(args: argparse.Namespace) -> int:
-    from repro.engine import load_result
     from repro.serve import build_shards
 
-    result = load_result(args.results)
+    result = _load_result(args.results)
     corpus = None
     facets = None
     if args.corpus is not None:
         from repro.facets import extract_facets
         from repro.text import read_source
 
-        corpus = read_source(args.corpus)
+        corpus = _read_input(args.corpus, read_source, "a readable corpus")
         facets = extract_facets(corpus)
     manifest = build_shards(
         result,
@@ -820,9 +829,7 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_query(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import Query, ShardFormatError, query_store
+    from repro.serve import Query, query_store
 
     query = None
     if args.search is not None:
@@ -841,50 +848,33 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
         try:
             x, y, radius = (float(v) for v in args.region.split(","))
         except ValueError:
-            print(
-                f"error: --region wants X,Y,RADIUS, got {args.region!r}",
-                file=sys.stderr,
-            )
-            return 1
+            raise InputError(
+                f"--region wants X,Y,RADIUS, got {args.region!r}"
+            ) from None
         query = Query(kind="region", x=x, y=y, radius=radius)
     if query is None:
-        print(
-            "error: pass one of --search/--query/--similar/"
-            "--cluster/--region",
-            file=sys.stderr,
+        raise InputError(
+            "pass one of --search/--query/--similar/--cluster/--region"
         )
-        return 1
-    try:
-        response = query_store(args.store, query)
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    response = query_store(args.store, query)
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_facet_query(args: argparse.Namespace) -> int:
-    import json
-
     import numpy as np
 
     from repro.facets import FacetsUnavailableError
-    from repro.serve import Query, ShardFormatError, query_store
+    from repro.serve import Query, query_store
     from repro.serve.store import load_manifest
 
-    try:
-        manifest = load_manifest(args.store)
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = load_manifest(args.store)
     if manifest.facets is None:
-        exc = FacetsUnavailableError(
+        raise FacetsUnavailableError(
             str(args.store),
             "store is not stamped: no facet sections "
             "(rebuild from a stamped corpus)",
         )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     fac = manifest.facets
     t0 = fac.stamp_lo if args.t0 is None else args.t0
     # the default upper bound nudges past the last stamp so the
@@ -895,11 +885,7 @@ def _cmd_facet_query(args: argparse.Namespace) -> int:
         else args.t1
     )
     if t1 <= t0:
-        print(
-            f"error: empty window [{t0}, {t1}): t1 must be > t0",
-            file=sys.stderr,
-        )
-        return 1
+        raise InputError(f"empty window [{t0}, {t1}): t1 must be > t0")
     kind = {
         "counts": "facet_counts",
         "terms": "window_terms",
@@ -912,37 +898,21 @@ def _cmd_facet_query(args: argparse.Namespace) -> int:
         source=args.source,
         n_terms=args.top,
     )
-    try:
-        response = query_store(args.store, query)
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    response = query_store(args.store, query)
     if "error" in response:
         # a store the window query cannot serve, e.g. one built
         # without postings: same convention as the unstamped case
-        print(f"error: {args.store}: {response['error']}", file=sys.stderr)
-        return 1
+        raise FacetsUnavailableError(str(args.store), response["error"])
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_themeview_slices(args: argparse.Namespace) -> int:
-    import json
+    from repro.facets import slices_payload, themeview_slices
 
-    from repro.facets import (
-        FacetsUnavailableError,
-        slices_payload,
-        themeview_slices,
+    slices = themeview_slices(
+        args.store, n_slices=args.slices, grid=args.grid
     )
-    from repro.serve import ShardFormatError
-
-    try:
-        slices = themeview_slices(
-            args.store, n_slices=args.slices, grid=args.grid
-        )
-    except (FacetsUnavailableError, ShardFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     payload = slices_payload(slices)
     doc = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None:
@@ -958,9 +928,6 @@ def _cmd_themeview_slices(args: argparse.Namespace) -> int:
 
 
 def _cmd_workbench_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import ShardFormatError
     from repro.serve.query import canonical_response
     from repro.serve.workload import store_profile
     from repro.workbench import (
@@ -975,23 +942,16 @@ def _cmd_workbench_serve(args: argparse.Namespace) -> int:
         max_derived_bytes=args.max_derived_bytes,
         session_ttl_s=args.session_ttl,
     )
-    try:
-        scripts = generate_analyst_workload(
-            store_profile(args.store),
-            n_tenants=args.tenants,
-            sessions_per_tenant=args.sessions_per_tenant,
-            ops_per_session=args.ops_per_session,
-            seed=args.seed,
-        )
-        report = serve_workbench(
-            str(args.store),
-            scripts,
-            config=config,
-            backend=args.backend,
-        )
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scripts = generate_analyst_workload(
+        store_profile(args.store),
+        n_tenants=args.tenants,
+        sessions_per_tenant=args.sessions_per_tenant,
+        ops_per_session=args.ops_per_session,
+        seed=args.seed,
+    )
+    report = serve_workbench(
+        str(args.store), scripts, config=config, backend=args.backend
+    )
     if args.transcript is not None:
         args.transcript.write_bytes(
             b"\n".join(
@@ -1021,9 +981,6 @@ def _cmd_workbench_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_workbench_session(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import ShardFormatError
     from repro.serve.query import Query
     from repro.workbench import (
         WorkbenchOp,
@@ -1051,19 +1008,14 @@ def _cmd_workbench_session(args: argparse.Namespace) -> int:
 
     ops: list[WorkbenchOp] = [WorkbenchOp(verb="open")]
     if args.script is not None:
-        try:
-            docs = json.loads(args.script.read_text())
-            ops += [_op_from_doc(d) for d in docs]
-        except (ValueError, KeyError) as exc:
-            print(f"error: bad script: {exc}", file=sys.stderr)
-            return 1
+        ops += _read_input(
+            args.script,
+            lambda p: [_op_from_doc(d) for d in _read_json(p)],
+            "a workbench script",
+        )
     else:
         if args.search is None:
-            print(
-                "error: pass --search TERMS or --script FILE",
-                file=sys.stderr,
-            )
-            return 1
+            raise InputError("pass --search TERMS or --script FILE")
         ops.append(
             WorkbenchOp(
                 verb="search",
@@ -1098,11 +1050,7 @@ def _cmd_workbench_session(args: argparse.Namespace) -> int:
         ops=tuple(ops),
         think_s=tuple(0.0 for _ in ops),
     )
-    try:
-        report = serve_workbench(str(args.store), [script])
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = serve_workbench(str(args.store), [script])
     for resp in report.responses:
         print(json.dumps(resp, indent=2, sort_keys=True))
     for rej in report.rejected:
@@ -1115,18 +1063,11 @@ def _cmd_workbench_session(args: argparse.Namespace) -> int:
 
 def _cmd_ingest_feed(args: argparse.Namespace) -> int:
     from repro.ingest import FeedConfig, FeedSource, IngestJournal
-    from repro.serve import ShardFormatError
 
-    try:
-        if args.journal.exists():
-            journal = IngestJournal.open(args.journal)
-        else:
-            journal = IngestJournal.create(
-                args.journal, corpus_name=args.dataset
-            )
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.journal.exists():
+        journal = IngestJournal.open(args.journal)
+    else:
+        journal = IngestJournal.create(args.journal, corpus_name=args.dataset)
     feed = FeedSource(
         FeedConfig(
             dataset=args.dataset,
@@ -1156,7 +1097,6 @@ def _cmd_ingest_feed(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest_publish(args: argparse.Namespace) -> int:
-    from repro.engine import load_result
     from repro.engine.incremental import refresh_recommended
     from repro.facets import extract_facets
     from repro.ingest import (
@@ -1167,15 +1107,11 @@ def _cmd_ingest_publish(args: argparse.Namespace) -> int:
         compact_store,
         should_compact,
     )
-    from repro.serve import ShardFormatError, load_manifest
+    from repro.serve import load_manifest
 
-    try:
-        journal = IngestJournal.open(args.journal)
-        manifest = load_manifest(args.store)
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    result = load_result(args.results)
+    journal = IngestJournal.open(args.journal)
+    manifest = load_manifest(args.store)
+    result = _load_result(args.results)
     policy = CompactionPolicy(
         max_deltas=args.compact_max_deltas,
         max_delta_bytes_fraction=args.compact_max_bytes_fraction,
@@ -1228,19 +1164,13 @@ def _cmd_ingest_publish(args: argparse.Namespace) -> int:
 
 def _cmd_ingest_compact(args: argparse.Namespace) -> int:
     from repro.ingest import compact_store
-    from repro.serve import ShardFormatError, load_manifest
+    from repro.serve import load_manifest
 
-    try:
-        before = load_manifest(args.store)
-        if not before.deltas:
-            print(
-                f"store {args.store}: no delta segments, nothing to do"
-            )
-            return 0
-        manifest = compact_store(args.store)
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    before = load_manifest(args.store)
+    if not before.deltas:
+        print(f"store {args.store}: no delta segments, nothing to do")
+        return 0
+    manifest = compact_store(args.store)
     print(
         f"compacted {len(before.deltas)} deltas into "
         f"{manifest.nshards} shards at generation {manifest.generation}"
@@ -1249,13 +1179,9 @@ def _cmd_ingest_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest_status(args: argparse.Namespace) -> int:
-    from repro.serve import ShardFormatError, verify_store
+    from repro.serve import verify_store
 
-    try:
-        manifest = verify_store(args.store)
-    except ShardFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = verify_store(args.store)
     print(f"store {args.store}: OK")
     print(f"  generation:       {manifest.generation}")
     print(f"  documents:        {manifest.n_docs}")
@@ -1270,6 +1196,24 @@ def _cmd_ingest_status(args: argparse.Namespace) -> int:
     )
     print(f"  ingested batches: {manifest.ingested_batches}")
     return 0
+
+
+def _typed_errors() -> tuple:
+    """The errors any command reports as ``error: <msg>``, exit 1.
+
+    Evaluated only once a command has raised, so a clean run imports
+    no subsystem it did not use.
+    """
+    from repro.facets import FacetsUnavailableError
+    from repro.runtime.metrics import MetricsSchemaError
+    from repro.serve import ShardFormatError
+
+    return (
+        InputError,
+        ShardFormatError,
+        FacetsUnavailableError,
+        MetricsSchemaError,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1292,7 +1236,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ingest-compact": _cmd_ingest_compact,
         "ingest-status": _cmd_ingest_status,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _typed_errors() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

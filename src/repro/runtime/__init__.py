@@ -39,15 +39,11 @@ from .metrics import (
     MetricsSchemaError,
     comm_matrix,
     counter_totals,
-    hashmap_locality,
     merge_snapshots,
     render_report,
-    ingest_summary,
-    serving_summary,
     stage_imbalance,
     to_prometheus,
     validate_snapshot,
-    workbench_summary,
 )
 from .mpi import ANY_SOURCE, MAX, MIN, MPIComm, PROD, SUM
 from .payload import payload_nbytes
@@ -87,15 +83,11 @@ __all__ = [
     "SUM",
     "comm_matrix",
     "counter_totals",
-    "hashmap_locality",
     "merge_snapshots",
     "render_report",
-    "ingest_summary",
-    "serving_summary",
     "stage_imbalance",
     "to_prometheus",
     "validate_snapshot",
-    "workbench_summary",
     "RankContext",
     "RuntimeMisuseError",
     "Scale",

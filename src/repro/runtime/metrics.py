@@ -41,6 +41,13 @@ by ``schema`` (currently ``"repro-metrics/1"``); see
 order-independent, so partial snapshots may be aggregated in any
 order.  :func:`to_prometheus` renders the Prometheus text exposition
 format for scraping.
+
+Text report
+-----------
+:func:`render_report` (the ``metrics-report`` command) walks the
+:data:`SECTIONS` table: one ``(title, gate, rows)`` row per section,
+each built from :func:`_sum`, the one counter aggregation.  A new
+section is one more table row.
 """
 
 from __future__ import annotations
@@ -435,12 +442,27 @@ def merge_snapshots(a: dict, b: dict) -> dict:
     return out
 
 
+def _sum(snap: dict, name: str, by: tuple[int, ...] = ()):
+    """A counter family's total over all ranks and label keys.
+
+    Given label positions ``by``, the family's sums per label tuple
+    instead (labels as strings, in first-seen order).  An absent
+    family sums to ``0.0`` (or ``{}``).
+    """
+    doc = snap["counters"].get(name)
+    values = doc["values"] if doc else ()
+    if not by:
+        return float(sum(e["value"] for e in values))
+    out: dict[tuple, float] = {}
+    for e in values:
+        k = tuple(str(e["key"][i]) for i in by)
+        out[k] = out.get(k, 0.0) + float(e["value"])
+    return out
+
+
 def counter_totals(snap: dict) -> dict[str, float]:
     """Each counter family's total over all ranks and label keys."""
-    return {
-        name: float(sum(e["value"] for e in doc["values"]))
-        for name, doc in snap["counters"].items()
-    }
+    return {name: _sum(snap, name) for name in snap["counters"]}
 
 
 # ----------------------------------------------------------------------
@@ -494,21 +516,6 @@ def comm_matrix(snap: dict, metric: str = "bytes"):
     return m
 
 
-def collective_totals(snap: dict) -> dict[str, dict[str, float]]:
-    """Per-collective-kind call and contributed-byte totals."""
-    out: dict[str, dict[str, float]] = {}
-    for name, field in (("comm.coll.calls", "calls"),
-                        ("comm.coll.bytes", "bytes")):
-        doc = snap["counters"].get(name)
-        if not doc:
-            continue
-        for e in doc["values"]:
-            kind = str(e["key"][0])
-            out.setdefault(kind, {"calls": 0.0, "bytes": 0.0})
-            out[kind][field] += e["value"]
-    return out
-
-
 def stage_imbalance(snap: dict) -> dict[str, dict[str, float]]:
     """Per-stage busy-time statistics and load-imbalance factor.
 
@@ -534,56 +541,6 @@ def stage_imbalance(snap: dict) -> dict[str, dict[str, float]]:
     return out
 
 
-def hashmap_locality(snap: dict) -> dict[str, dict[str, float]]:
-    """Local/remote RPC split and retry counts per distributed hashmap."""
-    out: dict[str, dict[str, float]] = {}
-    doc = snap["counters"].get("hashmap.ops")
-    if doc:
-        for e in doc["values"]:
-            name, locality = str(e["key"][0]), str(e["key"][1])
-            rec = out.setdefault(
-                name, {"local": 0.0, "remote": 0.0, "retries": 0.0}
-            )
-            rec[locality] += e["value"]
-    doc = snap["counters"].get("hashmap.rpc_retries")
-    if doc:
-        for e in doc["values"]:
-            name = str(e["key"][0])
-            rec = out.setdefault(
-                name, {"local": 0.0, "remote": 0.0, "retries": 0.0}
-            )
-            rec["retries"] += e["value"]
-    for rec in out.values():
-        total = rec["local"] + rec["remote"]
-        rec["local_fraction"] = rec["local"] / total if total else 0.0
-    return out
-
-
-def taskqueue_summary(snap: dict) -> dict[str, dict[str, float]]:
-    """Chunks claimed (own vs stolen) and lease reclaims per queue."""
-    out: dict[str, dict[str, float]] = {}
-
-    def rec(name):
-        return out.setdefault(
-            name,
-            {"own": 0.0, "stolen": 0.0, "tasks": 0.0, "reclaims": 0.0},
-        )
-
-    doc = snap["counters"].get("taskq.chunks")
-    if doc:
-        for e in doc["values"]:
-            rec(str(e["key"][0]))[str(e["key"][1])] += e["value"]
-    doc = snap["counters"].get("taskq.tasks")
-    if doc:
-        for e in doc["values"]:
-            rec(str(e["key"][0]))["tasks"] += e["value"]
-    doc = snap["counters"].get("taskq.lease_reclaims")
-    if doc:
-        for e in doc["values"]:
-            rec(str(e["key"][0]))["reclaims"] += e["value"]
-    return out
-
-
 def _fmt_bytes(n: float) -> str:
     for unit in ("B", "KB", "MB", "GB", "TB"):
         if abs(n) < 1024.0 or unit == "TB":
@@ -594,386 +551,227 @@ def _fmt_bytes(n: float) -> str:
     return f"{n:.2f}TB"  # pragma: no cover - unreachable
 
 
-def serving_summary(snap: dict) -> dict:
-    """Serving-layer counters, aggregated for the text report.
+def _names(*sums: dict) -> list[str]:
+    """The sorted first labels of some per-label :func:`_sum` dicts."""
+    return sorted({k[0] for by in sums for k in by})
 
-    Returns an empty dict when the snapshot holds no ``serve.*``
-    families (i.e. the run was not a broker session).
-    """
-    counters = snap["counters"]
-    if not any(name.startswith("serve.") for name in counters):
-        return {}
 
-    def _total(name: str) -> float:
-        doc = counters.get(name)
-        if doc is None:
-            return 0.0
-        return float(sum(e["value"] for e in doc["values"]))
+def _mix(by: dict, prefix: str = "") -> str:
+    """``label=count`` pairs of a one-label :func:`_sum` breakdown."""
+    return ", ".join(f"{prefix}{k}={by[(k,)]:.0f}" for k in _names(by))
 
-    def _by_key(name: str) -> dict[str, float]:
-        doc = counters.get(name)
-        if doc is None:
-            return {}
-        out: dict[str, float] = {}
-        for e in doc["values"]:
-            key = str(e["key"][0]) if e["key"] else ""
-            out[key] = out.get(key, 0.0) + float(e["value"])
-        return out
 
-    out = {
-        "queries_by_kind": _by_key("serve.queries"),
-        "cache": {
-            "hit": _total("serve.cache.hit"),
-            "miss": _total("serve.cache.miss"),
-            "evict": _total("serve.cache.evict"),
-        },
-        "rejected": _total("serve.rejected"),
-        "degraded": _total("serve.degraded"),
-        "bytes_scanned_by_shard": _by_key("serve.shard.bytes_scanned"),
-        "blocks_skipped_by_shard": _by_key(
-            "serve.shard.blocks_skipped"
-        ),
-        "blocks_skipped": _total("serve.shard.blocks_skipped"),
-    }
+def _per_shard(by: dict, fmt) -> str:
+    shards = sorted(by, key=lambda k: int(k[0]))
+    return ", ".join(f"shard {k[0]}: {fmt(by[k])}" for k in shards)
+
+
+def _table(header: str, rows: list[str]) -> list[str]:
+    return [header, *rows] if rows else []
+
+
+def _comm_rows(snap: dict) -> list[str]:
+    m = comm_matrix(snap, "bytes")
+    width = max(
+        9, max((len(_fmt_bytes(v)) for row in m for v in row), default=9)
+    )
+    lines = [
+        "  src\\dst "
+        + "".join(f"{d:>{width + 1}}" for d in range(len(m)))
+    ]
+    for src, row in enumerate(m):
+        cells = "".join(f" {_fmt_bytes(v):>{width}}" for v in row)
+        lines.append(f"  {src:>7} {cells}")
+    total = float(m.sum())
+    off_diag = _fmt_bytes(total - float(m.trace()))
+    return lines + [f"  total {_fmt_bytes(total)} ({off_diag} cross-rank)"]
+
+
+def _collective_rows(snap: dict) -> list[str]:
+    calls = _sum(snap, "comm.coll.calls", (0,))
+    nbytes = _sum(snap, "comm.coll.bytes", (0,))
+    return _table(
+        f"  {'kind':<12} {'calls':>8} {'bytes':>12}",
+        [
+            f"  {k:<12} {calls.get((k,), 0.0):>8.0f} "
+            f"{_fmt_bytes(nbytes.get((k,), 0.0)):>12}"
+            for k in _names(calls, nbytes)
+        ],
+    )
+
+
+def _stage_rows(snap: dict) -> list[str]:
+    return _table(
+        f"  {'stage':<14} {'max busy':>10} {'mean busy':>10} "
+        f"{'imbalance':>10}",
+        [
+            f"  {stage:<14} {s['max_busy']:>10.4f} "
+            f"{s['mean_busy']:>10.4f} {s['imbalance']:>9.3f}x"
+            for stage, s in sorted(stage_imbalance(snap).items())
+        ],
+    )
+
+
+def _hashmap_rows(snap: dict) -> list[str]:
+    ops = _sum(snap, "hashmap.ops", (0, 1))
+    retries = _sum(snap, "hashmap.rpc_retries", (0,))
+    lines = []
+    for name in _names(ops, retries):
+        local = ops.get((name, "local"), 0.0)
+        remote = ops.get((name, "remote"), 0.0)
+        total = local + remote
+        lines.append(
+            f"  {name}: {local:.0f} local / {remote:.0f} remote "
+            f"({local / total if total else 0.0:.1%} local), "
+            f"{retries.get((name,), 0.0):.0f} retries"
+        )
+    return lines
+
+
+def _taskqueue_rows(snap: dict) -> list[str]:
+    chunks = _sum(snap, "taskq.chunks", (0, 1))
+    tasks = _sum(snap, "taskq.tasks", (0,))
+    reclaims = _sum(snap, "taskq.lease_reclaims", (0,))
+    return [
+        f"  {q}: {chunks.get((q, 'own'), 0.0):.0f} own + "
+        f"{chunks.get((q, 'stolen'), 0.0):.0f} stolen chunks "
+        f"({tasks.get((q,), 0.0):.0f} tasks), "
+        f"{reclaims.get((q,), 0.0):.0f} lease reclaims"
+        for q in _names(chunks, tasks, reclaims)
+    ]
+
+
+def _serving_rows(snap: dict) -> list[str]:
+    kinds = _sum(snap, "serve.queries", (0,))
+    hit = _sum(snap, "serve.cache.hit")
+    miss = _sum(snap, "serve.cache.miss")
+    lines = [
+        f"  queries: {sum(kinds.values()):.0f} ({_mix(kinds)})",
+        f"  cache: {hit:.0f} hits / {miss:.0f} misses "
+        f"({hit / (hit + miss) if hit + miss else 0.0:.1%} hit rate), "
+        f"{_sum(snap, 'serve.cache.evict'):.0f} evictions",
+        f"  admission: {_sum(snap, 'serve.rejected'):.0f} rejected; "
+        f"degraded responses: {_sum(snap, 'serve.degraded'):.0f}",
+    ]
     # replicated-tier families appear only when the router tier served
-    # the session; key presence is what the report renderer gates on
-    if "serve.shed" in counters or "serve.failover" in counters:
-        out["replica"] = {
-            "shed_by_priority": _by_key("serve.shed"),
-            "shed": _total("serve.shed"),
-            "failovers": _total("serve.failover"),
-            "hedges": _total("serve.hedge"),
-            "suspicions": _total("serve.replica.suspect"),
-            "downs": _total("serve.replica.down"),
-        }
-    return out
+    # the session
+    if {"serve.shed", "serve.failover"} & snap["counters"].keys():
+        shed = _sum(snap, "serve.shed", (0,))
+        lines += [
+            f"  replica tier: {_sum(snap, 'serve.failover'):.0f} "
+            f"failovers, {_sum(snap, 'serve.hedge'):.0f} hedged "
+            f"requests; shed: {_sum(snap, 'serve.shed'):.0f}"
+            + (f" ({_mix(shed, 'p')})" if shed else ""),
+            f"  replica health: {_sum(snap, 'serve.replica.suspect'):.0f}"
+            f" suspicions, {_sum(snap, 'serve.replica.down'):.0f} "
+            "confirmed down",
+        ]
+    scanned = _sum(snap, "serve.shard.bytes_scanned", (0,))
+    if scanned:
+        lines.append(
+            f"  bytes scanned: {_per_shard(scanned, _fmt_bytes)}"
+        )
+    skipped = _sum(snap, "serve.shard.blocks_skipped", (0,))
+    n_skipped = _sum(snap, "serve.shard.blocks_skipped")
+    if skipped and n_skipped > 0:
+        lines.append(
+            f"  posting blocks skipped (block-max pruning): "
+            f"{n_skipped:.0f} ({_per_shard(skipped, '{:.0f}'.format)})"
+        )
+    return lines
 
 
-def ingest_summary(snap: dict) -> dict:
-    """Live-ingest counters, aggregated for the text report.
-
-    Returns an empty dict when the snapshot holds no ``ingest.*``
-    families (i.e. no ingest driver ran and the broker never
-    hot-reloaded a generation).
-    """
-    counters = snap["counters"]
-    if not any(name.startswith("ingest.") for name in counters):
-        return {}
-
-    def _total(name: str) -> float:
-        doc = counters.get(name)
-        if doc is None:
-            return 0.0
-        return float(sum(e["value"] for e in doc["values"]))
-
-    return {
-        "docs_ingested": _total("ingest.docs"),
-        "null_signatures": _total("ingest.null_signatures"),
-        "generations_published": _total("ingest.generations"),
-        "compactions": _total("ingest.compactions"),
-        "broker_reloads": _total("ingest.broker.reloads"),
-        "rebuild_flags": _total("ingest.rebuild_flags"),
-    }
+def _facet_rows(snap: dict) -> list[str]:
+    kinds = _sum(snap, "facets.windows", (0,))
+    return [
+        f"  windows served: {_sum(snap, 'facets.windows'):.0f}"
+        + (f" ({_mix(kinds)})" if kinds else ""),
+        f"  facet bytes scanned: "
+        f"{_fmt_bytes(_sum(snap, 'facets.bytes_scanned'))}; "
+        f"emerging-term hits: {_sum(snap, 'facets.emerging_hits'):.0f}",
+    ]
 
 
-def workbench_summary(snap: dict) -> dict:
-    """Workbench-tier counters, aggregated for the text report.
-
-    Returns an empty dict when the snapshot holds no ``workbench.*``
-    families (i.e. no analyst session ran above the broker).
-    """
-    counters = snap["counters"]
-    if not any(name.startswith("workbench.") for name in counters):
-        return {}
-
-    def _total(name: str) -> float:
-        doc = counters.get(name)
-        if doc is None:
-            return 0.0
-        return float(sum(e["value"] for e in doc["values"]))
-
-    def _by_key(name: str) -> dict[str, float]:
-        doc = counters.get(name)
-        if doc is None:
-            return {}
-        out: dict[str, float] = {}
-        for e in doc["values"]:
-            key = str(e["key"][0]) if e["key"] else ""
-            out[key] = out.get(key, 0.0) + float(e["value"])
-        return out
-
-    hits = _total("workbench.artifact.hit")
-    misses = _total("workbench.artifact.miss")
-    lookups = hits + misses
-    return {
-        "ops_by_verb": _by_key("workbench.ops"),
-        "sessions": {
-            "opened": _total("workbench.sessions.opened"),
-            "closed": _total("workbench.sessions.closed"),
-            "evicted": _total("workbench.sessions.evicted"),
-        },
-        "sets_saved": _total("workbench.sets.saved"),
-        "rejected_by_reason": _by_key("workbench.rejected"),
-        "rejected": _total("workbench.rejected"),
-        "artifact_cache": {
-            "hit": hits,
-            "miss": misses,
-            "evict": _total("workbench.artifact.evict"),
-            "hit_rate": hits / lookups if lookups else 0.0,
-        },
-    }
+def _workbench_rows(snap: dict) -> list[str]:
+    verbs = _sum(snap, "workbench.ops", (0,))
+    hits = _sum(snap, "workbench.artifact.hit")
+    misses = _sum(snap, "workbench.artifact.miss")
+    lines = [
+        f"  ops: {sum(verbs.values()):.0f} ({_mix(verbs)})",
+        f"  sessions: {_sum(snap, 'workbench.sessions.opened'):.0f} "
+        f"opened / {_sum(snap, 'workbench.sessions.closed'):.0f} "
+        f"closed / {_sum(snap, 'workbench.sessions.evicted'):.0f} "
+        f"evicted (TTL); sets saved: "
+        f"{_sum(snap, 'workbench.sets.saved'):.0f}",
+        f"  artifact cache: {hits:.0f} hits / {misses:.0f} misses "
+        f"({hits / (hits + misses) if hits + misses else 0.0:.1%} hit "
+        f"rate), {_sum(snap, 'workbench.artifact.evict'):.0f} evictions",
+    ]
+    rejected = _sum(snap, "workbench.rejected")
+    if rejected:
+        lines.append(
+            f"  quota/contract rejections: {rejected:.0f} "
+            f"({_mix(_sum(snap, 'workbench.rejected', (0,)))})"
+        )
+    return lines
 
 
-def facets_summary(snap: dict) -> dict:
-    """Faceted-analytics counters, aggregated for the text report.
+def _ingest_rows(snap: dict) -> list[str]:
+    lines = [
+        f"  docs ingested: {_sum(snap, 'ingest.docs'):.0f} "
+        f"({_sum(snap, 'ingest.null_signatures'):.0f} null signatures)",
+        f"  generations published: "
+        f"{_sum(snap, 'ingest.generations'):.0f}; "
+        f"compactions: {_sum(snap, 'ingest.compactions'):.0f}; "
+        f"broker hot-reloads: {_sum(snap, 'ingest.broker.reloads'):.0f}",
+    ]
+    flags = _sum(snap, "ingest.rebuild_flags")
+    if flags:
+        lines.append(
+            f"  full-model rebuild flagged {flags:.0f} time(s) "
+            "(null-signature rate above threshold)"
+        )
+    return lines
 
-    Returns an empty dict when the snapshot holds no ``facets.*``
-    families (i.e. the session served no window queries -- unstamped
-    stores never register them).  Aggregation sums over ranks and
-    label keys, so the result is identical across the fastpath and
-    slowpath schedulers and across shard counts for a fixed workload.
-    """
-    counters = snap["counters"]
-    if not any(name.startswith("facets.") for name in counters):
-        return {}
 
-    def _total(name: str) -> float:
-        doc = counters.get(name)
-        if doc is None:
-            return 0.0
-        return float(sum(e["value"] for e in doc["values"]))
-
-    def _by_key(name: str) -> dict[str, float]:
-        doc = counters.get(name)
-        if doc is None:
-            return {}
-        out: dict[str, float] = {}
-        for e in doc["values"]:
-            key = str(e["key"][0]) if e["key"] else ""
-            out[key] = out.get(key, 0.0) + float(e["value"])
-        return out
-
-    return {
-        "windows_by_kind": _by_key("facets.windows"),
-        "windows_served": _total("facets.windows"),
-        "facet_bytes_scanned": _total("facets.bytes_scanned"),
-        "emerging_term_hits": _total("facets.emerging_hits"),
-    }
+#: The ``metrics-report`` layout in print order: ``(title, gate,
+#: rows)``.  A section prints when some counter family's name starts
+#: with ``gate`` (``None``: always) and ``rows(snap)`` is non-empty;
+#: a new section is one more row here.
+SECTIONS = (
+    ("communication matrix (bytes moved src -> dst; p2p + RPC + "
+     "one-sided; diagonal = rank-local):", None, _comm_rows),
+    ("collective operations:", "comm.coll.", _collective_rows),
+    ("per-stage load balance (busy = region - blocked virtual "
+     "seconds):", None, _stage_rows),
+    ("distributed hashmap RPC locality:", "hashmap.", _hashmap_rows),
+    ("task queues (dynamic load balancing):", "taskq.", _taskqueue_rows),
+    ("serving layer (broker session):", "serve.", _serving_rows),
+    ("faceted analytics (window queries):", "facets.", _facet_rows),
+    ("workbench tier (analyst sessions):", "workbench.", _workbench_rows),
+    ("ingest layer (live generations):", "ingest.", _ingest_rows),
+)
 
 
 def render_report(snap: dict) -> str:
     """Human-readable metrics report (the ``metrics-report`` command).
 
-    Prints the P x P communication matrix, per-collective totals, the
-    per-stage load-imbalance factors, hashmap RPC locality,
-    task-queue stealing statistics, and (for broker sessions) the
-    serving-layer counters.
+    One header line, then each of :data:`SECTIONS` whose gate family
+    is present and whose rows are non-empty, in table order.
     """
     validate_snapshot(snap)
-    p = int(snap["nprocs"])
-    lines: list[str] = [f"metrics report (schema {snap['schema']}, P={p})"]
-
-    m = comm_matrix(snap, "bytes")
-    lines.append("")
-    lines.append(
-        "communication matrix (bytes moved src -> dst; "
-        "p2p + RPC + one-sided; diagonal = rank-local):"
-    )
-    width = max(
-        9, max((len(_fmt_bytes(v)) for row in m for v in row), default=9)
-    )
-    header = "  src\\dst " + "".join(f"{d:>{width + 1}}" for d in range(p))
-    lines.append(header)
-    for src in range(p):
-        row = "".join(f" {_fmt_bytes(v):>{width}}" for v in m[src])
-        lines.append(f"  {src:>7} {row}")
-    total = float(m.sum())
-    off_diag = total - float(m.trace())
-    lines.append(
-        f"  total {_fmt_bytes(total)} "
-        f"({_fmt_bytes(off_diag)} cross-rank)"
-    )
-
-    colls = collective_totals(snap)
-    if colls:
-        lines.append("")
-        lines.append("collective operations:")
-        lines.append(f"  {'kind':<12} {'calls':>8} {'bytes':>12}")
-        for kind in sorted(colls):
-            c = colls[kind]
-            lines.append(
-                f"  {kind:<12} {c['calls']:>8.0f} "
-                f"{_fmt_bytes(c['bytes']):>12}"
-            )
-
-    stages = stage_imbalance(snap)
-    if stages:
-        lines.append("")
-        lines.append(
-            "per-stage load balance "
-            "(busy = region - blocked virtual seconds):"
-        )
-        lines.append(
-            f"  {'stage':<14} {'max busy':>10} {'mean busy':>10} "
-            f"{'imbalance':>10}"
-        )
-        for stage in sorted(stages):
-            s = stages[stage]
-            lines.append(
-                f"  {stage:<14} {s['max_busy']:>10.4f} "
-                f"{s['mean_busy']:>10.4f} {s['imbalance']:>9.3f}x"
-            )
-
-    hmaps = hashmap_locality(snap)
-    if hmaps:
-        lines.append("")
-        lines.append("distributed hashmap RPC locality:")
-        for name in sorted(hmaps):
-            h = hmaps[name]
-            lines.append(
-                f"  {name}: {h['local']:.0f} local / "
-                f"{h['remote']:.0f} remote "
-                f"({h['local_fraction']:.1%} local), "
-                f"{h['retries']:.0f} retries"
-            )
-
-    queues = taskqueue_summary(snap)
-    if queues:
-        lines.append("")
-        lines.append("task queues (dynamic load balancing):")
-        for name in sorted(queues):
-            q = queues[name]
-            lines.append(
-                f"  {name}: {q['own']:.0f} own + {q['stolen']:.0f} "
-                f"stolen chunks ({q['tasks']:.0f} tasks), "
-                f"{q['reclaims']:.0f} lease reclaims"
-            )
-
-    serving = serving_summary(snap)
-    if serving:
-        lines.append("")
-        lines.append("serving layer (broker session):")
-        kinds = serving["queries_by_kind"]
-        total_q = sum(kinds.values())
-        mix = ", ".join(
-            f"{k}={kinds[k]:.0f}" for k in sorted(kinds)
-        )
-        lines.append(f"  queries: {total_q:.0f} ({mix})")
-        cache = serving["cache"]
-        lookups = cache["hit"] + cache["miss"]
-        rate = cache["hit"] / lookups if lookups else 0.0
-        lines.append(
-            f"  cache: {cache['hit']:.0f} hits / "
-            f"{cache['miss']:.0f} misses ({rate:.1%} hit rate), "
-            f"{cache['evict']:.0f} evictions"
-        )
-        lines.append(
-            f"  admission: {serving['rejected']:.0f} rejected; "
-            f"degraded responses: {serving['degraded']:.0f}"
-        )
-        replica = serving.get("replica")
-        if replica:
-            by_p = replica["shed_by_priority"]
-            shed_mix = ", ".join(
-                f"p{p_}={by_p[p_]:.0f}" for p_ in sorted(by_p)
-            )
-            lines.append(
-                f"  replica tier: {replica['failovers']:.0f} failovers, "
-                f"{replica['hedges']:.0f} hedged requests; "
-                f"shed: {replica['shed']:.0f}"
-                + (f" ({shed_mix})" if shed_mix else "")
-            )
-            lines.append(
-                f"  replica health: {replica['suspicions']:.0f} "
-                f"suspicions, {replica['downs']:.0f} confirmed down"
-            )
-        scanned = serving["bytes_scanned_by_shard"]
-        if scanned:
-            per_shard = ", ".join(
-                f"shard {s}: {_fmt_bytes(scanned[s])}"
-                for s in sorted(scanned, key=int)
-            )
-            lines.append(f"  bytes scanned: {per_shard}")
-        skipped = serving.get("blocks_skipped_by_shard", {})
-        if skipped and serving.get("blocks_skipped", 0.0) > 0:
-            per_shard = ", ".join(
-                f"shard {s}: {skipped[s]:.0f}"
-                for s in sorted(skipped, key=int)
-            )
-            lines.append(
-                f"  posting blocks skipped (block-max pruning): "
-                f"{serving['blocks_skipped']:.0f} ({per_shard})"
-            )
-
-    facets = facets_summary(snap)
-    if facets:
-        lines.append("")
-        lines.append("faceted analytics (window queries):")
-        kinds = facets["windows_by_kind"]
-        mix = ", ".join(f"{k}={kinds[k]:.0f}" for k in sorted(kinds))
-        lines.append(
-            f"  windows served: {facets['windows_served']:.0f}"
-            + (f" ({mix})" if mix else "")
-        )
-        lines.append(
-            f"  facet bytes scanned: "
-            f"{_fmt_bytes(facets['facet_bytes_scanned'])}; "
-            f"emerging-term hits: "
-            f"{facets['emerging_term_hits']:.0f}"
-        )
-
-    workbench = workbench_summary(snap)
-    if workbench:
-        lines.append("")
-        lines.append("workbench tier (analyst sessions):")
-        verbs = workbench["ops_by_verb"]
-        total_ops = sum(verbs.values())
-        mix = ", ".join(f"{v}={verbs[v]:.0f}" for v in sorted(verbs))
-        lines.append(f"  ops: {total_ops:.0f} ({mix})")
-        sess = workbench["sessions"]
-        lines.append(
-            f"  sessions: {sess['opened']:.0f} opened / "
-            f"{sess['closed']:.0f} closed / "
-            f"{sess['evicted']:.0f} evicted (TTL); "
-            f"sets saved: {workbench['sets_saved']:.0f}"
-        )
-        art = workbench["artifact_cache"]
-        lines.append(
-            f"  artifact cache: {art['hit']:.0f} hits / "
-            f"{art['miss']:.0f} misses "
-            f"({art['hit_rate']:.1%} hit rate), "
-            f"{art['evict']:.0f} evictions"
-        )
-        by_r = workbench["rejected_by_reason"]
-        if workbench["rejected"]:
-            rmix = ", ".join(
-                f"{r}={by_r[r]:.0f}" for r in sorted(by_r)
-            )
-            lines.append(
-                f"  quota/contract rejections: "
-                f"{workbench['rejected']:.0f} ({rmix})"
-            )
-
-    ingest = ingest_summary(snap)
-    if ingest:
-        lines.append("")
-        lines.append("ingest layer (live generations):")
-        lines.append(
-            f"  docs ingested: {ingest['docs_ingested']:.0f} "
-            f"({ingest['null_signatures']:.0f} null signatures)"
-        )
-        lines.append(
-            f"  generations published: "
-            f"{ingest['generations_published']:.0f}; "
-            f"compactions: {ingest['compactions']:.0f}; "
-            f"broker hot-reloads: {ingest['broker_reloads']:.0f}"
-        )
-        if ingest["rebuild_flags"]:
-            lines.append(
-                f"  full-model rebuild flagged "
-                f"{ingest['rebuild_flags']:.0f} time(s) "
-                "(null-signature rate above threshold)"
-            )
+    lines = [
+        f"metrics report (schema {snap['schema']}, "
+        f"P={int(snap['nprocs'])})"
+    ]
+    for title, gate, rows in SECTIONS:
+        if gate is not None and not any(
+            name.startswith(gate) for name in snap["counters"]
+        ):
+            continue
+        body = rows(snap)
+        if body:
+            lines += ["", title, *body]
     return "\n".join(lines)
 
 

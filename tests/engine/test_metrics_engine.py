@@ -21,7 +21,6 @@ from repro.runtime.machine import MachineSpec
 from repro.runtime.metrics import (
     comm_matrix,
     counter_totals,
-    hashmap_locality,
     render_report,
     stage_imbalance,
     validate_snapshot,
@@ -110,11 +109,22 @@ def test_stage_imbalance_covers_pipeline_stages(fast_result):
 
 
 def test_hashmap_locality_reported(fast_result):
-    out = hashmap_locality(fast_result.metrics)
-    assert "vocab" in out
-    vocab = out["vocab"]
-    assert vocab["local"] + vocab["remote"] > 0
-    assert 0.0 <= vocab["local_fraction"] <= 1.0
+    snap = fast_result.metrics
+    ops = {"local": 0.0, "remote": 0.0}
+    for e in snap["counters"]["hashmap.ops"]["values"]:
+        if e["key"][0] == "vocab":
+            ops[e["key"][1]] += e["value"]
+    retries = sum(
+        e["value"]
+        for e in snap["counters"]["hashmap.rpc_retries"]["values"]
+        if e["key"][0] == "vocab"
+    )
+    total = ops["local"] + ops["remote"]
+    assert total > 0
+    assert (
+        f"  vocab: {ops['local']:.0f} local / {ops['remote']:.0f} remote "
+        f"({ops['local'] / total:.1%} local), {retries:.0f} retries"
+    ) in render_report(snap).splitlines()
 
 
 def test_stage_sections_match_tracer_totals(fast_result):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.metrics import facets_summary
+from repro.runtime.metrics import counter_totals, render_report
 from repro.cli import main
 from repro.serve.broker import query_store, serve
 from repro.serve.query import Query, canonical_response
@@ -93,15 +93,25 @@ def test_emerging_scores_positive_and_sorted(facet_reports):
     assert saw_terms
 
 
+def _facet_section(snap):
+    """The rendered faceted-analytics lines of a report ([] if none)."""
+    lines = render_report(snap).splitlines()
+    title = "faceted analytics (window queries):"
+    return lines[lines.index(title) + 1:][:2] if title in lines else []
+
+
 def test_facets_summary_counters(facet_reports):
-    summary = facets_summary(facet_reports[2].metrics)
-    assert summary["windows_served"] == 12
-    assert summary["windows_by_kind"] == {
-        "facet_counts": 4.0,
-        "window_terms": 4.0,
-        "emerging": 4.0,
-    }
-    assert summary["facet_bytes_scanned"] > 0
+    snap = facet_reports[2].metrics
+    totals = counter_totals(snap)
+    assert totals["facets.bytes_scanned"] > 0
+    served, scanned = _facet_section(snap)
+    assert served == (
+        "  windows served: 12 (emerging=4, facet_counts=4, window_terms=4)"
+    )
+    assert scanned.startswith("  facet bytes scanned: ")
+    assert scanned.endswith(
+        f"; emerging-term hits: {totals['facets.emerging_hits']:.0f}"
+    )
 
 
 def test_facets_summary_identical_across_schedulers(
@@ -111,7 +121,8 @@ def test_facets_summary_identical_across_schedulers(
     fast = serve(stamped_stores[2], scripts)
     monkeypatch.setenv("REPRO_SCHED_SLOWPATH", "1")
     slow = serve(stamped_stores[2], scripts)
-    assert facets_summary(fast.metrics) == facets_summary(slow.metrics)
+    assert _facet_section(fast.metrics)
+    assert _facet_section(fast.metrics) == _facet_section(slow.metrics)
     assert _answers(fast) == _answers(slow)
 
 
@@ -124,7 +135,7 @@ def test_facets_summary_empty_without_facets(plain_store):
         )
     ]
     report = serve(plain_store, scripts)
-    assert facets_summary(report.metrics) == {}
+    assert _facet_section(report.metrics) == []
 
 
 def test_unstamped_store_gets_typed_error(plain_store):

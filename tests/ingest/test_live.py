@@ -8,11 +8,7 @@ from pathlib import Path
 
 from repro.ingest.compact import CompactionPolicy
 from repro.ingest.live import IngestConfig, IngestPlan, serve_live
-from repro.runtime.metrics import (
-    counter_totals,
-    ingest_summary,
-    render_report,
-)
+from repro.runtime.metrics import counter_totals, render_report
 from repro.serve.broker import BrokerConfig
 from repro.serve.query import Query
 from repro.serve.workload import ClientScript, generate_workload, store_profile
@@ -111,15 +107,29 @@ def test_ingested_doc_becomes_queryable(
 def test_ingest_summary_and_report(result, make_store, feed_batches):
     store = make_store(1)
     report = _live_run(store, result, feed_batches)
-    summary = ingest_summary(report.metrics)
-    assert summary["docs_ingested"] == report.ingest["docs_ingested"]
-    assert summary["generations_published"] == 3
-    assert summary["broker_reloads"] >= 1
-    text = render_report(report.metrics)
-    assert "ingest layer (live generations):" in text
-    assert "docs ingested" in text
+    totals = counter_totals(report.metrics)
+    assert totals["ingest.docs"] == report.ingest["docs_ingested"]
+    assert totals["ingest.generations"] == 3
+    assert totals["ingest.broker.reloads"] >= 1
+    lines = render_report(report.metrics).splitlines()
+    at = lines.index("ingest layer (live generations):")
+    assert lines[at + 1:at + 3] == [
+        f"  docs ingested: {totals['ingest.docs']:.0f} "
+        f"({totals['ingest.null_signatures']:.0f} null signatures)",
+        f"  generations published: 3; compactions: "
+        f"{totals['ingest.compactions']:.0f}; broker hot-reloads: "
+        f"{totals['ingest.broker.reloads']:.0f}",
+    ]
     # a static serve leaves no ingest section
-    assert ingest_summary({"counters": {}, "timers": {}}) == {}
+    static = {
+        **report.metrics,
+        "counters": {
+            name: doc
+            for name, doc in report.metrics["counters"].items()
+            if not name.startswith("ingest.")
+        },
+    }
+    assert "ingest layer" not in render_report(static)
 
 
 _DETERMINISM_SCRIPT = """

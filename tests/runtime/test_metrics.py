@@ -1,5 +1,6 @@
 """Unit tests for the deterministic metrics registry and snapshot ops."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,11 +14,9 @@ from repro.runtime.metrics import (
     MetricsSchemaError,
     comm_matrix,
     counter_totals,
-    hashmap_locality,
     merge_snapshots,
     render_report,
     stage_imbalance,
-    taskqueue_summary,
     to_prometheus,
     validate_snapshot,
 )
@@ -303,9 +302,11 @@ class TestDerivedReports:
         reg.counter("hashmap.rpc_retries", ("map",)).inc(
             0, 2.0, key=("vocab",)
         )
-        out = hashmap_locality(reg.snapshot())
-        assert out["vocab"]["local_fraction"] == pytest.approx(0.25)
-        assert out["vocab"]["retries"] == 2.0
+        lines = render_report(reg.snapshot()).splitlines()
+        at = lines.index("distributed hashmap RPC locality:")
+        assert lines[at + 1:] == [
+            "  vocab: 3 local / 9 remote (25.0% local), 2 retries"
+        ]
 
     def test_taskqueue_summary(self):
         reg = MetricsRegistry(2)
@@ -318,10 +319,11 @@ class TestDerivedReports:
         reg.counter("taskq.lease_reclaims", ("queue",)).inc(
             1, 1.0, key=("ifi",)
         )
-        out = taskqueue_summary(reg.snapshot())
-        assert out["ifi"] == {
-            "own": 4.0, "stolen": 2.0, "tasks": 12.0, "reclaims": 1.0
-        }
+        lines = render_report(reg.snapshot()).splitlines()
+        at = lines.index("task queues (dynamic load balancing):")
+        assert lines[at + 1:] == [
+            "  ifi: 4 own + 2 stolen chunks (12 tasks), 1 lease reclaims"
+        ]
 
     def test_counter_totals(self):
         reg = self._loaded_registry()
@@ -343,6 +345,116 @@ class TestDerivedReports:
         assert "load balance" in text
         assert "vocab" in text
         assert "barrier" in text
+
+
+def _report_snapshot(variant: str) -> dict:
+    """A synthetic snapshot for the golden report test.
+
+    ``full`` fills every section and turns every optional line on
+    (replica tier, shed mix, shard scans, non-zero blocks skipped,
+    window mix, workbench rejections, rebuild flag); ``lean`` keeps
+    the sections but turns those lines off; ``bare`` is an empty P=1
+    run (header and comm matrix only).
+    """
+    if variant == "bare":
+        return MetricsRegistry(1).snapshot()
+    full = variant == "full"
+    reg = MetricsRegistry(3)
+    c = reg.counter
+    p2p = c("comm.p2p.bytes", ("peer", "dir"))
+    p2p.inc(0, 4096.0, key=(1, "sent"))
+    p2p.inc(1, 4096.0, key=(0, "recv"))
+    p2p.inc(2, 10.0, key=(2, "sent"))
+    rpc = c("comm.rpc.bytes", ("peer", "dir"))
+    rpc.inc(1, 3.5e6, key=(2, "out"))
+    rpc.inc(1, 700.0, key=(2, "in"))
+    c("comm.onesided.bytes", ("peer", "dir")).inc(2, 2.0e9, key=(0, "get"))
+    calls = c("comm.coll.calls", ("kind",))
+    for r in range(3):
+        calls.inc(r, 3.0, key=("allreduce",))
+        calls.inc(r, 2.0, key=("barrier",))
+    c("comm.coll.bytes", ("kind",)).inc(0, 1536.0, key=("allreduce",))
+    for r in range(3):
+        reg.record_stage("scan", r, 1.0 + r, 0.25 * r, {})
+        reg.record_stage("index", r, 0.5, 0.5, {})
+    ops = c("hashmap.ops", ("map", "locality"))
+    ops.inc(0, 3.0, key=("vocab", "local"))
+    ops.inc(1, 9.0, key=("vocab", "remote"))
+    ops.inc(2, 5.0, key=("docs", "remote"))
+    retries = c("hashmap.rpc_retries", ("map",))
+    retries.inc(0, 2.0, key=("vocab",))
+    retries.inc(1, 1.0, key=("terms",))
+    chunks = c("taskq.chunks", ("queue", "kind"))
+    chunks.inc(0, 4.0, key=("ifi", "own"))
+    chunks.inc(1, 2.0, key=("ifi", "stolen"))
+    c("taskq.tasks", ("queue", "kind")).inc(0, 12.0, key=("ifi", "own"))
+    c("taskq.lease_reclaims", ("queue",)).inc(1, 1.0, key=("ifi",))
+    queries = c("serve.queries", ("kind",))
+    queries.inc(0, 5.0, key=("search",))
+    queries.inc(1, 2.5, key=("cluster",))
+    queries.inc(2, 1.0, key=("search",))
+    c("serve.cache.hit").inc(0, 3.0)
+    c("serve.cache.miss").inc(0, 4.0)
+    c("serve.cache.evict").inc(0, 1.0)
+    c("serve.rejected").inc(0, 1.0)
+    c("serve.degraded").inc(0, 0.0)
+    scanned = c("serve.shard.bytes_scanned", ("shard",))
+    skipped = c("serve.shard.blocks_skipped", ("shard",))
+    for r, shard in ((1, "0"), (2, "2"), (1, "10")):
+        if full:
+            scanned.inc(r, 2048.0 * (int(shard) + 1), key=(shard,))
+        skipped.inc(r, float(int(shard) + 1) if full else 0.0, key=(shard,))
+    if full:
+        shed = c("serve.shed", ("priority",))
+        shed.inc(0, 2.0, key=("1",))
+        shed.inc(0, 1.0, key=("0",))
+        c("serve.failover").inc(0, 2.0)
+        c("serve.hedge").inc(0, 1.0)
+        c("serve.replica.suspect").inc(0, 1.0)
+        c("serve.replica.down").inc(0, 1.0)
+    windows = c("facets.windows", ("kind",))
+    if full:
+        windows.inc(0, 4.0, key=("facet_counts",))
+        windows.inc(0, 2.0, key=("emerging",))
+    c("facets.bytes_scanned").inc(0, 123456.0)
+    c("facets.emerging_hits").inc(0, 7.0)
+    verbs = c("workbench.ops", ("verb",))
+    verbs.inc(0, 6.0, key=("search",))
+    verbs.inc(0, 2.0, key=("refine",))
+    c("workbench.sessions.opened").inc(0, 3.0)
+    c("workbench.sessions.closed").inc(0, 2.0)
+    c("workbench.sessions.evicted").inc(0, 1.0)
+    c("workbench.sets.saved").inc(0, 4.0)
+    rejected = c("workbench.rejected", ("reason",))
+    if full:
+        rejected.inc(0, 1.0, key=("session_quota",))
+        rejected.inc(0, 2.0, key=("bad_query",))
+    c("workbench.artifact.hit").inc(0, 5.0)
+    c("workbench.artifact.miss").inc(0, 3.0)
+    c("workbench.artifact.evict").inc(0, 1.0)
+    c("ingest.docs").inc(0, 40.0)
+    c("ingest.null_signatures").inc(0, 2.0)
+    c("ingest.generations").inc(0, 3.0)
+    c("ingest.compactions").inc(0, 1.0)
+    c("ingest.broker.reloads").inc(1, 2.0)
+    c("ingest.rebuild_flags").inc(0, 1.0 if full else 0.0)
+    return reg.snapshot()
+
+
+# sha256 of each variant's rendered text, pinned when the report was
+# still nine hand-written blocks: the section table must not move a byte
+_REPORT_SHA256 = {
+    "full": "54a30fb357404a85a78ecddb887dddd8db2da10d8e9d2cbb9d1e0ecd338025f1",
+    "lean": "ddd228490e4703e89bd39ff6094d135bd12d72c80ab26cbb13708729cde9064f",
+    "bare": "38d350ce44d1619f611491c7eac4a4cfe20dfe166f4cb2d7ce6a9410a7298458",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_REPORT_SHA256))
+def test_render_report_golden(variant):
+    text = render_report(_report_snapshot(variant))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _REPORT_SHA256[variant], text
 
 
 class TestPrometheus:

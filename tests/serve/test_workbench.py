@@ -12,11 +12,7 @@ import pytest
 from repro.ingest.feed import FeedConfig, FeedSource
 from repro.ingest.live import IngestPlan
 from repro.runtime.faults import CrashFault, FaultPlan
-from repro.runtime.metrics import (
-    counter_totals,
-    render_report,
-    workbench_summary,
-)
+from repro.runtime.metrics import counter_totals, render_report
 from repro.serve.query import Query, canonical_response
 from repro.serve.workload import store_profile
 from repro.workbench import (
@@ -479,10 +475,19 @@ def _mutable_store(stores, tmp_path):
 class TestMetricsIntegration:
     def test_workbench_summary_and_report(self, reports):
         rep = reports[2]
-        summary = workbench_summary(rep.metrics)
-        assert summary["sessions"]["opened"] == rep.sessions_opened
-        assert summary["sets_saved"] == rep.sets_saved
-        assert summary["artifact_cache"]["hit"] == rep.artifact_hits
-        assert sum(summary["ops_by_verb"].values()) >= rep.served
-        text = render_report(rep.metrics)
-        assert "workbench tier (analyst sessions):" in text
+        totals = counter_totals(rep.metrics)
+        lines = render_report(rep.metrics).splitlines()
+        at = lines.index("workbench tier (analyst sessions):")
+        ops = lines[at + 1]
+        assert ops.startswith("  ops: ")
+        assert int(ops.split()[1]) >= rep.served
+        assert lines[at + 2:at + 4] == [
+            f"  sessions: {rep.sessions_opened} opened / "
+            f"{totals['workbench.sessions.closed']:.0f} closed / "
+            f"{rep.sessions_evicted} evicted (TTL); "
+            f"sets saved: {rep.sets_saved}",
+            f"  artifact cache: {rep.artifact_hits} hits / "
+            f"{rep.artifact_misses} misses "
+            f"({rep.artifact_hit_rate:.1%} hit rate), "
+            f"{totals['workbench.artifact.evict']:.0f} evictions",
+        ]

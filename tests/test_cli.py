@@ -686,6 +686,71 @@ def test_ingest_publish_status_compact(
     assert "nothing to do" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        pytest.param(
+            ["analyze", "--results", "{missing}"], "missing",
+            id="analyze-missing-results",
+        ),
+        pytest.param(
+            ["analyze", "--results", "{text}"], "text",
+            id="analyze-non-npz-results",
+        ),
+        pytest.param(
+            ["serve-build", "--results", "{missing}", "--out", "{tmp}/s"],
+            "missing",
+            id="serve-build-missing-results",
+        ),
+        pytest.param(
+            ["serve-build", "--results", "{text}", "--out", "{tmp}/s"],
+            "text",
+            id="serve-build-non-npz-results",
+        ),
+        pytest.param(
+            ["run", "--corpus", "{corpus}", "--out", "{tmp}/r"], "corpus",
+            id="run-missing-corpus",
+        ),
+        pytest.param(
+            ["ingest-publish", "--store", "{store}", "--journal",
+             "{journal}", "--results", "{text}"],
+            "text",
+            id="ingest-publish-bad-results",
+        ),
+        pytest.param(
+            ["metrics-report", "--snapshot", "{dict}"], "dict",
+            id="metrics-report-foreign-dict",
+        ),
+        pytest.param(
+            ["metrics-report", "--snapshot", "{list}"], "list",
+            id="metrics-report-foreign-list",
+        ),
+    ],
+)
+def test_bad_input_file_is_an_error_line(
+    argv, bad, tmp_path, store_dir, journal_dir, capsys
+):
+    paths = {
+        "tmp": tmp_path,
+        "missing": tmp_path / "missing.npz",
+        "text": tmp_path / "not-an-archive.npz",
+        "corpus": tmp_path / "missing.jsonl",
+        "dict": tmp_path / "dict.json",
+        "list": tmp_path / "list.json",
+        "store": store_dir,
+        "journal": journal_dir,
+    }
+    paths["text"].write_text("plain text, not a saved result\n")
+    paths["dict"].write_text('{"a": 1}\n')
+    paths["list"].write_text("[1, 2]\n")
+    rc = main([a.format(**paths) for a in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[bad]}")
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_ingest_status_rejects_corrupt_store(tmp_path, capsys):
     rc = main(["ingest-status", "--store", str(tmp_path / "nope")])
     assert rc == 1
