@@ -106,19 +106,21 @@ def generate_corpus(
     field_builder: FieldBuilder,
     model: ThemeModel,
     represented_bytes: float | None = None,
+    n_docs: int | None = None,
 ) -> Corpus:
     """Generate documents until ``target_bytes`` of text exist.
 
     ``field_builder`` constructs one document's field dict from the
     model; the generator tracks actual byte production so corpora land
-    within a few percent of the requested size.
+    within a few percent of the requested size.  ``n_docs`` instead
+    stops after exactly that many documents (a prefix of the stream).
     """
-    if target_bytes <= 0:
+    if n_docs is None and target_bytes <= 0:
         raise ValueError(f"target_bytes must be > 0, got {target_bytes}")
     documents: list[Document] = []
     produced = 0
     theme_labels: list[int] = []
-    while produced < target_bytes:
+    while produced < target_bytes if n_docs is None else len(documents) < n_docs:
         themes = model.sample_themes()
         fields = field_builder(model, themes, model.rng)
         doc = Document(doc_id=len(documents), fields=fields)

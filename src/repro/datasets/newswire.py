@@ -46,6 +46,7 @@ def generate_newswire(
     vocab_size: int = 10_000,
     mean_story_length: float = 4.0,
     facets=None,
+    n_docs: int | None = None,
 ) -> Corpus:
     """Generate a bursty newswire corpus of roughly ``target_bytes``.
 
@@ -99,6 +100,7 @@ def generate_newswire(
         field_builder=builder,
         model=model,
         represented_bytes=represented_bytes,
+        n_docs=n_docs,
     )
     corpus.meta["story_ids"] = story_ids[: len(corpus)]
     # the burst state, not the mixture draw, defines the true labels

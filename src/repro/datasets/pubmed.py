@@ -48,6 +48,7 @@ def generate_pubmed(
     n_themes: int = 12,
     vocab_size: int = 12_000,
     facets=None,
+    n_docs: int | None = None,
 ) -> Corpus:
     """Generate a PubMed-like corpus of roughly ``target_bytes``.
 
@@ -74,6 +75,7 @@ def generate_pubmed(
         field_builder=_pubmed_fields,
         model=model,
         represented_bytes=represented_bytes,
+        n_docs=n_docs,
     )
     if facets is not None:
         from repro.facets.stamp import stamp_corpus

@@ -97,6 +97,7 @@ def generate_trec(
     vocab_size: int = 16_000,
     max_body_tokens: int = 20_000,
     facets=None,
+    n_docs: int | None = None,
 ) -> Corpus:
     """Generate a GOV2-like corpus of roughly ``target_bytes``.
 
@@ -141,6 +142,7 @@ def generate_trec(
         field_builder=builder,
         model=model,
         represented_bytes=represented_bytes,
+        n_docs=n_docs,
     )
     if facets is not None:
         from repro.facets.stamp import stamp_corpus

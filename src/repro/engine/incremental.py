@@ -7,11 +7,15 @@ clustering, PCA) need not be recomputed per arrival: a new record can
 be *projected* into the existing model exactly the way the original
 documents were:
 
-1. tokenize and look up terms in the frozen major-term model,
+1. scan the record onto the frozen model's major-term rows
+   (:func:`repro.index.termindex.scan_major_rows`),
 2. combine the association-matrix rows (frequency-weighted, L1
    normalized) into a signature,
 3. assign to the nearest existing centroid,
 4. project with the fitted centroid-PCA transform.
+
+Steps 2-4 are :func:`project_major_rows`, so live ingest projects and
+inverts the rows of one scan.
 
 Documents whose vocabulary the model has never seen become null
 signatures, and a rising null rate is the natural trigger for a full
@@ -27,9 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.kmeans import assign_points
-from repro.signature.docvec import compute_signatures, major_lookup_arrays
+from repro.index.termindex import scan_major_rows
+from repro.signature.docvec import compute_signatures
 from repro.text.documents import Document
-from repro.text.tokenizer import Tokenizer, TokenizerConfig
+from repro.text.tokenizer import TokenizerConfig
 
 from .results import EngineResult
 
@@ -64,35 +69,31 @@ def project_new_documents(
     models built with ``field_weights`` the incremental placement is an
     unweighted approximation.
     """
+    return project_major_rows(
+        result,
+        [d.doc_id for d in documents],
+        scan_major_rows(documents, result, tokenizer_config),
+    )
+
+
+def project_major_rows(
+    result: EngineResult,
+    doc_ids: Sequence[int],
+    doc_rows: list[np.ndarray],
+) -> ProjectedBatch:
+    """Place scanned documents (``doc_rows`` from ``scan_major_rows``)."""
     if result.projection is None:
         raise ValueError(
             "result carries no fitted projection; re-run the engine"
         )
-    tokenizer = Tokenizer(
-        tokenizer_config if tokenizer_config is not None else TokenizerConfig()
-    )
-    # frozen model: major term -> canonical row
-    term_row = {t.term: i for i, t in enumerate(result.major_terms)}
-    # synthesize per-doc "gid" arrays in model-row space: rows are
-    # already dense 0..N-1, so the lookup arrays are trivial
-    n_major = len(result.major_terms)
-    sorted_gids, positions = major_lookup_arrays(list(range(n_major)))
-    doc_rows: list[np.ndarray] = []
-    for doc in documents:
-        rows = [
-            term_row[t]
-            for t in tokenizer.tokens(doc.text())
-            if t in term_row
-        ]
-        doc_rows.append(np.asarray(rows, dtype=np.int64))
-    batch = compute_signatures(
-        doc_rows, sorted_gids, positions, result.association
-    )
+    # rows are already dense 0..N-1: the gid lookup is the identity
+    rows = np.arange(len(result.major_terms), dtype=np.int64)
+    batch = compute_signatures(doc_rows, rows, rows, result.association)
     sigs = batch.signatures
     labels, _ = assign_points(sigs, result.centroids)
     coords = result.projection.project(sigs)
     return ProjectedBatch(
-        doc_ids=np.array([d.doc_id for d in documents], dtype=np.int64),
+        doc_ids=np.array(doc_ids, dtype=np.int64),
         signatures=sigs,
         coords=coords,
         assignments=labels,

@@ -198,41 +198,61 @@ class TermPostings:
         return out
 
 
-def build_term_postings(
-    corpus,
+class _RowMemo(dict):
+    """Raw token -> major-term row, or -1 when the token maps to none."""
+
+    def __init__(self, tokenizer: Tokenizer, major_terms) -> None:
+        super().__init__()
+        self._normalize = tokenizer._normalize_uncached
+        self._term_row = {t.term: i for i, t in enumerate(major_terms)}
+
+    def __missing__(self, raw: str) -> int:
+        term = self._normalize(raw)
+        row = -1 if term is None else self._term_row.get(term, -1)
+        self[raw] = row
+        return row
+
+
+def scan_major_rows(
+    documents,
     result,
     tokenizer_config: TokenizerConfig | None = None,
-) -> TermPostings:
-    """Invert ``corpus`` onto the result's major-term rows.
+) -> list[np.ndarray]:
+    """Each document's major-term rows, in token order (int64 arrays).
 
-    Tokenization must match the engine run that produced ``result``;
-    pass the run's ``EngineConfig.tokenizer`` when it was non-default.
-    Documents absent from ``result.doc_ids`` are ignored, as are tokens
-    outside the major-term model.
+    One pass per document: its fields joined in order, lowercased and
+    split once, each raw token mapped to a major-term row through a
+    per-call memo.  Equal to tokenizing ``doc.text()`` and to
+    tokenizing field by field (property-tested).
     """
     tokenizer = Tokenizer(
         tokenizer_config
         if tokenizer_config is not None
         else TokenizerConfig()
     )
-    term_row = {t.term: i for i, t in enumerate(result.major_terms)}
-    doc_row = {int(d): i for i, d in enumerate(result.doc_ids)}
-    n_docs = int(result.doc_ids.shape[0])
-    n_terms = len(result.major_terms)
-    gid_parts: list[int] = []
-    row_parts: list[int] = []
-    for doc in corpus.documents:
-        row = doc_row.get(doc.doc_id)
-        if row is None:
-            continue
-        for text in doc.fields.values():
-            for tok in tokenizer.tokens(text):
-                t = term_row.get(tok)
-                if t is not None:
-                    gid_parts.append(t)
-                    row_parts.append(row)
-    gids = np.asarray(gid_parts, dtype=np.int64)
-    rows = np.asarray(row_parts, dtype=np.int64)
+    row_of = _RowMemo(tokenizer, result.major_terms).__getitem__
+    out: list[np.ndarray] = []
+    for doc in documents:
+        toks = tokenizer.split(doc.text())
+        rows = np.fromiter(map(row_of, toks), dtype=np.int64, count=len(toks))
+        out.append(rows[rows >= 0])
+    return out
+
+
+def invert_major_rows(
+    doc_rows: "list[np.ndarray]",
+    row_ids,
+    n_docs: int,
+    n_terms: int,
+) -> TermPostings:
+    """Postings of scanned documents placed at document rows ``row_ids``.
+
+    ``doc_rows[i]`` (from :func:`scan_major_rows`) becomes document row
+    ``row_ids[i]``; runs keep input document order within each term.
+    """
+    sizes = [r.shape[0] for r in doc_rows]
+    gids = np.concatenate(doc_rows or [np.zeros(0, np.int64)])
+    rows = np.repeat(np.asarray(row_ids, dtype=np.int64), sizes)
     _t2f, t2d = invert_chunk(gids, rows, np.zeros_like(gids))
     offsets = np.searchsorted(
         t2d.gids, np.arange(n_terms + 1, dtype=np.int64)
@@ -245,46 +265,25 @@ def build_term_postings(
     )
 
 
-def build_batch_postings(
-    documents,
+def build_term_postings(
+    corpus,
     result,
     tokenizer_config: TokenizerConfig | None = None,
 ) -> TermPostings:
-    """Invert one ingest batch onto the result's major-term rows.
+    """Invert ``corpus`` onto the result's major-term rows.
 
-    The live-ingest analogue of :func:`build_term_postings`: document
-    rows are batch-local ``0..len(documents)-1`` in input order, and
-    tokenization iterates fields exactly like the corpus path so a
-    later compaction reproduces a fresh build's postings byte for
-    byte.
+    Tokenization must match the engine run that produced ``result``;
+    pass the run's ``EngineConfig.tokenizer`` when it was non-default.
+    Documents absent from ``result.doc_ids`` are ignored, as are tokens
+    outside the major-term model.
     """
-    tokenizer = Tokenizer(
-        tokenizer_config
-        if tokenizer_config is not None
-        else TokenizerConfig()
-    )
-    term_row = {t.term: i for i, t in enumerate(result.major_terms)}
-    n_terms = len(result.major_terms)
-    gid_parts: list[int] = []
-    row_parts: list[int] = []
-    for row, doc in enumerate(documents):
-        for text in doc.fields.values():
-            for tok in tokenizer.tokens(text):
-                t = term_row.get(tok)
-                if t is not None:
-                    gid_parts.append(t)
-                    row_parts.append(row)
-    gids = np.asarray(gid_parts, dtype=np.int64)
-    rows = np.asarray(row_parts, dtype=np.int64)
-    _t2f, t2d = invert_chunk(gids, rows, np.zeros_like(gids))
-    offsets = np.searchsorted(
-        t2d.gids, np.arange(n_terms + 1, dtype=np.int64)
-    ).astype(np.int64)
-    return TermPostings(
-        n_docs=len(documents),
-        offsets=offsets,
-        rows=t2d.keys.astype(np.int64),
-        tf=t2d.counts.astype(np.int64),
+    doc_row = {int(d): i for i, d in enumerate(result.doc_ids)}
+    docs = [d for d in corpus.documents if d.doc_id in doc_row]
+    return invert_major_rows(
+        scan_major_rows(docs, result, tokenizer_config),
+        [doc_row[d.doc_id] for d in docs],
+        n_docs=int(result.doc_ids.shape[0]),
+        n_terms=len(result.major_terms),
     )
 
 

@@ -1,9 +1,9 @@
 """Delta segments: projecting batches into publishable containers.
 
-Each arriving batch is projected through the frozen model
-(:func:`repro.engine.incremental.project_new_documents`) and inverted
-onto the model's major terms
-(:func:`repro.index.termindex.build_batch_postings`); the results
+Each arriving batch is scanned once onto the frozen model's major-term
+rows (:func:`repro.index.termindex.scan_major_rows`), which are both
+projected (:func:`repro.engine.incremental.project_major_rows`) and
+inverted (:func:`repro.index.termindex.invert_major_rows`); the results
 become one *delta segment* -- a REPROSHD container written by the
 base shards' own :func:`~repro.serve.store.write_segment` (doc_ids,
 signatures, coords, assignments, block-aligned postings, and facet
@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.incremental import ProjectedBatch, project_new_documents
+from repro.engine.incremental import ProjectedBatch, project_major_rows, project_new_documents
 from repro.engine.results import EngineResult
-from repro.index.termindex import TermPostings, build_batch_postings
+from repro.index.termindex import TermPostings, invert_major_rows, scan_major_rows
 from repro.serve.store import (
     SHARD_COLUMNS,
     DeltaInfo,
@@ -74,7 +74,7 @@ def build_delta(
     tokenizer_config=None,
     facets: FacetData | None = None,
 ) -> DeltaBatch:
-    """Project one batch and invert its postings against the model."""
+    """Project one batch and invert its postings, from one scan."""
     docs = list(documents)
     if not docs:
         raise ValueError("a delta batch needs at least one document")
@@ -83,16 +83,18 @@ def build_delta(
             f"facet arrays cover {facets.n_docs} docs but the batch "
             f"has {len(docs)}"
         )
-    projected = project_new_documents(
-        result, docs, tokenizer_config=tokenizer_config
-    )
-    postings = build_batch_postings(
-        docs, result, tokenizer_config=tokenizer_config
-    )
+    doc_rows = scan_major_rows(docs, result, tokenizer_config)
     return DeltaBatch(
         documents=docs,
-        projected=projected,
-        postings=postings,
+        projected=project_major_rows(
+            result, [d.doc_id for d in docs], doc_rows
+        ),
+        postings=invert_major_rows(
+            doc_rows,
+            np.arange(len(docs)),
+            n_docs=len(docs),
+            n_terms=len(result.major_terms),
+        ),
         facets=facets,
     )
 

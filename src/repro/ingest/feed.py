@@ -18,8 +18,6 @@ import numpy as np
 from repro.datasets import generate_newswire, generate_pubmed, generate_trec
 from repro.text.documents import Corpus, Document
 
-from .journal import IngestJournal
-
 _GENERATORS = {
     "pubmed": generate_pubmed,
     "trec": generate_trec,
@@ -82,21 +80,12 @@ class FeedSource:
     def _documents(self) -> list[Document]:
         cfg = self.config
         needed = cfg.skip_docs + cfg.batch_docs * cfg.n_batches
-        generate = _GENERATORS[cfg.dataset]
-        # the generators are sized in bytes; grow the request until it
-        # yields enough documents (deterministic in the seed)
-        target = max(4096, needed * 256)
-        for _ in range(12):
-            corpus = generate(target, seed=cfg.seed, n_themes=cfg.themes)
-            if len(corpus.documents) >= needed:
-                break
-            target *= 2
-        else:
-            raise ValueError(
-                f"feed could not generate {needed} documents "
-                f"(got {len(corpus.documents)})"
-            )
-        fresh = corpus.documents[cfg.skip_docs : needed]
+        # one prefix-stable pass over the seeded stream, stopped at the
+        # last needed document
+        corpus = _GENERATORS[cfg.dataset](
+            0, seed=cfg.seed, n_themes=cfg.themes, n_docs=needed
+        )
+        fresh = corpus.documents[cfg.skip_docs :]
         return [
             Document(doc_id=cfg.start_doc_id + i, fields=d.fields)
             for i, d in enumerate(fresh)
@@ -142,10 +131,3 @@ class FeedSource:
             out.append((corpus, arrival))
             prev_arrival = arrival
         return out
-
-    def feed_journal(self, journal: IngestJournal) -> list:
-        """Append every batch to ``journal``; returns the entries."""
-        return [
-            journal.append(corpus, arrival)
-            for corpus, arrival in self.batches()
-        ]

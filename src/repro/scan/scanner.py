@@ -29,12 +29,6 @@ class ScannedDocument:
     def ntokens(self) -> int:
         return sum(len(t) for t in self.field_tokens)
 
-    def all_tokens(self) -> list[str]:
-        out: list[str] = []
-        for toks in self.field_tokens:
-            out.extend(toks)
-        return out
-
 
 @dataclass
 class ScanStats:

@@ -64,7 +64,11 @@ class Tokenizer:
     def __init__(self, config: TokenizerConfig | None = None):
         self.config = config if config is not None else TokenizerConfig()
         escaped = re.escape(self.config.delimiters)
+        #: reference delimiter pattern; :meth:`split` is its fast path
         self._split_re = re.compile(rf"[\s{escaped}]+")
+        self._delim_to_space = str.maketrans(
+            dict.fromkeys(self.config.delimiters, " ")
+        )
         self._numeric_re = re.compile(r"^[\d\-]+$")
         #: raw (post-split, post-lowercase) token -> normalized term,
         #: or None when the token is dropped
@@ -90,15 +94,18 @@ class Tokenizer:
                 return None
         return raw
 
-    def tokens(self, text: str) -> list[str]:
-        """All terms of ``text`` in order (duplicates preserved)."""
+    def split(self, text: str) -> list[str]:
+        """Raw (lowercased, unnormalized) tokens of ``text`` in order:
+        the non-empty pieces of ``_split_re.split`` (property-tested)."""
         if self.config.lowercase:
             text = text.lower()
+        return text.translate(self._delim_to_space).split()
+
+    def tokens(self, text: str) -> list[str]:
+        """All terms of ``text`` in order (duplicates preserved)."""
         cache = self._norm_cache
         out: list[str] = []
-        for raw in self._split_re.split(text):
-            if not raw:
-                continue
+        for raw in self.split(text):
             try:
                 term = cache[raw]
             except KeyError:

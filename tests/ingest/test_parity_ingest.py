@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.termindex import build_batch_postings, concat_postings
+from repro.index.termindex import build_term_postings
 from repro.ingest.compact import (
     CompactionPolicy,
     compact_store,
@@ -40,20 +40,23 @@ from tests.ingest.conftest import ENGINE_CONFIG
 LAYOUTS = (1, 2, 4)
 
 
-def _static_equivalent(result, postings, batches, n_batches, out, p):
-    """Fresh static store over base + the first ``n_batches`` batches."""
+def _static_equivalent(corpus, result, batches, n_batches, out, p):
+    """Fresh static store over base + the first ``n_batches`` batches.
+
+    Its postings are one inversion of the grown collection, independent
+    of the per-batch delta postings the ingest path concatenates.
+    """
     corpora = [c for c, _ in batches[:n_batches]]
     grown = extend_result(
         result, corpora, tokenizer_config=ENGINE_CONFIG.tokenizer
     )
-    grown_postings = concat_postings(
-        [postings]
-        + [
-            build_batch_postings(
-                c.documents, result, ENGINE_CONFIG.tokenizer
-            )
-            for c in corpora
-        ]
+    grown_corpus = Corpus(
+        name="grown",
+        documents=corpus.documents
+        + [d for c in corpora for d in c.documents],
+    )
+    grown_postings = build_term_postings(
+        grown_corpus, grown, ENGINE_CONFIG.tokenizer
     )
     build_shards(grown, out, p, postings=grown_postings)
     return out
@@ -61,7 +64,7 @@ def _static_equivalent(result, postings, batches, n_batches, out, p):
 
 @pytest.mark.parametrize("nshards", LAYOUTS)
 def test_churn_parity_per_generation(
-    nshards, result, postings, make_store, feed_batches, tmp_path
+    nshards, corpus, result, make_store, feed_batches, tmp_path
 ):
     store = make_store(nshards)
     scripts = generate_workload(
@@ -86,8 +89,8 @@ def test_churn_parity_per_generation(
     for g in sorted(gens):
         n_batches = load_manifest_generation(store, g).ingested_batches
         statics[g] = _static_equivalent(
+            corpus,
             result,
-            postings,
             feed_batches,
             n_batches,
             tmp_path / f"static-g{g}",
@@ -103,14 +106,14 @@ def test_churn_parity_per_generation(
 
 @pytest.mark.parametrize("nshards", (1, 2))
 def test_compaction_is_bit_invisible(
-    nshards, result, postings, make_store, feed_batches, tmp_path
+    nshards, corpus, result, make_store, feed_batches, tmp_path
 ):
     """Compacted shard containers == a fresh build's, array for array."""
     store = make_store(nshards)
-    for corpus, _ in feed_batches:
+    for batch, _ in feed_batches:
         delta = build_delta(
             result,
-            corpus.documents,
+            batch.documents,
             tokenizer_config=ENGINE_CONFIG.tokenizer,
         )
         append_generation(store, [delta])
@@ -118,8 +121,8 @@ def test_compaction_is_bit_invisible(
     assert not manifest.deltas
 
     fresh = _static_equivalent(
+        corpus,
         result,
-        postings,
         feed_batches,
         len(feed_batches),
         tmp_path / "fresh",
@@ -146,7 +149,7 @@ def test_compaction_is_bit_invisible(
     ),
 )
 def test_any_batching_compacts_to_fresh_build(
-    nshards, cuts, result, postings, feed_batches, tmp_path_factory
+    nshards, cuts, corpus, result, postings, feed_batches, tmp_path_factory
 ):
     """However the same docs are batched, compaction lands on the
     identical store as one fresh build over the concatenation."""
@@ -160,17 +163,17 @@ def test_any_batching_compacts_to_fresh_build(
     tmp = tmp_path_factory.mktemp("hyp")
     store = tmp / "store"
     build_shards(result, store, nshards, postings=postings)
-    for corpus, _ in batches:
+    for batch, _ in batches:
         delta = build_delta(
             result,
-            corpus.documents,
+            batch.documents,
             tokenizer_config=ENGINE_CONFIG.tokenizer,
         )
         append_generation(store, [delta])
     manifest = compact_store(store)
 
     fresh = _static_equivalent(
-        result, postings, batches, len(batches), tmp / "fresh", nshards
+        corpus, result, batches, len(batches), tmp / "fresh", nshards
     )
     fresh_manifest = load_manifest(fresh)
     assert fresh_manifest.n_docs == manifest.n_docs

@@ -1,5 +1,8 @@
 """Tokenizer tests, including property-based invariants."""
 
+import re
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,3 +167,31 @@ def test_memoized_normalization_matches_uncached(words, stem):
     assert out == expected
     # a second pass (fully cached) is identical too
     assert t.tokens(text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text(
+        alphabet=st.one_of(
+            st.characters(),
+            st.sampled_from(list(" \t\n\x0b\x1c\x85\xa0\u2003\u2028\u3000ßΣİﬁ")),
+            st.sampled_from(list(TokenizerConfig().delimiters)),
+        ),
+        max_size=60,
+    ),
+    lowercase=st.booleans(),
+    delimiters=st.sampled_from(["", ".,;", TokenizerConfig().delimiters]),
+)
+def test_split_matches_reference_regex(text, lowercase, delimiters):
+    t = tok(lowercase=lowercase, delimiters=delimiters)
+    ref = text.lower() if lowercase else text
+    expected = [raw for raw in t._split_re.split(ref) if raw]
+    assert t.split(text) == expected
+
+
+def test_split_whitespace_is_the_regex_whitespace():
+    """``str.split`` breaks on exactly the code points ``\\s`` matches."""
+    space = re.compile(r"\s")
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        assert bool(space.match(c)) == c.isspace(), hex(cp)
