@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pickle
 import sys
 import zipfile
@@ -831,6 +832,8 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
 def _cmd_serve_query(args: argparse.Namespace) -> int:
     from repro.serve import Query, query_store
 
+    if args.top < 1:
+        raise InputError(f"--top wants a positive count, got {args.top}")
     query = None
     if args.search is not None:
         query = Query(
@@ -851,6 +854,11 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
             raise InputError(
                 f"--region wants X,Y,RADIUS, got {args.region!r}"
             ) from None
+        if not all(map(math.isfinite, (x, y, radius))) or radius < 0:
+            raise InputError(
+                "--region wants finite X,Y and a RADIUS >= 0, "
+                f"got {args.region!r}"
+            )
         query = Query(kind="region", x=x, y=y, radius=radius)
     if query is None:
         raise InputError(
@@ -991,9 +999,16 @@ def _cmd_workbench_session(args: argparse.Namespace) -> int:
     def _op_from_doc(doc: dict) -> WorkbenchOp:
         query = None
         if "terms" in doc:
+            terms = doc["terms"]
+            if not isinstance(terms, list) or not all(
+                isinstance(t, str) for t in terms
+            ):
+                raise ValueError(
+                    f'"terms" wants a list of strings, got {terms!r}'
+                )
             query = Query(
                 kind=doc.get("kind", "search"),
-                terms=tuple(doc["terms"]),
+                terms=tuple(terms),
                 k=int(doc.get("k", args.top)),
             )
         return WorkbenchOp(

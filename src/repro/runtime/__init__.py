@@ -45,7 +45,6 @@ from .metrics import (
     to_prometheus,
     validate_snapshot,
 )
-from .mpi import ANY_SOURCE, MAX, MIN, MPIComm, PROD, SUM
 from .payload import payload_nbytes
 from .scheduler import Scheduler
 from .tracing import Span, Tracer
@@ -72,15 +71,9 @@ __all__ = [
     "RpcFlakeFault",
     "StragglerFault",
     "TransientRpcError",
-    "ANY_SOURCE",
-    "MAX",
-    "MIN",
-    "MPIComm",
     "MachineSpec",
     "MetricsRegistry",
     "MetricsSchemaError",
-    "PROD",
-    "SUM",
     "comm_matrix",
     "counter_totals",
     "merge_snapshots",

@@ -22,8 +22,13 @@ shard rank resolves exactly that generation's segment list (its base
 shard plus the delta segments it owns), and the response envelope
 records the generation -- one query never mixes generations.  The
 per-epoch icf weights are recomputed on reload because they depend on
-the collection size.  Static stores keep the PR-4 three-field wire
-messages, so their virtual timings are unchanged.
+the collection size.
+
+One request shape: every fan-out message is ``(qid, epoch, shard,
+ops)``, ``ops`` a tuple of ``(verb, params)`` pairs, on static and
+generational stores and on every tier alike; the worker answers
+``(qid, shard, [payload, ...])``, one payload per pair.  Cross-query
+batching is nothing more than an ``ops`` tuple longer than one.
 
 Degradation policy: a per-query shard timeout bounds each fan-out
 round.  :class:`~repro.runtime.errors.RankFailedError` (a shard rank
@@ -128,8 +133,9 @@ class BrokerConfig:
     cache_capacity: int = 128
     #: resend rounds after a CommTimeoutError before degrading
     retries: int = 1
-    #: max queued same-arrival ``search`` queries drained into one
-    #: fan-out message; 1 preserves the one-query-per-round protocol
+    #: max already-arrived queries, of any kind, drained into one
+    #: fan-out round (one ``(verb, params)`` pair each); 1 sends one
+    #: query per round
     batch_max_queries: int = 1
 
 
@@ -218,17 +224,6 @@ class ShardOp:
     reports_scan: bool = False
 
 
-def _search_batch(seg, p):
-    # one message, N queries: every member scores over the same
-    # segment, sharing its lazily-decoded postings blocks
-    outs = seg.op_search_batch(p["requests"], p["icf"])
-    return (
-        [cands for cands, _s, _sk in outs],
-        sum(s for _c, s, _sk in outs),
-        sum(sk for _c, _s, sk in outs),
-    )
-
-
 def _set_kernel(count: Callable) -> Callable:
     """Kernel of an exact-count verb over a result set's local rows;
     ``count(postings, local rows, params)`` scans 16-byte postings."""
@@ -263,13 +258,6 @@ def _window_tf(seg, p):
 
 def _cat_cands(_model, _p, parts) -> list:
     return [c for part in parts for c in part[0]]
-
-
-def _cat_batch(_model, p, parts) -> list[list]:
-    return [
-        [c for part in parts for c in part[0][m]]
-        for m in range(len(p["requests"]))
-    ]
 
 
 def _int_sum(shape: Callable) -> Callable:
@@ -353,9 +341,6 @@ SHARD_OPS: dict[str, ShardOp] = {
         _cat_cands,
         cpu=_scan_cost(16, 4),
         prunes=True,
-    ),
-    "search_batch": ShardOp(
-        _search_batch, _cat_batch, cpu=_scan_cost(16, 4), prunes=True
     ),
     "matvec": ShardOp(
         lambda seg, p: seg.op_matvec(
@@ -461,13 +446,16 @@ class _ShardWorker:
     bit-identically.  Manifests and segment stores are cached across
     epochs (a generation's containers are immutable once published).
 
+    Every request is ``(qid, epoch, shard, ops)``: the worker runs
+    :func:`execute_shard_op` once per ``(verb, params)`` pair of
+    ``ops`` over the pinned segment list, charges the io of the whole
+    request once, and replies ``(qid, shard, [payload, ...])``.
     Single-copy tier (``rmap`` is ``None``): the rank hosts shard
-    ``rank - 1`` and takes broker rank 0's 3-field static / 4-field
-    generational requests, which name no shard.  Replicated tier: it
-    hosts what ``rmap`` places on worker ``rank - 1 - n_brokers``,
-    takes 5-field requests naming the shard from any broker, and
-    re-raises a :class:`~repro.serve.store.ShardFormatError` naming
-    which copy on which worker hit it.
+    ``rank - 1`` and takes broker rank 0's requests.  Replicated tier:
+    it hosts what ``rmap`` places on worker ``rank - 1 - n_brokers``,
+    takes requests from any broker, and re-raises a
+    :class:`~repro.serve.store.ShardFormatError` naming which copy on
+    which worker hit it.
 
     ``model`` is the session's opened store, shared with every other
     rank; its manifest seeds the per-epoch manifest cache.
@@ -564,19 +552,21 @@ class _ShardWorker:
         for src, msg in self._requests():
             if msg[0] == "stop":
                 break
-            # (qid, op, params), with the epoch and then the shard
-            # spliced in after the qid when the tier needs them
-            qid, *pin, op, params = msg
-            epoch = pin[0] if pin else 0
-            shard = pin[1] if len(pin) > 1 else self.worker_id
-            payload, scanned, skipped = execute_shard_op(
-                ctx, self.model, self.segments(epoch, shard), op, params
-            )
+            qid, epoch, shard, ops = msg
+            segs = self.segments(epoch, shard)
+            payloads, scanned, skipped = [], 0, 0
+            for op, params in ops:
+                payload, s, sk = execute_shard_op(
+                    ctx, self.model, segs, op, params
+                )
+                payloads.append(payload)
+                scanned += s
+                skipped += sk
             ctx.charge_io(scanned, concurrent_readers=1)
             skey = (str(shard),)
             bytes_scanned.inc(ctx.rank, float(scanned), key=skey)
             blocks_skipped.inc(ctx.rank, float(skipped), key=skey)
-            ctx.comm.send(src, (qid, shard, payload), tag=TAG_RESP)
+            ctx.comm.send(src, (qid, shard, payloads), tag=TAG_RESP)
             served += 1
         return served
 
@@ -659,15 +649,7 @@ def _derive_search(b, query, at, restrict=None):
     if not term_rows or not b.model.has_postings or k < 1:
         return None, _answer("search", hits=[])
     return _restricted(
-        {
-            "term_rows": term_rows,
-            "icf": at.icf,
-            "k": k,
-            # read by nothing; kept so modelled message sizes (and
-            # every virtual latency) stay those of the flagged wire
-            "pruned": True,
-        },
-        restrict,
+        {"term_rows": term_rows, "icf": at.icf, "k": k}, restrict
     )
 
 
@@ -697,12 +679,14 @@ def _derive_similar(b, query, at, restrict=None):
     # fetched unit means this round dropped nothing to carry over
     got, dropped = {}, [owner]
     if owner in b.live:
-        got, dropped = b._fanout([owner], "fetch_unit", {"doc_id": doc_id})
+        got, dropped = b._fanout(
+            [owner], (("fetch_unit", {"doc_id": doc_id}),)
+        )
     if owner not in got:
         # the only shard that could anchor this query is gone or silent
         gone = dropped or [owner]
         return None, b._flag({"kind": "similar", "hits": []}, gone)
-    unit, global_row = got[owner]
+    unit, global_row = got[owner][0]
     if unit is None:
         return None, unknown
     k = _ranked_k(query, b.n_docs - 1)
@@ -1093,14 +1077,12 @@ class _Broker:
 
     # -- fan-out -------------------------------------------------------
     def _fanout(
-        self,
-        targets: list[int],
-        op: str,
-        params: dict,
-        epoch: Optional[int] = None,
-    ) -> tuple[dict[int, object], list[int]]:
-        """One request round over ``targets`` (shard indices); returns
-        (responses by shard index, shards dropped this query).
+        self, targets: list[int], ops: tuple, epoch: Optional[int] = None
+    ) -> tuple[dict[int, list], list[int]]:
+        """One request round over ``targets`` (shard indices): every
+        target gets ``(qid, epoch, shard, ops)``, ``ops`` a tuple of
+        ``(verb, params)`` pairs.  Returns (per shard index, the list
+        of its payloads in ``ops`` order; shards dropped this query).
 
         ``epoch`` pins the round to a generation other than the
         broker's current one (a workbench session's open-time epoch).
@@ -1108,28 +1090,26 @@ class _Broker:
         ctx, cfg = self.ctx, self.config
         self.qid += 1
         qid = self.qid
-        # static stores keep the PR-4 three-field messages (identical
-        # wire sizes); generational fan-outs pin the query's epoch
-        req = (
-            (qid, self.epoch if epoch is None else epoch, op, params)
-            if self.generational
-            else (qid, op, params)
-        )
-        # single-copy tier: shard s lives on rank s + 1
+        epoch = self.epoch if epoch is None else epoch
+
+        def send(s: int) -> None:
+            # single-copy tier: shard s lives on rank s + 1
+            ctx.comm.send(s + 1, (qid, epoch, s, ops), tag=TAG_REQ)
+
         for s in targets:
-            ctx.comm.send(s + 1, req, tag=TAG_REQ)
+            send(s)
         pending = set(targets)
-        got: dict[int, object] = {}
+        got: dict[int, list] = {}
         if not getattr(ctx.comm, "supports_recv_any", True):
             # mp backend: no recv_any, but mp runs are fault-free, so a
             # plain per-shard receive in sorted order is equivalent --
             # responses carry no timing fields and the merge iterates
             # shards in sorted order, so response bytes are unchanged.
             for s in sorted(pending):
-                _rqid, shard_idx, payload = ctx.comm.recv(
+                _rqid, shard_idx, payloads = ctx.comm.recv(
                     s + 1, tag=TAG_RESP
                 )
-                got[shard_idx] = payload
+                got[shard_idx] = payloads
             return got, []
         resends = 0
         while pending:
@@ -1150,13 +1130,13 @@ class _Broker:
                 if resends < cfg.retries:
                     resends += 1
                     for s in sorted(pending):
-                        ctx.comm.send(s + 1, req, tag=TAG_REQ)
+                        send(s)
                     continue
                 break
-            rqid, shard_idx, payload = msg
+            rqid, shard_idx, payloads = msg
             if rqid != qid:
                 continue  # stale answer from a retried round
-            got[shard_idx] = payload
+            got[shard_idx] = payloads
             pending.discard(shard_idx)
         dropped = sorted(pending)
         return got, dropped
@@ -1185,45 +1165,31 @@ class _Broker:
             self.c_facet_hits.inc(self.mrank, float(hits))
 
     # -- operators -----------------------------------------------------
-    def execute(self, query: Query) -> dict:
-        """Fan one accepted, uncached query out and merge the answer."""
-        rec = QUERY_OPS[query.kind]
-        if rec.stamped and self.manifest.facets is None:
-            return _unstamped(query.kind)
-        params, answer = rec.derive(self, query, self)
-        if params is None:
-            return answer
-        got, dropped = self._fanout(self.live, rec.op, params)
-        return rec.merge(self, query, params, got, dropped)
+    def execute_batch(self, queries: list[Query]) -> list[dict]:
+        """Answer accepted, uncached queries with one shard round.
 
-    def execute_search_batch(self, queries: list[Query]) -> list[dict]:
-        """Answer several search queries with one shard round-trip.
-
-        Members the derivation answers outright (no known terms, a
-        store without postings) get that answer inline; the rest share
-        a single ``search_batch`` fan-out so every shard decodes its
-        postings once per batch instead of once per query.  Merging
-        stays per member, so each response is identical to what
-        :meth:`execute` would have produced for that query alone.
+        Each member is derived on its own -- a member the derivation
+        answers outright (unknown terms, an unstamped store) keeps
+        that answer -- and the rest share one fan-out carrying one
+        ``(verb, params)`` pair each.  Merging stays per member, so
+        every response is the one that query gets alone.
         """
-        rec = QUERY_OPS["search"]
-        derived = [rec.derive(self, query, self) for query in queries]
-        out = [answer for _params, answer in derived]
-        fanned = [(i, p) for i, (p, _a) in enumerate(derived) if p is not None]
+        out: list[Optional[dict]] = []
+        fanned = []
+        for i, query in enumerate(queries):
+            rec = QUERY_OPS[query.kind]
+            if rec.stamped and self.manifest.facets is None:
+                out.append(_unstamped(query.kind))
+                continue
+            params, answer = rec.derive(self, query, self)
+            out.append(answer)
+            if params is not None:
+                fanned.append((i, rec, params))
         if fanned:
             got, dropped = self._fanout(
-                self.live,
-                "search_batch",
-                {
-                    "requests": [
-                        (p["term_rows"], p["k"]) for _, p in fanned
-                    ],
-                    "icf": self.icf,
-                    # read by nothing; kept for the wire size
-                    "pruned": True,
-                },
+                self.live, tuple((rec.op, p) for _i, rec, p in fanned)
             )
-            for m, (i, params) in enumerate(fanned):
+            for m, (i, rec, params) in enumerate(fanned):
                 got_m = {s: got[s][m] for s in got}
                 out[i] = rec.merge(self, queries[i], params, got_m, dropped)
         return out
@@ -1277,8 +1243,8 @@ class _Broker:
         loop.record(entry, resp, False, self.epoch)
 
     def _serve(self, loop: _Loop, entry: tuple) -> None:
-        """Answer one admitted query -- or, batching, it and the search
-        queries queued behind it."""
+        """Answer one admitted query together with the queries already
+        queued behind it, up to ``batch_max_queries`` in all."""
         ctx, cfg = self.ctx, self.config
         # pin this query's epoch: reload happens between queries,
         # never inside a fan-out
@@ -1286,24 +1252,17 @@ class _Broker:
         key = self._cached(loop, entry)
         if key is None:
             return
-        query = entry[3]
-        if (
-            query.kind != "search"
-            or cfg.batch_max_queries <= 1
-            or self.generational
-        ):
-            self._answered(loop, entry, key, self.execute(query))
-            return
-        # cross-query batching: drain search queries that have already
+        # cross-query batching: drain queries that have already
         # arrived into one shard round-trip.  Members pass the same
         # admission check and cache lookup and keep their own response
-        # identity; they only share the fan-out (and with it the
-        # shard-side postings decode) and a common finish time.
+        # identity; they only share the fan-out and a common finish
+        # time.
         batch = [(entry, key)]
-        while loop.heap and len(batch) < cfg.batch_max_queries:
-            a2, i2, s2 = loop.heap[0]
-            if a2 > ctx.now or loop.items[i2][s2].kind != "search":
-                break
+        while (
+            loop.heap
+            and len(batch) < cfg.batch_max_queries
+            and loop.heap[0][0] <= ctx.now
+        ):
             # the depth a member sees counts the batch being assembled:
             # its members are admitted but not served
             member = loop.take(assembling=len(batch))
@@ -1311,7 +1270,7 @@ class _Broker:
                 key2 = self._cached(loop, member)
                 if key2 is not None:
                     batch.append((member, key2))
-        resps = self.execute_search_batch([e[3] for e, _ in batch])
+        resps = self.execute_batch([e[3] for e, _ in batch])
         for (member, key2), resp in zip(batch, resps):
             self._answered(loop, member, key2, resp)
 

@@ -346,22 +346,6 @@ class ShardStore:
         # each posting stores a delta-coded row and a tf (8 bytes each)
         return self._candidates(idx, scores), scanned_postings * 16, 0
 
-    def op_search_batch(
-        self, requests: list[tuple[list[int], int]], icf: np.ndarray
-    ) -> list[tuple[list[Candidate], int, int]]:
-        """Batched :meth:`op_search` over ``(term_rows, k)`` requests.
-
-        The batch members share one lazy postings decode (the
-        :class:`BlockPostings` per-run row cache persists across
-        members), so N queries hitting overlapping terms pay the
-        cumsum/decode cost once.  Each member's candidate list is
-        bit-identical to a solo :meth:`op_search` call -- the batching
-        identity contract.
-        """
-        return [
-            self.op_search(term_rows, icf, k) for term_rows, k in requests
-        ]
-
     def op_cluster(
         self, cluster: int, n_docs: int
     ) -> tuple[int, list[Candidate], int]:

@@ -5,9 +5,9 @@ optional ingest-driver rank).  Rank 0 is the front-end *router*: it
 assigns every client to a broker by consistent hash (sticky sessions),
 ships each broker its script subset, collects the per-broker session
 reports, and stops the worker tier.  Ranks ``1..B`` are brokers, each
-running the PR-4 closed-loop event pump over its own clients with its
-own admission queue and result cache.  Ranks ``B+1..B+W`` are replica
-workers -- the single-copy tier's
+running the single-copy broker's closed-loop event pump over its own
+clients with its own admission queue and result cache.  Ranks
+``B+1..B+W`` are replica workers -- the single-copy tier's
 :class:`~repro.serve.broker._ShardWorker` loop, told its placement:
 worker ``w`` serves *every* shard that
 :class:`~repro.serve.replica.ReplicaMap` places on it, for whatever
@@ -17,7 +17,7 @@ per-epoch segment list through the same
 answers bit-identically at every epoch -- which is what lets a broker
 fail over mid-query without perturbing a single response byte.
 
-Failure handling replaces PR-4 degradation with failover:
+Failure handling replaces flagged degradation with failover:
 
 - ``RankFailedError`` during a fan-out marks the dead workers DOWN
   (permanently) and re-sends each orphaned shard request to the next
@@ -29,7 +29,7 @@ Failure handling replaces PR-4 degradation with failover:
   marked SUSPECT for ``probation_s`` virtual seconds and deprioritized.
 - Only when a shard has no replica left does the broker drop it and
   flag the response partial -- with ``replicas=1`` this reduces
-  exactly to the PR-4 flagged-degradation behavior.
+  exactly to the single-copy tier's flagged-degradation behavior.
 
 Overload protection: admission is by priority class (priority ``p``
 admits while the in-flight depth is below ``max_inflight / 2**p``), so
@@ -102,8 +102,8 @@ class RouterConfig:
     max_inflight: int = 8
     #: per-broker LRU result-cache capacity; 0 disables caching
     cache_capacity: int = 128
-    #: max queued search queries drained into one shard round-trip;
-    #: 1 preserves the strictly per-query fan-out
+    #: max already-arrived queries, of any kind, drained into one
+    #: shard round-trip; 1 sends one query per round
     batch_max_queries: int = 1
 
 
@@ -163,7 +163,7 @@ def _await(ctx, src: int, tag: int):
 # broker rank (tier flavour)
 # ----------------------------------------------------------------------
 class _TierBroker(_Broker):
-    """A PR-4 broker pumping its client subset against replica workers.
+    """A broker pumping its client subset against replica workers.
 
     Inherits the closed-loop pump, the per-epoch cache, the hot-reload
     dance, and every operator; overrides the fan-out (replica choice,
@@ -231,12 +231,8 @@ class _TierBroker(_Broker):
 
     # -- replica-aware fan-out -----------------------------------------
     def _fanout(
-        self,
-        targets: list[int],
-        op: str,
-        params: dict,
-        epoch: Optional[int] = None,
-    ) -> tuple[dict[int, object], list[int]]:
+        self, targets: list[int], ops: tuple, epoch: Optional[int] = None
+    ) -> tuple[dict[int, list], list[int]]:
         ctx, cfg = self.ctx, self.config
         self.qid += 1
         qid = self.qid
@@ -248,7 +244,7 @@ class _TierBroker(_Broker):
         def _post(shard: int, worker: int) -> None:
             ctx.comm.send(
                 self.worker_base + worker,
-                (qid, epoch, shard, op, params),
+                (qid, epoch, shard, ops),
                 tag=TAG_REQ,
             )
 
@@ -267,7 +263,7 @@ class _TierBroker(_Broker):
             # query id and broker index so load shares across copies
             _send(s, prefs[(qid + self.broker_idx) % len(prefs)])
         pending = set(outstanding)
-        got: dict[int, object] = {}
+        got: dict[int, list] = {}
         hedged = False
         resends = 0
         while pending:
@@ -325,10 +321,10 @@ class _TierBroker(_Broker):
                             _post(s, w)
                     continue
                 break  # drop whatever is still silent
-            rqid, shard, payload = msg
+            rqid, shard, payloads = msg
             if rqid != qid or shard not in pending:
                 continue  # stale or already-hedged duplicate
-            got[shard] = payload
+            got[shard] = payloads
             pending.discard(shard)
         dropped = sorted(set(targets) - set(got))
         return got, dropped

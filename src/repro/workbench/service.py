@@ -12,8 +12,8 @@ Topologies:
   ranks: rank 0 routes each *tenant* to a sticky workbench broker
   (quota state is broker-local, so a tenant's sessions must share a
   broker), brokers pump their tenant subsets against the replica
-  worker tier with the PR-7 failover/hedging fan-out.  With
-  ``replicas >= 2`` a worker crash mid-session is masked: every
+  worker tier with the replicated tier's failover/hedging fan-out.
+  With ``replicas >= 2`` a worker crash mid-session is masked: every
   response and artifact stays byte-identical to the fault-free run.
 
 Determinism: op handlers do float work only through the shared serving
@@ -172,7 +172,10 @@ class _WorkbenchCore:
         shard resolves the segment list the session was opened
         against.
         """
-        return self.b._fanout(self.b.live, op, params, epoch=sess.epoch)
+        got, dropped = self.b._fanout(
+            self.b.live, ((op, params),), epoch=sess.epoch
+        )
+        return {s: payloads[0] for s, payloads in got.items()}, dropped
 
     # -- ranked execution over a session -------------------------------
     def _wb_query(

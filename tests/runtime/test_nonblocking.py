@@ -102,6 +102,21 @@ def test_recv_any_takes_earliest():
     assert res.rank_results[0] == [(2, "fast"), (1, "slow")]
 
 
+def test_recv_any_defaults_to_every_source():
+    """No ``sources``: any rank of the communicator may answer."""
+
+    def program(ctx):
+        comm = ctx.comm
+        assert (comm.rank, comm.nprocs) == (ctx.rank, ctx.nprocs)
+        if comm.rank == 0:
+            return sorted(comm.recv_any() for _ in range(comm.nprocs - 1))
+        comm.send(0, f"m{comm.rank}")
+        return None
+
+    res = Cluster(4).run(program)
+    assert res.rank_results[0] == [(1, "m1"), (2, "m2"), (3, "m3")]
+
+
 def test_recv_any_blocks_until_any_sender():
     def program(ctx):
         if ctx.rank == 0:

@@ -13,6 +13,8 @@ from repro.datasets.pubmed import generate_pubmed
 from repro.engine.config import EngineConfig
 from repro.engine.serial import SerialTextEngine
 from repro.index.termindex import build_term_postings
+from repro.ingest.delta import append_generation, build_delta
+from repro.ingest.feed import FeedConfig, FeedSource
 from repro.serve.store import build_shards
 
 ENGINE_CONFIG = EngineConfig(n_major_terms=200, n_clusters=5, chunk_docs=8)
@@ -50,6 +52,31 @@ def replicated_store(result, postings, tmp_path_factory):
     """A 4-shard store built with ``replication=2`` in its manifest."""
     out = tmp_path_factory.mktemp("rstore") / "store"
     build_shards(result, out, 4, postings=postings, replication=2)
+    return out
+
+
+@pytest.fixture(scope="session")
+def delta_store(corpus, result, postings, tmp_path_factory):
+    """A 4-shard store with two published delta generations; the feed
+    continues the corpus's own seeded stream."""
+    out = tmp_path_factory.mktemp("dstore") / "store"
+    build_shards(result, out, 4, postings=postings)
+    feed = FeedSource(
+        FeedConfig(
+            dataset="pubmed",
+            batch_docs=6,
+            n_batches=2,
+            seed=4,
+            themes=4,
+            skip_docs=len(corpus.documents),
+            start_doc_id=int(result.doc_ids[-1]) + 1,
+        )
+    )
+    for batch, _arrival in feed.batches():
+        delta = build_delta(
+            result, batch.documents, tokenizer_config=ENGINE_CONFIG.tokenizer
+        )
+        append_generation(out, [delta])
     return out
 
 

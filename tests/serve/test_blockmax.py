@@ -352,6 +352,37 @@ class TestBatchedBrokerIdentity:
             }
             assert answers == reference
 
+    @pytest.mark.parametrize("store", ["static", "generational"])
+    def test_mixed_kinds_answer_identically_at_every_batch_size(
+        self, stores, delta_store, store
+    ):
+        """Every kind batches, on a static store and on one with
+        published deltas: B = 4 and 16 answer byte for byte what
+        B = 1 answers."""
+        store_dir = stores[4] if store == "static" else delta_store
+        scripts = generate_workload(
+            store_profile(store_dir),
+            n_clients=6,
+            queries_per_client=10,
+            seed=21,
+            mean_think_s=0.0,
+        )
+        assert len({q.kind for s in scripts for q in s.queries}) == 5
+        runs = {
+            b: serve(
+                store_dir,
+                scripts,
+                config=BrokerConfig(batch_max_queries=b, max_inflight=64),
+            )
+            for b in (1, 4, 16)
+        }
+        reference = self._answers(runs[1])
+        assert len(reference) == sum(len(s.queries) for s in scripts)
+        for b in (4, 16):
+            assert not runs[b].rejected
+            assert self._answers(runs[b]) == reference
+            assert runs[b].makespan < runs[1].makespan
+
     def test_batching_reduces_virtual_makespan(self, stores, scripts):
         solo = serve(
             stores[4],
@@ -369,10 +400,10 @@ class TestBatchedBrokerIdentity:
         self, stores
     ):
         """The batch drain under pressure: members rejected by
-        admission, members answered from the cache, and a non-search
-        arrival ending the drain (seed 5 at ``max_inflight=6`` drives
-        all three while a batch is being assembled -- a burst of
-        rejects needs a client set that arrived inside one fan-out).
+        admission and members answered from the cache (seed 5 at
+        ``max_inflight=6`` drives both while a batch is being
+        assembled -- a burst of rejects needs a client set that
+        arrived inside one fan-out).
         Every served answer must still be the answer the same query
         gets unbatched with roomy admission, and the pump's accounting
         must balance."""

@@ -377,6 +377,47 @@ def test_serve_query_bad_region_spec(store_dir, capsys):
     assert "X,Y,RADIUS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        pytest.param(
+            ["serve-query", "--region", "0,0,-1"], "RADIUS >= 0",
+            id="region-negative-radius",
+        ),
+        pytest.param(
+            ["serve-query", "--region", "nan,0,1"], "finite",
+            id="region-nan",
+        ),
+        pytest.param(
+            ["serve-query", "--search", "gene", "--top", "0"], "--top",
+            id="top-zero",
+        ),
+        pytest.param(
+            ["serve-query", "--search", "gene", "--top", "-3"], "--top",
+            id="top-negative",
+        ),
+        pytest.param(
+            ["workbench-session", "--script", "{script}"],
+            "list of strings",
+            id="workbench-terms-string",
+        ),
+    ],
+)
+def test_bad_query_value_is_an_error_line(
+    argv, says, store_dir, tmp_path, capsys
+):
+    script = tmp_path / "ops.json"
+    script.write_text('[{"verb": "search", "name": "a", "terms": "abc"}]')
+    argv = [a.format(script=script) for a in argv]
+    rc = main(argv[:1] + ["--store", str(store_dir)] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert says in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_serve_query_missing_store(tmp_path, capsys):
     rc = main(
         [

@@ -42,5 +42,4 @@ def test_examples_exist():
         "themeview_export",
         "interactive_analysis",
         "streaming_updates",
-        "mpi_style",
     } <= names
