@@ -34,9 +34,7 @@ def test_fastinv_invert_chunk(benchmark):
     n = 200_000
     docs = np.sort(rng.integers(0, 2_000, size=n)).astype(np.int64)
     gids = rng.integers(0, 20_000, size=n).astype(np.int64)
-    fields = docs * 3 + rng.integers(0, 3, size=n)
-    fields = np.sort(fields)
-    t2f, t2d = benchmark(invert_chunk, gids, docs, fields)
+    t2d = benchmark(invert_chunk, gids, docs)
     assert len(t2d) > 0
 
 
@@ -126,28 +124,13 @@ def test_hashmap_batch_insert(benchmark):
 
 
 def test_fastinv_order_loop(benchmark):
-    """Explicit FAST-INV counting-sort loop (reference path).
-
-    Compare against test_fastinv_order_vectorized to re-measure the
-    FASTINV_LOOP_MAX crossover (2026-08 sweep: the loop loses at every
-    size, 9.3us vs 1.5us at n=4 up to 500us vs 19us at n=1024, so the
-    threshold is pinned at 0).
-    """
+    """Explicit FAST-INV counting-sort loop (the test oracle for the
+    stable argsort that ``invert_chunk`` runs)."""
     from repro.index.fastinv import _fastinv_order
 
     rng = np.random.default_rng(3)
     gids = rng.integers(0, 512, size=1024).astype(np.int64)
     order = benchmark(_fastinv_order, gids)
-    assert order.shape == gids.shape
-
-
-def test_fastinv_order_vectorized(benchmark):
-    """Stable-argsort production path of the FAST-INV ordering."""
-    from repro.index.fastinv import _fastinv_order_vectorized
-
-    rng = np.random.default_rng(3)
-    gids = rng.integers(0, 512, size=1024).astype(np.int64)
-    order = benchmark(_fastinv_order_vectorized, gids)
     assert order.shape == gids.shape
 
 

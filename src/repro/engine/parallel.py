@@ -32,12 +32,7 @@ from repro.cluster.kmeans import (
 from repro.ga.array import GlobalArray
 from repro.ga.hashmap import GlobalHashMap
 from repro.ga.taskqueue import SharedTaskQueue
-from repro.index.fastinv import (
-    Postings,
-    fields_to_docs,
-    invert_chunk,
-    merge_doc_postings,
-)
+from repro.index.fastinv import invert_chunk
 from repro.index.stats import TermStats, stats_from_doc_postings
 from repro.project.pca import fit_pca
 from repro.runtime.cluster import Cluster
@@ -431,7 +426,6 @@ def _engine_core(
                 {"terms": np.array(vocab.gid_to_term, dtype=object)},
             )
         ctx.barrier()
-    nfields_global = max(1, len(field_names))
 
     # ------------------------------------------- inverted file indexing
     with ctx.region("index"):
@@ -449,8 +443,7 @@ def _engine_core(
             processed_loads = 0
         else:
             stats, processed_loads = _index_stage(
-                ctx, cfg, machine, pf, vocab, forward, store,
-                nfields_global, gid_lo, gid_hi,
+                ctx, cfg, machine, pf, vocab, forward, store, gid_lo, gid_hi
             )
             if ckpt is not None:
                 piece = (
@@ -588,13 +581,12 @@ def _index_stage(
     vocab,
     forward,
     store,
-    nfields_global: int,
     gid_lo: int,
     gid_hi: int,
 ):
     """FAST-INV inversion with dynamic load balancing + postings
     exchange and global term statistics (paper 3.3)."""
-    chunk = max(1, cfg.chunk_docs)
+    chunk = cfg.chunk_docs
     nloads = (len(forward.docs) + chunk - 1) // chunk
     load_counts = ctx.comm.allgather(nloads)
     offsets = np.concatenate([[0], np.cumsum(load_counts)])
@@ -633,9 +625,8 @@ def _index_stage(
                 float(machine.scaled(nb, Scale.STREAM)),
                 key=(owner, "get"),
             )
-        g, d, f = fwd.chunk_streams(lo, hi)
-        t2f, _ = invert_chunk(g, d, f)
-        t2d = fields_to_docs(t2f, nfields_global)
+        g, d = fwd.chunk_streams(lo, hi)
+        t2d = invert_chunk(g, d)
         ctx.charge(machine.invert_seconds(g.size) * pf)
         dest = gid_owner[t2d.gids]
         for r in range(ctx.nprocs):
@@ -681,11 +672,13 @@ def _index_stage(
         per_dest,
         nbytes_hint=machine.scaled(exchange_nbytes, Scale.STREAM),
     )
-    my_postings = merge_doc_postings(
-        [Postings(g, d, c) for g, d, c in incoming]
+    # loads are disjoint document ranges, so no (term, doc) pair
+    # arrives twice and the statistics need no merge
+    my_gids = _cat([g for g, _, _ in incoming])
+    ctx.charge(machine.invert_seconds(len(my_gids)))
+    stats = stats_from_doc_postings(
+        my_gids, _cat([c for _, _, c in incoming]), gid_lo, gid_hi
     )
-    ctx.charge(machine.invert_seconds(len(my_postings)))
-    stats = stats_from_doc_postings(my_postings, gid_lo, gid_hi)
     # global term statistics live in global arrays (paper 3.3)
     df_ga = GlobalArray.create(
         ctx, "stats:df", (vocab.size,), dtype=np.int64, dist=vocab.dist

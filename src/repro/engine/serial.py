@@ -25,7 +25,7 @@ from repro.cluster.twolevel import (
     HIERARCHICAL_METHODS,
     merge_micro_clusters,
 )
-from repro.index.fastinv import invert_chunk, merge_doc_postings
+from repro.index.fastinv import invert_chunk
 from repro.index.stats import stats_from_doc_postings
 from repro.project.pca import fit_pca
 from repro.scan.forward import ForwardIndex, encode_forward
@@ -234,13 +234,21 @@ class SerialTextEngine:
 
         # ------------------------------------------------ indexing
         t0 = time.perf_counter()
-        parts = []
-        for lo in range(0, len(forward), max(1, cfg.chunk_docs)):
-            hi = min(len(forward), lo + max(1, cfg.chunk_docs))
-            _t2f, t2d = invert_chunk(*forward.chunk_streams(lo, hi))
-            parts.append(t2d)
-        postings = merge_doc_postings(parts)
-        stats = stats_from_doc_postings(postings, 0, vocab.size)
+        # chunks are disjoint document ranges: their postings never
+        # share a (term, doc) pair, so df/cf need no merge
+        gid_parts = [np.empty(0, dtype=np.int64)]
+        count_parts = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, len(forward), cfg.chunk_docs):
+            hi = lo + cfg.chunk_docs
+            t2d = invert_chunk(*forward.chunk_streams(lo, hi))
+            gid_parts.append(t2d.gids)
+            count_parts.append(t2d.counts)
+        stats = stats_from_doc_postings(
+            np.concatenate(gid_parts),
+            np.concatenate(count_parts),
+            0,
+            vocab.size,
+        )
         stage_seconds["index"] = time.perf_counter() - t0
 
         # ------------------------------------------------ topicality

@@ -1,20 +1,12 @@
 """Inverted-file indexing (FAST-INV) and global term statistics."""
 
-from .fastinv import (
-    Postings,
-    fields_to_docs,
-    invert_bruteforce,
-    invert_chunk,
-    merge_doc_postings,
-)
+from .fastinv import Postings, invert_bruteforce, invert_chunk
 from .stats import TermStats, stats_from_doc_postings
 
 __all__ = [
     "Postings",
     "TermStats",
-    "fields_to_docs",
     "invert_bruteforce",
     "invert_chunk",
-    "merge_doc_postings",
     "stats_from_doc_postings",
 ]

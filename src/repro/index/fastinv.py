@@ -8,10 +8,10 @@ counting structure with NumPy primitives (``bincount`` + ``cumsum`` +
 stable scatter), then run-length-encode equal keys to aggregate term
 frequencies.
 
-Two products, as in the paper's steps 2-3:
-
-* the **term-to-field index** -- postings ``(gid, field, count)``;
-* the **term-to-document index** -- postings ``(gid, doc, tf)``.
+One product: the **term-to-document index** -- postings
+``(gid, doc, tf)`` -- which is all global term statistics (df, cf)
+need.  Chunks cover disjoint documents, so their postings never share
+a ``(gid, doc)`` pair and statistics sum over chunks without a merge.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import numpy as np
 
 @dataclass
 class Postings:
-    """Columnar postings: parallel arrays sorted by (gid, key)."""
+    """Columnar term-to-document postings, grouped by gid; within a
+    gid, documents keep stream order."""
 
     gids: np.ndarray
-    keys: np.ndarray  # field id or doc id
+    keys: np.ndarray  # doc id
     counts: np.ndarray
 
     def __len__(self) -> int:
@@ -37,30 +38,6 @@ class Postings:
         z = np.empty(0, dtype=np.int64)
         return cls(z, z.copy(), z.copy())
 
-    @classmethod
-    def concatenate(cls, parts: "list[Postings]") -> "Postings":
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return cls.empty()
-        return cls(
-            np.concatenate([p.gids for p in parts]),
-            np.concatenate([p.keys for p in parts]),
-            np.concatenate([p.counts for p in parts]),
-        )
-
-
-#: Largest chunk (token count) for which ``invert_chunk`` prefers the
-#: explicit FAST-INV loop over ``np.argsort(kind="stable")``.  Measured
-#: empirically (see ``benchmarks/test_kernels.py::test_fastinv_order_*``
-#: and the crossover sweep in its module docstring): the loop *never*
-#: wins -- at n=4 it is already ~6x slower (9.3us vs 1.5us) because its
-#: ``bincount``/``cumsum`` setup pays the same NumPy fixed costs as the
-#: argsort and then adds a Python-level scatter, and the gap only grows
-#: with n (~27x at n=1024).  The threshold is therefore 0: the loop is
-#: executable documentation and a test oracle, never the production
-#: path.  Re-run the sweep on new hardware before raising this.
-FASTINV_LOOP_MAX = 0
-
 
 def _fastinv_order(gids: np.ndarray, nterms_hint: int | None = None) -> np.ndarray:
     """Permutation grouping postings by term, FAST-INV style.
@@ -68,6 +45,9 @@ def _fastinv_order(gids: np.ndarray, nterms_hint: int | None = None) -> np.ndarr
     Equivalent to a stable counting sort on the term ID: bucket sizes
     via ``bincount``, bucket starts via ``cumsum``, then a stable
     scatter.  Preserves original (hence document) order within a term.
+    Executable documentation and a test oracle: ``invert_chunk`` calls
+    ``np.argsort(kind="stable")``, a radix/counting sort on integer
+    keys, which is the same permutation and always faster.
     """
     if gids.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -83,126 +63,35 @@ def _fastinv_order(gids: np.ndarray, nterms_hint: int | None = None) -> np.ndarr
     return order
 
 
-def _fastinv_order_vectorized(gids: np.ndarray) -> np.ndarray:
-    """Vectorized equivalent of :func:`_fastinv_order`.
+def invert_chunk(gids: np.ndarray, doc_ids: np.ndarray) -> Postings:
+    """Invert one forward-index chunk into term-to-document postings.
 
-    ``np.argsort(kind="stable")`` on integer keys is a radix/counting
-    sort internally -- the same algorithmic family as FAST-INV -- and
-    is what production use should call.  The explicit loop variant is
-    kept (and tested against this one) as executable documentation of
-    the algorithm.
+    ``gids`` and ``doc_ids`` are parallel per-token arrays as produced
+    by :meth:`repro.scan.ForwardIndex.chunk_streams`; each document's
+    tokens must be contiguous.
     """
-    return np.argsort(gids, kind="stable")
-
-
-def _run_length_aggregate(
-    gids: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse consecutive equal (gid, key) pairs into counts.
-
-    Requires the input grouped by gid with keys grouped within gid.
-    """
-    if gids.size == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    boundary = np.empty(gids.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (gids[1:] != gids[:-1]) | (keys[1:] != keys[:-1])
-    idx = np.flatnonzero(boundary)
-    counts = np.diff(np.concatenate([idx, [gids.size]]))
-    return gids[idx], keys[idx], counts.astype(np.int64)
-
-
-def invert_chunk(
-    gids: np.ndarray,
-    doc_ids: np.ndarray,
-    field_ids: np.ndarray,
-    use_reference_loop: bool = False,
-) -> tuple[Postings, Postings]:
-    """Invert one forward-index chunk.
-
-    Returns ``(term_to_field, term_to_doc)`` postings.  ``gids``,
-    ``doc_ids`` and ``field_ids`` are parallel per-token arrays as
-    produced by :meth:`repro.scan.ForwardIndex.chunk_streams`.
-    """
-    if not (gids.shape == doc_ids.shape == field_ids.shape):
+    if gids.shape != doc_ids.shape:
         raise ValueError("parallel posting arrays must share a shape")
     if gids.size == 0:
-        return Postings.empty(), Postings.empty()
-    # selection is empirical: see FASTINV_LOOP_MAX (currently 0, i.e.
-    # the vectorized path always wins); use_reference_loop forces the
-    # explicit loop for tests and documentation runs
-    if use_reference_loop or gids.size <= FASTINV_LOOP_MAX:
-        order = _fastinv_order(gids)
-    else:
-        order = _fastinv_order_vectorized(gids)
+        return Postings.empty()
+    order = np.argsort(gids, kind="stable")
     g = gids[order]
     d = doc_ids[order]
-    f = field_ids[order]
-    # Within a term, tokens keep document order (stable sort), and each
-    # document's fields are contiguous in the stream, so equal
-    # (gid, field) and (gid, doc) pairs are consecutive runs.
-    tf_gids, tf_keys, tf_counts = _run_length_aggregate(g, f)
-    td_gids, td_keys, td_counts = _run_length_aggregate(g, d)
-    term_to_field = Postings(tf_gids, tf_keys, tf_counts)
-    term_to_doc = Postings(td_gids, td_keys, td_counts)
-    return term_to_field, term_to_doc
-
-
-def fields_to_docs(term_to_field: Postings, nfields_global: int) -> Postings:
-    """Aggregate a term-to-field index into a term-to-document index.
-
-    Paper step 3: "Use the term-to-field index to create a
-    term-to-record index."  Global field IDs encode their document as
-    ``doc_id * nfields_global + field_index``, so the aggregation is a
-    run-length collapse of consecutive equal (gid, doc) pairs (fields of
-    one document are adjacent in the stream).
-    """
-    if nfields_global < 1:
-        raise ValueError(f"nfields_global must be >= 1, got {nfields_global}")
-    if len(term_to_field) == 0:
-        return Postings.empty()
-    doc_keys = term_to_field.keys // nfields_global
-    g = term_to_field.gids
+    # Within a term, tokens keep stream order (stable sort), and each
+    # document's tokens are contiguous in the stream, so equal
+    # (gid, doc) pairs are consecutive runs.
     boundary = np.empty(g.size, dtype=bool)
     boundary[0] = True
-    boundary[1:] = (g[1:] != g[:-1]) | (doc_keys[1:] != doc_keys[:-1])
+    boundary[1:] = (g[1:] != g[:-1]) | (d[1:] != d[:-1])
     idx = np.flatnonzero(boundary)
-    seg = np.cumsum(boundary) - 1
-    counts = np.bincount(seg, weights=term_to_field.counts).astype(np.int64)
-    return Postings(g[idx], doc_keys[idx], counts)
+    counts = np.diff(np.concatenate([idx, [g.size]]))
+    return Postings(g[idx], d[idx], counts.astype(np.int64))
 
 
-def merge_doc_postings(parts: list[Postings]) -> Postings:
-    """Merge per-chunk term-to-doc postings into one sorted set.
-
-    Different chunks contain different documents, so after a stable
-    (gid, doc) sort, equal pairs are adjacent; aggregation handles the
-    degenerate case of duplicates defensively.
-    """
-    merged = Postings.concatenate(parts)
-    if len(merged) == 0:
-        return merged
-    order = np.lexsort((merged.keys, merged.gids))
-    g = merged.gids[order]
-    k = merged.keys[order]
-    c = merged.counts[order]
-    boundary = np.empty(g.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (g[1:] != g[:-1]) | (k[1:] != k[:-1])
-    idx = np.flatnonzero(boundary)
-    seg = np.cumsum(boundary) - 1
-    counts = np.bincount(seg, weights=c).astype(np.int64)
-    return Postings(g[idx], k[idx], counts)
-
-
-def invert_bruteforce(
-    gids: np.ndarray, doc_ids: np.ndarray, field_ids: np.ndarray
-) -> tuple[dict, dict]:
-    """Oracle inversion used by tests: plain dict counting."""
-    t2f: dict[tuple[int, int], int] = {}
+def invert_bruteforce(gids: np.ndarray, doc_ids: np.ndarray) -> dict:
+    """Oracle inversion used by tests: plain dict counting of
+    ``(gid, doc) -> tf``."""
     t2d: dict[tuple[int, int], int] = {}
-    for g, d, f in zip(gids, doc_ids, field_ids):
-        t2f[(int(g), int(f))] = t2f.get((int(g), int(f)), 0) + 1
+    for g, d in zip(gids, doc_ids):
         t2d[(int(g), int(d))] = t2d.get((int(g), int(d)), 0) + 1
-    return t2f, t2d
+    return t2d

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fastinv import Postings
-
 
 @dataclass
 class TermStats:
@@ -31,24 +29,24 @@ class TermStats:
 
 
 def stats_from_doc_postings(
-    postings: Postings, gid_lo: int, gid_hi: int
+    gids: np.ndarray, counts: np.ndarray, gid_lo: int, gid_hi: int
 ) -> TermStats:
     """Compute df/cf for terms in ``[gid_lo, gid_hi)`` from postings.
 
-    ``postings`` must be aggregated term-to-document postings (one row
-    per (term, doc) pair) restricted to -- or at least covering -- the
-    gid range.
+    ``gids`` and ``counts`` are the term and tf columns of term-to-
+    document postings with one row per (term, doc) pair, in any order
+    and covering at least the gid range.
     """
     n = gid_hi - gid_lo
     if n < 0:
         raise ValueError(f"bad gid range [{gid_lo}, {gid_hi})")
     df = np.zeros(n, dtype=np.int64)
     cf = np.zeros(n, dtype=np.int64)
-    if len(postings) and n:
-        mask = (postings.gids >= gid_lo) & (postings.gids < gid_hi)
-        g = postings.gids[mask] - gid_lo
+    if gids.size and n:
+        mask = (gids >= gid_lo) & (gids < gid_hi)
+        g = gids[mask] - gid_lo
         df = np.bincount(g, minlength=n).astype(np.int64)
         cf = np.bincount(
-            g, weights=postings.counts[mask], minlength=n
+            g, weights=counts[mask], minlength=n
         ).astype(np.int64)
     return TermStats(gid_lo=gid_lo, gid_hi=gid_hi, df=df, cf=cf)

@@ -253,7 +253,7 @@ def invert_major_rows(
     sizes = [r.shape[0] for r in doc_rows]
     gids = np.concatenate(doc_rows or [np.zeros(0, np.int64)])
     rows = np.repeat(np.asarray(row_ids, dtype=np.int64), sizes)
-    _t2f, t2d = invert_chunk(gids, rows, np.zeros_like(gids))
+    t2d = invert_chunk(gids, rows)
     offsets = np.searchsorted(
         t2d.gids, np.arange(n_terms + 1, dtype=np.int64)
     ).astype(np.int64)

@@ -81,31 +81,23 @@ class ForwardIndex:
 
     def chunk_streams(
         self, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated (gids, doc_ids, field_ids) for documents [lo, hi).
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated (gids, doc_ids) for documents [lo, hi).
 
-        ``doc_ids`` and ``field_ids`` are expanded per token, ready for
-        FAST-INV inversion.
+        ``doc_ids`` is expanded per token, ready for FAST-INV inversion.
         """
         gid_parts: list[np.ndarray] = []
         doc_parts: list[np.ndarray] = []
-        fld_parts: list[np.ndarray] = []
         for d in self.docs[lo:hi]:
             n = d.ntokens
             if n == 0:
                 continue
             gid_parts.append(d.gids)
             doc_parts.append(np.full(n, d.doc_id, dtype=np.int64))
-            counts = np.diff(d.field_offsets)
-            fld_parts.append(np.repeat(d.field_ids, counts))
         if not gid_parts:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        return (
-            np.concatenate(gid_parts),
-            np.concatenate(doc_parts),
-            np.concatenate(fld_parts),
-        )
+            return empty, empty.copy()
+        return np.concatenate(gid_parts), np.concatenate(doc_parts)
 
 
 def encode_forward(

@@ -65,6 +65,7 @@ def _assert_model_equals_oracle(result, oracle):
     np.testing.assert_array_equal(result.association, oracle.association)
     np.testing.assert_array_equal(result.signatures, oracle.signatures)
     assert result.null_fraction == oracle.null_fraction
+    assert result.term_stats == oracle.term_stats
     np.testing.assert_allclose(result.centroids, oracle.centroids, atol=1e-8)
     np.testing.assert_allclose(result.coords, oracle.coords, atol=1e-7)
 

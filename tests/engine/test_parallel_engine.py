@@ -1,5 +1,7 @@
 """Parallel engine tests: serial equivalence and scaling behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,15 @@ from repro.engine import (
     ParallelTextEngine,
     SerialTextEngine,
 )
+from repro.index import invert_bruteforce
 from repro.runtime import MachineSpec
+from repro.scan import (
+    encode_forward,
+    finalize_vocabulary_serial,
+    scan_documents,
+    unique_terms,
+)
+from repro.text import Tokenizer
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])
@@ -44,6 +54,46 @@ def test_term_stats_identical_to_serial(trec_small, small_config):
     s = SerialTextEngine(small_config).run(trec_small)
     p = ParallelTextEngine(3, config=small_config).run(trec_small)
     assert p.term_stats == s.term_stats
+
+
+@pytest.fixture(scope="module")
+def trec_df_cf(trec_small):
+    """``term -> (df, cf)`` by brute-force inversion of the whole
+    forward stream, independent of chunking and of the engines."""
+    tok = Tokenizer(EngineConfig().tokenizer)
+    scanned, _ = scan_documents(trec_small.documents, tok)
+    vocab = finalize_vocabulary_serial(unique_terms(scanned))
+    fwd = encode_forward(
+        scanned,
+        vocab.term_to_gid,
+        {f: i for i, f in enumerate(trec_small.field_names)},
+    )
+    df = np.zeros(vocab.size, dtype=np.int64)
+    cf = np.zeros(vocab.size, dtype=np.int64)
+    postings = invert_bruteforce(*fwd.chunk_streams(0, len(fwd)))
+    for (g, _), tf in postings.items():
+        df[g] += 1
+        cf[g] += tf
+    return {
+        t: (int(df[g]), int(cf[g])) for g, t in enumerate(vocab.gid_to_term)
+    }
+
+
+@pytest.mark.parametrize("dlb", [True, False])
+@pytest.mark.parametrize("chunk_docs", [1, 3])
+@pytest.mark.parametrize("nprocs", [1, 2, 4])
+def test_term_stats_equal_bruteforce_inversion(
+    trec_small, small_config, trec_df_cf, nprocs, chunk_docs, dlb
+):
+    """Per-chunk statistics summed without a merge are the statistics
+    of the whole collection, for any chunking, P and load balancing."""
+    cfg = dataclasses.replace(
+        small_config, chunk_docs=chunk_docs, dynamic_load_balancing=dlb
+    )
+    if nprocs == 1 and dlb:
+        assert SerialTextEngine(cfg).run(trec_small).term_stats == trec_df_cf
+    p = ParallelTextEngine(nprocs, config=cfg).run(trec_small)
+    assert p.term_stats == trec_df_cf
 
 
 def test_parallel_deterministic(pubmed_small, small_config):
@@ -121,8 +171,6 @@ def test_static_vs_dynamic_load_balancing(trec_small):
 def test_memory_pressure_slows_low_proc_counts(pubmed_small):
     """The 16.44 GB @ 4 procs anomaly: declaring a huge represented
     size triggers the thrashing model at low processor counts only."""
-    import dataclasses
-
     big = dataclasses.replace(pubmed_small, represented_bytes=16.44e9)
     cfg = EngineConfig(n_major_terms=120, n_clusters=5, kmeans_sample=48)
     r4 = ParallelTextEngine(4, config=cfg).run(big)

@@ -4,14 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import (
-    Postings,
-    fields_to_docs,
-    invert_bruteforce,
-    invert_chunk,
-    merge_doc_postings,
-)
-from repro.index.fastinv import _fastinv_order, _fastinv_order_vectorized
+from repro.index import Postings, invert_bruteforce, invert_chunk
+from repro.index.fastinv import _fastinv_order
 
 
 def _postings_to_dict(p: Postings) -> dict:
@@ -21,117 +15,46 @@ def _postings_to_dict(p: Postings) -> dict:
     }
 
 
-def _stream(tokens_by_doc_field):
-    """Build (gids, docs, fields) streams from nested lists.
-
-    ``tokens_by_doc_field[doc][field]`` is a list of gids; global field
-    ids are ``doc * nfields + field``.
-    """
-    g, d, f = [], [], []
-    nfields = max(len(fields) for fields in tokens_by_doc_field)
-    for doc, fields in enumerate(tokens_by_doc_field):
-        for fi, toks in enumerate(fields):
-            for t in toks:
-                g.append(t)
-                d.append(doc)
-                f.append(doc * nfields + fi)
-    return (
-        np.array(g, dtype=np.int64),
-        np.array(d, dtype=np.int64),
-        np.array(f, dtype=np.int64),
-        nfields,
-    )
+def _stream(tokens_by_doc):
+    """Build (gids, docs) streams from per-document gid lists."""
+    g, d = [], []
+    for doc, toks in enumerate(tokens_by_doc):
+        g.extend(toks)
+        d.extend([doc] * len(toks))
+    return np.array(g, dtype=np.int64), np.array(d, dtype=np.int64)
 
 
 def test_small_example():
-    # doc0: f0=[2, 0], f1=[2]; doc1: f0=[0, 0]
-    g, d, f, nf = _stream([[[2, 0], [2]], [[0, 0]]])
-    t2f, t2d = invert_chunk(g, d, f)
-    assert _postings_to_dict(t2f) == {
-        (2, 0): 1,
-        (0, 0): 1,
-        (2, 1): 1,
-        (0, 2): 2,
-    }
+    # doc0: [2, 0, 2]; doc1: [0, 0]
+    g, d = _stream([[2, 0, 2], [0, 0]])
+    t2d = invert_chunk(g, d)
     assert _postings_to_dict(t2d) == {
         (2, 0): 2,
         (0, 0): 1,
         (0, 1): 2,
     }
+    # sorted by (gid, doc)
+    assert list(zip(t2d.gids, t2d.keys)) == [(0, 0), (0, 1), (2, 0)]
 
 
 def test_matches_bruteforce_oracle():
     rng = np.random.default_rng(0)
     g = rng.integers(0, 30, size=500).astype(np.int64)
     d = np.sort(rng.integers(0, 20, size=500)).astype(np.int64)
-    f = d * 3 + rng.integers(0, 3, size=500)
-    f = np.sort(f)
-    t2f, t2d = invert_chunk(g, d, f)
-    o2f, o2d = invert_bruteforce(g, d, f)
-    assert _postings_to_dict(t2f) == o2f
-    assert _postings_to_dict(t2d) == o2d
+    assert _postings_to_dict(invert_chunk(g, d)) == invert_bruteforce(g, d)
 
 
 def test_reference_loop_equals_vectorized():
     rng = np.random.default_rng(1)
     g = rng.integers(0, 50, size=400).astype(np.int64)
     np.testing.assert_array_equal(
-        _fastinv_order(g), _fastinv_order_vectorized(g)
+        _fastinv_order(g), np.argsort(g, kind="stable")
     )
 
 
 def test_empty_input():
     z = np.empty(0, dtype=np.int64)
-    t2f, t2d = invert_chunk(z, z.copy(), z.copy())
-    assert len(t2f) == 0 and len(t2d) == 0
-
-
-def test_fields_to_docs_collapses():
-    g, d, f, nf = _stream([[[5], [5, 5]], [[5, 1]]])
-    t2f, t2d_direct = invert_chunk(g, d, f)
-    t2d = fields_to_docs(t2f, nf)
-    assert _postings_to_dict(t2d) == _postings_to_dict(t2d_direct)
-
-
-def test_merge_doc_postings_across_chunks():
-    a = Postings(
-        np.array([1, 2], dtype=np.int64),
-        np.array([0, 0], dtype=np.int64),
-        np.array([3, 1], dtype=np.int64),
-    )
-    b = Postings(
-        np.array([1, 1], dtype=np.int64),
-        np.array([1, 2], dtype=np.int64),
-        np.array([2, 5], dtype=np.int64),
-    )
-    merged = merge_doc_postings([a, b])
-    assert _postings_to_dict(merged) == {
-        (1, 0): 3,
-        (1, 1): 2,
-        (1, 2): 5,
-        (2, 0): 1,
-    }
-    # sorted by (gid, doc)
-    assert list(merged.gids) == sorted(merged.gids)
-
-
-def test_merge_handles_duplicate_pairs():
-    a = Postings(
-        np.array([7], dtype=np.int64),
-        np.array([3], dtype=np.int64),
-        np.array([2], dtype=np.int64),
-    )
-    b = Postings(
-        np.array([7], dtype=np.int64),
-        np.array([3], dtype=np.int64),
-        np.array([4], dtype=np.int64),
-    )
-    merged = merge_doc_postings([a, b])
-    assert _postings_to_dict(merged) == {(7, 3): 6}
-
-
-def test_merge_empty_list():
-    assert len(merge_doc_postings([])) == 0
+    assert len(invert_chunk(z, z.copy())) == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -140,27 +63,18 @@ def test_merge_empty_list():
         st.tuples(
             st.integers(min_value=0, max_value=15),  # gid
             st.integers(min_value=0, max_value=8),  # doc
-            st.integers(min_value=0, max_value=2),  # field in doc
         ),
         min_size=0,
         max_size=150,
     )
 )
 def test_property_inversion_matches_oracle(data):
-    """Any token stream (docs/fields grouped) inverts to oracle counts."""
-    # group by (doc, field) to satisfy the contiguity precondition
-    data = sorted(data, key=lambda t: (t[1], t[2]))
-    if data:
-        g = np.array([t[0] for t in data], dtype=np.int64)
-        d = np.array([t[1] for t in data], dtype=np.int64)
-        f = np.array([t[1] * 3 + t[2] for t in data], dtype=np.int64)
-    else:
-        g = d = f = np.empty(0, dtype=np.int64)
-    t2f, t2d = invert_chunk(g, d, f)
-    o2f, o2d = invert_bruteforce(g, d, f)
-    assert _postings_to_dict(t2f) == o2f
-    assert _postings_to_dict(t2d) == o2d
+    """Any token stream (docs grouped) inverts to oracle counts."""
+    # group by doc to satisfy the contiguity precondition
+    data = sorted(data, key=lambda t: t[1])
+    g = np.array([t[0] for t in data], dtype=np.int64)
+    d = np.array([t[1] for t in data], dtype=np.int64)
+    t2d = invert_chunk(g, d)
+    assert _postings_to_dict(t2d) == invert_bruteforce(g, d)
     # df/cf consistency: sum of counts equals token count
     assert t2d.counts.sum() == g.size
-    t2d_via_fields = fields_to_docs(t2f, 3)
-    assert _postings_to_dict(t2d_via_fields) == o2d

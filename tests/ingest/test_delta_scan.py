@@ -71,7 +71,7 @@ def two_pass_delta(result, docs):
                     row_parts.append(row)
     gids = np.asarray(gid_parts, dtype=np.int64)
     rows = np.asarray(row_parts, dtype=np.int64)
-    _t2f, t2d = invert_chunk(gids, rows, np.zeros_like(gids))
+    t2d = invert_chunk(gids, rows)
     postings = {
         "offsets": np.searchsorted(
             t2d.gids, np.arange(n_major + 1, dtype=np.int64)

@@ -66,19 +66,20 @@ def test_chunk_streams_expand_per_token():
     scanned, _ = scan_documents(_docs(), Tokenizer())
     vocab = finalize_vocabulary_serial(unique_terms(scanned))
     fwd = encode_forward(scanned, vocab.term_to_gid, {"title": 0, "body": 1})
-    g, d, f = fwd.chunk_streams(0, 2)
-    assert g.shape == d.shape == f.shape == (8,)
+    g, d = fwd.chunk_streams(0, 2)
+    assert g.shape == d.shape == (8,)
+    np.testing.assert_array_equal(
+        g, np.concatenate([x.gids for x in fwd.docs])
+    )
     np.testing.assert_array_equal(d, [0] * 5 + [1] * 3)
-    # doc 1: title has 1 token (field id 2), body has 2 (field id 3)
-    np.testing.assert_array_equal(f, [0, 0, 1, 1, 1, 2, 3, 3])
 
 
 def test_chunk_streams_empty_range():
     scanned, _ = scan_documents(_docs(), Tokenizer())
     vocab = finalize_vocabulary_serial(unique_terms(scanned))
     fwd = encode_forward(scanned, vocab.term_to_gid, {"title": 0, "body": 1})
-    g, d, f = fwd.chunk_streams(1, 1)
-    assert g.size == d.size == f.size == 0
+    g, d = fwd.chunk_streams(1, 1)
+    assert g.size == d.size == 0
 
 
 def test_empty_document_encodes():
@@ -87,8 +88,8 @@ def test_empty_document_encodes():
     )
     fwd = encode_forward(scanned, {}, {"body": 0})
     assert fwd.docs[0].ntokens == 0
-    g, d, f = fwd.chunk_streams(0, 1)
-    assert g.size == 0
+    g, d = fwd.chunk_streams(0, 1)
+    assert g.size == d.size == 0
 
 
 def test_nbytes_of_chunk_positive():
