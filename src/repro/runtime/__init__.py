@@ -10,7 +10,7 @@ under study.
 
 from .cluster import Cluster, ClusterResult
 from .clock import VirtualClock
-from .comm import Communicator, Request
+from .comm import Communicator
 from .context import RankContext
 from .errors import (
     ClusterAborted,
@@ -54,7 +54,6 @@ __all__ = [
     "Cluster",
     "ClusterResult",
     "Communicator",
-    "Request",
     "ClusterAborted",
     "ClusterError",
     "CollectiveMismatchError",

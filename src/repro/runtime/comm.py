@@ -1,7 +1,10 @@
 """MPI-style communication over the virtual-time scheduler.
 
-One :class:`Communicator` per rank.  Point-to-point messages go through
-per-(src, dst, tag) mailboxes with LogGP-modelled timing; collectives
+One :class:`Communicator` per rank, spanning the whole world.  It is the
+MPI subset the system calls: ``send``/``recv``/``recv_any`` and the
+``barrier``, ``bcast``, ``allreduce``, ``gather``, ``allgather``,
+``alltoallv`` and ``exscan`` collectives.  Point-to-point messages go
+through per-(src, dst, tag) mailboxes with LogGP-modelled timing; collectives
 rendezvous at :class:`~repro.runtime.world.CollectiveGate` objects, and
 the *last* arriving rank computes the result and every rank's
 completion time (``max(arrival) + model cost``), which matches the
@@ -32,10 +35,30 @@ from .world import CollectiveGate, World
 
 
 def _default_sum(a: Any, b: Any) -> Any:
-    """Elementwise/numeric addition used as the default reduce op."""
+    """Elementwise/numeric addition, the default reduction op."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.add(a, b)
     return a + b
+
+
+def collective_done(
+    machine: MachineSpec,
+    kind: str,
+    nprocs: int,
+    arrivals: Sequence[tuple[float, Optional[float]]],
+    nbytes_hint: Optional[float],
+) -> float:
+    """Completion time of a collective: ``max(arrival) + model cost``.
+
+    ``arrivals`` holds one ``(virtual arrival, measured size)`` pair
+    per rank; the last arriver's ``nbytes_hint``, when given, stands in
+    for the largest measured size.
+    """
+    size = nbytes_hint
+    if size is None:
+        size = max(s for _t, s in arrivals if s is not None)
+    t0 = max(t for t, _s in arrivals)
+    return t0 + machine.collective_seconds(kind, nprocs, float(size))
 
 
 class Message:
@@ -54,89 +77,31 @@ class Message:
         self.nbytes = nbytes
 
 
-class Request:
-    """Handle for a non-blocking point-to-point operation."""
-
-    def __init__(self, comm: "Communicator", peer: int, tag: int, kind: str):
-        self._comm = comm
-        self._peer = peer
-        self._tag = tag
-        self._kind = kind
-        self._done = False
-        self._result: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def test(self) -> bool:
-        """Try to complete without blocking; True when complete.
-
-        For receives this consumes the message only once it has
-        *arrived* in virtual time; poll-loops should charge virtual
-        time between tests or they will spin at a frozen clock.
-        """
-        if self._done:
-            return True
-        comm = self._comm
-        comm.sched.wait_turn(comm._grank)
-        box = comm._box(self._peer, tag=self._tag)
-        now = comm.sched.now(comm._grank)
-        if box and box[0].arrival <= now:
-            msg = box.popleft()
-            comm.sched.clocks[comm._grank].advance_to(
-                max(now, msg.arrival) + comm.machine.recv_overhead_seconds()
-            )
-            comm._account_recv(comm._g(self._peer), msg.nbytes)
-            self._result = msg.obj
-            self._done = True
-        return self._done
-
-    def wait(self) -> Any:
-        """Block until complete; returns the received payload (or
-        ``None`` for sends)."""
-        if not self._done:
-            self._result = self._comm.recv(self._peer, self._tag)
-            self._done = True
-        return self._result
-
-
 class Communicator:
-    """The per-rank endpoint of the simulated interconnect."""
+    """The per-rank endpoint of the simulated interconnect.
+
+    Every endpoint spans the whole world; ``rank`` is the scheduler
+    rank.  The timing rules live here once: :meth:`send` stamps the
+    LogGP cost and hands the message to :meth:`_deliver`,
+    :meth:`_complete` finishes a receive whose message was already
+    waiting, and :meth:`_enter` is every collective's arrival step.  A
+    backend endpoint replaces only the transport: ``_deliver``, the
+    blocking wait of :meth:`recv` and the collective rendezvous.
+    """
 
     #: whether :meth:`recv_any` is available (the mp backend's
     #: endpoint overrides this to False)
     supports_recv_any = True
 
     def __init__(
-        self,
-        world: World,
-        sched: Scheduler,
-        machine: MachineSpec,
-        rank: int,
-        group: Optional[list[int]] = None,
-        ctx_key: Any = "world",
+        self, world: World, sched: Scheduler, machine: MachineSpec, rank: int
     ):
-        """``rank`` is the *global* scheduler rank of this endpoint.
-
-        ``group`` lists the member global ranks of this communicator
-        (default: all of them); ``self.rank`` is then this endpoint's
-        local rank within the group, as in MPI sub-communicators.
-        """
         self.world = world
         self.sched = sched
         self.machine = machine
-        self._grank = rank
-        self._group = list(range(world.nprocs)) if group is None else list(group)
-        if rank not in self._group:
-            raise RuntimeMisuseError(
-                f"global rank {rank} is not a member of group {self._group}"
-            )
-        self.rank = self._group.index(rank)
-        self.nprocs = len(self._group)
-        self._ctx_key = ctx_key
+        self.rank = rank
+        self.nprocs = world.nprocs
         self._coll_seq = 0
-        self._split_seq = 0
         # cached metric family handles (pure dict ops, no virtual time)
         m = world.metrics
         self._m_p2p_msgs = m.counter("comm.p2p.messages", ("peer", "dir"))
@@ -144,23 +109,9 @@ class Communicator:
         self._m_coll_calls = m.counter("comm.coll.calls", ("kind",))
         self._m_coll_bytes = m.counter("comm.coll.bytes", ("kind",))
 
-    # ------------------------------------------------------------------
-    # group helpers
-    # ------------------------------------------------------------------
-    def _g(self, local_rank: int) -> int:
-        """Translate a communicator-local rank to the global rank."""
-        return self._group[local_rank]
-
-    def _box(self, src_local: int, tag: int, dst_local: Optional[int] = None):
-        """This comm's mailbox from ``src_local`` to ``dst_local``
-        (default: me).  Contexts are separated per communicator, as in
-        MPI."""
-        dst_g = self._grank if dst_local is None else self._g(dst_local)
-        key = (self._ctx_key, self._g(src_local), dst_g, tag)
-        return self.world.mailboxes.setdefault(key, deque())
-
-    def _waiter_key(self, src_local: int, tag: int):
-        return (self._ctx_key, self._g(src_local), self._grank, tag)
+    def _inbox(self, src: int, tag: int) -> deque:
+        """The mailbox of messages from ``src`` to this rank."""
+        return self.world.mailboxes.setdefault((src, self.rank, tag), deque())
 
     def _effective_timeout(self, timeout: Optional[float]) -> Optional[float]:
         """Per-call timeout, falling back to the world default (which a
@@ -172,46 +123,14 @@ class Communicator:
     ) -> None:
         """A blocking operation's virtual-time deadline fired.
 
-        If any involved global rank has crashed this is a detected peer
-        death (:class:`RankFailedError`); otherwise the peers are alive
-        but silent (:class:`CommTimeoutError`).
+        If any involved rank has crashed this is a detected peer death
+        (:class:`RankFailedError`); otherwise the peers are alive but
+        silent (:class:`CommTimeoutError`).
         """
         dead = sorted(set(involved) & set(self.sched.failed_at))
         if dead:
             raise RankFailedError(dead, detail)
-        raise CommTimeoutError(self._grank, detail, timeout)
-
-    def split(
-        self, color: Optional[int], key: Optional[int] = None
-    ) -> "Optional[Communicator]":
-        """Collectively partition this communicator by ``color``.
-
-        Members with equal ``color`` form a new communicator, ordered
-        by ``(key, old local rank)``; members passing ``color=None``
-        receive ``None`` (MPI_UNDEFINED).  Must be called by every
-        member in the same program order.
-        """
-        sort_key = self.rank if key is None else key
-        infos = self.allgather((color, sort_key))
-        split_id = self._split_seq
-        self._split_seq += 1
-        if color is None:
-            return None
-        members_local = sorted(
-            (lr for lr, (c, _k) in enumerate(infos) if c == color),
-            key=lambda lr: (infos[lr][1], lr),
-        )
-        group = [self._g(lr) for lr in members_local]
-        child_key = (self._ctx_key, "split", split_id, color)
-        # type(self) so backend-specific communicators survive a split
-        return type(self)(
-            self.world,
-            self.sched,
-            self.machine,
-            self._grank,
-            group=group,
-            ctx_key=child_key,
-        )
+        raise CommTimeoutError(self.rank, detail, timeout)
 
     # ------------------------------------------------------------------
     # point to point
@@ -221,45 +140,53 @@ class Communicator:
 
         The payload is sized exactly once, here; the resulting
         :class:`Message` carries the cached size for the rest of its
-        life.  A send to one's own rank takes a zero-copy fast path:
-        the payload is handed over by reference and the (impossible)
-        blocked-receiver wakeup is skipped.
+        life.  A send to one's own rank is handed over by reference.
         """
         self._check_peer(dest)
-        self.sched.wait_turn(self._grank)
-        dest_g = self._g(dest)
-        to_self = dest_g == self._grank
+        self.sched.wait_turn(self.rank)
+        to_self = dest == self.rank
         nbytes = payload_nbytes(obj)
         sender_dt, transit_dt = self.machine.p2p_seconds(
-            nbytes,
-            intra_node=(
-                True if to_self
-                else self.machine.same_node(self._grank, dest_g)
-            ),
+            nbytes, intra_node=to_self or self.machine.same_node(self.rank, dest)
         )
-        now = self.sched.now(self._grank)
+        now = self.sched.now(self.rank)
         if self.sched.injector is not None:
             transit_dt = self.sched.injector.adjust_transit(
-                self._grank, dest_g, now, transit_dt
+                self.rank, dest, now, transit_dt
             )
-        arrival = now + transit_dt
-        box = self._box(self.rank, tag, dst_local=dest)
-        box.append(Message(obj, arrival, nbytes))
-        self._m_p2p_msgs.inc(self._grank, key=(dest_g, "sent"))
-        self._m_p2p_bytes.inc(self._grank, nbytes, key=(dest_g, "sent"))
-        self.sched.advance(self._grank, sender_dt)
-        if to_self:
+        self._deliver(dest, tag, Message(obj, now + transit_dt, nbytes), now)
+        self._m_p2p_msgs.inc(self.rank, key=(dest, "sent"))
+        self._m_p2p_bytes.inc(self.rank, nbytes, key=(dest, "sent"))
+        self.sched.advance(self.rank, sender_dt)
+
+    def _deliver(self, dest: int, tag: int, msg: Message, now: float) -> None:
+        """Transport hook: make ``msg`` (sent at virtual ``now``)
+        receivable by ``dest``, waking ``dest`` if it is blocked on
+        this channel."""
+        key = (self.rank, dest, tag)
+        self.world.mailboxes.setdefault(key, deque()).append(msg)
+        if dest == self.rank:
             # a rank cannot be blocked receiving from itself while it
             # is running, so there is no waiter to look up or wake
             return
-        wkey = (self._ctx_key, self._grank, dest_g, tag)
-        waiter = self.world.recv_waiters.pop(wkey, None)
+        waiter = self.world.recv_waiters.pop(key, None)
         if waiter is not None and self.sched.is_blocked(waiter):
             # (a recv_any waiter may already have been woken through a
             # different channel; popping its registration is enough)
             self.sched.wake(
-                waiter, arrival + self.machine.recv_overhead_seconds()
+                waiter, msg.arrival + self.machine.recv_overhead_seconds()
             )
+
+    def _complete(
+        self, src: int, arrival: float, nbytes: float, now: float
+    ) -> None:
+        """Finish a receive, issued at ``now``, of a message that was
+        already waiting: it completes at ``max(now, arrival)`` plus the
+        receive overhead."""
+        self.sched.clocks[self.rank].advance_to(
+            max(now, arrival) + self.machine.recv_overhead_seconds()
+        )
+        self._account_recv(src, nbytes)
 
     def recv(
         self, source: int, tag: int = 0, timeout: Optional[float] = None
@@ -272,67 +199,38 @@ class Communicator:
         :class:`CommTimeoutError` (sender alive but silent).
         """
         self._check_peer(source)
-        self.sched.wait_turn(self._grank)
-        key = self._waiter_key(source, tag)
-        box = self._box(source, tag)
-        if not box:
-            if key in self.world.recv_waiters:
-                raise RuntimeMisuseError(
-                    f"two receivers on mailbox {key} (ranks "
-                    f"{self.world.recv_waiters[key]} and {self._grank})"
-                )
-            self.world.recv_waiters[key] = self._grank
-            detail = f"recv(src={source}, tag={tag})"
-            eff = self._effective_timeout(timeout)
-            timed_out = self.sched.block(
-                self._grank, reason=detail, timeout=eff
-            )
-            if timed_out:
-                # No sender ran before the deadline (a send would have
-                # woken us and cleared it), so the box is still empty.
-                self.world.recv_waiters.pop(key, None)
-                self._raise_timeout(detail, [self._g(source)], eff)
-            # the sender advanced our clock to the completed-receive time
+        self.sched.wait_turn(self.rank)
+        box = self._inbox(source, tag)
+        if box:
             msg = box.popleft()
-            self._account_recv(self._g(source), msg.nbytes)
+            self._complete(
+                source, msg.arrival, msg.nbytes, self.sched.now(self.rank)
+            )
             return msg.obj
-        msg = box.popleft()
-        now = self.sched.now(self._grank)
-        done = max(now, msg.arrival) + self.machine.recv_overhead_seconds()
-        self.sched.clocks[self._grank].advance_to(done)
-        self._account_recv(self._g(source), msg.nbytes)
+        return self._wait_recv(source, tag, timeout)
+
+    def _wait_recv(
+        self, source: int, tag: int, timeout: Optional[float]
+    ) -> Any:
+        """Block until ``source``'s next message arrives; the sender's
+        :meth:`_deliver` advances this rank's clock on wake-up."""
+        key = (source, self.rank, tag)
+        if key in self.world.recv_waiters:
+            raise RuntimeMisuseError(
+                f"two receivers on mailbox {key} (ranks "
+                f"{self.world.recv_waiters[key]} and {self.rank})"
+            )
+        self.world.recv_waiters[key] = self.rank
+        detail = f"recv(src={source}, tag={tag})"
+        eff = self._effective_timeout(timeout)
+        if self.sched.block(self.rank, reason=detail, timeout=eff):
+            # No sender ran before the deadline (a send would have
+            # woken us and cleared it), so the box is still empty.
+            self.world.recv_waiters.pop(key, None)
+            self._raise_timeout(detail, [source], eff)
+        msg = self._inbox(source, tag).popleft()
+        self._account_recv(source, msg.nbytes)
         return msg.obj
-
-    def isend(self, dest: int, obj: Any, tag: int = 0) -> "Request":
-        """Non-blocking send.
-
-        Sends are eager and buffered in this runtime, so the request
-        completes immediately; it exists for MPI-style symmetry.
-        """
-        self.send(dest, obj, tag)
-        req = Request(self, dest, tag, kind="send")
-        req._result = None
-        req._done = True
-        return req
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Non-blocking receive: returns a :class:`Request`.
-
-        ``req.test()`` polls without blocking (the message must have
-        *arrived* in virtual time); ``req.wait()`` blocks like
-        :meth:`recv`.
-        """
-        self._check_peer(source)
-        return Request(self, source, tag, kind="recv")
-
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """True when a message from ``source`` has arrived (in virtual
-        time) and could be received without blocking."""
-        self._check_peer(source)
-        self.sched.wait_turn(self._grank)
-        box = self._box(source, tag)
-        now = self.sched.now(self._grank)
-        return bool(box) and box[0].arrival <= now
 
     def recv_any(
         self,
@@ -349,44 +247,40 @@ class Communicator:
         srcs = list(range(self.nprocs)) if sources is None else list(sources)
         for s in srcs:
             self._check_peer(s)
-        self.sched.wait_turn(self._grank)
+        self.sched.wait_turn(self.rank)
         found = self._pop_earliest(srcs, tag)
         if found is not None:
             return found
         # register interest on every channel, then block
         keys = []
         for s in srcs:
-            key = self._waiter_key(s, tag)
+            key = (s, self.rank, tag)
             if key in self.world.recv_waiters:
                 raise RuntimeMisuseError(
                     f"two receivers on mailbox {key}"
                 )
-            self.world.recv_waiters[key] = self._grank
+            self.world.recv_waiters[key] = self.rank
             keys.append(key)
         detail = f"recv_any(sources={srcs}, tag={tag})"
         eff = self._effective_timeout(timeout)
-        timed_out = self.sched.block(self._grank, reason=detail, timeout=eff)
+        timed_out = self.sched.block(self.rank, reason=detail, timeout=eff)
         for key in keys:
-            if self.world.recv_waiters.get(key) == self._grank:
+            if self.world.recv_waiters.get(key) == self.rank:
                 del self.world.recv_waiters[key]
         if timed_out:
-            self._raise_timeout(detail, [self._g(s) for s in srcs], eff)
-        found = self._pop_earliest(srcs, tag, ignore_arrival=True)
+            self._raise_timeout(detail, srcs, eff)
+        found = self._pop_earliest(srcs, tag)
         assert found is not None, "woken without a deliverable message"
         return found
 
     def _pop_earliest(
-        self,
-        srcs: Sequence[int],
-        tag: int,
-        ignore_arrival: bool = False,
+        self, srcs: Sequence[int], tag: int
     ) -> Optional[tuple[int, Any]]:
-        """Pop the earliest-arrival deliverable message among sources."""
-        now = self.sched.now(self._grank)
+        """Pop the earliest-arrival buffered message among sources."""
         best_src: Optional[int] = None
         best_arrival = 0.0
         for s in srcs:
-            box = self._box(s, tag)
+            box = self._inbox(s, tag)
             if not box:
                 continue
             arrival = box[0].arrival
@@ -394,20 +288,16 @@ class Communicator:
                 best_src, best_arrival = s, arrival
         if best_src is None:
             return None
-        if not ignore_arrival and best_arrival > now:
-            # a message is in flight but has not arrived yet: wait for
-            # it rather than block indefinitely
-            pass
-        msg = self._box(best_src, tag).popleft()
-        done = max(now, msg.arrival) + self.machine.recv_overhead_seconds()
-        self.sched.clocks[self._grank].advance_to(done)
-        self._account_recv(self._g(best_src), msg.nbytes)
+        msg = self._inbox(best_src, tag).popleft()
+        self._complete(
+            best_src, msg.arrival, msg.nbytes, self.sched.now(self.rank)
+        )
         return best_src, msg.obj
 
-    def _account_recv(self, src_g: int, nbytes: float) -> None:
-        """Record one delivered message from global rank ``src_g``."""
-        self._m_p2p_msgs.inc(self._grank, key=(src_g, "recv"))
-        self._m_p2p_bytes.inc(self._grank, nbytes, key=(src_g, "recv"))
+    def _account_recv(self, src: int, nbytes: float) -> None:
+        """Record one delivered message from rank ``src``."""
+        self._m_p2p_msgs.inc(self.rank, key=(src, "recv"))
+        self._m_p2p_bytes.inc(self.rank, nbytes, key=(src, "recv"))
 
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.nprocs:
@@ -433,29 +323,6 @@ class Communicator:
         return self._collective(
             "bcast", obj, nbytes=nbytes, finisher=finish,
             nbytes_hint=nbytes_hint, root=root,
-        )
-
-    def reduce(
-        self,
-        value: Any,
-        op: Callable[[Any, Any], Any] = _default_sum,
-        root: int = 0,
-        nbytes_hint: Optional[float] = None,
-    ) -> Any:
-        """Reduce values to ``root`` (others get ``None``)."""
-        self._check_peer(root)
-
-        def finish(payloads: list[Any]) -> list[Any]:
-            acc = payloads[0]
-            for v in payloads[1:]:
-                acc = op(acc, v)
-            out: list[Any] = [None] * self.nprocs
-            out[root] = acc
-            return out
-
-        return self._collective(
-            "reduce", value, finisher=finish, nbytes_hint=nbytes_hint,
-            root=root,
         )
 
     def allreduce(
@@ -509,22 +376,6 @@ class Communicator:
             "allgather", value, finisher=finish, nbytes_hint=nbytes_hint
         )
 
-    def scatter(
-        self, values: Optional[Sequence[Any]] = None, root: int = 0
-    ) -> Any:
-        """Scatter ``values`` (length nprocs, at root) across ranks."""
-        self._check_peer(root)
-        if self.rank == root:
-            if values is None or len(values) != self.nprocs:
-                raise RuntimeMisuseError(
-                    "scatter root must supply one value per rank"
-                )
-
-        def finish(payloads: list[Any]) -> list[Any]:
-            return list(payloads[root])
-
-        return self._collective("scatter", values, finisher=finish, root=root)
-
     def alltoallv(
         self, per_dest: Sequence[Any], nbytes_hint: Optional[float] = None
     ) -> list[Any]:
@@ -569,6 +420,48 @@ class Communicator:
     # ------------------------------------------------------------------
     # engine of all collectives
     # ------------------------------------------------------------------
+    def _enter(
+        self,
+        kind: str,
+        payload: Any,
+        nbytes: Optional[float],
+        nbytes_hint: Optional[float],
+    ) -> tuple[int, float, Optional[float]]:
+        """Arrive at a collective: returns ``(sequence number, arrival
+        time, measured size)``.
+
+        Each rank sizes its own payload **exactly once**, here (and not
+        at all when a hint is supplied); the completer takes the maximum
+        of the cached sizes instead of re-measuring every fan-out leg.
+        """
+        self.sched.wait_turn(self.rank)
+        seq = self._coll_seq
+        self._coll_seq += 1
+        my_size: Optional[float] = nbytes
+        if my_size is None and nbytes_hint is None:
+            my_size = float(payload_nbytes(payload))
+        self._m_coll_calls.inc(self.rank, key=(kind,))
+        self._m_coll_bytes.inc(
+            self.rank,
+            my_size if my_size is not None else float(nbytes_hint or 0.0),
+            key=(kind,),
+        )
+        return seq, self.sched.now(self.rank), my_size
+
+    def _raise_mismatch(self, kind: str, seq: int, other: str) -> None:
+        """Another rank entered collective ``seq`` as ``other``."""
+        raise CollectiveMismatchError(
+            f"rank {self.rank} called {kind!r} as collective #{seq} "
+            f"but another rank called {other!r}"
+        )
+
+    def _raise_coll_timeout(self, kind: str, seq: int) -> None:
+        """Collective ``seq``'s deadline fired before every rank came."""
+        eff = self._effective_timeout(None)
+        self._raise_timeout(
+            f"{kind} (collective #{seq})", range(self.nprocs), eff
+        )
+
     def _collective(
         self,
         kind: str,
@@ -586,45 +479,22 @@ class Communicator:
         simulator ignores it (the finisher closure already knows), but
         the mp backend uses it to ship payloads only where they are
         needed.
-
-        Each rank sizes its own payload **exactly once**, on arrival at
-        the gate (and not at all when a hint is supplied); the last
-        arriver takes the maximum of the cached sizes instead of
-        re-measuring every fan-out leg.
         """
-        self.sched.wait_turn(self._grank)
-        seq = self._coll_seq
-        self._coll_seq += 1
-        gate_key = (self._ctx_key, seq)
-        gate = self.world.gates.get(gate_key)
+        seq, now, my_size = self._enter(kind, payload, nbytes, nbytes_hint)
+        gate = self.world.gates.get(seq)
         if gate is None:
-            gate = CollectiveGate(kind, self.nprocs)
-            self.world.gates[gate_key] = gate
+            gate = self.world.gates[seq] = CollectiveGate(kind, self.nprocs)
         elif gate.kind != kind:
-            raise CollectiveMismatchError(
-                f"rank {self.rank} called {kind!r} as collective #{seq} "
-                f"but another rank called {gate.kind!r}"
-            )
-        now = self.sched.now(self._grank)
-        my_size: Optional[float] = nbytes
-        if my_size is None and nbytes_hint is None:
-            my_size = float(payload_nbytes(payload))
-        self._m_coll_calls.inc(self._grank, key=(kind,))
-        self._m_coll_bytes.inc(
-            self._grank,
-            my_size if my_size is not None else float(nbytes_hint or 0.0),
-            key=(kind,),
-        )
+            self._raise_mismatch(kind, seq, gate.kind)
         gate.arrivals[self.rank] = (now, payload, my_size)
         if len(gate.arrivals) < self.nprocs:
-            detail = f"{kind} (collective #{seq})"
-            eff = self._effective_timeout(None)
             timed_out = self.sched.block(
-                self._grank, reason=detail, timeout=eff
+                self.rank,
+                reason=f"{kind} (collective #{seq})",
+                timeout=self._effective_timeout(None),
             )
             if timed_out:
-                involved = [self._g(r) for r in range(self.nprocs)]
-                self._raise_timeout(detail, involved, eff)
+                self._raise_coll_timeout(kind, seq)
         else:
             # Last arriver: compute results and completion times.
             payloads = [gate.arrivals[r][1] for r in range(self.nprocs)]
@@ -632,23 +502,18 @@ class Communicator:
                 gate.results = [None] * self.nprocs
             else:
                 gate.results = finisher(payloads)
-            size = nbytes_hint
-            if size is None:
-                size = max(
-                    s for _t, _p, s in gate.arrivals.values()
-                    if s is not None
-                )
-            t0 = max(t for t, _p, _s in gate.arrivals.values())
-            done = t0 + self.machine.collective_seconds(
-                kind, self.nprocs, float(size)
+            done = collective_done(
+                self.machine, kind, self.nprocs,
+                [(t, s) for t, _p, s in gate.arrivals.values()],
+                nbytes_hint,
             )
             for r in range(self.nprocs):
                 if r != self.rank:
-                    self.sched.wake(self._g(r), done)
-            self.sched.clocks[self._grank].advance_to(done)
+                    self.sched.wake(r, done)
+            self.sched.clocks[self.rank].advance_to(done)
         assert gate.results is not None
         result = gate.results[self.rank]
         gate.reads += 1
         if gate.reads == self.nprocs:
-            del self.world.gates[gate_key]
+            del self.world.gates[seq]
         return result

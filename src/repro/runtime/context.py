@@ -80,7 +80,7 @@ class RankContext:
         publishing store generations) call this after each effect so
         the min-clock rule covers it.  Returns with the turn held.
         """
-        self.comm.sched.wait_turn(self.comm._grank)
+        self.sched.wait_turn(self.rank)
 
     def replicated(self, key, fn):
         """Compute-once cache for deterministically replicated work.

@@ -42,11 +42,9 @@ class Scale(enum.Enum):
 COLLECTIVE_KINDS = (
     "barrier",
     "bcast",
-    "reduce",
     "allreduce",
     "gather",
     "allgather",
-    "scatter",
     "alltoallv",
     "scan",
 )
@@ -265,15 +263,11 @@ class MachineSpec:
             return logp * (lat + 2.0 * ovh)
         if kind == "bcast":
             return logp * (lat + ovh + ser)
-        if kind == "reduce":
-            return logp * (lat + ovh + ser + red)
         if kind == "allreduce":
             # reduce + bcast (the MPI_Allreduce the paper's topicality
             # and association-matrix stages lean on)
             return 2.0 * logp * (lat + ovh + ser) + logp * red
-        if kind in ("gather", "scatter"):
-            return logp * lat + (p - 1) * (ovh + ser)
-        if kind == "allgather":
+        if kind in ("gather", "allgather"):
             return logp * lat + (p - 1) * (ovh + ser)
         if kind == "alltoallv":
             # nbytes = a rank's total outgoing volume (split over p-1

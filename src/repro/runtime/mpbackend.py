@@ -21,7 +21,7 @@ Determinism contract
 For fault-free runs the backend produces byte-identical results and
 bit-identical metrics snapshots to the simulator: collectives complete
 at ``max(arrival) + model cost`` with the last arriver defined by
-``(virtual time, global rank)`` order exactly as the simulator's
+``(virtual time, rank)`` order exactly as the simulator's
 min-clock turn rule yields; a receive counts as "message already
 buffered" iff ``(send time, src) < (recv time, dst)`` lexicographically,
 which is precisely when the simulator's turn order would have run the
@@ -31,8 +31,9 @@ Known, documented divergences (see docs/architecture.md §12): which
 rank *raises* a ``CollectiveMismatchError``, recovery wall-clock
 metadata after mid-run crashes, and alive-but-silent
 ``CommTimeoutError`` detection (the parent instead reports a deadlock
-through its watchdog).  ``probe`` / ``recv_any`` / ``irecv`` are not
-supported under mp (the engine does not use them).
+through its watchdog).  ``recv_any`` is not supported under mp (the
+engine does not use it; serving brokers fall back to sequential
+receives).
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .clock import VirtualClock
-from .comm import Communicator, Message
+from .comm import Communicator, Message, collective_done
 from .context import RankContext
 from .errors import (
     ClusterAborted,
-    CollectiveMismatchError,
     CommTimeoutError,
     DeadlockError,
     RankCrashedError,
@@ -60,7 +60,6 @@ from .errors import (
     RuntimeMisuseError,
 )
 from .metrics import MetricsRegistry
-from .payload import payload_nbytes
 from .tracing import Tracer
 from .world import World
 
@@ -77,8 +76,6 @@ _PROTO = pickle.HIGHEST_PROTOCOL
 _SHIP = {
     "barrier": "none",
     "bcast": "from-root",
-    "scatter": "from-root",
-    "reduce": "to-root",
     "gather": "to-root",
     "allreduce": "fin-one",
     "allgather": "all",
@@ -474,9 +471,11 @@ class MpWorld(World):
 class MpCommunicator(Communicator):
     """Per-rank endpoint whose rendezvous run through the switchboard.
 
-    Every virtual-time formula here is copied from the simulator's
-    :class:`~repro.runtime.comm.Communicator`; only the transport
-    differs.  Self-sends keep the simulator's in-process fast path.
+    The timing rules are the simulator's own (inherited from
+    :class:`~repro.runtime.comm.Communicator`); this class replaces the
+    transport only: :meth:`_deliver`, the blocking wait of ``recv`` and
+    the collective rendezvous.  Self-sends keep the simulator's
+    in-process mailbox.
     """
 
     #: callers that fan out (broker tiers) select a deterministic
@@ -484,97 +483,51 @@ class MpCommunicator(Communicator):
     supports_recv_any = False
 
     # -- point to point -------------------------------------------------
-    def send(self, dest: int, obj: Any, tag: int = 0) -> None:
-        self._check_peer(dest)
-        self.sched.wait_turn(self._grank)
-        dest_g = self._g(dest)
-        to_self = dest_g == self._grank
-        nbytes = payload_nbytes(obj)
-        sender_dt, transit_dt = self.machine.p2p_seconds(
-            nbytes,
-            intra_node=(
-                True if to_self
-                else self.machine.same_node(self._grank, dest_g)
-            ),
+    def _deliver(self, dest: int, tag: int, msg: Message, now: float) -> None:
+        if dest == self.rank:
+            super()._deliver(dest, tag, msg, now)
+            return
+        self.world._post(
+            ("p2p-send", self.rank, (self.rank, dest, tag), now,
+             msg.arrival, msg.nbytes, _stash_payload(msg.obj))
         )
-        now = self.sched.now(self._grank)
-        if self.sched.injector is not None:
-            transit_dt = self.sched.injector.adjust_transit(
-                self._grank, dest_g, now, transit_dt
-            )
-        arrival = now + transit_dt
-        if to_self:
-            box = self._box(self.rank, tag, dst_local=dest)
-            box.append(Message(obj, arrival, nbytes))
-        else:
-            mkey = (self._ctx_key, self._grank, dest_g, tag)
-            self.world._post(
-                ("p2p-send", self._grank, mkey, now, arrival, nbytes,
-                 _stash_payload(obj))
-            )
-        self._m_p2p_msgs.inc(self._grank, key=(dest_g, "sent"))
-        self._m_p2p_bytes.inc(self._grank, nbytes, key=(dest_g, "sent"))
-        self.sched.advance(self._grank, sender_dt)
 
-    def recv(
-        self, source: int, tag: int = 0, timeout: Optional[float] = None
+    def _wait_recv(
+        self, source: int, tag: int, timeout: Optional[float]
     ) -> Any:
-        self._check_peer(source)
-        self.sched.wait_turn(self._grank)
-        src_g = self._g(source)
-        clock = self.sched.clocks[self._grank]
-        if src_g == self._grank:
-            box = self._box(source, tag)
-            if not box:
-                raise RuntimeMisuseError(
-                    f"rank {self._grank}: recv from self with no "
-                    f"buffered message under the mp backend"
-                )
-            msg = box.popleft()
-            now = self.sched.now(self._grank)
-            done = max(now, msg.arrival) + self.machine.recv_overhead_seconds()
-            clock.advance_to(done)
-            self._account_recv(src_g, msg.nbytes)
-            return msg.obj
-        now = self.sched.now(self._grank)
-        detail = f"recv(src={source}, tag={tag})"
+        if source == self.rank:
+            raise RuntimeMisuseError(
+                f"rank {self.rank}: recv from self with no "
+                f"buffered message under the mp backend"
+            )
+        clock = self.sched.clocks[self.rank]
+        now = clock.now
         eff = self._effective_timeout(timeout)
-        mkey = (self._ctx_key, src_g, self._grank, tag)
         reply = self.world._request(
-            ("p2p-recv", self._grank, mkey, now, eff)
+            ("p2p-recv", self.rank, (source, self.rank, tag), now, eff)
         )
         if reply[0] == "p2p-timeout":
             clock.advance_to(reply[1])
-            self.sched._account_block(self._grank, clock.now - now)
-            self._raise_timeout(detail, [src_g], eff)
+            self.sched._account_block(self.rank, clock.now - now)
+            self._raise_timeout(
+                f"recv(src={source}, tag={tag})", [source], eff
+            )
         _t, buffered, arrival, nbytes, blob = reply
         obj = _load_blob(blob)
         if buffered:
             # virtually the message was waiting: the simulator's
             # non-blocking receive path (no blocked-time accounting)
-            done = max(now, arrival) + self.machine.recv_overhead_seconds()
-            clock.advance_to(done)
+            self._complete(source, arrival, nbytes, now)
         else:
-            clock.advance_to(
-                arrival + self.machine.recv_overhead_seconds()
-            )
-            self.sched._account_block(self._grank, clock.now - now)
-        self._account_recv(src_g, nbytes)
+            # the simulator's sender-side wake-up of a blocked receiver
+            clock.advance_to(arrival + self.machine.recv_overhead_seconds())
+            self.sched._account_block(self.rank, clock.now - now)
+            self._account_recv(source, nbytes)
         return obj
-
-    def probe(self, source: int, tag: int = 0) -> bool:
-        raise RuntimeMisuseError(
-            "probe() is not supported under the mp backend"
-        )
 
     def recv_any(self, sources=None, tag: int = 0, timeout=None):
         raise RuntimeMisuseError(
             "recv_any() is not supported under the mp backend"
-        )
-
-    def irecv(self, source: int, tag: int = 0):
-        raise RuntimeMisuseError(
-            "irecv() is not supported under the mp backend"
         )
 
     # -- collectives ----------------------------------------------------
@@ -587,23 +540,8 @@ class MpCommunicator(Communicator):
         nbytes_hint: Optional[float] = None,
         root: Optional[int] = None,
     ) -> Any:
-        self.sched.wait_turn(self._grank)
-        seq = self._coll_seq
-        self._coll_seq += 1
-        gate_key = (self._ctx_key, seq)
-        now = self.sched.now(self._grank)
-        my_size: Optional[float] = nbytes
-        if my_size is None and nbytes_hint is None:
-            my_size = float(payload_nbytes(payload))
-        self._m_coll_calls.inc(self._grank, key=(kind,))
-        self._m_coll_bytes.inc(
-            self._grank,
-            my_size if my_size is not None else float(nbytes_hint or 0.0),
-            key=(kind,),
-        )
-        ship = _SHIP.get(kind, "all")
-        if ship in ("from-root", "to-root") and root is None:
-            ship = "all"
+        seq, now, my_size = self._enter(kind, payload, nbytes, nbytes_hint)
+        ship = _SHIP[kind]
         blob = None
         if ship == "per-dest":
             blob = [_stash_payload(payload[d]) for d in range(self.nprocs)]
@@ -614,26 +552,20 @@ class MpCommunicator(Communicator):
         ):
             blob = _stash_payload(payload)
         reply = self.world._request(
-            ("coll", self._grank, gate_key, kind, tuple(self._group),
-             self.rank, root, ship, now, blob, my_size, nbytes_hint)
+            ("coll", self.rank, seq, kind, root, ship, now, blob, my_size,
+             nbytes_hint)
         )
-        clock = self.sched.clocks[self._grank]
+        clock = self.sched.clocks[self.rank]
         if reply[0] == "coll-mismatch":
-            raise CollectiveMismatchError(
-                f"rank {self.rank} called {kind!r} as collective #{seq} "
-                f"but another rank called {reply[1]!r}"
-            )
+            self._raise_mismatch(kind, seq, reply[1])
         if reply[0] == "rankfailed":
             clock.advance_to(reply[1])
-            self.sched._account_block(self._grank, clock.now - now)
-            detail = f"{kind} (collective #{seq})"
-            eff = self._effective_timeout(None)
-            involved = [self._g(r) for r in range(self.nprocs)]
-            self._raise_timeout(detail, involved, eff)
+            self.sched._account_block(self.rank, clock.now - now)
+            self._raise_coll_timeout(kind, seq)
         _t, is_last, done, data = reply
         clock.advance_to(done)
         if not is_last:
-            self.sched._account_block(self._grank, clock.now - now)
+            self.sched._account_block(self.rank, clock.now - now)
         if finisher is None:
             return None
         n = self.nprocs
@@ -674,7 +606,7 @@ class MpCommunicator(Communicator):
                 ]
                 out = finisher(payloads)
                 self.world._post(
-                    ("coll-fin", self._grank, gate_key,
+                    ("coll-fin", self.rank, seq,
                      _stash_payload(out[self.rank]))
                 )
                 return out[self.rank]
@@ -775,14 +707,13 @@ def _child_body(world, rank, machine, injector, fn, args, kwargs):
 # parent switchboard
 # ----------------------------------------------------------------------
 class _Gate:
-    __slots__ = ("kind", "group", "root", "ship", "arrivals")
+    __slots__ = ("kind", "root", "ship", "arrivals")
 
-    def __init__(self, kind, group, root, ship):
+    def __init__(self, kind, root, ship):
         self.kind = kind
-        self.group = group
         self.root = root
         self.ship = ship
-        #: local rank -> (virtual arrival, blob, measured size, hint)
+        #: rank -> (virtual arrival, blob, measured size, hint)
         self.arrivals: dict[int, tuple] = {}
 
 
@@ -803,7 +734,8 @@ class _Switchboard:
         self._board = np.ndarray(
             (self.nprocs,), dtype=np.float64, buffer=world._board_shm.buf
         )
-        self._gates: dict[tuple, _Gate] = {}
+        #: collective sequence number -> gate
+        self._gates: dict[int, _Gate] = {}
         self._mail: dict[tuple, deque] = {}
         self._parked_recv: dict[tuple, tuple] = {}
         self._oob: dict[Any, dict[int, Any]] = {}
@@ -815,8 +747,8 @@ class _Switchboard:
         self._repl_waiters: dict[Any, list[int]] = {}
         #: keys whose values did not pickle: every rank computes locally
         self._repl_nopickle: set = set()
-        #: gate key -> ranks awaiting the finisher's coll-fin result
-        self._fin_pending: dict[tuple, list[int]] = {}
+        #: sequence number -> ranks awaiting the finisher's coll-fin result
+        self._fin_pending: dict[int, list[int]] = {}
         self._allocs: dict[str, shared_memory.SharedMemory] = {}
         #: shared-memory payload segments seen in transit, unlinked at
         #: teardown (their lifetime is the run, their count is bounded
@@ -870,7 +802,7 @@ class _Switchboard:
         # note payload segments before any drop path so aborted ranks'
         # in-flight blobs still get unlinked at teardown
         if kind == "coll":
-            self._note_blob(msg[9])
+            self._note_blob(msg[7])
         elif kind == "coll-fin":
             self._note_blob(msg[3])
         elif kind == "p2p-send":
@@ -1014,7 +946,7 @@ class _Switchboard:
         for key in list(self._oob):
             self._eval_oob(key)
         for mkey, (dst, r_now, eff) in list(self._parked_recv.items()):
-            if mkey[1] == rank and eff is not None:
+            if mkey[0] == rank and eff is not None:
                 del self._parked_recv[mkey]
                 self._parked.pop(dst, None)
                 self._send(dst, ("p2p-timeout", r_now + eff))
@@ -1047,99 +979,77 @@ class _Switchboard:
         self._abort_everyone()
 
     # -- collectives ----------------------------------------------------
-    def _on_coll(self, rank, gate_key, kind, group, local, root, ship,
-                 t, blob, size, hint):
+    def _on_coll(self, rank, seq, kind, root, ship, t, blob, size, hint):
         self._clock_seen(rank, t)
-        g = self._gates.get(gate_key)
+        g = self._gates.get(seq)
         if g is None:
-            g = self._gates[gate_key] = _Gate(kind, group, root, ship)
+            g = self._gates[seq] = _Gate(kind, root, ship)
         elif g.kind != kind:
             self._send(rank, ("coll-mismatch", g.kind))
             return
-        g.arrivals[local] = (t, blob, size, hint)
-        self._parked[rank] = f"{kind} (collective #{gate_key[-1]})"
-        self._eval_gate(gate_key)
+        g.arrivals[rank] = (t, blob, size, hint)
+        self._parked[rank] = f"{kind} (collective #{seq})"
+        self._eval_gate(seq)
 
-    def _eval_gate(self, gate_key) -> None:
-        g = self._gates.get(gate_key)
+    def _eval_gate(self, seq) -> None:
+        g = self._gates.get(seq)
         if g is None:
             return
-        n = len(g.group)
+        n = self.nprocs
         if len(g.arrivals) == n:
-            self._release_gate(gate_key, g)
+            self._release_gate(seq, g)
             return
-        dead = [m for m in g.group if m in self._death]
-        if not dead:
+        if not self._death:
             return
-        arrived = {g.group[l] for l in g.arrivals}
-        if any(
-            m not in arrived and m not in self._death for m in g.group
-        ):
+        if any(r not in g.arrivals and r not in self._death for r in range(n)):
             return  # a live member may still arrive (and may win)
         eff = self.world.comm_timeout
         if eff is None:
             return  # no timeout: stays parked, watchdog reports deadlock
-        items = sorted(
-            g.arrivals.items(),
-            key=lambda kv: (kv[1][0] + eff, g.group[kv[0]]),
-        )
-        win_local, (win_t, _b, _s, _h) = items[0]
-        for l, _arr in items:
-            r = g.group[l]
+        order = sorted(g.arrivals, key=lambda r: (g.arrivals[r][0] + eff, r))
+        for r in order:
             self._parked.pop(r, None)
-            if l == win_local:
-                self._send(r, ("rankfailed", win_t + eff))
+            if r == order[0]:
+                self._send(r, ("rankfailed", g.arrivals[r][0] + eff))
             else:
                 self._aborted.add(r)
                 self._send(r, ("abort",))
-        del self._gates[gate_key]
+        del self._gates[seq]
 
-    def _release_gate(self, gate_key, g: _Gate) -> None:
-        n = len(g.group)
-        last_local = max(
-            g.arrivals, key=lambda l: (g.arrivals[l][0], g.group[l])
-        )
-        t_last, _b, _s, hint_last = g.arrivals[last_local]
-        size = hint_last
-        if size is None:
-            size = max(
-                s for (_t, _blob, s, _h) in g.arrivals.values()
-                if s is not None
-            )
-        t0 = max(t for (t, _blob, _s, _h) in g.arrivals.values())
-        done = t0 + self.machine.collective_seconds(
-            g.kind, n, float(size)
+    def _release_gate(self, seq, g: _Gate) -> None:
+        n = self.nprocs
+        arr = g.arrivals
+        last = max(arr, key=lambda r: (arr[r][0], r))
+        done = collective_done(
+            self.machine, g.kind, n,
+            [(t, s) for (t, _blob, s, _h) in arr.values()], arr[last][3],
         )
         if g.ship in ("all", "fin-one"):
-            blobs = [g.arrivals[l][1] for l in range(n)]
-        for l in range(n):
-            r = g.group[l]
+            blobs = [arr[r][1] for r in range(n)]
+        for r in range(n):
             if g.ship == "none":
                 data = None
             elif g.ship == "from-root":
-                data = None if l == g.root else g.arrivals[g.root][1]
+                data = None if r == g.root else arr[g.root][1]
             elif g.ship == "to-root":
                 data = (
-                    [g.arrivals[j][1] for j in range(n)]
-                    if l == g.root else None
+                    [arr[j][1] for j in range(n)] if r == g.root else None
                 )
             elif g.ship == "per-dest":
-                # member l only needs its own column of the exchange
-                data = [g.arrivals[j][1][l] for j in range(n)]
+                # member r only needs its own column of the exchange
+                data = [arr[j][1][r] for j in range(n)]
             elif g.ship == "fin-one":
                 # only the designated finisher (the last arriver)
                 # receives the payloads; everyone else waits for its
                 # coll-fin result as a second reply
-                data = blobs if l == last_local else None
+                data = blobs if r == last else None
             else:
                 data = blobs
             self._parked.pop(r, None)
-            self._send(r, ("coll-go", l == last_local, done, data))
+            self._send(r, ("coll-go", r == last, done, data))
         if g.ship == "fin-one" and n > 1:
-            self._fin_pending[gate_key] = [
-                g.group[l] for l in range(n) if l != last_local
-            ]
-        del self._gates[gate_key]
+            self._fin_pending[seq] = [r for r in range(n) if r != last]
+        del self._gates[seq]
 
     # -- out-of-band allgather (DLB planning) ---------------------------
     def _on_oob(self, rank, key, value):
@@ -1173,7 +1083,7 @@ class _Switchboard:
         if parked is not None:
             dst, r_now, _eff = parked
             self._parked.pop(dst, None)
-            buffered = (s_now, mkey[1]) < (r_now, mkey[2])
+            buffered = (s_now, mkey[0]) < (r_now, mkey[1])
             self._send(dst, ("msg", buffered, arrival, nbytes, blob))
         else:
             self._mail.setdefault(mkey, deque()).append(
@@ -1187,15 +1097,15 @@ class _Switchboard:
             s_now, arrival, nbytes, blob = box.popleft()
             if not box:
                 del self._mail[mkey]
-            buffered = (s_now, mkey[1]) < (r_now, mkey[2])
+            buffered = (s_now, mkey[0]) < (r_now, mkey[1])
             self._send(rank, ("msg", buffered, arrival, nbytes, blob))
             return
-        src = mkey[1]
+        src = mkey[0]
         if src in self._death and eff is not None:
             self._send(rank, ("p2p-timeout", r_now + eff))
             return
         self._parked_recv[mkey] = (rank, r_now, eff)
-        self._parked[rank] = f"recv(src={src}, tag={mkey[3]})"
+        self._parked[rank] = f"recv(src={src}, tag={mkey[2]})"
 
     # -- shared-memory allocation --------------------------------------
     def _on_alloc(self, rank, key, shape, fill, dtype_str):

@@ -52,15 +52,14 @@ class World:
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        #: (ctx, src, dst, tag) -> deque of in-flight
+        #: (src, dst, tag) -> deque of in-flight
         #: :class:`~repro.runtime.comm.Message` objects (payload,
-        #: arrival time, cached wire size); ``ctx`` separates
-        #: communicator contexts, as in MPI
+        #: arrival time, cached wire size)
         self.mailboxes: dict[tuple, deque] = {}
-        #: (ctx, src, dst, tag) -> blocked receiver global rank
+        #: (src, dst, tag) -> blocked receiver rank
         self.recv_waiters: dict[tuple, int] = {}
-        #: (ctx, collective sequence number) -> gate
-        self.gates: dict[tuple, CollectiveGate] = {}
+        #: collective sequence number -> gate
+        self.gates: dict[int, CollectiveGate] = {}
         #: name -> backing store for global arrays / hashmaps / queues
         self.registry: dict[str, Any] = {}
         #: compute-once cache for deterministically replicated work
@@ -75,15 +74,11 @@ class World:
         #: plan so survivors detect dead peers instead of deadlocking
         self.comm_timeout: Optional[float] = None
 
-    def mailbox(self, src: int, dst: int, tag: int, ctx="world") -> deque:
-        """World-communicator mailbox accessor (testing convenience)."""
-        return self.mailboxes.setdefault((ctx, src, dst, tag), deque())
-
     # ------------------------------------------------------------------
     # backend hooks (overridden by the multiprocessing backend)
     # ------------------------------------------------------------------
     def make_comm(self, sched, machine, rank: int):
-        """Build the world communicator for ``rank``."""
+        """Build the communicator endpoint for ``rank``."""
         from .comm import Communicator
 
         return Communicator(self, sched, machine, rank)

@@ -107,15 +107,6 @@ def test_bcast():
     assert all(r == [1, 2, 3] for r in res.rank_results)
 
 
-def test_reduce_sum_to_root():
-    def program(ctx):
-        return ctx.comm.reduce(ctx.rank + 1, root=2)
-
-    res = Cluster(4).run(program)
-    assert res.rank_results[2] == 10
-    assert res.rank_results[0] is None
-
-
 def test_allreduce_numpy_arrays():
     def program(ctx):
         return ctx.comm.allreduce(np.full(3, ctx.rank, dtype=np.int64))
@@ -144,15 +135,6 @@ def test_gather_and_allgather():
     assert res.rank_results[1][0] is None
     for g, ag in res.rank_results:
         assert ag == [100, 101, 102]
-
-
-def test_scatter():
-    def program(ctx):
-        vals = [f"item{i}" for i in range(ctx.nprocs)] if ctx.rank == 0 else None
-        return ctx.comm.scatter(vals, root=0)
-
-    res = Cluster(4).run(program)
-    assert res.rank_results == ["item0", "item1", "item2", "item3"]
 
 
 def test_alltoallv():

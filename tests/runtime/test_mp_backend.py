@@ -9,6 +9,7 @@ backends and diff everything observable.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -61,9 +62,6 @@ def _kitchen_sink(ctx):
             {"v": 7} if r == 0 else None, root=0
         )
         rows = ctx.comm.gather(np.arange(3) * r, root=n - 1)
-        part = ctx.comm.scatter(
-            [i * 10 for i in range(n)] if r == 0 else None, root=0
-        )
         pre = ctx.comm.exscan(float(r))
         shuffled = ctx.comm.alltoallv(
             [f"{r}->{d}" for d in range(n)]
@@ -72,8 +70,6 @@ def _kitchen_sink(ctx):
     with ctx.region("index"):
         ctx.comm.send((r + 1) % n, np.full(3, float(r)))
         left = ctx.comm.recv((r - 1) % n)
-        sub = ctx.comm.split(color=r % 2)
-        subsum = sub.allreduce(r)
         ga = GlobalArray.create(ctx, "mpb", (n * 2,), fill=0.0)
         ga.put(r * 2, np.full(2, float(r)))
         ctx.barrier()
@@ -88,12 +84,10 @@ def _kitchen_sink(ctx):
         "vec": vec.tolist(),
         "root_msg": root_msg,
         "rows": None if rows is None else [x.tolist() for x in rows],
-        "part": part,
         "pre": pre,
         "shuffled": shuffled,
         "squares": squares,
         "left": left.tolist(),
-        "subsum": subsum,
         "everything": everything.tolist(),
         "ngids": len(set(gids)),
         "rep": rep,
@@ -200,3 +194,56 @@ def test_crash_survivors_and_results_match():
     assert sim.failed_ranks == mp.failed_ranks == [1]
     assert sim.rank_results == mp.rank_results
     assert np.array_equal(sim.rank_times, mp.rank_times)
+
+
+# ----------------------------------------------------------------------
+# switchboard keys: (src, dst, tag) mailboxes
+# ----------------------------------------------------------------------
+def test_equal_clock_send_recv_both_directions():
+    """At equal clocks the lower rank runs first: 1 -> 0 finds rank 0
+    already blocked, 2 -> 3 is buffered before rank 3 receives."""
+
+    def program(ctx):
+        ctx.charge(1.0)
+        r = ctx.rank
+        if r == 1:
+            ctx.comm.send(0, "to0")
+        elif r == 2:
+            ctx.comm.send(3, "to3")
+        else:
+            return ctx.comm.recv(1 if r == 0 else 2)
+        return None
+
+    sim, mp = _run_both(program, 4)
+    _assert_identical(sim, mp)
+    assert sim.rank_results == ["to0", None, None, "to3"]
+
+
+def test_recv_parked_on_sender_that_crashes():
+    """Rank 0 waits on rank 1, which crashes before sending: the receive
+    times out ``comm_timeout_s`` after it was issued, on both backends."""
+    plan = FaultPlan(
+        faults=(CrashFault(rank=1, at_time=0.5),), comm_timeout_s=3.0
+    )
+
+    def program(ctx):
+        if ctx.rank == 0:
+            ctx.charge(0.2)
+            return ctx.comm.recv(1)
+        if ctx.rank == 1:
+            ctx.charge(1.0)
+            # real time only: lets rank 0's receive park first under mp,
+            # so the crash must release a parked receive
+            time.sleep(0.2)
+            ctx.comm.send(0, "never")
+        else:
+            ctx.charge(0.1)
+        return None
+
+    for backend in ("sim", "mp"):
+        with pytest.raises(RankFailedError) as ei:
+            Cluster(3, faults=plan, backend=backend).run(program)
+        err = ei.value
+        assert err.failed == [1]
+        assert err.detail == "recv(src=1, tag=0)"
+        assert np.array_equal(np.asarray(err.rank_times), [3.2, 1.0, 0.1])

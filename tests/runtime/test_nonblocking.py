@@ -1,87 +1,8 @@
-"""Non-blocking point-to-point and wildcard-receive tests."""
+"""Wildcard-receive (``recv_any``) tests."""
 
 import pytest
 
 from repro.runtime import Cluster, DeadlockError
-
-
-def test_isend_completes_immediately():
-    def program(ctx):
-        if ctx.rank == 0:
-            req = ctx.comm.isend(1, "x")
-            assert req.done
-            req.wait()
-            return None
-        return ctx.comm.recv(0)
-
-    res = Cluster(2).run(program)
-    assert res.rank_results[1] == "x"
-
-
-def test_irecv_wait():
-    def program(ctx):
-        if ctx.rank == 0:
-            ctx.comm.send(1, {"k": 1})
-            return None
-        req = ctx.comm.irecv(0)
-        return req.wait()
-
-    res = Cluster(2).run(program)
-    assert res.rank_results[1] == {"k": 1}
-
-
-def test_irecv_test_polls_without_blocking():
-    def program(ctx):
-        if ctx.rank == 0:
-            ctx.charge(1.0)
-            ctx.comm.send(1, "late")
-            ctx.comm.barrier()
-            return None
-        req = ctx.comm.irecv(0)
-        polls_before = 0
-        while not req.test():
-            polls_before += 1
-            ctx.charge(0.3)  # advance virtual time between polls
-            if polls_before > 100:
-                raise AssertionError("never completed")
-        ctx.comm.barrier()
-        return (polls_before, req.wait())
-
-    res = Cluster(2).run(program)
-    polls, payload = res.rank_results[1]
-    assert payload == "late"
-    assert polls >= 1  # message genuinely not there at first poll
-
-
-def test_irecv_wait_after_successful_test():
-    def program(ctx):
-        if ctx.rank == 0:
-            ctx.comm.send(1, 42)
-            ctx.comm.barrier()
-            return None
-        ctx.comm.barrier()
-        req = ctx.comm.irecv(0)
-        assert req.test()
-        return req.wait()
-
-    res = Cluster(2).run(program)
-    assert res.rank_results[1] == 42
-
-
-def test_probe():
-    def program(ctx):
-        if ctx.rank == 0:
-            ctx.comm.send(1, "m")
-            ctx.comm.barrier()
-            return None
-        assert not ctx.comm.probe(0, tag=9)  # wrong tag
-        ctx.comm.barrier()
-        assert ctx.comm.probe(0)
-        assert ctx.comm.recv(0) == "m"
-        assert not ctx.comm.probe(0)
-        return True
-
-    Cluster(2).run(program)
 
 
 def test_recv_any_takes_earliest():

@@ -41,21 +41,6 @@ def test_sent_numpy_payload_sized_exactly_once(count_sizing):
     assert count_sizing[id(payload)] == 1
 
 
-def test_probe_then_recv_does_not_resize(count_sizing):
-    payload = np.ones(256, dtype=np.int64)
-
-    def program(ctx):
-        if ctx.rank == 0:
-            ctx.comm.send(1, payload)
-        elif ctx.rank == 1:
-            while not ctx.comm.probe(0):
-                ctx.charge(1e-3)  # advance virtual time until arrival
-            ctx.comm.recv(0)
-
-    Cluster(2).run(program)
-    assert count_sizing[id(payload)] == 1
-
-
 def test_allgather_sizes_each_contribution_once(count_sizing):
     nprocs = 4
     payloads = [np.full(64, r, dtype=np.float64) for r in range(nprocs)]

@@ -43,3 +43,22 @@ def test_examples_exist():
         "interactive_analysis",
         "streaming_updates",
     } <= names
+
+
+def _tutorial_block(heading: str) -> str:
+    """The first python block under ``heading`` in docs/tutorial.md."""
+    text = (
+        Path(__file__).parent.parent / "docs" / "tutorial.md"
+    ).read_text()
+    section = text[text.index("\n" + heading):]
+    start = section.index("```python\n") + len("```python\n")
+    return section[start:section.index("```", start)]
+
+
+def test_tutorial_spmd_program_runs(capsys):
+    """§8 is the tutorial's self-contained runtime snippet; run it
+    verbatim so the communicator it shows stays the real one."""
+    namespace: dict = {}
+    exec(_tutorial_block("## 8."), namespace)
+    assert namespace["res"].rank_results[0] == (28, 7, None, 7)
+    assert capsys.readouterr().out.strip()
