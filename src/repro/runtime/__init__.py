@@ -47,6 +47,7 @@ from .metrics import (
 )
 from .payload import payload_nbytes
 from .scheduler import Scheduler
+from .service import Service
 from .tracing import Span, Tracer
 from .world import World
 
@@ -84,6 +85,7 @@ __all__ = [
     "RuntimeMisuseError",
     "Scale",
     "Scheduler",
+    "Service",
     "Span",
     "Tracer",
     "VirtualClock",

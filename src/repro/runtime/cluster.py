@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .faults import FaultInjector, FaultPlan
 from .machine import MachineSpec
 from .metrics import MetricsRegistry
 from .scheduler import Scheduler, spawn_ranks
+from .service import InlineService, Service, run_service
 from .tracing import Tracer
 from .world import World
 
@@ -93,10 +94,20 @@ class Cluster:
         self,
         fn: Callable[..., Any],
         *args: Any,
+        services: Optional[Mapping[int, Service]] = None,
         raise_on_failure: bool = True,
         **kwargs: Any,
     ) -> ClusterResult:
         """Execute ``fn(ctx, *args, **kwargs)`` on every rank.
+
+        ``services`` maps ranks that only answer messages to their
+        :class:`~repro.runtime.service.Service`; those ranks run its
+        handler instead of ``fn`` and their result is the number of
+        messages they answered.  Under the default scheduler they get
+        no thread: the thread that grants one the turn runs its step.
+        Under ``REPRO_SCHED_SLOWPATH=1`` and the mp backend each runs
+        the blocking reference loop on a thread (process) of its own.
+        Virtual time, results and metrics are the same either way.
 
         Blocks until all ranks complete; raises the first rank failure
         (or :class:`~repro.runtime.errors.DeadlockError`).  Under fault
@@ -106,6 +117,15 @@ class Cluster:
         reports the victims and their entries in ``rank_results`` stay
         ``None``).
         """
+        services = services or {}
+        if services:
+            if not set(services) < set(range(self.nprocs)):
+                raise ValueError(
+                    f"service ranks {sorted(services)} must be a proper "
+                    f"subset of [0, {self.nprocs}): a rank with a "
+                    f"program drives them"
+                )
+            fn = _with_services(fn, services)
         if self.backend == "mp":
             from .mpbackend import run_mp
 
@@ -131,10 +151,20 @@ class Cluster:
             for r in range(self.nprocs)
         ]
 
+        inline: dict[int, InlineService] = {}
+        if services and not sched.slowpath:
+            for r, service in services.items():
+                inline[r] = InlineService(contexts[r], service)
+                sched.serve_inline(r, inline[r])
+
         def target(rank: int) -> Any:
             return fn(contexts[rank], *args, **kwargs)
 
-        threads, results = spawn_ranks(sched, target)
+        threads, results = spawn_ranks(
+            sched,
+            target,
+            [r for r in range(self.nprocs) if r not in inline] if inline else None,
+        )
         try:
             sched.wait_all()
         except RankFailedError as exc:
@@ -146,6 +176,9 @@ class Cluster:
         finally:
             for t in threads:
                 t.join(timeout=30.0)
+            sched.release_services()
+        for r, svc in inline.items():
+            results[r] = svc.result
         times = np.array([sched.clocks[r].now for r in range(self.nprocs)])
         failed = sorted(sched.failed_at)
         if failed and raise_on_failure:
@@ -165,3 +198,18 @@ class Cluster:
             failed_ranks=failed,
             metrics=world.metrics,
         )
+
+
+def _with_services(
+    fn: Callable[..., Any], services: Mapping[int, Service]
+) -> Callable[..., Any]:
+    """``fn`` for ordinary ranks, the blocking service loop for the
+    ``services`` ranks (when they run on a thread or process)."""
+
+    def program(ctx, *args: Any, **kwargs: Any) -> Any:
+        service = services.get(ctx.rank)
+        if service is None:
+            return fn(ctx, *args, **kwargs)
+        return run_service(ctx, service)
+
+    return program

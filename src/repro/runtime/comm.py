@@ -81,12 +81,16 @@ class Communicator:
     """The per-rank endpoint of the simulated interconnect.
 
     Every endpoint spans the whole world; ``rank`` is the scheduler
-    rank.  The timing rules live here once: :meth:`send` stamps the
-    LogGP cost and hands the message to :meth:`_deliver`,
-    :meth:`_complete` finishes a receive whose message was already
-    waiting, and :meth:`_enter` is every collective's arrival step.  A
-    backend endpoint replaces only the transport: ``_deliver``, the
-    blocking wait of :meth:`recv` and the collective rendezvous.
+    rank.  The timing rules live here once: :meth:`_post` (a send once
+    its turn is held) stamps the LogGP cost and hands the message to
+    :meth:`_deliver`, :meth:`_take` / :meth:`_complete` finish a receive
+    whose message was already waiting, :meth:`_expect` / :meth:`_woken`
+    bracket a receive's block, and :meth:`_enter` is every collective's
+    arrival step.  A thread-less service rank
+    (:class:`~repro.runtime.service.InlineService`) runs the same steps
+    between its turns.  A backend endpoint replaces only the transport:
+    ``_deliver``, the blocking wait of :meth:`recv` and the collective
+    rendezvous.
     """
 
     #: whether :meth:`recv_any` is available (the mp backend's
@@ -144,6 +148,10 @@ class Communicator:
         """
         self._check_peer(dest)
         self.sched.wait_turn(self.rank)
+        self._post(dest, obj, tag)
+
+    def _post(self, dest: int, obj: Any, tag: int) -> None:
+        """The send itself, once the sender holds the turn."""
         to_self = dest == self.rank
         nbytes = payload_nbytes(obj)
         sender_dt, transit_dt = self.machine.p2p_seconds(
@@ -202,18 +210,31 @@ class Communicator:
         self.sched.wait_turn(self.rank)
         box = self._inbox(source, tag)
         if box:
-            msg = box.popleft()
-            self._complete(
-                source, msg.arrival, msg.nbytes, self.sched.now(self.rank)
-            )
-            return msg.obj
+            return self._take(source, box)
         return self._wait_recv(source, tag, timeout)
+
+    def _take(self, source: int, box: deque) -> Any:
+        """Receive the first message already waiting in ``box``."""
+        msg = box.popleft()
+        self._complete(
+            source, msg.arrival, msg.nbytes, self.sched.now(self.rank)
+        )
+        return msg.obj
 
     def _wait_recv(
         self, source: int, tag: int, timeout: Optional[float]
     ) -> Any:
         """Block until ``source``'s next message arrives; the sender's
         :meth:`_deliver` advances this rank's clock on wake-up."""
+        wait = self._expect(source, tag, timeout)
+        timed_out = self.sched.block(self.rank, reason=wait[0], timeout=wait[1])
+        return self._woken(source, tag, timed_out, *wait)
+
+    def _expect(
+        self, source: int, tag: int, timeout: Optional[float]
+    ) -> tuple[str, Optional[float]]:
+        """Register as the receiver awaiting ``source``'s next message;
+        returns the block's reason and effective timeout."""
         key = (source, self.rank, tag)
         if key in self.world.recv_waiters:
             raise RuntimeMisuseError(
@@ -221,12 +242,22 @@ class Communicator:
                 f"{self.world.recv_waiters[key]} and {self.rank})"
             )
         self.world.recv_waiters[key] = self.rank
-        detail = f"recv(src={source}, tag={tag})"
-        eff = self._effective_timeout(timeout)
-        if self.sched.block(self.rank, reason=detail, timeout=eff):
+        return f"recv(src={source}, tag={tag})", self._effective_timeout(timeout)
+
+    def _woken(
+        self,
+        source: int,
+        tag: int,
+        timed_out: bool,
+        detail: str,
+        eff: Optional[float],
+    ) -> Any:
+        """Finish a receive that blocked: take the message, or raise
+        when the deadline fired first."""
+        if timed_out:
             # No sender ran before the deadline (a send would have
             # woken us and cleared it), so the box is still empty.
-            self.world.recv_waiters.pop(key, None)
+            self.world.recv_waiters.pop((source, self.rank, tag), None)
             self._raise_timeout(detail, [source], eff)
         msg = self._inbox(source, tag).popleft()
         self._account_recv(source, msg.nbytes)
@@ -288,11 +319,7 @@ class Communicator:
                 best_src, best_arrival = s, arrival
         if best_src is None:
             return None
-        msg = self._inbox(best_src, tag).popleft()
-        self._complete(
-            best_src, msg.arrival, msg.nbytes, self.sched.now(self.rank)
-        )
-        return best_src, msg.obj
+        return best_src, self._take(best_src, self._inbox(best_src, tag))
 
     def _account_recv(self, src: int, nbytes: float) -> None:
         """Record one delivered message from rank ``src``."""

@@ -182,6 +182,8 @@ class MpScheduler:
         self.blocked_time = [0.0] * nprocs
         #: shared death board: NaN = alive, else crash virtual time
         self._board = board
+        #: the rank inside a service handler right now, if any
+        self.handling = None
 
     def now(self, rank: int) -> float:
         return self.clocks[rank].now
@@ -194,6 +196,11 @@ class MpScheduler:
         return self.clocks[rank].advance(dt)
 
     def wait_turn(self, rank: int) -> None:
+        if rank == self.handling:
+            raise RuntimeMisuseError(
+                f"rank {rank}: a service handler reached a "
+                f"synchronization point"
+            )
         if self.injector is not None:
             self.injector.on_turn(rank, self.clocks[rank].now)
 

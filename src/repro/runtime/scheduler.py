@@ -39,6 +39,18 @@ fast path exists purely to cut real wall-clock time: ``notify_all``
 wakes every waiting rank thread only for all but one to go back to
 sleep, which dominated runs at P >= 8.
 
+Service ranks
+-------------
+The fast path also runs *service ranks* (:mod:`repro.runtime.service`)
+without a thread: when its dispatch grants the turn to a service rank,
+the dispatching thread runs that rank's next step itself -- from the
+granted turn to the rank's next synchronization point -- and then
+dispatches again, until the turn reaches a rank with a thread.  Only
+the thread that granted a service rank its turn steps it.  The turn
+order is the one the rank's own thread would have produced, so a
+session of service ranks costs no thread hand-offs at all.  Under the
+slow path every rank keeps a thread, service ranks included.
+
 Fault tolerance
 ---------------
 A rank may *fail-stop crash* (injected via
@@ -66,7 +78,9 @@ from .errors import (
     DeadlockError,
     RankCrashedError,
     RankFailedError,
+    RuntimeMisuseError,
 )
+from .service import YIELD
 
 # Error types the driver re-raises verbatim rather than wrapping in the
 # generic "rank N failed" RuntimeError: they are self-describing and
@@ -144,6 +158,35 @@ class Scheduler:
         #: optional MetricsRegistry recording blocked-time counters and
         #: histograms (None for standalone schedulers, e.g. unit tests)
         self.metrics = metrics
+        #: fast path: each service rank's thread-less step (None for a
+        #: rank with a thread of its own); see :meth:`serve_inline`
+        self._service: list = [None] * nprocs
+        #: the rank inside a service handler right now, if any -- it
+        #: may not reach a synchronization point
+        self.handling: Optional[int] = None
+
+    def serve_inline(self, rank: int, service) -> None:
+        """Run ``rank`` as a service rank with no thread of its own.
+
+        ``service`` is a :class:`~repro.runtime.service.InlineService`;
+        whichever thread's dispatch grants ``rank`` the turn runs its
+        step.  Fast path only, and before any rank starts.
+        """
+        if self.slowpath:
+            raise RuntimeMisuseError(
+                "service ranks run inline under the fast path only"
+            )
+        self._service[rank] = service
+
+    def release_services(self) -> None:
+        """Forget every service rank's step once the run is over.
+
+        A step holds its rank's context, which holds this scheduler:
+        dropping the steps breaks that cycle, so a finished run's
+        handlers (and the stores they opened) die with their last
+        reference instead of waiting for the cyclic collector.
+        """
+        self._service = [None] * self.nprocs
 
     # ------------------------------------------------------------------
     # rank-side API (called from rank threads)
@@ -180,10 +223,16 @@ class Scheduler:
         die at synchronization points, with the turn held, so the
         simulation state stays consistent.
         """
+        if rank == self.handling:
+            raise RuntimeMisuseError(
+                f"rank {rank}: a service handler reached a "
+                f"synchronization point"
+            )
         if self.slowpath:
             self._wait_turn_slow(rank)
         else:
             granted = False
+            svc = None
             with self._lock:
                 self._check_error_locked()
                 self._state[rank] = _READY
@@ -201,12 +250,14 @@ class Scheduler:
                         granted = True
                     else:
                         self._push_locked(rank, key[0], _KIND_READY)
-                        self._dispatch_locked(caller=rank)
+                        svc = self._dispatch_locked(caller=rank)
                         granted = self._current == rank
                 else:
                     self._push_locked(
                         rank, self.clocks[rank].now, _KIND_READY
                     )
+            if svc is not None:
+                granted = self._step_services(svc, rank)
             if not granted:
                 self._await_turn(rank)
         if self.injector is not None:
@@ -237,35 +288,49 @@ class Scheduler:
         """
         with self._lock:
             self._check_error_locked()
-            self._state[rank] = _BLOCKED
-            self._block_reason[rank] = reason
-            self._block_entry[rank] = self.clocks[rank].now
-            if timeout is not None:
-                self._deadline[rank] = self.clocks[rank].now + timeout
-            self._timed_out[rank] = False
-            if self._current == rank:
-                self._current = None
+            self._enter_block_locked(rank, reason, timeout)
             if self.slowpath:
                 self._schedule_slow_locked()
                 while self._current != rank:
                     self._cv.wait()
                     self._check_error_locked()
                 return self._finish_block_locked(rank)
-            if timeout is not None:
-                self._push_locked(
-                    rank,
-                    max(self.clocks[rank].now, self._deadline[rank]),
-                    _KIND_DEADLINE,
-                )
-            else:
-                # invalidate any stale candidate entry for this rank
-                self._gen[rank] += 1
-            self._dispatch_locked(caller=rank)
+            svc = self._block_fast_locked(rank, timeout, caller=rank)
             if self._current == rank:
                 return self._finish_block_locked(rank)
-        self._await_turn(rank)
+        if svc is None or not self._step_services(svc, rank):
+            self._await_turn(rank)
         with self._lock:
             return self._finish_block_locked(rank)
+
+    def _enter_block_locked(
+        self, rank: int, reason: str, timeout: Optional[float]
+    ) -> None:
+        """Turn the running ``rank`` BLOCKED (both mechanisms)."""
+        self._state[rank] = _BLOCKED
+        self._block_reason[rank] = reason
+        self._block_entry[rank] = self.clocks[rank].now
+        if timeout is not None:
+            self._deadline[rank] = self.clocks[rank].now + timeout
+        self._timed_out[rank] = False
+        if self._current == rank:
+            self._current = None
+
+    def _block_fast_locked(
+        self, rank: int, timeout: Optional[float], caller: Optional[int]
+    ) -> Optional[int]:
+        """Fast path: register a blocked rank's deadline, if any, and
+        pass the turn on; returns a service rank to step."""
+        if timeout is not None:
+            self._push_locked(
+                rank,
+                max(self.clocks[rank].now, self._deadline[rank]),
+                _KIND_DEADLINE,
+            )
+        else:
+            # invalidate any stale candidate entry for this rank
+            self._gen[rank] += 1
+        return self._dispatch_locked(caller)
 
     def _finish_block_locked(self, rank: int) -> bool:
         """Account a completed :meth:`block`; returns the timeout flag."""
@@ -319,17 +384,9 @@ class Scheduler:
     def finish(self, rank: int) -> None:
         """Mark ``rank``'s program as complete and release the turn."""
         with self._lock:
-            self._state[rank] = _DONE
-            self._done_count += 1
-            if self._current == rank:
-                self._current = None
-            if self.slowpath:
-                self._schedule_slow_locked()
-                self._cv.notify_all()
-            else:
-                self._gen[rank] += 1
-                self._dispatch_locked()
-            self._notify_driver_locked()
+            svc = self._leave_locked(rank, _DONE, None)
+        if svc is not None:
+            self._step_services(svc, None)
 
     def fail(self, rank: int, exc: BaseException) -> None:
         """Record a rank failure and abort every other rank."""
@@ -354,20 +411,32 @@ class Scheduler:
         :class:`~repro.runtime.errors.RankCrashedError`.
         """
         with self._lock:
-            self._state[rank] = _FAILED
+            svc = self._leave_locked(rank, _FAILED, None)
+        if svc is not None:
+            self._step_services(svc, None)
+
+    def _leave_locked(
+        self, rank: int, state: str, caller: Optional[int]
+    ) -> Optional[int]:
+        """Take a finished (DONE) or crashed (FAILED) ``rank`` out of
+        the run and pass the turn on; returns a service rank to step."""
+        self._state[rank] = state
+        if state == _FAILED:
             self.failed_at[rank] = self.clocks[rank].now
             self._block_reason[rank] = ""
             self._deadline[rank] = None
-            self._done_count += 1
-            if self._current == rank:
-                self._current = None
-            if self.slowpath:
-                self._schedule_slow_locked()
-                self._cv.notify_all()
-            else:
-                self._gen[rank] += 1
-                self._dispatch_locked()
-            self._notify_driver_locked()
+        self._done_count += 1
+        if self._current == rank:
+            self._current = None
+        svc = None
+        if self.slowpath:
+            self._schedule_slow_locked()
+            self._cv.notify_all()
+        else:
+            self._gen[rank] += 1
+            svc = self._dispatch_locked(caller)
+        self._notify_driver_locked()
+        return svc
 
     def abort_ack(self, rank: int) -> None:
         """Acknowledge a cluster abort from a victim rank's thread.
@@ -486,17 +555,18 @@ class Scheduler:
         if self._done_count >= self.nprocs or self._error is not None:
             self._driver_cv.notify_all()
 
-    def _dispatch_locked(self, caller: Optional[int] = None) -> None:
+    def _dispatch_locked(self, caller: Optional[int] = None) -> Optional[int]:
         """Grant the turn to the best candidate (fast-path mechanism).
 
         Pops the winning heap entry and wakes exactly that rank's event
         -- unless the winner is ``caller`` itself, which observes
-        ``_current`` inline without any wakeup.  Fires deadline
-        bookkeeping for timed-out blocks and declares a deadlock when
-        nobody can run.
+        ``_current`` inline without any wakeup, or a service rank,
+        which is returned for the calling thread to step.  Fires
+        deadline bookkeeping for timed-out blocks and declares a
+        deadlock when nobody can run.
         """
         if self._current is not None:
-            return
+            return None
         top = self._prune_top_locked()
         if top is not None:
             t, kind, rank, _gen = heapq.heappop(self._heap)
@@ -507,12 +577,71 @@ class Scheduler:
                 self._block_reason[rank] = ""
             self._current = rank
             self._state[rank] = _RUNNING
+            if self._service[rank] is not None:
+                return rank
             if rank != caller:
                 self._open_gate_locked(rank)
-            return
-        if self._done_count >= self.nprocs:
-            return
-        self._declare_deadlock_locked()
+            return None
+        if self._done_count < self.nprocs:
+            self._declare_deadlock_locked()
+        return None
+
+    def _yield_service_locked(
+        self, rank: int, caller: Optional[int]
+    ) -> Optional[int]:
+        """A service rank yields at its clock: :meth:`wait_turn`'s
+        fast path on its behalf.  Returns the service rank to step
+        next -- ``rank`` itself when it keeps the turn."""
+        self._state[rank] = _READY
+        self._current = None
+        top = self._prune_top_locked()
+        key = (self.clocks[rank].now, _KIND_READY, rank)
+        if top is None or key <= top[:3]:
+            self._current = rank
+            self._state[rank] = _RUNNING
+            return rank
+        self._push_locked(rank, key[0], _KIND_READY)
+        return self._dispatch_locked(caller)
+
+    def _step_services(self, rank: int, caller: Optional[int]) -> bool:
+        """Step service ranks on this thread while the turn is theirs.
+
+        ``rank`` is the service rank this thread's dispatch just
+        granted the turn; each step runs outside the lock, then its
+        outcome -- a yield, a block, the end of the service, a crash
+        or an error -- goes through the same state transitions a
+        rank thread's :meth:`wait_turn`, :meth:`block`, :meth:`finish`,
+        :meth:`crash` or :meth:`fail` would make.  Returns whether
+        ``caller`` (this thread's own rank) holds the turn afterwards.
+        """
+        granted = False
+        while rank is not None:
+            svc = self._service[rank]
+            timed_out = False
+            if svc.blocked:
+                with self._lock:
+                    timed_out = self._finish_block_locked(rank)
+            try:
+                step = svc.step(timed_out)
+            except RankCrashedError:
+                with self._lock:
+                    rank = self._leave_locked(rank, _FAILED, caller)
+                    granted = self._current == caller
+                continue
+            except BaseException as exc:  # noqa: BLE001 - a failed rank
+                self.fail(rank, exc)
+                return False
+            with self._lock:
+                if step is YIELD:
+                    rank = self._yield_service_locked(rank, caller)
+                elif step is None:
+                    rank = self._leave_locked(rank, _DONE, caller)
+                else:
+                    reason, timeout = step
+                    self._enter_block_locked(rank, reason, timeout)
+                    rank = self._block_fast_locked(rank, timeout, caller)
+                granted = self._current == caller
+        return granted
 
     def _declare_deadlock_locked(self) -> None:
         blocked = {
@@ -580,8 +709,10 @@ class Scheduler:
 def spawn_ranks(
     sched: Scheduler,
     target: Callable[[int], object],
+    ranks: Optional[list[int]] = None,
 ) -> tuple[list[threading.Thread], list[object]]:
-    """Start one daemon thread per rank running ``target(rank)``.
+    """Start one daemon thread per rank (of ``ranks``, default all)
+    running ``target(rank)``.
 
     Returns the thread list and a results list that the threads fill
     in; the caller should then invoke :meth:`Scheduler.wait_all`.
@@ -607,7 +738,7 @@ def spawn_ranks(
         threading.Thread(
             target=_main, args=(r,), name=f"repro-rank-{r}", daemon=True
         )
-        for r in range(sched.nprocs)
+        for r in (range(sched.nprocs) if ranks is None else ranks)
     ]
     for t in threads:
         t.start()

@@ -91,6 +91,7 @@ from repro.index.termindex import (
 )
 from repro.runtime.cluster import Cluster, MachineSpec
 from repro.runtime.errors import CommTimeoutError, RankFailedError
+from repro.runtime.service import Service
 from repro.serve.query import (
     Query,
     ShardStore,
@@ -137,6 +138,18 @@ class BrokerConfig:
     #: fan-out round (one ``(verb, params)`` pair each); 1 sends one
     #: query per round
     batch_max_queries: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.shard_timeout_s > 0:
+            raise ValueError("shard_timeout_s must be > 0")
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+        if self.cache_capacity < 0:
+            raise ValueError("cache_capacity must be >= 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.batch_max_queries < 1:
+            raise ValueError("batch_max_queries must be >= 1")
 
 
 @dataclass
@@ -438,7 +451,7 @@ def execute_shard_op(
 # shard worker rank
 # ----------------------------------------------------------------------
 class _ShardWorker:
-    """One worker rank's serving loop over the shards it hosts.
+    """One worker rank's request handler over the shards it hosts.
 
     Per ``(epoch, shard)`` the rank serves a *segment list*: the base
     shard plus every delta segment that shard owns -- the identical
@@ -446,14 +459,18 @@ class _ShardWorker:
     bit-identically.  Manifests and segment stores are cached across
     epochs (a generation's containers are immutable once published).
 
-    Every request is ``(qid, epoch, shard, ops)``: the worker runs
-    :func:`execute_shard_op` once per ``(verb, params)`` pair of
-    ``ops`` over the pinned segment list, charges the io of the whole
-    request once, and replies ``(qid, shard, [payload, ...])``.
-    Single-copy tier (``rmap`` is ``None``): the rank hosts shard
-    ``rank - 1`` and takes broker rank 0's requests.  Replicated tier:
-    it hosts what ``rmap`` places on worker ``rank - 1 - n_brokers``,
-    takes requests from any broker, and re-raises a
+    The worker is a service handler (:mod:`repro.runtime.service`):
+    called as ``worker(src, request)`` with ``(qid, epoch, shard,
+    ops)``, it runs :func:`execute_shard_op` once per ``(verb,
+    params)`` pair of ``ops`` over the pinned segment list, charges
+    the io of the whole request once, and returns the one reply
+    ``(qid, shard, [payload, ...])`` to ``src``; ``("stop",)`` ends
+    the service.  Single-copy tier (``rmap`` is ``None``): the rank
+    hosts shard ``rank - 1``, takes broker rank 0's requests, and has
+    no thread of its own under the default scheduler.  Replicated
+    tier: it hosts what ``rmap`` places on worker ``rank - 1 -
+    n_brokers``, takes requests from any broker through the tier's
+    blocking loop, and re-raises a
     :class:`~repro.serve.store.ShardFormatError` naming which copy on
     which worker hit it.
 
@@ -473,6 +490,17 @@ class _ShardWorker:
         }
         self._segments: dict[tuple[int, int], list[ShardStore]] = {}
         self._stores: dict[str, ShardStore] = {}
+
+    def start(self) -> "_ShardWorker":
+        """Register the rank's scan counters as it starts serving (a
+        rank that never answers still reports them); returns the
+        handler."""
+        m = self.ctx.metrics
+        self._bytes_scanned = m.counter("serve.shard.bytes_scanned", ("shard",))
+        self._blocks_skipped = m.counter(
+            "serve.shard.blocks_skipped", ("shard",)
+        )
+        return self
 
     def _read(self, shard: int, load: Callable, *args):
         """One store read on behalf of ``shard``."""
@@ -521,54 +549,26 @@ class _ShardWorker:
             self._segments[(epoch, shard)] = segs
         return segs
 
-    def _requests(self):
-        """Yield ``(reply rank, request)`` until told to stop."""
-        comm = self.ctx.comm
-        if self.rmap is None:
-            while True:
-                yield 0, comm.recv(0, tag=TAG_REQ)
-        sources = list(range(self.n_brokers + 1))  # router + brokers
-        while True:
-            try:
-                yield comm.recv_any(sources=sources, tag=TAG_REQ)
-            except CommTimeoutError:
-                if 0 in self.ctx.failed_ranks():
-                    return
-            except RankFailedError as exc:
-                if 0 in exc.failed:
-                    return
-                sources = [r for r in sources if r not in set(exc.failed)]
-
-    def run(self) -> int:
-        """Serve operators until the front rank says stop."""
+    def __call__(self, src: int, msg: tuple):
+        """Answer one request with its one reply; ``None`` on stop."""
+        if msg[0] == "stop":
+            return None
         ctx = self.ctx
-        bytes_scanned = ctx.metrics.counter(
-            "serve.shard.bytes_scanned", ("shard",)
-        )
-        blocks_skipped = ctx.metrics.counter(
-            "serve.shard.blocks_skipped", ("shard",)
-        )
-        served = 0
-        for src, msg in self._requests():
-            if msg[0] == "stop":
-                break
-            qid, epoch, shard, ops = msg
-            segs = self.segments(epoch, shard)
-            payloads, scanned, skipped = [], 0, 0
-            for op, params in ops:
-                payload, s, sk = execute_shard_op(
-                    ctx, self.model, segs, op, params
-                )
-                payloads.append(payload)
-                scanned += s
-                skipped += sk
-            ctx.charge_io(scanned, concurrent_readers=1)
-            skey = (str(shard),)
-            bytes_scanned.inc(ctx.rank, float(scanned), key=skey)
-            blocks_skipped.inc(ctx.rank, float(skipped), key=skey)
-            ctx.comm.send(src, (qid, shard, payloads), tag=TAG_RESP)
-            served += 1
-        return served
+        qid, epoch, shard, ops = msg
+        segs = self.segments(epoch, shard)
+        payloads, scanned, skipped = [], 0, 0
+        for op, params in ops:
+            payload, s, sk = execute_shard_op(
+                ctx, self.model, segs, op, params
+            )
+            payloads.append(payload)
+            scanned += s
+            skipped += sk
+        ctx.charge_io(scanned, concurrent_readers=1)
+        skey = (str(shard),)
+        self._bytes_scanned.inc(ctx.rank, float(scanned), key=skey)
+        self._blocks_skipped.inc(ctx.rank, float(skipped), key=skey)
+        return [(src, (qid, shard, payloads), TAG_RESP)]
 
 
 # ----------------------------------------------------------------------
@@ -1325,6 +1325,14 @@ class _Broker:
         return handler._report(loop)
 
 
+def shard_service(model: ServeModel) -> Service:
+    """The single-copy tier's shard ranks: each answers broker rank
+    0's requests through a :class:`_ShardWorker` over ``model``."""
+    return Service(
+        lambda ctx: _ShardWorker(ctx, model).start(), source=0, tag=TAG_REQ
+    )
+
+
 # ----------------------------------------------------------------------
 # tier launcher
 # ----------------------------------------------------------------------
@@ -1341,11 +1349,12 @@ def _launch(
     0's report.
 
     ``roles`` lays the ranks out in order as ``(count, role)`` runs,
-    ``role(ctx)`` being what each of those ranks executes; ``ingest``
-    appends its one driver rank.  Under a fault plan the session
-    degrades rather than failing (the cluster runs with
-    ``raise_on_failure=False``) -- unless the ``front`` rank itself,
-    whose result is the report, is among the dead.  The report leaves
+    ``role(ctx)`` being what each of those ranks executes -- or a
+    :class:`~repro.runtime.service.Service` for ranks that only
+    answer requests; ``ingest`` appends its one driver rank.  Under a
+    fault plan the session degrades rather than failing (the cluster
+    runs with ``raise_on_failure=False``) -- unless the ``front`` rank
+    itself, whose result is the report, is among the dead.  The report leaves
     with the run's metrics snapshot, the runtime's view of the failed
     ranks, and the ingest driver's outcome attached.  A rank that hit
     a corrupt store file surfaces as that rank's
@@ -1356,9 +1365,14 @@ def _launch(
         ranks.append(lambda ctx: ingest.run(ctx, model.store_dir))
     nprocs = len(ranks)
     cluster = Cluster(nprocs, machine=machine, faults=faults, backend=backend)
+    services = {
+        r: role for r, role in enumerate(ranks) if isinstance(role, Service)
+    }
     try:
         result = cluster.run(
-            lambda ctx: ranks[ctx.rank](ctx), raise_on_failure=False
+            lambda ctx: ranks[ctx.rank](ctx),
+            services=services,
+            raise_on_failure=False,
         )
     except RuntimeError as exc:
         if isinstance(exc.__cause__, ShardFormatError):
@@ -1414,10 +1428,7 @@ def serve(
         b = _Broker(ctx, model, config, generational=ingest is not None)
         return b.pump(list(scripts))
 
-    def worker(ctx):
-        return _ShardWorker(ctx, model).run()
-
-    roles = [(1, broker), (model.manifest.nshards, worker)]
+    roles = [(1, broker), (model.manifest.nshards, shard_service(model))]
     return _launch(
         model, roles, "broker", machine, faults, ingest, backend
     )

@@ -8,7 +8,8 @@ reports, and stops the worker tier.  Ranks ``1..B`` are brokers, each
 running the single-copy broker's closed-loop event pump over its own
 clients with its own admission queue and result cache.  Ranks
 ``B+1..B+W`` are replica workers -- the single-copy tier's
-:class:`~repro.serve.broker._ShardWorker` loop, told its placement:
+:class:`~repro.serve.broker._ShardWorker` handler, told its placement
+and run in the blocking service loop over requests from any broker:
 worker ``w`` serves *every* shard that
 :class:`~repro.serve.replica.ReplicaMap` places on it, for whatever
 epoch a request pins.  Replicas of a shard resolve the identical
@@ -55,6 +56,7 @@ import numpy as np
 
 from repro.runtime.cluster import MachineSpec
 from repro.runtime.errors import CommTimeoutError, RankFailedError
+from repro.runtime.service import serve_loop
 from repro.serve.broker import (
     TAG_REQ,
     TAG_RESP,
@@ -105,6 +107,20 @@ class RouterConfig:
     #: max already-arrived queries, of any kind, drained into one
     #: shard round-trip; 1 sends one query per round
     batch_max_queries: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("brokers", "vnodes", "max_inflight", "batch_max_queries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("workers", "replicas", "retries", "cache_capacity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("hedge_delay_s", "shard_timeout_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("retry_jitter_s", "probation_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,6 +173,22 @@ def _await(ctx, src: int, tag: int):
             return ctx.comm.recv(src, tag=tag)
         except CommTimeoutError:
             continue
+
+
+def _tier_requests(ctx, n_brokers: int):
+    """A replica worker's requests, as ``(src, request)``: from the
+    router or any live broker, until the router is seen dead."""
+    sources = list(range(n_brokers + 1))  # router + brokers
+    while True:
+        try:
+            yield ctx.comm.recv_any(sources=sources, tag=TAG_REQ)
+        except CommTimeoutError:
+            if 0 in ctx.failed_ranks():
+                return
+        except RankFailedError as exc:
+            if 0 in exc.failed:
+                return
+            sources = [r for r in sources if r not in set(exc.failed)]
 
 
 # ----------------------------------------------------------------------
@@ -509,8 +541,6 @@ def tier_roles(
     cfg = config if config is not None else RouterConfig()
     replicas = cfg.replicas or max(1, manifest.replication)
     workers = cfg.workers or max(manifest.nshards, replicas)
-    if cfg.brokers < 1:
-        raise ValueError(f"need at least one broker, got {cfg.brokers}")
     cfg = replace(cfg, replicas=replicas, workers=workers)
     rmap = ReplicaMap.place(
         manifest.nshards,
@@ -521,7 +551,8 @@ def tier_roles(
     )
 
     def worker(ctx):
-        return _ShardWorker(ctx, model, rmap, cfg.brokers).run()
+        handler = _ShardWorker(ctx, model, rmap, cfg.brokers).start()
+        return serve_loop(ctx, handler, _tier_requests(ctx, cfg.brokers))
 
     return [
         (1, lambda ctx: router(ctx, cfg, rmap)),

@@ -49,8 +49,8 @@ from repro.serve.broker import (
     BrokerConfig,
     _Broker,
     _launch,
-    _ShardWorker,
     merge_ranked,
+    shard_service,
 )
 from repro.serve.query import canonical_response, hits_payload
 from repro.serve.router import (
@@ -573,10 +573,7 @@ def serve_workbench(
         b = _Broker(ctx, model, bcfg, generational=ingest is not None)
         return b.pump(list(wscripts), _WorkbenchCore(b, wcfg))
 
-    def worker(ctx):
-        return _ShardWorker(ctx, model).run()
-
-    roles = [(1, front), (model.manifest.nshards, worker)]
+    roles = [(1, front), (model.manifest.nshards, shard_service(model))]
     return _launch(
         model, roles, "workbench broker", machine, faults, ingest, backend
     )

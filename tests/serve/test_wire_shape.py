@@ -32,16 +32,20 @@ from repro.workbench import generate_analyst_workload, serve_workbench
 @pytest.fixture
 def sent(monkeypatch):
     """Every non-stop ``TAG_REQ`` request and every ``TAG_RESP`` reply
-    sent while the test runs, by tag."""
+    sent while the test runs, by tag.
+
+    Recorded at ``_deliver``, the hook every message crosses: a
+    thread-less service rank sends its replies without going through
+    ``Communicator.send``."""
     out = {TAG_REQ: [], TAG_RESP: []}
-    send = Communicator.send
+    deliver = Communicator._deliver
 
-    def recording(self, dest, obj, tag=0):
-        if tag in out and obj[0] != "stop":
-            out[tag].append(obj)
-        return send(self, dest, obj, tag=tag)
+    def recording(self, dest, tag, msg, now):
+        if tag in out and msg.obj[0] != "stop":
+            out[tag].append(msg.obj)
+        return deliver(self, dest, tag, msg, now)
 
-    monkeypatch.setattr(Communicator, "send", recording)
+    monkeypatch.setattr(Communicator, "_deliver", recording)
     return out
 
 
