@@ -31,7 +31,8 @@ Examples
     python -m repro figures --out figures/
 
 Every command reports a bad input the same way: ``error: <message>``
-on stderr (naming the offending path) and exit status 1.
+on stderr (naming the offending path, or the option whose value is
+out of range) and exit status 1.
 """
 
 from __future__ import annotations
@@ -75,6 +76,44 @@ def _load_result(path: Path):
     from repro.engine import load_result
 
     return _read_input(path, load_result, "a saved engine result")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """``"4,8,16"`` -> ``(4, 8, 16)``."""
+    return tuple(int(x) for x in text.split(","))
+
+
+#: the smallest value of each numeric option, by command; ``main``
+#: checks them (every element of a list option) before a command runs
+_MINIMUMS: dict[str, dict[str, int]] = {
+    "generate": {"bytes": 1},
+    "run": {"nprocs": 0, "clusters": 1, "major_terms": 1},
+    "analyze": {"top": 1},
+    "figures": {"procs": 1},
+    "metrics-report": {"nprocs": 1},
+    "serve-build": {"shards": 1, "replicas": 1},
+    "serve-query": {"top": 1},
+    "facet-query": {"top": 1},
+    "themeview-slices": {"slices": 1, "grid": 1},
+    "workbench-serve": {
+        "tenants": 1,
+        "sessions_per_tenant": 1,
+        "ops_per_session": 1,
+        "max_sessions": 1,
+        "max_sets": 1,
+        "max_derived_bytes": 1,
+    },
+    "workbench-session": {"top": 1, "n": 1},
+}
+
+
+def _check_minimums(args: argparse.Namespace) -> None:
+    for dest, least in _MINIMUMS.get(args.command, {}).items():
+        value = getattr(args, dest)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < least:
+                flag = "--" + dest.replace("_", "-")
+                raise InputError(f"{flag} must be >= {least}, got {v}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "figures", help="reproduce the paper's evaluation figures"
     )
     f.add_argument("--downscale", type=float, default=10_000.0)
-    f.add_argument("--procs", type=str, default="4,8,16,32")
+    f.add_argument("--procs", type=_int_list, default="4,8,16,32")
     f.add_argument("--seed", type=int, default=7)
     f.add_argument("--out", type=Path, default=Path("figures"))
     f.add_argument(
@@ -683,11 +722,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         verify_shapes,
     )
 
-    procs = tuple(int(x) for x in args.procs.split(","))
     args.out.mkdir(parents=True, exist_ok=True)
     sweeps = run_all_sweeps(
         downscale=args.downscale,
-        procs=procs,
+        procs=args.procs,
         seed=args.seed,
         progress=lambda msg: print("  " + msg),
     )
@@ -832,8 +870,6 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
 def _cmd_serve_query(args: argparse.Namespace) -> int:
     from repro.serve import Query, query_store
 
-    if args.top < 1:
-        raise InputError(f"--top wants a positive count, got {args.top}")
     query = None
     if args.search is not None:
         query = Query(
@@ -1252,6 +1288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ingest-status": _cmd_ingest_status,
     }
     try:
+        _check_minimums(args)
         return handlers[args.command](args)
     except _typed_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Global-Arrays-style global address space substrate.
 
 Reproduces the pieces of the Global Array Toolkit / ARMCI stack the
-paper relies on: block-distributed dense arrays with one-sided
-get/put/accumulate and atomic fetch-and-increment, an RPC-backed
-distributed hashmap for the global vocabulary, and the shared task
-queue used for dynamic load balancing during inverted-file indexing.
+paper relies on: block-distributed dense arrays with an atomic
+fetch-and-increment (``read_inc``) and owner-local views, an
+RPC-backed distributed hashmap for the global vocabulary, and the
+shared task queue used for dynamic load balancing during
+inverted-file indexing.
 """
 
 from .array import GlobalArray

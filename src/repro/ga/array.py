@@ -1,18 +1,16 @@
-"""Global Arrays: distributed dense arrays with one-sided access.
+"""Global Arrays: distributed dense arrays in a global address space.
 
-This is the reproduction's stand-in for the Global Array Toolkit the
-paper builds on.  A :class:`GlobalArray` is created *collectively*,
-block-distributed along its first axis, and then accessed with
-*one-sided* ``get``/``put``/``acc`` operations plus the atomic
-``read_inc`` (fetch-and-increment) that powers the paper's dynamic
-load balancer.  No cooperation from the owner rank is required -- the
-virtual-time scheduler's global operation ordering provides the
-consistency that ARMCI provides on real hardware.
-
-Costs: accesses are split by owner; the locally-owned part is charged
-at memory-copy speed, remote parts as one-sided network transfers, so
-algorithms that exploit locality (as GA encourages) are rewarded by
-the model exactly as on the paper's cluster.
+This is the reproduction's stand-in for the part of the Global Array
+Toolkit the paper's engine uses.  A :class:`GlobalArray` is created
+*collectively* and block-distributed along its first axis.  Each rank
+writes its own block through :meth:`~GlobalArray.local_view` (the
+df/cf term statistics), and any rank may apply the atomic
+:meth:`~GlobalArray.read_inc` (GA's ``NGA_Read_inc``) to any element --
+the fetch-and-increment behind the paper's dynamic load balancer.  No
+cooperation from the owner rank is required: the virtual-time
+scheduler's global operation ordering provides the consistency that
+ARMCI provides on real hardware.  A ``read_inc`` on a locally owned
+element costs one handler call, a remote one an RPC round trip.
 """
 
 from __future__ import annotations
@@ -45,13 +43,11 @@ class GlobalArray:
         self.dtype = dtype
         self.dist = dist
         self._data = backing
-        self._m_onesided = ctx.metrics.counter(
-            "comm.onesided.bytes", ("peer", "dir")
-        )
+        # register the family even though no array op fills it (the
+        # engine's stolen loads do): snapshots list every registered
+        # family, so runs with nothing stolen must still carry it
+        ctx.metrics.counter("comm.onesided.bytes", ("peer", "dir"))
 
-    # ------------------------------------------------------------------
-    # collective lifecycle
-    # ------------------------------------------------------------------
     @classmethod
     def create(
         cls,
@@ -101,44 +97,6 @@ class GlobalArray:
         data, dist, _, _ = entry
         return cls(ctx, name, shape, np.dtype(dtype), dist, data)
 
-    def destroy(self) -> None:
-        """Collectively free the array."""
-        self._ctx.comm.barrier()
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        self._ctx.world.registry.pop(f"ga:{self.name}", None)
-
-    # ------------------------------------------------------------------
-    # one-sided access
-    # ------------------------------------------------------------------
-    def get(self, lo: int, hi: Optional[int] = None) -> np.ndarray:
-        """One-sided read of global rows ``[lo, hi)`` (copy)."""
-        lo, hi = self._normalize(lo, hi)
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        out = self._data[lo:hi].copy()
-        self._charge_transfer(lo, hi, "get")
-        return out
-
-    def put(self, lo: int, values: np.ndarray) -> None:
-        """One-sided write starting at global row ``lo``."""
-        values = np.asarray(values, dtype=self.dtype)
-        hi = lo + values.shape[0]
-        lo, hi = self._normalize(lo, hi)
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        self._data[lo:hi] = values
-        self._charge_transfer(lo, hi, "put")
-
-    def acc(self, lo: int, values: np.ndarray, alpha: float = 1.0) -> None:
-        """One-sided atomic accumulate: ``A[lo:hi] += alpha * values``."""
-        values = np.asarray(values, dtype=self.dtype)
-        hi = lo + values.shape[0]
-        lo, hi = self._normalize(lo, hi)
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        if alpha == 1.0:
-            self._data[lo:hi] += values
-        else:
-            self._data[lo:hi] += alpha * values
-        self._charge_transfer(lo, hi, "put")
-
     def read_inc(self, index: int, inc: int = 1) -> int:
         """Atomic fetch-and-add on one integer element.
 
@@ -153,7 +111,11 @@ class GlobalArray:
             )
         if self._data.ndim != 1:
             raise RuntimeMisuseError("read_inc supports 1-D arrays only")
-        lo, hi = self._normalize(index, index + 1)
+        if not 0 <= index < self.shape[0]:
+            raise RuntimeMisuseError(
+                f"row {index} out of bounds for {self.name!r} with "
+                f"shape {self.shape}"
+            )
         ctx = self._ctx
         ctx.sched.wait_turn(ctx.rank)
         with ctx.world.ga_lock:
@@ -165,134 +127,6 @@ class GlobalArray:
         else:
             ctx.charge(ctx.machine.rpc_seconds(16.0, 16.0))
         return old
-
-    # ------------------------------------------------------------------
-    # whole-array convenience operations (GA_Fill / GA_Scale / GA_Copy /
-    # GA_Ddot / NGA_Gather / NGA_Scatter analogues)
-    # ------------------------------------------------------------------
-    def fill(self, value) -> None:
-        """Collective: set every element to ``value`` (GA_Fill)."""
-        self._ctx.comm.barrier()
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        lo, hi = self.local_range()
-        self._data[lo:hi] = value
-        self._ctx.charge(
-            self._ctx.machine.memcpy_seconds((hi - lo) * self._row_nbytes())
-        )
-        self._ctx.comm.barrier()
-
-    def scale(self, alpha: float) -> None:
-        """Collective: multiply every element by ``alpha`` (GA_Scale)."""
-        self._ctx.comm.barrier()
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        lo, hi = self.local_range()
-        self._data[lo:hi] = self._data[lo:hi] * alpha
-        self._ctx.charge(
-            self._ctx.machine.flops_seconds(
-                (hi - lo) * max(1, self._row_nbytes() // 8)
-            )
-        )
-        self._ctx.comm.barrier()
-
-    def copy_from(self, other: "GlobalArray") -> None:
-        """Collective: copy ``other`` into this array (GA_Copy).
-
-        Both arrays must share shape; each rank copies its own block
-        (the distributions may differ, in which case remote gets are
-        charged).
-        """
-        if other.shape != self.shape:
-            raise RuntimeMisuseError(
-                f"copy_from shape mismatch: {other.shape} -> {self.shape}"
-            )
-        self._ctx.comm.barrier()
-        lo, hi = self.local_range()
-        if hi > lo:
-            block = other.get(lo, hi)
-            self._ctx.sched.wait_turn(self._ctx.rank)
-            self._data[lo:hi] = block.astype(self.dtype, copy=False)
-        self._ctx.comm.barrier()
-
-    def dot(self, other: "GlobalArray") -> float:
-        """Collective: global inner product (GA_Ddot).
-
-        Each rank reduces its local block; partials are summed with an
-        allreduce, so every rank receives the same scalar.
-        """
-        if other.shape != self.shape:
-            raise RuntimeMisuseError(
-                f"dot shape mismatch: {self.shape} vs {other.shape}"
-            )
-        ctx = self._ctx
-        ctx.sched.wait_turn(ctx.rank)
-        lo, hi = self.local_range()
-        olo, ohi = other.local_range()
-        if (lo, hi) != (olo, ohi):
-            raise RuntimeMisuseError(
-                "dot requires identically distributed arrays"
-            )
-        local = float(
-            np.sum(
-                np.asarray(self._data[lo:hi], dtype=np.float64)
-                * np.asarray(other._data[lo:hi], dtype=np.float64)
-            )
-        )
-        ctx.charge(
-            ctx.machine.flops_seconds(
-                2.0 * (hi - lo) * max(1, self._row_nbytes() // 8)
-            )
-        )
-        return float(ctx.comm.allreduce(local))
-
-    def gather_elements(self, rows: np.ndarray) -> np.ndarray:
-        """One-sided indexed read of arbitrary global rows (NGA_Gather)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise RuntimeMisuseError("gather_elements row out of bounds")
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        out = self._data[rows].copy()
-        self._charge_elementwise(rows, "get")
-        return out
-
-    def scatter_elements(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """One-sided indexed write of arbitrary global rows (NGA_Scatter).
-
-        Duplicate rows are written in order (last wins), matching GA's
-        unordered-scatter caveat deterministically.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        values = np.asarray(values, dtype=self.dtype)
-        if rows.shape[0] != values.shape[0]:
-            raise RuntimeMisuseError(
-                "scatter_elements rows/values length mismatch"
-            )
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise RuntimeMisuseError("scatter_elements row out of bounds")
-        self._ctx.sched.wait_turn(self._ctx.rank)
-        self._data[rows] = values
-        self._charge_elementwise(rows, "put")
-
-    def _charge_elementwise(self, rows: np.ndarray, direction: str) -> None:
-        """Charge per-owner message costs for an indexed access."""
-        if rows.size == 0:
-            return
-        ctx = self._ctx
-        row_nbytes = self._row_nbytes()
-        owners = np.array([self.dist.owner_of(int(r)) for r in rows])
-        total = 0.0
-        for owner in np.unique(owners):
-            nbytes = int((owners == owner).sum()) * row_nbytes
-            if owner == ctx.rank:
-                total += ctx.machine.memcpy_seconds(nbytes)
-            else:
-                total += ctx.machine.onesided_seconds(
-                    nbytes,
-                    intra_node=ctx.machine.same_node(ctx.rank, owner),
-                )
-            self._m_onesided.inc(
-                ctx.rank, float(nbytes), key=(int(owner), direction)
-            )
-        ctx.charge(total)
 
     # ------------------------------------------------------------------
     # locality
@@ -311,54 +145,6 @@ class GlobalArray:
         lo, hi = self.local_range()
         return self._data[lo:hi]
 
-    def owner_of(self, row: int) -> int:
-        return self.dist.owner_of(row)
-
     def sync(self) -> None:
         """GA_Sync: barrier + completion of outstanding operations."""
         self._ctx.comm.barrier()
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _normalize(self, lo: int, hi: Optional[int]) -> tuple[int, int]:
-        if hi is None:
-            hi = lo + 1
-        if not (0 <= lo <= hi <= self.shape[0]):
-            raise RuntimeMisuseError(
-                f"rows [{lo}, {hi}) out of bounds for {self.name!r} with "
-                f"shape {self.shape}"
-            )
-        return lo, hi
-
-    def _row_nbytes(self) -> int:
-        itemsize = self.dtype.itemsize
-        per_row = 1
-        for s in self.shape[1:]:
-            per_row *= s
-        return itemsize * per_row
-
-    def _charge_transfer(self, lo: int, hi: int, direction: str) -> None:
-        """Charge get/put/acc cost, split by owning rank.
-
-        ``direction`` ("get"/"put") only labels the byte counters; the
-        diagonal (owner == caller) entries record rank-local volume.
-        """
-        if hi <= lo:
-            return
-        ctx = self._ctx
-        row_nbytes = self._row_nbytes()
-        total = 0.0
-        for owner, sub_lo, sub_hi in self.dist.owners_of_range(lo, hi):
-            nbytes = (sub_hi - sub_lo) * row_nbytes
-            if owner == ctx.rank:
-                total += ctx.machine.memcpy_seconds(nbytes)
-            else:
-                total += ctx.machine.onesided_seconds(
-                    nbytes,
-                    intra_node=ctx.machine.same_node(ctx.rank, owner),
-                )
-            self._m_onesided.inc(
-                ctx.rank, float(nbytes), key=(int(owner), direction)
-            )
-        ctx.charge(total)

@@ -3,8 +3,8 @@
 Global Arrays distributes dense arrays in regular blocks across ranks
 and exposes the layout to the programmer so locality can be exploited.
 We implement block distribution along the first axis (the layout every
-structure in the paper's engine uses) plus a degenerate replicated
-layout for small read-mostly tables.
+structure in the paper's engine uses), regular or with explicit row
+boundaries.
 """
 
 from __future__ import annotations
@@ -63,27 +63,6 @@ class BlockDistribution:
             return extra  # unreachable when row < nrows, defensive
         return extra + (row - boundary) // base
 
-    def owners_of_range(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        """Split global row range ``[lo, hi)`` by owner.
-
-        Returns ``(rank, sub_lo, sub_hi)`` triples covering the range in
-        order.  Used to split one-sided get/put requests into per-owner
-        messages for the cost model.
-        """
-        if lo < 0 or hi > self.nrows or lo > hi:
-            raise RuntimeMisuseError(
-                f"range [{lo}, {hi}) invalid for nrows={self.nrows}"
-            )
-        parts: list[tuple[int, int, int]] = []
-        row = lo
-        while row < hi:
-            r = self.owner_of(row)
-            _, owner_hi = self.local_range(r)
-            sub_hi = min(hi, owner_hi)
-            parts.append((r, row, sub_hi))
-            row = sub_hi
-        return parts
-
 
 @dataclass(frozen=True)
 class IrregularBlockDistribution:
@@ -141,18 +120,3 @@ class IrregularBlockDistribution:
         while self.local_count(r) == 0:
             r += 1
         return r
-
-    def owners_of_range(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        if lo < 0 or hi > self.nrows or lo > hi:
-            raise RuntimeMisuseError(
-                f"range [{lo}, {hi}) invalid for nrows={self.nrows}"
-            )
-        parts: list[tuple[int, int, int]] = []
-        row = lo
-        while row < hi:
-            r = self.owner_of(row)
-            _, owner_hi = self.local_range(r)
-            sub_hi = min(hi, owner_hi)
-            parts.append((r, row, sub_hi))
-            row = sub_hi
-        return parts

@@ -17,7 +17,7 @@ term ID.  We reproduce exactly that structure:
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.runtime.context import RankContext
 from repro.runtime.errors import TransientRpcError
@@ -171,19 +171,6 @@ class GlobalHashMap:
             out.update(zip(batch, gids))
         return out
 
-    def lookup(self, term: str) -> Optional[int]:
-        """Return the global ID of ``term`` or ``None``."""
-        owner = self.owner_of(term)
-        shard = self._shards[owner]
-        nbytes = 16.0 + len(term)
-        self._record_op(owner)
-        return self._rpc_with_retry(
-            owner,
-            lambda: shard.table.get(term),
-            nbytes_out=nbytes,
-            nbytes_in=16.0,
-        )
-
     def restore_terms(self, terms) -> int:
         """Re-register checkpointed vocabulary terms owned by this rank.
 
@@ -214,11 +201,3 @@ class GlobalHashMap:
     def global_size(self) -> int:
         """Collective: total number of unique terms."""
         return self._ctx.comm.allreduce(self.local_size())
-
-    def all_items(self) -> dict[str, int]:
-        """Collective: the full term -> gid mapping on every rank."""
-        pieces = self._ctx.comm.allgather(self.local_items())
-        out: dict[str, int] = {}
-        for piece in pieces:
-            out.update(piece)
-        return out

@@ -291,11 +291,3 @@ class SharedTaskQueue:
         if self._track_leases:
             return self._reclaim_dead()
         return None
-
-    def owner_of_task(self, task_id: int) -> int:
-        """The rank whose data a given global task ID refers to."""
-        if not 0 <= task_id < self.ntasks:
-            raise RuntimeMisuseError(
-                f"task {task_id} out of range [0, {self.ntasks})"
-            )
-        return int(np.searchsorted(self.offsets, task_id, side="right") - 1)

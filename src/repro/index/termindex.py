@@ -18,7 +18,7 @@ bit-identity acceptance test rests on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,14 +77,6 @@ class TermPostings:
     ``rows[offsets[i]:offsets[i+1]]`` are the (ascending) document rows
     containing term ``i``, with term frequencies in the parallel ``tf``
     slice.
-
-    Block metadata (optional): :meth:`with_blocks` attaches the
-    fixed-size block table of :func:`compute_posting_blocks`.  Because
-    the table is a pure function of the posting layout,
-    :meth:`restrict` and :func:`concat_postings` preserve it by
-    recomputation -- a shard split or a delta-generation concatenation
-    of blocked postings is itself blocked, with exactly the table a
-    fresh :meth:`with_blocks` would produce.
     """
 
     n_docs: int
@@ -94,22 +86,10 @@ class TermPostings:
     rows: np.ndarray
     #: term frequencies, parallel to ``rows``
     tf: np.ndarray
-    #: postings per block when block metadata is attached
-    block_size: int | None = None
-    #: (n_blocks + 1,) ascending block boundaries tiling the postings
-    block_offsets: np.ndarray | None = None
-    #: (n_blocks,) max term frequency inside each block
-    block_maxtf: np.ndarray | None = None
 
     @property
     def n_terms(self) -> int:
         return int(self.offsets.shape[0] - 1)
-
-    @property
-    def n_blocks(self) -> int:
-        if self.block_offsets is None:
-            return 0
-        return int(self.block_offsets.shape[0] - 1)
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
@@ -119,36 +99,6 @@ class TermPostings:
         lo = int(self.offsets[term_row])
         hi = int(self.offsets[term_row + 1])
         return self.rows[lo:hi], self.tf[lo:hi]
-
-    def with_blocks(self, block_size: int = BLOCK_SIZE) -> "TermPostings":
-        """A copy carrying the block table for ``block_size``."""
-        block_offsets, block_maxtf = compute_posting_blocks(
-            self.offsets, self.tf, block_size
-        )
-        return replace(
-            self,
-            block_size=block_size,
-            block_offsets=block_offsets,
-            block_maxtf=block_maxtf,
-        )
-
-    def term_block_range(self, term_row: int) -> tuple[int, int]:
-        """Block-index range ``[lo, hi)`` of one term's run.
-
-        Run boundaries are always block boundaries, so both ends are
-        exact ``searchsorted`` hits.
-        """
-        if self.block_offsets is None:
-            raise ValueError("postings carry no block metadata")
-        lo = int(
-            np.searchsorted(self.block_offsets, self.offsets[term_row])
-        )
-        hi = int(
-            np.searchsorted(
-                self.block_offsets, self.offsets[term_row + 1]
-            )
-        )
-        return lo, hi
 
     def restrict(self, row_lo: int, row_hi: int) -> "TermPostings":
         """Postings of document rows ``[row_lo, row_hi)``, rebased.
@@ -187,15 +137,12 @@ class TermPostings:
             - np.repeat(offsets[:-1], kept)
             + np.repeat(lo, kept)
         )
-        out = TermPostings(
+        return TermPostings(
             n_docs=row_hi - row_lo,
             offsets=offsets,
             rows=(self.rows[take] - row_lo).astype(np.int64),
             tf=self.tf[take].astype(np.int64),
         )
-        if self.block_size is not None:
-            out = out.with_blocks(self.block_size)
-        return out
 
 
 class _RowMemo(dict):
@@ -328,10 +275,7 @@ def concat_postings(parts: "list[TermPostings]") -> TermPostings:
                 tf[c : c + n] = p.tf[lo:hi]
                 cursor[t] = c + n
         base += p.n_docs
-    out = TermPostings(n_docs=n_docs, offsets=offsets, rows=rows, tf=tf)
-    if parts[0].block_size is not None:
-        out = out.with_blocks(parts[0].block_size)
-    return out
+    return TermPostings(n_docs=n_docs, offsets=offsets, rows=rows, tf=tf)
 
 
 def topk_score_row(

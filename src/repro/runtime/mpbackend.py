@@ -6,7 +6,8 @@ same ``Communicator`` wrappers, the same cost model, the same fault
 injector.  The backend substitutes the cross-rank plumbing only:
 
 * global arrays live in ``multiprocessing.shared_memory`` segments so
-  GA put/get/accumulate touch the same bytes from every process;
+  ``read_inc`` (under the world's ``ga_lock``) and the owner-local
+  views touch the same bytes from every process;
 * point-to-point messages, collectives and GA hashmap sidebands flow
   through a parent-process *switchboard* (one request queue in, one
   reply queue per rank out);
@@ -26,6 +27,12 @@ min-clock turn rule yields; a receive counts as "message already
 buffered" iff ``(send time, src) < (recv time, dst)`` lexicographically,
 which is precisely when the simulator's turn order would have run the
 send first.
+
+The contract covers the engine and every program that avoids
+``recv_any``.  It does not cover serving yet: a serving session under
+mp gives the same answers as under the simulator, but its virtual
+latencies and metrics snapshot differ, because the broker receives
+shard replies in sorted order where the simulator uses ``recv_any``.
 
 Known, documented divergences (see docs/architecture.md §12): which
 rank *raises* a ``CollectiveMismatchError``, recovery wall-clock

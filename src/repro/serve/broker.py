@@ -1416,8 +1416,10 @@ def serve(
     its outcome is attached as ``report.ingest``.
 
     ``backend`` selects the runtime execution backend (``"sim"`` or
-    ``"mp"``); reports are bit-identical across backends by the
-    runtime's cross-backend contract.
+    ``"mp"``).  Answers are identical across backends; virtual
+    latencies and the metrics snapshot are not, because the mp broker
+    receives shard replies in sorted order instead of by ``recv_any``
+    (see the mp backend's determinism contract).
 
     The store is opened once, here: every rank shares the one model.
     """

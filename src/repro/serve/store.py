@@ -100,6 +100,7 @@ from repro.index.termindex import (
     BLOCK_SIZE,
     TermPostings,
     build_term_postings,
+    compute_posting_blocks,
 )
 from repro.project.pca import PCATransform
 from repro.signature.topicality import RankedTerm
@@ -422,21 +423,18 @@ def encode_postings_sections(
     Every segment writer goes through here, so identical postings
     always encode to identical bytes (the compaction-parity invariant).
     """
-    if postings.block_size != block_size or postings.block_offsets is None:
-        postings = postings.with_blocks(block_size)
+    block_offsets, block_maxtf = compute_posting_blocks(
+        postings.offsets, postings.tf, block_size
+    )
     delta = np.diff(postings.rows, prepend=0).astype(np.int64)
-    starts = postings.block_offsets[:-1]
+    starts = block_offsets[:-1]
     delta[starts] = postings.rows[starts]
     return {
         "post_offsets": np.asarray(postings.offsets, dtype=np.int64),
         "post_rows_delta": delta,
         "post_tf": np.asarray(postings.tf, dtype=np.int64),
-        "post_block_offsets": np.asarray(
-            postings.block_offsets, dtype=np.int64
-        ),
-        "post_block_maxtf": np.asarray(
-            postings.block_maxtf, dtype=np.int64
-        ),
+        "post_block_offsets": np.asarray(block_offsets, dtype=np.int64),
+        "post_block_maxtf": np.asarray(block_maxtf, dtype=np.int64),
     }
 
 

@@ -59,8 +59,10 @@ def test_kmeans_vs_hierarchical_differ(pubmed_small):
 def test_unknown_method_rejected(pubmed_small):
     with pytest.raises(ValueError, match="cluster_method"):
         SerialTextEngine(_cfg("ward")).run(pubmed_small)
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed") as exc:
         ParallelTextEngine(2, config=_cfg("ward")).run(pubmed_small)
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert "cluster_method" in str(exc.value.__cause__)
 
 
 def test_merge_micro_clusters_unit():

@@ -54,8 +54,9 @@ def test_parallel_model_equals_serial_on_random_corpora(data):
         s = SerialTextEngine(cfg).run(corpus)
     except ValueError:
         # degenerate corpus (no candidate terms): parallel must agree
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as exc:
             ParallelTextEngine(nprocs, config=cfg).run(corpus)
+        assert isinstance(exc.value.__cause__, ValueError)
         return
     p = ParallelTextEngine(nprocs, config=cfg).run(corpus)
     assert p.major_term_strings == s.major_term_strings

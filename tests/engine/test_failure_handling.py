@@ -31,7 +31,7 @@ def test_rank_side_failure_propagates_without_hanging():
     ]
     corpus = Corpus("bad", docs)
     # the failing rank's exception propagates; no deadlock/hang
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed: .*boom in tokenization"):
         ParallelTextEngine(3, config=_CFG).run(corpus)
 
 

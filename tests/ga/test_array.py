@@ -1,65 +1,26 @@
-"""Tests for GlobalArray one-sided semantics and cost accounting."""
+"""Tests for GlobalArray semantics and cost accounting."""
 
 import numpy as np
 import pytest
 
 from repro.ga import GlobalArray
-from repro.runtime import Cluster
+from repro.runtime import Cluster, RuntimeMisuseError
 
 
 def test_create_and_local_views_tile_array():
     def program(ctx):
         ga = GlobalArray.create(ctx, "a", (10, 3))
-        lo, hi = ga.local_range()
         ga.local_view()[:] = ctx.rank
         ga.sync()
-        full = ga.get(0, 10)
-        return (lo, hi, full)
+        return ga.local_view().copy()
 
     res = Cluster(3).run(program)
-    full = res.rank_results[0][2]
+    # each rank's block, concatenated in rank order, is the whole array
+    full = np.concatenate(res.rank_results)
+    assert full.shape == (10, 3)
     # every row filled by its owner
-    for r, (lo, hi, _) in enumerate(res.rank_results):
-        assert np.all(full[lo:hi] == r)
-
-
-def test_put_get_roundtrip_across_ranks():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "b", (8,), dtype=np.int64)
-        ga.sync()
-        if ctx.rank == 0:
-            ga.put(0, np.arange(8))
-        ga.sync()
-        return ga.get(2, 6)
-
-    res = Cluster(4).run(program)
-    for r in res.rank_results:
-        np.testing.assert_array_equal(r, [2, 3, 4, 5])
-
-
-def test_acc_accumulates_from_all_ranks():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "c", (4,))
-        ga.sync()
-        ga.acc(0, np.ones(4))
-        ga.sync()
-        return ga.get(0, 4)
-
-    res = Cluster(5).run(program)
-    for r in res.rank_results:
-        np.testing.assert_array_equal(r, [5.0] * 4)
-
-
-def test_acc_with_alpha():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "d", (2,))
-        ga.sync()
-        ga.acc(0, np.ones(2), alpha=2.0)
-        ga.sync()
-        return ga.get(0, 2)
-
-    res = Cluster(3).run(program)
-    np.testing.assert_array_equal(res.rank_results[0], [6.0, 6.0])
+    owners = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+    np.testing.assert_array_equal(full, np.repeat(owners[:, None], 3, 1))
 
 
 def test_read_inc_hands_out_unique_values():
@@ -68,13 +29,13 @@ def test_read_inc_hands_out_unique_values():
         ga.sync()
         got = [ga.read_inc(0) for _ in range(10)]
         ga.sync()
-        final = ga.get(0, 1)[0]
-        return (got, int(final))
+        return (got, ga.local_view().copy())
 
     res = Cluster(4).run(program)
     all_vals = [v for got, _ in res.rank_results for v in got]
     assert sorted(all_vals) == list(range(40))
-    assert all(final == 40 for _, final in res.rank_results)
+    final = np.concatenate([view for _, view in res.rank_results])
+    np.testing.assert_array_equal(final, [40])
 
 
 def test_read_inc_requires_integer_array():
@@ -82,21 +43,23 @@ def test_read_inc_requires_integer_array():
         ga = GlobalArray.create(ctx, "f", (1,), dtype=np.float64)
         ga.read_inc(0)
 
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed") as exc:
         Cluster(2).run(program)
+    assert isinstance(exc.value.__cause__, RuntimeMisuseError)
+    assert "integer array" in str(exc.value.__cause__)
 
 
 def test_remote_access_costs_more_than_local():
     def program(ctx):
-        ga = GlobalArray.create(ctx, "g", (2, 1000))
+        ga = GlobalArray.create(ctx, "g", (2,), dtype=np.int64)
         ga.sync()
         lo, _ = ga.local_range()
         t0 = ctx.now
-        ga.get(lo, lo + 1)  # local row
+        ga.read_inc(lo)  # locally owned element
         local_cost = ctx.now - t0
         other = (lo + 1) % 2
         t0 = ctx.now
-        ga.get(other, other + 1)  # remote row
+        ga.read_inc(other)  # remote element
         remote_cost = ctx.now - t0
         return (local_cost, remote_cost)
 
@@ -110,39 +73,18 @@ def test_shape_mismatch_detected():
         shape = (4,) if ctx.rank == 0 else (5,)
         GlobalArray.create(ctx, "h", shape)
 
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed") as exc:
         Cluster(2).run(program)
+    assert isinstance(exc.value.__cause__, RuntimeMisuseError)
+    assert "disagree" in str(exc.value.__cause__)
 
 
 def test_out_of_bounds_rejected():
     def program(ctx):
-        ga = GlobalArray.create(ctx, "i", (4,))
-        ga.get(3, 9)
+        ga = GlobalArray.create(ctx, "i", (4,), dtype=np.int64)
+        ga.read_inc(4)
 
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed") as exc:
         Cluster(2).run(program)
-
-
-def test_destroy_removes_registry_entry():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "j", (4,))
-        ga.sync()
-        ga.destroy()
-        ctx.comm.barrier()
-        return "ga:j" in ctx.world.registry
-
-    res = Cluster(2).run(program)
-    assert res.rank_results == [False, False]
-
-
-def test_get_returns_copy():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "k", (4,))
-        ga.sync()
-        block = ga.get(0, 4)
-        block += 100  # must not write through
-        ga.sync()
-        return float(ga.get(0, 1)[0])
-
-    res = Cluster(2).run(program)
-    assert res.rank_results == [0.0, 0.0]
+    assert isinstance(exc.value.__cause__, RuntimeMisuseError)
+    assert "out of bounds" in str(exc.value.__cause__)

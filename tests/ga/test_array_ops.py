@@ -1,103 +1,10 @@
-"""Tests for GA whole-array convenience operations."""
+"""Tests for global arrays over an irregular block distribution."""
 
 import numpy as np
 import pytest
 
 from repro.ga import GlobalArray, IrregularBlockDistribution
-from repro.runtime import Cluster
-
-
-def test_fill_and_scale():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "a", (9,))
-        ga.fill(2.0)
-        ga.scale(3.0)
-        return ga.get(0, 9)
-
-    res = Cluster(3).run(program)
-    for r in res.rank_results:
-        np.testing.assert_allclose(r, 6.0)
-
-
-def test_copy_from():
-    def program(ctx):
-        src = GlobalArray.create(ctx, "src", (6,), dtype=np.int64)
-        dst = GlobalArray.create(ctx, "dst", (6,), dtype=np.float64)
-        src.sync()
-        if ctx.rank == 0:
-            src.put(0, np.arange(6))
-        src.sync()
-        dst.copy_from(src)
-        return dst.get(0, 6)
-
-    res = Cluster(2).run(program)
-    np.testing.assert_allclose(res.rank_results[0], np.arange(6.0))
-
-
-def test_copy_from_shape_mismatch():
-    def program(ctx):
-        a = GlobalArray.create(ctx, "a", (4,))
-        b = GlobalArray.create(ctx, "b", (5,))
-        a.copy_from(b)
-
-    with pytest.raises(RuntimeError, match="failed"):
-        Cluster(2).run(program)
-
-
-def test_dot():
-    def program(ctx):
-        a = GlobalArray.create(ctx, "a", (8,))
-        b = GlobalArray.create(ctx, "b", (8,))
-        a.fill(2.0)
-        b.fill(3.0)
-        return a.dot(b)
-
-    res = Cluster(4).run(program)
-    assert res.rank_results == [48.0] * 4
-
-
-def test_dot_2d():
-    def program(ctx):
-        a = GlobalArray.create(ctx, "a", (4, 3))
-        a.fill(1.0)
-        return a.dot(a)
-
-    res = Cluster(2).run(program)
-    assert res.rank_results == [12.0, 12.0]
-
-
-def test_gather_scatter_elements():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "g", (10,), dtype=np.int64)
-        ga.sync()
-        if ctx.rank == 0:
-            ga.scatter_elements(
-                np.array([9, 0, 5]), np.array([90, 10, 50])
-            )
-        ga.sync()
-        return ga.gather_elements(np.array([0, 5, 9, 1]))
-
-    res = Cluster(3).run(program)
-    for r in res.rank_results:
-        np.testing.assert_array_equal(r, [10, 50, 90, 0])
-
-
-def test_gather_elements_bounds():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "g", (4,))
-        ga.gather_elements(np.array([4]))
-
-    with pytest.raises(RuntimeError, match="failed"):
-        Cluster(2).run(program)
-
-
-def test_scatter_elements_length_mismatch():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "g", (4,))
-        ga.scatter_elements(np.array([0, 1]), np.array([1.0]))
-
-    with pytest.raises(RuntimeError, match="failed"):
-        Cluster(1).run(program)
+from repro.runtime import Cluster, RuntimeMisuseError
 
 
 def test_irregular_distribution_array():
@@ -108,12 +15,13 @@ def test_irregular_distribution_array():
         lo, hi = ga.local_range()
         ga.local_view()[:] = ctx.rank
         ga.sync()
-        return (lo, hi, ga.get(0, 7))
+        return (lo, hi, ga.local_view().copy())
 
     res = Cluster(3).run(program)
     assert [r[:2] for r in res.rank_results] == [(0, 1), (1, 5), (5, 7)]
     np.testing.assert_array_equal(
-        res.rank_results[0][2], [0, 1, 1, 1, 1, 2, 2]
+        np.concatenate([r[2] for r in res.rank_results]),
+        [0, 1, 1, 1, 1, 2, 2],
     )
 
 
@@ -122,5 +30,7 @@ def test_irregular_distribution_wrong_size():
         dist = IrregularBlockDistribution.from_counts([1, 2])
         GlobalArray.create(ctx, "i", (7,), dist=dist)
 
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed") as exc:
         Cluster(2).run(program)
+    assert isinstance(exc.value.__cause__, RuntimeMisuseError)
+    assert "distribution covers 3 rows" in str(exc.value.__cause__)

@@ -45,8 +45,6 @@ def test_owner_errors():
         d.owner_of(4)
     with pytest.raises(RuntimeMisuseError):
         d.local_range(2)
-    with pytest.raises(RuntimeMisuseError):
-        d.owners_of_range(2, 1)
 
 
 @settings(max_examples=200)
@@ -81,24 +79,3 @@ def test_owner_of_matches_local_range(nrows, nprocs, data):
     owner = d.owner_of(row)
     lo, hi = d.local_range(owner)
     assert lo <= row < hi
-
-
-@settings(max_examples=100)
-@given(
-    nrows=st.integers(min_value=1, max_value=200),
-    nprocs=st.integers(min_value=1, max_value=9),
-    data=st.data(),
-)
-def test_owners_of_range_covers_exactly(nrows, nprocs, data):
-    d = BlockDistribution(nrows, nprocs)
-    lo = data.draw(st.integers(min_value=0, max_value=nrows))
-    hi = data.draw(st.integers(min_value=lo, max_value=nrows))
-    parts = d.owners_of_range(lo, hi)
-    cursor = lo
-    for rank, sub_lo, sub_hi in parts:
-        assert sub_lo == cursor
-        assert sub_lo < sub_hi
-        assert d.owner_of(sub_lo) == rank
-        assert d.owner_of(sub_hi - 1) == rank
-        cursor = sub_hi
-    assert cursor == hi

@@ -26,20 +26,6 @@ def test_ids_unique_and_stable():
         assert again == mine  # reinsertion is idempotent
 
 
-def test_lookup_found_and_missing():
-    def program(ctx):
-        hm = GlobalHashMap.create(ctx, "v")
-        if ctx.rank == 0:
-            gid = hm.get_or_insert("alpha")
-        ctx.comm.barrier()
-        return (hm.lookup("alpha"), hm.lookup("nope"))
-
-    res = Cluster(3).run(program)
-    for found, missing in res.rank_results:
-        assert found is not None
-        assert missing is None
-
-
 def test_global_size_counts_once():
     def program(ctx):
         hm = GlobalHashMap.create(ctx, "v")
@@ -72,18 +58,6 @@ def test_local_items_partition_by_owner():
             assert term not in seen
             seen[term] = gid
     assert set(seen) == set(words)
-
-
-def test_all_items_collective():
-    def program(ctx):
-        hm = GlobalHashMap.create(ctx, "v")
-        hm.get_or_insert(f"w{ctx.rank}")
-        ctx.comm.barrier()
-        return hm.all_items()
-
-    res = Cluster(3).run(program)
-    assert set(res.rank_results[0]) == {"w0", "w1", "w2"}
-    assert res.rank_results[0] == res.rank_results[1] == res.rank_results[2]
 
 
 def test_remote_insert_costs_more_than_local():

@@ -74,16 +74,6 @@ def test_chunking_respects_boundaries():
     assert res.rank_results[0] == [(0, 4), (4, 5)]
 
 
-def test_owner_of_task():
-    def program(ctx):
-        q = SharedTaskQueue(ctx, "q", [3, 0, 4], chunk=1)
-        ctx.comm.barrier()
-        return [q.owner_of_task(t) for t in range(7)]
-
-    res = Cluster(3).run(program)
-    assert res.rank_results[0] == [0, 0, 0, 2, 2, 2, 2]
-
-
 def test_empty_queue():
     def program(ctx):
         q = SharedTaskQueue(ctx, "q", [0, 0], chunk=1)

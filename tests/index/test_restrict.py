@@ -77,27 +77,3 @@ def test_restrict_matches_mask_reference(data):
     np.testing.assert_array_equal(got.rows, want.rows)
     np.testing.assert_array_equal(got.tf, want.tf)
     assert got.n_docs == row_hi - row_lo
-
-
-def test_restrict_preserves_blocking():
-    rng = np.random.default_rng(5)
-    p = _random_postings(rng, 64, 6).with_blocks(8)
-    sub = p.restrict(10, 50)
-    assert sub.block_size == 8
-    # the carried table must equal a from-scratch re-blocking
-    fresh = TermPostings(
-        n_docs=sub.n_docs,
-        offsets=sub.offsets,
-        rows=sub.rows,
-        tf=sub.tf,
-    ).with_blocks(8)
-    np.testing.assert_array_equal(
-        sub.block_offsets, fresh.block_offsets
-    )
-    np.testing.assert_array_equal(sub.block_maxtf, fresh.block_maxtf)
-
-
-def test_restrict_unblocked_stays_unblocked():
-    rng = np.random.default_rng(9)
-    p = _random_postings(rng, 32, 4)
-    assert p.restrict(4, 20).block_size is None

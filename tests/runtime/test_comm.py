@@ -67,8 +67,10 @@ def test_send_to_invalid_rank():
     def program(ctx):
         ctx.comm.send(99, "x")
 
-    with pytest.raises(RuntimeError, match="rank 0 failed"):
+    with pytest.raises(RuntimeError, match="rank 0 failed") as exc:
         Cluster(2).run(program)
+    assert isinstance(exc.value.__cause__, RuntimeMisuseError)
+    assert "peer rank 99" in str(exc.value.__cause__)
 
 
 def test_message_transfer_costs_time():
@@ -162,8 +164,9 @@ def test_collective_mismatch_detected():
         else:
             ctx.comm.allreduce(1)
 
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(RuntimeError, match="failed") as exc:
         Cluster(2).run(program)
+    assert isinstance(exc.value.__cause__, CollectiveMismatchError)
 
 
 def test_collective_results_independent_copies():

@@ -423,8 +423,9 @@ def test_ordinary_exception_still_aborts_world_under_plan():
             raise ValueError("real bug, not a fault")
         ctx.comm.barrier()
 
-    with pytest.raises(RuntimeError, match="rank 1 failed"):
+    with pytest.raises(RuntimeError, match="rank 1 failed") as exc:
         Cluster(3, faults=plan).run(program)
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_failed_rank_times_are_final_clocks():

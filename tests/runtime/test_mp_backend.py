@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import run_ga_queue
 from repro.ga.array import GlobalArray
 from repro.ga.hashmap import GlobalHashMap
 from repro.runtime import (
@@ -71,9 +72,7 @@ def _kitchen_sink(ctx):
         ctx.comm.send((r + 1) % n, np.full(3, float(r)))
         left = ctx.comm.recv((r - 1) % n)
         ga = GlobalArray.create(ctx, "mpb", (n * 2,), fill=0.0)
-        ga.put(r * 2, np.full(2, float(r)))
         ctx.barrier()
-        everything = ga.get(0, n * 2)
         hm = GlobalHashMap.create(ctx, "mpb_terms")
         gids = hm.get_or_insert_batch([f"t{j}" for j in range(6)])
         ctx.barrier()
@@ -88,7 +87,7 @@ def _kitchen_sink(ctx):
         "shuffled": shuffled,
         "squares": squares,
         "left": left.tolist(),
-        "everything": everything.tolist(),
+        "mine": ga.local_view().tolist(),
         "ngids": len(set(gids)),
         "rep": rep,
         "rpc": rpc_val,
@@ -100,6 +99,17 @@ def test_kitchen_sink_bitexact(nprocs):
     sim, mp = _run_both(_kitchen_sink, nprocs)
     _assert_identical(sim, mp)
     assert sim.wall_time == mp.wall_time
+
+
+def test_ga_queue_hands_out_each_task_once_across_processes():
+    """Without cost hints the shared task queue claims through live
+    ``read_inc`` on the shared-memory counters, so every task must be
+    handed out exactly once across the rank processes.  The claim
+    order is racy under mp, so only the sets are compared."""
+    costs = [[1e-3] * 5, [2e-3] * 7, [], [1e-3] * 3]
+    res = Cluster(4, backend="mp").run(run_ga_queue, costs)
+    claimed = [t for executed in res.rank_results for t, _ in executed]
+    assert sorted(claimed) == list(range(15))
 
 
 # ----------------------------------------------------------------------

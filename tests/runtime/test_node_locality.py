@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.ga import GlobalArray
 from repro.runtime import Cluster, MachineSpec
 
 
@@ -47,27 +46,6 @@ def test_send_latency_depends_on_node():
     t_same_node = res.rank_results[1]
     t_cross_node = res.rank_results[2]
     assert t_same_node < t_cross_node
-
-
-def test_ga_get_cheaper_from_node_peer():
-    def program(ctx):
-        ga = GlobalArray.create(ctx, "g", (4, 50_000))
-        ga.sync()
-        lo, _ = ga.local_range()  # one row per rank
-        peer_same = 1 if ctx.rank == 0 else 0
-        peer_far = 2 if ctx.rank < 2 else 0
-        t0 = ctx.now
-        ga.get(peer_same, peer_same + 1)
-        same = ctx.now - t0
-        t0 = ctx.now
-        ga.get(peer_far, peer_far + 1)
-        far = ctx.now - t0
-        ga.sync()
-        return (same, far)
-
-    res = Cluster(4).run(program)
-    same, far = res.rank_results[0]
-    assert same < far
 
 
 def test_results_unaffected_by_locality_model():

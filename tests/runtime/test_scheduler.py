@@ -66,8 +66,9 @@ def test_rank_exception_propagates():
             raise ValueError("boom on rank 2")
         ctx.comm.barrier()
 
-    with pytest.raises(RuntimeError, match="rank 2 failed"):
+    with pytest.raises(RuntimeError, match="rank 2 failed") as exc:
         Cluster(4).run(program)
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_deadlock_detected():
@@ -98,8 +99,10 @@ def test_clock_negative_charge_rejected():
     def program(ctx):
         ctx.charge(-1.0)
 
-    with pytest.raises(RuntimeError, match="rank 0 failed"):
+    with pytest.raises(RuntimeError, match="rank 0 failed") as exc:
         Cluster(1).run(program)
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert "negative" in str(exc.value.__cause__)
 
 
 def test_machine_spec_attached():

@@ -51,9 +51,8 @@ def _random_postings(
     rng: np.random.Generator,
     n_docs: int,
     n_terms: int,
-    block_size: int,
 ) -> TermPostings:
-    """Random postings with Pareto-skewed tf, blocked at ``block_size``."""
+    """Random postings with Pareto-skewed tf."""
     offsets = [0]
     rows_parts: list[np.ndarray] = []
     tf_parts: list[np.ndarray] = []
@@ -73,17 +72,14 @@ def _random_postings(
         offsets=np.asarray(offsets, dtype=np.int64),
         rows=np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64),
         tf=np.concatenate(tf_parts) if tf_parts else np.empty(0, np.int64),
-    ).with_blocks(block_size)
-
-
-def _write_block_container(path: Path, postings: TermPostings) -> Container:
-    # keep the postings' own (small, adversarial) block size -- the
-    # encoder would otherwise re-block at the 128-entry default
-    arrays = dict(
-        encode_postings_sections(
-            postings, block_size=postings.block_size
-        )
     )
+
+
+def _write_block_container(
+    path: Path, postings: TermPostings, block_size: int
+) -> Container:
+    # a small, adversarial block size instead of the 128-entry default
+    arrays = dict(encode_postings_sections(postings, block_size=block_size))
     write_container(
         str(path),
         arrays,
@@ -122,7 +118,7 @@ class TestBlockmaxExactness:
         )
         k = data.draw(st.integers(1, n_docs + 2), label="k")
         rng = np.random.default_rng(seed)
-        postings = _random_postings(rng, n_docs, n_terms, block_size)
+        postings = _random_postings(rng, n_docs, n_terms)
         # duplicate terms and zero weights are both legal queries
         term_rows = data.draw(
             st.lists(
@@ -145,7 +141,7 @@ class TestBlockmaxExactness:
         icf[negate] = -icf[negate]
         with tempfile.TemporaryDirectory() as tmp:
             container = _write_block_container(
-                Path(tmp) / "shard.repro", postings
+                Path(tmp) / "shard.repro", postings, block_size
             )
             blocks = BlockPostings(container, n_docs)
             got_idx, got_sc, scanned, skipped = topk_search(
@@ -181,11 +177,12 @@ class TestBlockmaxExactness:
             offsets=np.array([0, n_docs], dtype=np.int64),
             rows=np.arange(n_docs, dtype=np.int64),
             tf=tf,
-        ).with_blocks(16)
+        )
+        block_size = 16
         icf = np.array([1.7], dtype=np.float64)
         with tempfile.TemporaryDirectory() as tmp:
             container = _write_block_container(
-                Path(tmp) / "shard.repro", postings
+                Path(tmp) / "shard.repro", postings, block_size
             )
             blocks = BlockPostings(container, n_docs)
             got_idx, got_sc, scanned, skipped = topk_search(
@@ -252,7 +249,7 @@ class TestRestrictedSearch:
 class TestBlockSectionCorruption:
     def _postings(self) -> TermPostings:
         rng = np.random.default_rng(3)
-        return _random_postings(rng, 40, 5, 8)
+        return _random_postings(rng, 40, 5)
 
     def _write_corrupt(self, tmp_path: Path, mutate) -> Path:
         postings = self._postings()

@@ -585,6 +585,91 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            ["generate", "--bytes", "-5", "--out", "{tmp}/c.jsonl"],
+            "--bytes", id="generate-bytes-negative",
+        ),
+        pytest.param(
+            ["run", "--corpus", "{tmp}/c.jsonl", "--clusters", "0",
+             "--out", "{tmp}/r"],
+            "--clusters", id="run-clusters-zero",
+        ),
+        pytest.param(
+            ["run", "--corpus", "{tmp}/c.jsonl", "--nprocs", "-2",
+             "--out", "{tmp}/r"],
+            "--nprocs", id="run-nprocs-negative",
+        ),
+        pytest.param(
+            ["serve-build", "--results", "{tmp}/r.npz", "--shards", "0",
+             "--out", "{tmp}/s"],
+            "--shards", id="serve-build-shards-zero",
+        ),
+        pytest.param(
+            ["serve-build", "--results", "{tmp}/r.npz", "--replicas", "0",
+             "--out", "{tmp}/s"],
+            "--replicas", id="serve-build-replicas-zero",
+        ),
+        pytest.param(
+            ["metrics-report", "--nprocs", "0"],
+            "--nprocs", id="metrics-report-nprocs-zero",
+        ),
+        pytest.param(
+            ["figures", "--procs", "4,0", "--out", "{tmp}/f"],
+            "--procs", id="figures-procs-zero",
+        ),
+        pytest.param(
+            ["themeview-slices", "--store", "{tmp}/s", "--slices", "0"],
+            "--slices", id="themeview-slices-zero",
+        ),
+        pytest.param(
+            ["themeview-slices", "--store", "{tmp}/s", "--grid", "0"],
+            "--grid", id="themeview-grid-zero",
+        ),
+        pytest.param(
+            ["workbench-serve", "--store", "{tmp}/s", "--tenants", "0"],
+            "--tenants", id="workbench-serve-tenants-zero",
+        ),
+        pytest.param(
+            ["workbench-serve", "--store", "{tmp}/s",
+             "--ops-per-session", "0"],
+            "--ops-per-session", id="workbench-serve-ops-zero",
+        ),
+        pytest.param(
+            ["workbench-serve", "--store", "{tmp}/s",
+             "--max-sessions", "0"],
+            "--max-sessions", id="workbench-serve-max-sessions-zero",
+        ),
+        pytest.param(
+            ["workbench-session", "--store", "{tmp}/s", "--n", "0"],
+            "--n", id="workbench-session-n-zero",
+        ),
+        pytest.param(
+            ["facet-query", "--store", "{tmp}/s", "--kind", "terms",
+             "--top", "0"],
+            "--top", id="facet-query-top-zero",
+        ),
+        pytest.param(
+            ["analyze", "--results", "{tmp}/r.npz", "--top", "-1"],
+            "--top", id="analyze-top-negative",
+        ),
+    ],
+)
+def test_out_of_range_option_is_an_error_line(argv, flag, tmp_path, capsys):
+    """One check in ``main`` rejects the value before the command runs:
+    none of the named input files exists, and nothing is written."""
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {flag} must be >= ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def journal_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli-journal") / "journal"
