@@ -1,10 +1,10 @@
 """Microbenchmarks of the engine's computational kernels.
 
 These are *real-time* benchmarks (pytest-benchmark statistics) of the
-hot paths: tokenization, FAST-INV inversion, signature generation,
-k-means assignment, PCA, the simulated runtime's own primitives
-(collectives, atomics, hashmap inserts), and the serving layer's term
-search against its exhaustive reference.
+hot paths: tokenization, FAST-INV inversion, co-occurrence counts,
+signature generation, k-means assignment, PCA, the simulated runtime's
+own primitives (collectives, atomics, hashmap inserts), and the serving
+layer's term search against its exhaustive reference.
 """
 
 import numpy as np
@@ -16,7 +16,11 @@ from repro.ga import GlobalArray, GlobalHashMap
 from repro.index import invert_chunk
 from repro.project import fit_pca
 from repro.runtime import Cluster
-from repro.signature import compute_signatures, major_lookup_arrays
+from repro.signature import (
+    compute_signatures,
+    count_cooccurrences,
+    major_row_table,
+)
 from repro.text import Tokenizer
 from repro.viz import build_themeview
 
@@ -38,21 +42,30 @@ def test_fastinv_invert_chunk(benchmark):
     assert len(t2d) > 0
 
 
-def test_signature_generation(benchmark):
-    rng = np.random.default_rng(1)
-    n_major, n_topics = 1500, 150
-    assoc = rng.random((n_major, n_topics))
-    sorted_gids, positions = major_lookup_arrays(
-        sorted(rng.choice(20_000, size=n_major, replace=False).tolist())
+def _signature_workload(seed):
+    """The engine_batch signature shape: N = 1 500, M = 150, 300 docs."""
+    rng = np.random.default_rng(seed)
+    table = major_row_table(
+        rng.choice(20_000, size=1500, replace=False).tolist()
     )
     docs = [
         rng.integers(0, 20_000, size=200).astype(np.int64)
         for _ in range(300)
     ]
-    batch = benchmark(
-        compute_signatures, docs, sorted_gids, positions, assoc
-    )
-    assert batch.signatures.shape == (300, n_topics)
+    return rng, table, docs
+
+
+def test_signature_generation(benchmark):
+    rng, table, docs = _signature_workload(1)
+    assoc = rng.random((1500, 150))
+    batch = benchmark(compute_signatures, docs, table, assoc)
+    assert batch.signatures.shape == (300, 150)
+
+
+def test_cooccurrence_counts(benchmark):
+    _, table, docs = _signature_workload(1)
+    counts = benchmark(count_cooccurrences, docs, table, 1500, 150)
+    assert counts.shape == (1500, 150) and counts.dtype == np.int64
 
 
 def test_kmeans_assignment_step(benchmark):

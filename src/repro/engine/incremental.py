@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.cluster.kmeans import assign_points
 from repro.index.termindex import scan_major_rows
+from repro.signature.association import major_row_table
 from repro.signature.docvec import compute_signatures
 from repro.text.documents import Document
 from repro.text.tokenizer import TokenizerConfig
@@ -87,8 +88,8 @@ def project_major_rows(
             "result carries no fitted projection; re-run the engine"
         )
     # rows are already dense 0..N-1: the gid lookup is the identity
-    rows = np.arange(len(result.major_terms), dtype=np.int64)
-    batch = compute_signatures(doc_rows, rows, rows, result.association)
+    table = major_row_table(np.arange(len(result.major_terms)))
+    batch = compute_signatures(doc_rows, table, result.association)
     sigs = batch.signatures
     labels, _ = assign_points(sigs, result.centroids)
     coords = result.projection.project(sigs)

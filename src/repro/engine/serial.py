@@ -16,7 +16,7 @@ P=1 as the baseline instead, as the paper's self-relative speedups do.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from repro.scan.scanner import scan_documents, unique_terms
 from repro.scan.vocabulary import finalize_vocabulary_serial
 from repro.signature.association import (
     association_matrix,
-    cooccurrence_counts,
-    doc_presence_indices,
+    count_cooccurrences,
+    major_row_table,
 )
-from repro.signature.docvec import compute_signatures, major_lookup_arrays
+from repro.signature.docvec import compute_signatures
 from repro.signature.topicality import (
     local_candidates,
     select_major_terms,
@@ -73,6 +73,25 @@ def _field_weight_arrays(forward, field_names, config: EngineConfig):
         dtype=np.float64,
     )
     return forward.token_weights(nfields, weights)
+
+
+def _stage_timer(stage_seconds: dict[str, float], name: str):
+    """Scope factory adding each scope's real seconds to ``name``.
+
+    The adaptive loop enters the AM and DocVec scopes once per round,
+    so a stage's time is the sum over rounds.
+    """
+    stage_seconds[name] = 0.0
+
+    @contextmanager
+    def scope():
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            stage_seconds[name] += time.perf_counter() - t0
+
+    return scope
 
 
 def cluster_sizes(config: EngineConfig, n_docs: int) -> tuple[int, int]:
@@ -122,15 +141,17 @@ def signature_model(
     "significantly more representative" signatures at the cost of more
     computation and memory.
 
-    The serial engine calls this bare; the parallel engine supplies
+    Both engines pass ``am_scope``/``docvec_scope`` factories for
+    component timing (real-seconds timers in the serial engine, runtime
+    regions in the parallel one).  The parallel engine also supplies
     ``reduce_*`` allreduce closures (making the integer co-occurrence
     counts -- and hence the matrix -- bit-identical across processor
-    counts), ``am_scope``/``docvec_scope`` region factories for
-    component timing, ``charge_*`` cost hooks, and ``once`` (a
-    compute-once cache, ``RankContext.replicated``) so work that is
-    replicated with identical inputs on every rank -- the major-term
-    selection and the association matrix built from the allreduced
-    counts -- is computed once per run instead of once per rank.
+    counts), ``charge_*`` cost hooks, and ``once`` (a compute-once
+    cache, ``RankContext.replicated``) so work that is replicated with
+    identical inputs on every rank -- the major-term selection, the
+    gid -> row table and the association matrix built from the
+    allreduced counts -- is computed once per run instead of once per
+    rank.
 
     Returns ``(majors, topics, A, sig_batch, null_fraction, rounds)``
     where ``sig_batch`` covers only the *local* documents when
@@ -161,16 +182,12 @@ def signature_model(
                     "no candidate major terms: corpus too small or "
                     "min_df too high"
                 )
-            sorted_gids, positions = once(
+            table = once(
                 ("am.lookup", n_major),
-                lambda: major_lookup_arrays([t.gid for t in majors]),
+                lambda: major_row_table([t.gid for t in majors]),
             )
-            presence = [
-                doc_presence_indices(g, sorted_gids, positions)
-                for g in doc_gid_arrays
-            ]
-            local_counts = cooccurrence_counts(
-                presence, len(majors), len(topics)
+            local_counts = count_cooccurrences(
+                doc_gid_arrays, table, len(majors), len(topics)
             )
             if charge_am is not None:
                 charge_am(len(majors), len(topics))
@@ -189,8 +206,7 @@ def signature_model(
         with docvec_scope():
             batch = compute_signatures(
                 doc_gid_arrays,
-                sorted_gids,
-                positions,
+                table,
                 assoc,
                 doc_weight_arrays=doc_weight_arrays,
             )
@@ -267,7 +283,6 @@ class SerialTextEngine:
         stage_seconds["topic"] = time.perf_counter() - t0
 
         # --------------------------------- association + signatures
-        t0 = time.perf_counter()
         doc_gid_arrays = [d.gids for d in forward.docs]
         weight_arrays = _field_weight_arrays(forward, corpus.field_names, cfg)
         majors, topics, assoc, batch, null_fraction, rounds = (
@@ -277,14 +292,10 @@ class SerialTextEngine:
                 n_docs,
                 cfg,
                 doc_weight_arrays=weight_arrays,
+                am_scope=_stage_timer(stage_seconds, "am"),
+                docvec_scope=_stage_timer(stage_seconds, "docvec"),
             )
         )
-        # the loop interleaves AM and DocVec work; attribute the matrix
-        # arithmetic to "am" and the per-document combination to
-        # "docvec" by a simple proportional split of the loop time
-        loop_t = time.perf_counter() - t0
-        stage_seconds["am"] = loop_t * 0.5
-        stage_seconds["docvec"] = loop_t * 0.5
 
         # ------------------------------- clustering and projection
         t0 = time.perf_counter()

@@ -2,10 +2,10 @@
 
 from .association import (
     association_matrix,
-    cooccurrence_counts,
-    doc_presence_indices,
+    count_cooccurrences,
+    major_row_table,
 )
-from .docvec import SignatureBatch, compute_signatures, major_lookup_arrays
+from .docvec import SignatureBatch, compute_signatures
 from .topicality import (
     RankedTerm,
     condensation_scores,
@@ -20,10 +20,9 @@ __all__ = [
     "association_matrix",
     "compute_signatures",
     "condensation_scores",
-    "cooccurrence_counts",
-    "doc_presence_indices",
+    "count_cooccurrences",
     "local_candidates",
-    "major_lookup_arrays",
+    "major_row_table",
     "rank_candidates",
     "select_major_terms",
 ]

@@ -21,49 +21,88 @@ making the final matrix bit-identical for every processor count.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+#: documents per kernel block: every dense per-block temporary stays
+#: within about 2 MB at N = 1 500 (larger blocks raise peak RSS, smaller
+#: ones pay more per-block Python)
+BLOCK_DOCS = 128
 
-def doc_presence_indices(
-    doc_gids: np.ndarray,
-    major_gids_sorted: np.ndarray,
-    major_positions: np.ndarray,
-) -> np.ndarray:
-    """Indices (into the canonical major ranking) present in a document.
 
-    ``major_gids_sorted`` is the ascending array of major-term dense
-    gids; ``major_positions[k]`` maps the k-th sorted gid back to its
-    rank in the canonical (score-ordered) major list.
+def major_row_table(major_gids: Sequence[int]) -> np.ndarray:
+    """Dense gid -> canonical-row lookup table for the major ranking.
+
+    ``table[g]`` is the rank of gid ``g`` in the canonical
+    (score-ordered) major list, or -1 when ``g`` is not a major term.
+    The last entry is always -1, so a gid past the largest major gid is
+    looked up as ``table[minimum(gid, table.size - 1)]``.
     """
-    if doc_gids.size == 0 or major_gids_sorted.size == 0:
-        return np.empty(0, dtype=np.int64)
-    pos = np.searchsorted(major_gids_sorted, doc_gids)
-    pos = np.clip(pos, 0, major_gids_sorted.size - 1)
-    hit = major_gids_sorted[pos] == doc_gids
-    return np.unique(major_positions[pos[hit]])
+    gids = np.asarray(major_gids, dtype=np.int64)
+    if gids.size and gids.min() < 0:
+        raise ValueError("major gids must be non-negative")
+    size = int(gids.max()) + 2 if gids.size else 1
+    table = np.full(size, -1, dtype=np.int64)
+    table[gids] = np.arange(gids.size, dtype=np.int64)
+    return table
 
 
-def cooccurrence_counts(
-    docs_major_indices: Iterable[np.ndarray],
+def major_blocks(
+    doc_gid_arrays: Sequence[np.ndarray],
+    table: np.ndarray,
+    doc_weight_arrays: Optional[Sequence[np.ndarray]] = None,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Major-term hits of each block of at most :data:`BLOCK_DOCS` docs.
+
+    Yields ``(lo, nb, doc, rows, weights)``: the block covers documents
+    ``lo .. lo + nb - 1``; ``doc[k]`` (block-local) and ``rows[k]``
+    (canonical major row) locate the k-th hit, in token order within
+    each document, and ``weights`` holds the hits' token weights (None
+    when ``doc_weight_arrays`` is None).  One table lookup serves the
+    whole block's concatenated gid stream.
+    """
+    last = table.size - 1
+    for lo in range(0, len(doc_gid_arrays), BLOCK_DOCS):
+        block = doc_gid_arrays[lo : lo + BLOCK_DOCS]
+        nb = len(block)
+        gids = np.concatenate(block).astype(np.int64, copy=False)
+        if gids.size and gids.min() < 0:
+            raise ValueError("document gids must be non-negative")
+        rows = table[np.minimum(gids, last)]
+        hit = rows >= 0
+        lengths = [g.size for g in block]
+        doc = np.repeat(np.arange(nb, dtype=np.int64), lengths)[hit]
+        weights = None
+        if doc_weight_arrays is not None:
+            weights = np.concatenate(
+                doc_weight_arrays[lo : lo + BLOCK_DOCS]
+            ).astype(np.float64, copy=False)[hit]
+        yield lo, nb, doc, rows[hit], weights
+
+
+def count_cooccurrences(
+    doc_gid_arrays: Sequence[np.ndarray],
+    table: np.ndarray,
     n_major: int,
     n_topics: int,
 ) -> np.ndarray:
     """Count documents containing (major_i, topic_j) pairs.
 
-    Topics are the first ``n_topics`` entries of the major ranking, so
-    a document's topic indices are its major indices below that cut.
-    Returns an int64 ``(n_major, n_topics)`` matrix.
+    Topics are the first ``n_topics`` entries of the major ranking.
+    Each block's 0/1 presence matrix ``B`` gives ``B.T @ B[:, :M]``:
+    every entry is an integer sum of at most :data:`BLOCK_DOCS` ones,
+    exact in float32 under any BLAS summation order, so the counts are
+    the same integers however the documents are blocked or
+    distributed.  Returns an int64 ``(n_major, n_topics)`` matrix.
     """
     counts = np.zeros((n_major, n_topics), dtype=np.int64)
-    for mi in docs_major_indices:
-        if mi.size == 0:
+    for _, nb, doc, rows, _ in major_blocks(doc_gid_arrays, table):
+        if rows.size == 0:
             continue
-        ti = mi[mi < n_topics]
-        if ti.size == 0:
-            continue
-        counts[np.ix_(mi, ti)] += 1
+        presence = np.zeros((nb, n_major), dtype=np.float32)
+        presence[doc, rows] = 1.0
+        counts += (presence.T @ presence[:, :n_topics]).astype(np.int64)
     return counts
 
 

@@ -17,9 +17,11 @@ paper's adaptive-dimensionality remedy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .association import major_blocks
 
 
 @dataclass
@@ -37,68 +39,60 @@ class SignatureBatch:
 
 
 def compute_signatures(
-    doc_gid_arrays: list[np.ndarray],
-    major_gids_sorted: np.ndarray,
-    major_positions: np.ndarray,
+    doc_gid_arrays: Sequence[np.ndarray],
+    table: np.ndarray,
     association: np.ndarray,
-    doc_weight_arrays: Optional[list[np.ndarray]] = None,
+    doc_weight_arrays: Optional[Sequence[np.ndarray]] = None,
 ) -> SignatureBatch:
     """L1-normalized frequency-weighted signature per document.
 
-    Parameters mirror :func:`repro.signature.association.doc_presence_indices`;
-    ``association`` is the global (n_major, n_topics) matrix.
+    ``table`` is the gid -> canonical-row lookup of
+    :func:`repro.signature.association.major_row_table`; ``association``
+    is the global (n_major, n_topics) matrix.
 
     ``doc_weight_arrays`` (optional, aligned token-for-token with
     ``doc_gid_arrays``) lets the engine weight occurrences by their
     field -- e.g. counting title terms several times, the standard
     IN-SPIRE-style emphasis of high-signal fields.  Omitted, every
     occurrence counts once.
+
+    Documents run in blocks.  A block's term frequencies are one
+    ``bincount`` over (document, row) bins in token order, so each bin
+    sums its weights in the same order as a per-document count; the
+    block's signatures are one stacked matmul, which still issues one
+    ``vector @ matrix`` gemv per document.  The bytes therefore equal a
+    per-document loop's; a single ``TF @ A`` gemm would move the last
+    bits.
     """
-    n_major, n_topics = association.shape
     ndocs = len(doc_gid_arrays)
+    if doc_weight_arrays is not None:
+        if len(doc_weight_arrays) != ndocs:
+            raise ValueError(
+                f"{len(doc_weight_arrays)} doc weight arrays for "
+                f"{ndocs} documents"
+            )
+        for i, (gids, weights) in enumerate(
+            zip(doc_gid_arrays, doc_weight_arrays)
+        ):
+            if np.shape(weights) != np.shape(gids):
+                raise ValueError(
+                    f"doc weights must align with doc gids (document {i})"
+                )
+    n_major, n_topics = association.shape
     out = np.zeros((ndocs, n_topics), dtype=np.float64)
-    null_mask = np.zeros(ndocs, dtype=bool)
-    for i, gids in enumerate(doc_gid_arrays):
-        if gids.size and major_gids_sorted.size:
-            pos = np.searchsorted(major_gids_sorted, gids)
-            pos = np.clip(pos, 0, major_gids_sorted.size - 1)
-            hit = major_gids_sorted[pos] == gids
-            rows = major_positions[pos[hit]]
-            if rows.size:
-                if doc_weight_arrays is not None:
-                    weights = np.asarray(
-                        doc_weight_arrays[i], dtype=np.float64
-                    )
-                    if weights.shape != gids.shape:
-                        raise ValueError(
-                            "doc weights must align with doc gids"
-                        )
-                    tf = np.bincount(
-                        rows, weights=weights[hit], minlength=n_major
-                    )
-                else:
-                    tf = np.bincount(rows, minlength=n_major).astype(
-                        np.float64
-                    )
-                sig = tf @ association
-                norm = sig.sum()
-                if norm > 0.0:
-                    out[i] = sig / norm
-                    continue
-        null_mask[i] = True
+    null_mask = np.ones(ndocs, dtype=bool)
+    for lo, nb, doc, rows, weights in major_blocks(
+        doc_gid_arrays, table, doc_weight_arrays
+    ):
+        if rows.size == 0:
+            continue
+        tf = np.bincount(
+            doc * n_major + rows, weights=weights, minlength=nb * n_major
+        )
+        tf = tf.astype(np.float64, copy=False).reshape(nb, n_major)
+        sig = (tf[:, None, :] @ association)[:, 0, :]
+        norm = sig.sum(axis=1)
+        ok = (norm > 0.0) & (np.bincount(doc, minlength=nb) > 0)
+        out[lo : lo + nb][ok] = sig[ok] / norm[ok, None]
+        null_mask[lo : lo + nb][ok] = False
     return SignatureBatch(signatures=out, null_mask=null_mask)
-
-
-def major_lookup_arrays(
-    major_gids: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-gid lookup arrays for the canonical major ranking.
-
-    Returns ``(major_gids_sorted, major_positions)`` such that
-    ``major_positions[k]`` is the canonical rank of the k-th smallest
-    gid.
-    """
-    gids = np.asarray(major_gids, dtype=np.int64)
-    order = np.argsort(gids)
-    # sorted[k] == gids[order[k]], whose canonical rank is order[k]
-    return gids[order], order.astype(np.int64)

@@ -1,5 +1,7 @@
 """Serial engine tests: end-to-end behaviour and edge cases."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,27 @@ def test_timings_recorded(pubmed_small, small_config):
         "clusproj",
     }
     assert abs(sum(t.component_percentages.values()) - 100.0) < 1e-6
+
+
+def test_am_and_docvec_timed_separately(pubmed_small, small_config, monkeypatch):
+    """AM and DocVec carry measured seconds that add up to the loop."""
+    import repro.engine.serial as serial
+
+    loop = []
+    signature_model = serial.signature_model
+
+    def timed_signature_model(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = signature_model(*args, **kwargs)
+        loop.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(serial, "signature_model", timed_signature_model)
+    cs = SerialTextEngine(small_config).run(pubmed_small).timings.component_seconds
+    am, docvec = cs["am"], cs["docvec"]
+    assert am > 0.0 and docvec > 0.0 and am != docvec
+    # only loop bookkeeping runs outside the two scopes
+    assert 0.0 <= loop[0] - (am + docvec) < 0.01 + 0.02 * loop[0]
 
 
 def test_term_stats_match_corpus(small_config):

@@ -16,10 +16,10 @@ from repro.cluster.kmeans import assign_points
 from repro.index.fastinv import invert_chunk
 from repro.ingest.delta import append_generation, build_delta
 from repro.serve.store import load_manifest
-from repro.signature.docvec import compute_signatures, major_lookup_arrays
 from repro.text.documents import Document
 from repro.text.tokenizer import Tokenizer
 from tests.ingest.conftest import ENGINE_CONFIG
+from tests.signature.oracles import major_lookup_arrays, per_doc_signatures
 
 TOK = ENGINE_CONFIG.tokenizer
 
@@ -47,7 +47,7 @@ def two_pass_delta(result, docs):
         )
         for d in docs
     ]
-    batch = compute_signatures(
+    batch = per_doc_signatures(
         doc_rows, sorted_gids, positions, result.association
     )
     sigs = batch.signatures

@@ -5,10 +5,20 @@ import pytest
 
 from repro.signature import (
     association_matrix,
+    count_cooccurrences,
+    major_row_table,
+)
+from tests.signature.oracles import (
     cooccurrence_counts,
     doc_presence_indices,
     major_lookup_arrays,
 )
+
+
+def identity_counts(docs, n_major, n_topics):
+    """Block-kernel counts of docs given directly as major rows."""
+    table = major_row_table(np.arange(n_major))
+    return count_cooccurrences(docs, table, n_major, n_topics)
 
 
 def test_doc_presence_maps_gids_to_canonical_ranks():
@@ -17,6 +27,9 @@ def test_doc_presence_maps_gids_to_canonical_ranks():
     doc = np.array([7, 2, 7, 100], dtype=np.int64)
     idx = doc_presence_indices(doc, sorted_gids, positions)
     np.testing.assert_array_equal(idx, [1, 2])  # ranks of gid2, gid7
+    table = major_row_table([9, 2, 7])
+    rows = table[np.minimum(doc, table.size - 1)]
+    np.testing.assert_array_equal(rows, [2, 1, 2, -1])
 
 
 def test_doc_presence_empty_cases():
@@ -37,6 +50,7 @@ def test_cooccurrence_counts_pairs():
         np.array([2]),  # major 2, no topic
     ]
     c = cooccurrence_counts(docs, 3, 2)
+    np.testing.assert_array_equal(identity_counts(docs, 3, 2), c)
     expected = np.array(
         [
             [1, 1],  # major 0 with topic 0 (doc0), topic 1 (doc0)
@@ -51,7 +65,7 @@ def test_association_self_anchoring():
     """A topic term's own row should peak on its own dimension."""
     # topic 0 appears in docs {0,1}; major 2 appears in {0}
     docs = [np.array([0, 2]), np.array([0]), np.array([1])]
-    c = cooccurrence_counts(docs, 3, 2)
+    c = identity_counts(docs, 3, 2)
     df_major = np.array([2, 1, 1])
     df_topic = np.array([2, 1])
     a = association_matrix(c, df_major, df_topic, n_docs=3)

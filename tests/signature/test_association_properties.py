@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.signature import (
-    association_matrix,
+from repro.signature import association_matrix, major_row_table
+from tests.signature.oracles import (
     cooccurrence_counts,
     doc_presence_indices,
     major_lookup_arrays,
 )
+from tests.signature.test_association import identity_counts
 
 
 def _brute_cooccurrence(doc_sets, n_major, n_topics):
@@ -36,9 +37,13 @@ def test_cooccurrence_matches_bruteforce(n_major, docs):
         sorted(x for x in d if x < n_major) for d in docs
     ]
     arrays = [np.array(d, dtype=np.int64) for d in doc_sets]
-    got = cooccurrence_counts(arrays, n_major, n_topics)
     want = _brute_cooccurrence(doc_sets, n_major, n_topics)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        cooccurrence_counts(arrays, n_major, n_topics), want
+    )
+    np.testing.assert_array_equal(
+        identity_counts(arrays, n_major, n_topics), want
+    )
 
 
 @settings(max_examples=100)
@@ -53,7 +58,7 @@ def test_diagonal_counts_equal_df(docs):
     """C[j, j] for a topic j equals that term's document frequency."""
     n_major, n_topics = 10, 4
     arrays = [np.array(sorted(d), dtype=np.int64) for d in docs]
-    c = cooccurrence_counts(arrays, n_major, n_topics)
+    c = identity_counts(arrays, n_major, n_topics)
     for j in range(n_topics):
         df_j = sum(1 for d in docs if j in d)
         assert c[j, j] == df_j
@@ -71,7 +76,7 @@ def test_association_bounds_hold(docs):
     """0 <= A <= 1 and A[i,j] <= P(j|i) for true counts and dfs."""
     n_major, n_topics = 8, 3
     arrays = [np.array(sorted(d), dtype=np.int64) for d in docs]
-    c = cooccurrence_counts(arrays, n_major, n_topics)
+    c = identity_counts(arrays, n_major, n_topics)
     df = np.array(
         [sum(1 for d in docs if i in d) for i in range(n_major)],
         dtype=np.int64,
@@ -102,3 +107,6 @@ def test_presence_indices_match_set_intersection(major_gids, doc):
         i for i, g in enumerate(major_gids) if g in set(doc)
     )
     assert got.tolist() == want
+    table = major_row_table(major_gids)
+    rows = table[np.minimum(np.array(doc, dtype=np.int64), table.size - 1)]
+    assert sorted(set(rows[rows >= 0].tolist())) == want
