@@ -25,9 +25,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-#: documents per kernel block: every dense per-block temporary stays
-#: within about 2 MB at N = 1 500 (larger blocks raise peak RSS, smaller
-#: ones pay more per-block Python)
+#: documents per kernel block: larger blocks raise peak RSS, smaller ones
+#: pay more per-block Python.  The dense per-block temporaries are
+#: ``BLOCK_DOCS x N`` plus the ``N x M`` count product: about 2 MB at
+#: N = 1 500, M = 150, growing with N * M to about 20 MB at the
+#: adaptive cap N = 6 400, M = 640
 BLOCK_DOCS = 128
 
 
@@ -94,7 +96,10 @@ def count_cooccurrences(
     every entry is an integer sum of at most :data:`BLOCK_DOCS` ones,
     exact in float32 under any BLAS summation order, so the counts are
     the same integers however the documents are blocked or
-    distributed.  Returns an int64 ``(n_major, n_topics)`` matrix.
+    distributed.  The product is added into the int64 counts in place;
+    the add runs in float64, exact while every count is below 2**53.
+    Work per block is ``nb * N * M`` however sparse the documents are.
+    Returns an int64 ``(n_major, n_topics)`` matrix.
     """
     counts = np.zeros((n_major, n_topics), dtype=np.int64)
     for _, nb, doc, rows, _ in major_blocks(doc_gid_arrays, table):
@@ -102,7 +107,12 @@ def count_cooccurrences(
             continue
         presence = np.zeros((nb, n_major), dtype=np.float32)
         presence[doc, rows] = 1.0
-        counts += (presence.T @ presence[:, :n_topics]).astype(np.int64)
+        np.add(
+            counts,
+            presence.T @ presence[:, :n_topics],
+            out=counts,
+            casting="unsafe",
+        )
     return counts
 
 

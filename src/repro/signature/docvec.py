@@ -92,7 +92,7 @@ def compute_signatures(
         tf = tf.astype(np.float64, copy=False).reshape(nb, n_major)
         sig = (tf[:, None, :] @ association)[:, 0, :]
         norm = sig.sum(axis=1)
-        ok = (norm > 0.0) & (np.bincount(doc, minlength=nb) > 0)
+        ok = norm > 0.0
         out[lo : lo + nb][ok] = sig[ok] / norm[ok, None]
         null_mask[lo : lo + nb][ok] = False
     return SignatureBatch(signatures=out, null_mask=null_mask)
