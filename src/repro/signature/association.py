@@ -26,11 +26,15 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 #: documents per kernel block: larger blocks raise peak RSS, smaller ones
-#: pay more per-block Python.  The dense per-block temporaries are
-#: ``BLOCK_DOCS x N`` plus the ``N x M`` count product: about 2 MB at
-#: N = 1 500, M = 150, growing with N * M to about 20 MB at the
-#: adaptive cap N = 6 400, M = 640
+#: pay more per-block Python.  The dense per-block temporaries are one
+#: ``BLOCK_DOCS x N`` matrix and a count product of at most
+#: :data:`PRODUCT_ENTRIES`: about 2 MB at N = 1 500, growing with N to
+#: about 8 MB at the adaptive cap N = 6 400
 BLOCK_DOCS = 128
+
+#: float32 entries (1 MB) in one count product: a block's ``N x M``
+#: product runs in slices of rows once N * M exceeds it
+PRODUCT_ENTRIES = 1 << 18
 
 
 def major_row_table(major_gids: Sequence[int]) -> np.ndarray:
@@ -96,23 +100,28 @@ def count_cooccurrences(
     every entry is an integer sum of at most :data:`BLOCK_DOCS` ones,
     exact in float32 under any BLAS summation order, so the counts are
     the same integers however the documents are blocked or
-    distributed.  The product is added into the int64 counts in place;
-    the add runs in float64, exact while every count is below 2**53.
-    Work per block is ``nb * N * M`` however sparse the documents are.
-    Returns an int64 ``(n_major, n_topics)`` matrix.
+    distributed.  The product runs in slices of rows of at most
+    :data:`PRODUCT_ENTRIES` entries, each added into the int64 counts
+    in place; the add runs in float64, exact while every count is below
+    2**53.  Work per block is ``nb * N * M`` however sparse the
+    documents are.  Returns an int64 ``(n_major, n_topics)`` matrix.
     """
     counts = np.zeros((n_major, n_topics), dtype=np.int64)
+    step = max(1, PRODUCT_ENTRIES // max(1, n_topics))
     for _, nb, doc, rows, _ in major_blocks(doc_gid_arrays, table):
         if rows.size == 0:
             continue
         presence = np.zeros((nb, n_major), dtype=np.float32)
         presence[doc, rows] = 1.0
-        np.add(
-            counts,
-            presence.T @ presence[:, :n_topics],
-            out=counts,
-            casting="unsafe",
-        )
+        topics = presence[:, :n_topics]
+        for lo in range(0, n_major, step):
+            part = counts[lo : lo + step]
+            np.add(
+                part,
+                presence[:, lo : lo + step].T @ topics,
+                out=part,
+                casting="unsafe",
+            )
     return counts
 
 

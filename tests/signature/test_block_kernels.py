@@ -91,10 +91,13 @@ def workloads(draw):
 @given(
     work=workloads(),
     block=st.integers(min_value=1, max_value=5),
+    product=st.integers(min_value=1, max_value=40),
     weighted=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_block_kernels_equal_per_document_oracles(work, block, weighted, seed):
+def test_block_kernels_equal_per_document_oracles(
+    work, block, product, weighted, seed
+):
     major_gids, n_topics, doc_lists = work
     rng = np.random.default_rng(seed)
     docs = [np.array(d, dtype=np.int64) for d in doc_lists]
@@ -102,7 +105,10 @@ def test_block_kernels_equal_per_document_oracles(work, block, weighted, seed):
     weights = None
     if weighted:
         weights = [rng.random(d.size) * 3.0 for d in docs]
-    with mock.patch.object(association_mod, "BLOCK_DOCS", block):
+    # small products split the count product into slices of rows
+    with mock.patch.object(
+        association_mod, "BLOCK_DOCS", block
+    ), mock.patch.object(association_mod, "PRODUCT_ENTRIES", product):
         assert_matches_oracle(docs, major_gids, n_topics, assoc, weights)
 
 
@@ -124,6 +130,18 @@ def test_engine_shape_matches_oracle_at_block_edges(n_docs, weighted):
         weights = [field_weights[rng.integers(0, 3, d.size)] for d in docs]
     assoc = random_model(rng, major_gids, 150, zero_rows=0.2)
     assert_matches_oracle(docs, major_gids, 150, assoc, weights)
+
+
+def test_adaptive_cap_shape_matches_oracle():
+    """N = 6 400, M = 640: the count product runs in row slices."""
+    rng = np.random.default_rng(64)
+    major_gids = rng.choice(20_000, size=6_400, replace=False).tolist()
+    docs = [
+        rng.integers(0, 24_000, size=rng.integers(0, 200)).astype(np.int64)
+        for _ in range(BLOCK_DOCS + 1)
+    ]
+    assoc = random_model(rng, major_gids, 640, zero_rows=0.2)
+    assert_matches_oracle(docs, major_gids, 640, assoc, None)
 
 
 def test_all_topics_and_empty_documents():
