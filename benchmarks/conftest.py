@@ -1,46 +1,18 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""Shared fixtures for the benchmarks.
 
-The full evaluation grid (both datasets, three sizes, four processor
-counts, plus serial baselines) is simulated once per session; each
-figure benchmark renders its tables from the cached sweeps and writes
-them under ``benchmarks/out/`` for inspection.
-
-Environment knobs:
-
-* ``REPRO_BENCH_DOWNSCALE`` -- generated-to-represented ratio
-  (default 10000; higher = faster, smaller corpora);
-* ``REPRO_BENCH_PROCS`` -- comma-separated processor counts
-  (default ``4,8,16,32``).
+Each benchmark writes its report under ``benchmarks/out/`` (a
+generated, untracked directory) for inspection.  The paper's figures
+are not here: they are the ``paper`` study of ``python -m repro
+bench``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench import run_all_sweeps
-
 OUT_DIR = Path(__file__).parent / "out"
-
-
-def _env_downscale() -> float:
-    return float(os.environ.get("REPRO_BENCH_DOWNSCALE", "10000"))
-
-
-def _env_procs() -> tuple[int, ...]:
-    raw = os.environ.get("REPRO_BENCH_PROCS", "4,8,16,32")
-    return tuple(int(x) for x in raw.split(","))
-
-
-@pytest.fixture(scope="session")
-def sweeps():
-    return run_all_sweeps(
-        downscale=_env_downscale(),
-        procs=_env_procs(),
-        seed=7,
-    )
 
 
 @pytest.fixture(scope="session")

@@ -9,19 +9,18 @@ collection, across processor counts.
 """
 
 from repro.analysis import Query, run_query_batch
-from repro.bench import make_workload
+from repro.bench import default_figure_config, make_workload
 from repro.engine import ParallelTextEngine
 from repro.runtime import MachineSpec
 
-from conftest import _env_downscale, write_report
+from conftest import write_report
 
 
-def test_query_latency_scaling(benchmark, sweeps, out_dir):
-    wl = make_workload(
-        "pubmed", "2.75 GB", 2.75e9, downscale=_env_downscale()
+def test_query_latency_scaling(benchmark, out_dir):
+    wl = make_workload("pubmed", "2.75 GB", 2.75e9, downscale=10_000.0)
+    result = ParallelTextEngine(8, config=default_figure_config()).run(
+        wl.corpus
     )
-    cfg = sweeps[("pubmed", "2.75 GB")].config
-    result = ParallelTextEngine(8, config=cfg).run(wl.corpus)
     machine = MachineSpec(workload_scale=wl.corpus.workload_scale())
 
     queries = [

@@ -15,8 +15,6 @@ scaling limits sit; each becomes a parameter sweep here:
   don't.
 """
 
-from dataclasses import replace
-
 from repro.bench import default_figure_config, make_workload
 from repro.engine import ParallelTextEngine
 from repro.runtime import MachineSpec
@@ -93,26 +91,21 @@ def test_network_bandwidth_sensitivity(benchmark, out_dir):
     assert abs(rows[0][2] - rows[-1][2]) < 12.0
 
 
-def test_chrome_trace_export(benchmark, out_dir, sweeps):
+def test_chrome_trace_export(benchmark, out_dir):
     """Timeline export of one engine run (tooling smoke test)."""
     import json
 
-    wl = make_workload("trec", "1.00 GB", 1e9, downscale=10_000.0)
-    cfg = sweeps[("trec", "1.00 GB")].config
+    from repro.engine.parallel import _engine_rank_main
+    from repro.runtime import Cluster
+    from repro.text.documents import partition_documents
 
-    from repro.runtime import Cluster  # noqa: F401  (documentation import)
-    from repro.engine.parallel import _engine_rank_main  # noqa: F401
+    wl = make_workload("trec", "1.00 GB", 1e9, downscale=10_000.0)
+    cfg = default_figure_config()
 
     def run_and_export():
-        from dataclasses import replace as _r
-
-        from repro.runtime.cluster import Cluster as _C
-        from repro.runtime.machine import MachineSpec as _M
-        from repro.text.documents import partition_documents
-
-        machine = _M().with_scale(wl.corpus.workload_scale())
+        machine = MachineSpec().with_scale(wl.corpus.workload_scale())
         parts = partition_documents(wl.corpus.documents, 8)
-        sim = _C(8, machine).run(
+        sim = Cluster(8, machine).run(
             _engine_rank_main, parts, wl.corpus.field_names, cfg
         )
         sim.tracer.write_chrome_trace(out_dir / "trace.json")

@@ -1,14 +1,15 @@
-"""Benchmark harness: workload generation, sweeps, figure reproduction."""
+"""Benchmark harness: workload generation, sweeps, the paper's figures."""
 
 from .figures import (
-    FigureReport,
+    fig9_ablation,
     figure5,
     figure6,
     figure7,
     figure8,
     figure9,
-    reproduce_all,
+    render,
     run_all_sweeps,
+    shape_oracles,
 )
 from .harness import (
     PAPER_PROCS,
@@ -21,28 +22,25 @@ from .harness import (
     run_sweep,
 )
 from .tables import format_series, format_table
-from .verify import ShapeCheck, render_checks, verify_shapes
 
 __all__ = [
-    "FigureReport",
     "PAPER_PROCS",
     "PUBMED_SIZES",
     "SweepResult",
     "TREC_SIZES",
     "Workload",
     "default_figure_config",
+    "fig9_ablation",
     "figure5",
     "figure6",
     "figure7",
     "figure8",
     "figure9",
-    "ShapeCheck",
     "format_series",
     "format_table",
     "make_workload",
-    "render_checks",
-    "reproduce_all",
+    "render",
     "run_all_sweeps",
     "run_sweep",
-    "verify_shapes",
+    "shape_oracles",
 ]

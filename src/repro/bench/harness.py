@@ -123,12 +123,11 @@ class SweepResult:
 def run_sweep(
     workload: Workload,
     procs: tuple[int, ...] = PAPER_PROCS,
-    machine: Optional[MachineSpec] = None,
     config: Optional[EngineConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """Run the engine at every processor count in ``procs``."""
-    machine = machine if machine is not None else MachineSpec()
+    machine = MachineSpec()
     config = config if config is not None else default_figure_config()
     results: dict[int, EngineResult] = {}
     for p in procs:

@@ -1,4 +1,4 @@
-"""The bench studies: seven seeded workloads on one mechanism.
+"""The bench studies: eight seeded workloads on one mechanism.
 
 Each function below is registered with :func:`repro.bench.study.study`
 and returns one document of exact virtual statistics, ``info`` wall
@@ -43,6 +43,12 @@ tests pass toy sizes as keyword arguments.
     the serving workload while a seeded document feed publishes
     generations (and compacts) under it, plus the crash run: publish
     freshness lag, churn-time latency, ingest volume.
+``paper``
+    the paper's evaluation (§4.2): the Fig. 5-8 sweep grid (both
+    datasets, three sizes each, P in {4, 8, 16, 32}), Fig. 9's dynamic
+    vs static load balancing and the §3.3 strategy ablation.  The
+    figure tables are the exact records, the sweep points' runtime
+    counter totals ride along, and every shape claim is an oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +60,22 @@ import shutil
 import time
 
 from repro.analysis.session import AnalysisSession
-from repro.bench.harness import default_figure_config, make_workload
+from repro.bench.figures import (
+    fig9_ablation,
+    figure5,
+    figure6,
+    figure7,
+    figure8,
+    figure9,
+    render,
+    run_all_sweeps,
+    shape_oracles,
+)
+from repro.bench.harness import (
+    PAPER_PROCS,
+    default_figure_config,
+    make_workload,
+)
 from repro.bench.study import (
     CORPUS_SEED,
     Fixture,
@@ -180,6 +201,12 @@ INGEST_QUERIES = 20
 INGEST_BATCHES = 4
 INGEST_BATCH_DOCS = 10
 _INGEST_MAX_DELTAS = 2
+
+#: the defaults EXPERIMENTS.md documents
+PAPER_DOWNSCALE = 10_000.0
+PAPER_SEED = 7
+PAPER_FIG9_PROCS = 8
+PAPER_FIG9_BYTES = 3_000_000
 
 
 def reap_children(timeout: float = 5.0) -> list[str]:
@@ -841,3 +868,52 @@ def ingest(
         for pt in doc["points"].values()
     )
     return doc
+
+
+@study("paper")
+def paper(
+    fixture,
+    progress,
+    downscale=PAPER_DOWNSCALE,
+    procs=PAPER_PROCS,
+    config=None,
+    seed=PAPER_SEED,
+    fig9_procs=PAPER_FIG9_PROCS,
+    fig9_bytes=PAPER_FIG9_BYTES,
+) -> dict:
+    """The paper's figures: records, sweep counters, shape oracles."""
+    t0 = time.perf_counter()
+    sweeps = run_all_sweeps(
+        downscale=downscale,
+        procs=procs,
+        config=config,
+        seed=seed,
+        progress=progress,
+    )
+    figures = {
+        "figure5": figure5(sweeps),
+        "figure6": figure6(sweeps),
+        "figure7": figure7(sweeps),
+        "figure8": figure8(sweeps),
+        "figure9": figure9(
+            nprocs=fig9_procs, gen_bytes=fig9_bytes, config=config, seed=seed
+        ),
+        "fig9_ablation": fig9_ablation(),
+    }
+    if progress:
+        for record in figures.values():
+            progress(render(record) + "\n")
+    return {
+        "figures": figures,
+        "sweeps": {
+            f"{dataset} {label}": {
+                "counters": {
+                    str(p): counter_totals(result.metrics)
+                    for p, result in sweep.results.items()
+                }
+            }
+            for (dataset, label), sweep in sweeps.items()
+        },
+        "oracles": shape_oracles(figures),
+        "info": {"wall_s": round(time.perf_counter() - t0, 6)},
+    }

@@ -261,13 +261,15 @@ def run_studies(
     """Full CLI flow; returns a process exit code.
 
     The file at ``out`` doubles as the next run's baseline unless
-    ``baseline`` names another; ``update_baseline`` rewrites it
-    without comparing -- for intentional behaviour or cost-model
-    changes.  Exit 2: unknown study or unusable baseline, before any
-    study runs.  Exit 1: a ``DRIFT <study>.<path>`` (an exact
-    statistic changed) or an ``ORACLE <study>.<name>`` (a named
-    boolean is false).  A study the baseline lacks is reported as
-    ``NOT COMPARED``, never skipped silently.
+    ``baseline`` names another; when it does double, the studies not
+    run are carried over from it unchanged (``NOT RUN``).
+    ``update_baseline`` rewrites it without reading it -- for
+    intentional behaviour or cost-model changes.  Exit 2: unknown
+    study or unusable baseline, before any study runs.  Exit 1: a
+    ``DRIFT <study>.<path>`` (an exact statistic changed) or an
+    ``ORACLE <study>.<name>`` (a named boolean is false).  A study the
+    baseline lacks is reported as ``NOT COMPARED``, never skipped
+    silently.
     """
     progress = progress or (lambda *_args: None)
     names = list(names) or list(STUDIES)
@@ -331,6 +333,13 @@ def run_studies(
         ]
         for name in uncompared:
             progress(f"NOT COMPARED {name}: absent from the baseline")
+        if Path(baseline or out).resolve() == Path(out).resolve():
+            # a subset run must not drop the other studies from the
+            # file it rewrites: keep the baseline's documents for them
+            for name in base["studies"]:
+                if name not in report["studies"]:
+                    progress(f"NOT RUN {name}: kept from {out}")
+            report["studies"] = {**base["studies"], **report["studies"]}
     Path(out).write_text(json.dumps(report, indent=2) + "\n")
     progress(f"wrote {out}")
     for line in failures:

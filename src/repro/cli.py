@@ -6,10 +6,10 @@ Commands
 ``run``        process a corpus (serial or simulated-parallel engine)
                and export results + ThemeView
 ``analyze``    interactive queries against a saved result
-``figures``    regenerate the paper's evaluation figures
-``bench``      run the bench studies (engine, serving, replicated tier,
-               workbench, dashboard, pruning, live ingest), write
-               ``BENCH_virtual.json``, fail on drift or a false oracle
+``bench``      run the bench studies (the paper's figures, engine,
+               serving, replicated tier, workbench, dashboard, pruning,
+               live ingest), write ``BENCH_virtual.json``, fail on
+               drift or a false oracle
 ``metrics-report``  print the P x P communication matrix, per-stage
                load-imbalance factors, and hashmap RPC locality from
                a saved result (or a fresh downscaled run)
@@ -28,7 +28,7 @@ Examples
     python -m repro generate --dataset pubmed --bytes 300000 --out corpus.jsonl
     python -m repro run --corpus corpus.jsonl --nprocs 8 --out results/
     python -m repro analyze --results results/result.npz --query "some terms"
-    python -m repro figures --out figures/
+    python -m repro bench paper
 
 Every command reports a bad input the same way: ``error: <message>``
 on stderr (naming the offending path, or the option whose value is
@@ -78,18 +78,12 @@ def _load_result(path: Path):
     return _read_input(path, load_result, "a saved engine result")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """``"4,8,16"`` -> ``(4, 8, 16)``."""
-    return tuple(int(x) for x in text.split(","))
-
-
 #: the smallest value of each numeric option, by command; ``main``
-#: checks them (every element of a list option) before a command runs
+#: checks them before a command runs
 _MINIMUMS: dict[str, dict[str, int]] = {
     "generate": {"bytes": 1},
     "run": {"nprocs": 0, "clusters": 1, "major_terms": 1},
     "analyze": {"top": 1},
-    "figures": {"procs": 1},
     "metrics-report": {"nprocs": 1},
     "serve-build": {"shards": 1, "replicas": 1},
     "serve-query": {"top": 1},
@@ -110,10 +104,9 @@ _MINIMUMS: dict[str, dict[str, int]] = {
 def _check_minimums(args: argparse.Namespace) -> None:
     for dest, least in _MINIMUMS.get(args.command, {}).items():
         value = getattr(args, dest)
-        for v in value if isinstance(value, tuple) else (value,):
-            if v < least:
-                flag = "--" + dest.replace("_", "-")
-                raise InputError(f"{flag} must be >= {least}, got {v}")
+        if value < least:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} must be >= {least}, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,19 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cluster", type=int, default=None, help="cluster to summarize"
     )
     a.add_argument("--top", type=int, default=10)
-
-    f = sub.add_parser(
-        "figures", help="reproduce the paper's evaluation figures"
-    )
-    f.add_argument("--downscale", type=float, default=10_000.0)
-    f.add_argument("--procs", type=_int_list, default="4,8,16,32")
-    f.add_argument("--seed", type=int, default=7)
-    f.add_argument("--out", type=Path, default=Path("figures"))
-    f.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the shape-verification checks",
-    )
 
     b = sub.add_parser(
         "bench",
@@ -707,49 +687,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not did_something:
         print(result.summary())
         print("topics:", " ".join(result.topic_term_strings[:12]))
-    return 0
-
-
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        figure5,
-        figure6,
-        figure7,
-        figure8,
-        figure9,
-        render_checks,
-        run_all_sweeps,
-        verify_shapes,
-    )
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    sweeps = run_all_sweeps(
-        downscale=args.downscale,
-        procs=args.procs,
-        seed=args.seed,
-        progress=lambda msg: print("  " + msg),
-    )
-    fig9 = figure9(seed=args.seed)
-    reports = [
-        figure5(sweeps),
-        figure6(sweeps),
-        figure7(sweeps),
-        figure8(sweeps),
-        fig9,
-    ]
-    for rep in reports:
-        rep.write(args.out)
-        print()
-        print(rep.text)
-    print(f"\nfigure tables written to {args.out}/")
-    if args.verify:
-        checks = verify_shapes(sweeps, fig9)
-        text = render_checks(checks)
-        (args.out / "verification.txt").write_text(text + "\n")
-        print()
-        print(text)
-        if not all(c.passed for c in checks):
-            return 1
     return 0
 
 
@@ -1273,7 +1210,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "generate": _cmd_generate,
         "run": _cmd_run,
         "analyze": _cmd_analyze,
-        "figures": _cmd_figures,
         "bench": _cmd_bench,
         "metrics-report": _cmd_metrics_report,
         "serve-build": _cmd_serve_build,

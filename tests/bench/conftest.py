@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import studies  # noqa: F401 - registers the studies
 from repro.bench.study import STUDIES, Fixture
+from repro.engine import EngineConfig
 
 #: one tiny replica row: 2 shards x 3 workers x 2 brokers + router = 6
 #: ranks, 4 clients x 3 queries
@@ -27,6 +28,16 @@ TOY = {
         queries_per_client=4,
         n_batches=2,
         batch_docs=4,
+    ),
+    "paper": dict(
+        downscale=40_000.0,
+        procs=(2, 8),
+        config=EngineConfig(
+            n_major_terms=150, n_clusters=6, kmeans_sample=48, chunk_docs=4
+        ),
+        seed=5,
+        fig9_procs=4,
+        fig9_bytes=800_000,
     ),
 }
 

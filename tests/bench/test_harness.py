@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import (
-    FigureReport,
     figure5,
     figure6,
     figure7,
@@ -12,6 +11,7 @@ from repro.bench import (
     format_series,
     format_table,
     make_workload,
+    render,
     run_all_sweeps,
     run_sweep,
 )
@@ -55,43 +55,42 @@ def test_run_sweep_speedup_monotone():
 
 
 def test_figure5_structure(mini_sweeps):
-    rep = figure5(mini_sweeps)
-    assert isinstance(rep, FigureReport)
-    assert "Pubmed - Overall Timings" in rep.text
-    assert "TREC - Overall Timings" in rep.text
-    assert set(rep.data["pubmed"]["minutes"]) == {
+    rec = figure5(mini_sweeps)
+    text = render(rec)
+    assert "Pubmed - Overall Timings" in text
+    assert "TREC - Overall Timings" in text
+    assert set(rec["pubmed"]["series"]) == {
         "2.75 GB",
         "6.67 GB",
         "16.44 GB",
     }
     # bigger problems take longer at fixed P
-    m = rep.data["pubmed"]["minutes"]
+    m = rec["pubmed"]["series"]
     assert m["16.44 GB"][0] > m["6.67 GB"][0] > m["2.75 GB"][0]
 
 
 def test_figure6_and_7_speedups_reasonable(mini_sweeps):
     for fig, ds in ((figure6, "pubmed"), (figure7, "trec")):
-        rep = fig(mini_sweeps)
-        for label, vals in rep.data["speedup"].items():
+        rec = fig(mini_sweeps)
+        for label, vals in rec["speedup"]["series"].items():
             # speedup at P=4 in (1, 4*1.6) (superlinear only via the
             # memory-pressure anomaly)
             assert 0.5 < vals[-1] < 6.5, (ds, label, vals)
-        pct = rep.data["percentages"]
+        pct = rec["percentages"]["series"]
         for j in range(2):
             total = sum(v[j] for v in pct.values())
             assert total == pytest.approx(100.0, abs=0.5)
 
 
 def test_figure6_pressure_anomaly(mini_sweeps):
-    rep = figure6(mini_sweeps)
-    s = rep.data["speedup"]
+    s = figure6(mini_sweeps)["speedup"]["series"]
     # the 16.44 GB run is depressed at low processor counts relative
     # to the small size (memory pressure)
     assert s["16.44 GB"][0] < s["2.75 GB"][0]
 
 
 def test_figure8_components_scale(mini_sweeps):
-    rep = figure8(mini_sweeps)
+    rec = figure8(mini_sweeps)
     for ds in ("pubmed", "trec"):
         for group in (
             "Scanning",
@@ -99,18 +98,18 @@ def test_figure8_components_scale(mini_sweeps):
             "Signature Generation",
             "Clustering & Projection",
         ):
-            assert group in rep.data[ds]
+            assert group in rec[ds]
     # scanning speedup grows with P for the small PubMed size
-    scan = rep.data["pubmed"]["Scanning"]["2.75 GB"]
+    scan = rec["pubmed"]["Scanning"]["series"]["2.75 GB"]
     assert scan[1] > scan[0]
 
 
 def test_figure9_balancing():
-    rep = figure9(nprocs=4, gen_bytes=800_000, config=_FAST_CFG)
-    stats = rep.data["stats"]
+    rec = figure9(nprocs=4, gen_bytes=800_000, config=_FAST_CFG)
+    stats = rec["stats"]
     assert stats["dynamic"]["imbalance"] <= stats["static"]["imbalance"]
     assert stats["dynamic"]["wall"] <= stats["static"]["wall"] * 1.02
-    assert "Figure 9" in rep.text
+    assert "Figure 9" in render(rec)
 
 
 def test_format_table_alignment():

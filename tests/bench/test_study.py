@@ -216,6 +216,36 @@ def test_study_absent_from_baseline_is_reported(tmp_path, canned):
     assert set(report["studies"]) == {"fake", "other"}
 
 
+def test_subset_run_keeps_the_other_studies_in_its_baseline(
+    tmp_path, canned
+):
+    canned("fake", _DOC)
+    canned("other", {**_DOC, "oracles": {"kept": True}})
+    out = tmp_path / "b.json"
+    run_studies(
+        ["fake", "other"], out=out, update_baseline=True, progress=None
+    )
+    before = json.loads(out.read_text())["studies"]
+    canned("other", {"never": "run"})
+    messages = []
+    assert run_studies(["fake"], out=out, progress=messages.append) == 0
+    assert f"NOT RUN other: kept from {out}" in messages
+    report = json.loads(out.read_text())
+    assert report["studies"] == before
+    assert list(report["studies"]) == ["fake", "other"]
+    # a baseline named apart from --out is only compared against
+    fresh = tmp_path / "b2.json"
+    messages = []
+    assert run_studies(
+        ["fake"], out=fresh, baseline=out, progress=messages.append
+    ) == 0
+    assert list(json.loads(fresh.read_text())["studies"]) == ["fake"]
+    assert not any(m.startswith("NOT RUN") for m in messages)
+    # --update-baseline never reads the file it rewrites
+    run_studies(["fake"], out=out, update_baseline=True, progress=None)
+    assert list(json.loads(out.read_text())["studies"]) == ["fake"]
+
+
 def test_positional_names_select_studies(tmp_path, capsys, monkeypatch):
     ran = []
     for name in ("fake", "other"):

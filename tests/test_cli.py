@@ -214,36 +214,6 @@ def test_generate_newswire(tmp_path):
     ]
 
 
-def test_figures_command_small(tmp_path, capsys):
-    rc = main(
-        [
-            "figures",
-            "--downscale",
-            "60000",
-            # the memory-pressure claims hold on the paper's processor
-            # range (>= 4): at P=2 even mid-size problems thrash
-            "--procs",
-            "4,8",
-            "--out",
-            str(tmp_path / "figs"),
-            "--verify",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0, out[-2000:]
-    for name in (
-        "figure5.txt",
-        "figure6.txt",
-        "figure7.txt",
-        "figure8.txt",
-        "figure9.txt",
-        "figure5.json",
-        "verification.txt",
-    ):
-        assert (tmp_path / "figs" / name).exists(), name
-    assert "claims verified" in out
-
-
 def test_metrics_report_from_saved_result(results_dir, capsys, tmp_path):
     json_out = tmp_path / "snap.json"
     rc = main(
@@ -615,10 +585,6 @@ def test_unknown_command_rejected():
         pytest.param(
             ["metrics-report", "--nprocs", "0"],
             "--nprocs", id="metrics-report-nprocs-zero",
-        ),
-        pytest.param(
-            ["figures", "--procs", "4,0", "--out", "{tmp}/f"],
-            "--procs", id="figures-procs-zero",
         ),
         pytest.param(
             ["themeview-slices", "--store", "{tmp}/s", "--slices", "0"],
