@@ -1,13 +1,9 @@
 """Interactive analysis over engine results (paper's "next frontier")."""
 
-from .parallel import Query, QueryAnswer, run_query_batch
 from .session import AnalysisSession, ClusterSummary, DocumentHit
 
 __all__ = [
     "AnalysisSession",
     "ClusterSummary",
     "DocumentHit",
-    "Query",
-    "QueryAnswer",
-    "run_query_batch",
 ]

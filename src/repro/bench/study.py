@@ -261,14 +261,18 @@ def run_studies(
     """Full CLI flow; returns a process exit code.
 
     The file at ``out`` doubles as the next run's baseline unless
-    ``baseline`` names another; when it does double, the studies not
-    run are carried over from it unchanged (``NOT RUN``).
-    ``update_baseline`` rewrites it without reading it -- for
-    intentional behaviour or cost-model changes.  Exit 2: unknown
-    study or unusable baseline, before any study runs.  Exit 1: a
-    ``DRIFT <study>.<path>`` (an exact statistic changed) or an
-    ``ORACLE <study>.<name>`` (a named boolean is false).  A study the
-    baseline lacks is reported as ``NOT COMPARED``, never skipped
+    ``baseline`` names another.  When it does double, a failing run
+    leaves it untouched, and a passing one rewrites it with the studies
+    not run carried over unchanged (``NOT RUN``) and no ``baseline``
+    block; a separate ``out`` file gets the block (commit, drift,
+    uncompared) whatever the outcome.  ``update_baseline`` rewrites
+    ``out`` without reading it -- for intentional behaviour or
+    cost-model changes.
+
+    Exit 2: unknown study or unusable baseline, before any study runs.
+    Exit 1: a ``DRIFT <study>.<path>`` (an exact statistic changed) or
+    an ``ORACLE <study>.<name>`` (a named boolean is false).  A study
+    the baseline lacks is reported as ``NOT COMPARED``, never skipped
     silently.
     """
     progress = progress or (lambda *_args: None)
@@ -313,6 +317,11 @@ def run_studies(
         for oracle, ok in doc.get("oracles", {}).items()
         if not ok
     ]
+    # --out is also the baseline: the file is only ever replaced by a
+    # run that matches it, and never holds a comparison of itself
+    rewrites_base = base is not None and (
+        Path(baseline or out).resolve() == Path(out).resolve()
+    )
     if base is not None:
         drifts = [
             d
@@ -321,11 +330,12 @@ def run_studies(
             for d in compare(doc, base["studies"][name], name)
         ]
         uncompared = [n for n in names if n not in base["studies"]]
-        report["baseline"] = {
-            "commit": base.get("commit", "unknown"),
-            "drift": [asdict(d) for d in drifts],
-            "uncompared": uncompared,
-        }
+        if not rewrites_base:
+            report["baseline"] = {
+                "commit": base.get("commit", "unknown"),
+                "drift": [asdict(d) for d in drifts],
+                "uncompared": uncompared,
+            }
         failures += [
             f"DRIFT {d.path}: baseline {d.baseline!r} vs "
             f"measured {d.measured!r}"
@@ -333,15 +343,18 @@ def run_studies(
         ]
         for name in uncompared:
             progress(f"NOT COMPARED {name}: absent from the baseline")
-        if Path(baseline or out).resolve() == Path(out).resolve():
-            # a subset run must not drop the other studies from the
-            # file it rewrites: keep the baseline's documents for them
-            for name in base["studies"]:
-                if name not in report["studies"]:
-                    progress(f"NOT RUN {name}: kept from {out}")
-            report["studies"] = {**base["studies"], **report["studies"]}
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    progress(f"wrote {out}")
+    if rewrites_base:
+        # a subset run must not drop the other studies from the
+        # file it rewrites: keep the baseline's documents for them
+        for name in base["studies"]:
+            if name not in report["studies"]:
+                progress(f"NOT RUN {name}: kept from {out}")
+        report["studies"] = {**base["studies"], **report["studies"]}
+    if rewrites_base and failures:
+        progress(f"kept {out} unchanged: the run does not match it")
+    else:
+        Path(out).write_text(json.dumps(report, indent=2) + "\n")
+        progress(f"wrote {out}")
     for line in failures:
         progress(line)
     return 1 if failures else 0

@@ -32,14 +32,6 @@ class EngineConfig:
     max_null_fraction: float = 0.05
     max_major_terms: int = 6400
 
-    # --- incremental refresh policy (live ingest) -------------------------
-    #: recommend a full-model rebuild when a projected batch's null-
-    #: signature fraction exceeds this (vocabulary drift signal)
-    refresh_null_fraction: float = 0.25
-    #: ignore the null fraction of batches smaller than this -- tiny
-    #: batches make the ratio too noisy to act on
-    refresh_min_docs: int = 1
-
     # --- clustering ------------------------------------------------------
     n_clusters: int = 10
     #: "kmeans", or a hierarchical linkage applied over k-means
@@ -89,10 +81,8 @@ class EngineConfig:
     #: give up after this many checkpoint-restart attempts
     max_restarts: int = 8
 
-    # --- tokenization & memory model ----------------------------------------
+    # --- tokenization -------------------------------------------------------
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
-    #: in-memory working set per byte of raw input (indexes, tables)
-    mem_expansion: float = 1.5
 
     def __post_init__(self) -> None:
         if self.backend not in ("sim", "mp"):
@@ -113,10 +103,6 @@ class EngineConfig:
             )
         if not 0.0 <= self.max_null_fraction <= 1.0:
             raise ValueError("max_null_fraction must be in [0, 1]")
-        if not 0.0 <= self.refresh_null_fraction <= 1.0:
-            raise ValueError("refresh_null_fraction must be in [0, 1]")
-        if self.refresh_min_docs < 1:
-            raise ValueError("refresh_min_docs must be >= 1")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.kmeans_max_iter < 1:
@@ -131,8 +117,6 @@ class EngineConfig:
             raise ValueError("chunk_docs must be >= 1")
         if self.micro_cluster_factor < 1:
             raise ValueError("micro_cluster_factor must be >= 1")
-        if self.mem_expansion <= 0:
-            raise ValueError("mem_expansion must be > 0")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.field_weights is not None and any(

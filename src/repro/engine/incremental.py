@@ -104,24 +104,17 @@ def project_major_rows(
 
 def refresh_recommended(
     batch: ProjectedBatch,
-    max_null_fraction: float | None = None,
-    config=None,
-    min_docs: int | None = None,
+    max_null_fraction: float = 0.25,
+    min_docs: int = 1,
 ) -> bool:
     """Should the full engine re-run on the grown collection?
 
     True when the incoming stream's vocabulary has drifted far enough
-    from the frozen model that too many new documents land as null
-    signatures.  Thresholds resolve explicit argument first, then the
-    :class:`~repro.engine.config.EngineConfig` ``refresh_*`` knobs,
-    then the historical defaults (0.25 over any batch size).
+    from the frozen model that more than ``max_null_fraction`` of a
+    batch of at least ``min_docs`` new documents land as null
+    signatures (live ingest sets both from
+    :class:`~repro.ingest.live.IngestConfig`).
     """
-    if max_null_fraction is None:
-        max_null_fraction = (
-            config.refresh_null_fraction if config is not None else 0.25
-        )
-    if min_docs is None:
-        min_docs = config.refresh_min_docs if config is not None else 1
     if batch.null_mask.size < min_docs:
         return False
     return batch.null_fraction > max_null_fraction

@@ -67,6 +67,8 @@ from .serial import (
 from .timings import StageTimings
 
 _FWD_STORE_KEY = "engine:fwd-store"
+#: in-memory working set per byte of raw input (indexes, tables)
+_MEM_EXPANSION = 1.5
 
 
 class ParallelTextEngine:
@@ -387,7 +389,7 @@ def _engine_core(
     machine = ctx.machine
     local_bytes = sum(d.nbytes for d in docs)
     # memory-pressure multiplier on compute (Fig. 5 anomaly model)
-    pf = machine.pressure_factor(local_bytes * cfg.mem_expansion)
+    pf = machine.pressure_factor(local_bytes * _MEM_EXPANSION)
     vocab_factor = machine.scaled(1.0, Scale.VOCAB)
     tokenizer = Tokenizer(cfg.tokenizer)
     # stages already snapshotted by a previous (crashed) attempt; their

@@ -47,6 +47,11 @@ from repro.serve.workload import ClientScript
 from .compact import CompactionPolicy, compact_store, should_compact
 from .delta import append_generation, build_delta
 
+#: modelled projection cost per document (abstract flops)
+_PROJECT_FLOPS_PER_DOC = 4_000
+#: modelled publish overhead per generation (abstract cpu ops)
+_PUBLISH_OPS = 2_000
+
 
 @dataclass(frozen=True)
 class IngestConfig:
@@ -58,20 +63,12 @@ class IngestConfig:
     refresh_null_fraction: float = 0.25
     #: ignore the null fraction of batches smaller than this
     refresh_min_docs: int = 1
-    #: modelled projection cost per document (abstract flops)
-    project_flops_per_doc: int = 4_000
-    #: modelled publish overhead per generation (abstract cpu ops)
-    publish_ops: int = 2_000
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.refresh_null_fraction <= 1.0:
             raise ValueError("refresh_null_fraction must be in [0, 1]")
         if self.refresh_min_docs < 1:
             raise ValueError("refresh_min_docs must be >= 1")
-        if self.project_flops_per_doc < 0:
-            raise ValueError("project_flops_per_doc must be >= 0")
-        if self.publish_ops < 0:
-            raise ValueError("publish_ops must be >= 0")
 
 
 @dataclass
@@ -113,8 +110,8 @@ class IngestPlan:
             n = delta.n_docs
             # charge the modelled work first so the publish lands at
             # the post-charge virtual instant
-            ctx.charge_flops(n * cfg.project_flops_per_doc)
-            ctx.charge_cpu(cfg.publish_ops)
+            ctx.charge_flops(n * _PROJECT_FLOPS_PER_DOC)
+            ctx.charge_cpu(_PUBLISH_OPS)
             manifest = append_generation(
                 store_dir, [delta], published_s=float(ctx.now)
             )
@@ -151,7 +148,7 @@ class IngestPlan:
                     manifest.base_nbytes + manifest.delta_nbytes
                 )
                 ctx.charge_io(2 * merged_bytes)
-                ctx.charge_cpu(cfg.publish_ops)
+                ctx.charge_cpu(_PUBLISH_OPS)
                 manifest = compact_store(
                     store_dir, published_s=float(ctx.now)
                 )

@@ -80,6 +80,8 @@ from repro.workbench.state import (
 _ALGEBRA_OPS_PER_CAND = 4
 #: modelled broker-side cost of assembling one artifact
 _DERIVE_OPS = 500
+#: hits included inline in a set response (preview, not the set)
+_PREVIEW_HITS = 10
 
 #: session tallies: :class:`WorkbenchReport` field -> metric family
 _TALLIES = {
@@ -251,8 +253,6 @@ class _WorkbenchCore:
     def _artifact_lookup(
         self, tenant: int, key: tuple
     ) -> Optional[dict]:
-        if not self.wcfg.artifact_cache:
-            return None
         cache = self.art_cache.get(tenant)
         if cache is None or key not in cache:
             return None
@@ -272,8 +272,6 @@ class _WorkbenchCore:
         nbytes = len(canonical_response(resp))
         if nbytes > self.wcfg.max_derived_bytes:
             return "derived_bytes_quota"
-        if not self.wcfg.artifact_cache:
-            return None
         cache = self.art_cache.setdefault(tenant, OrderedDict())
         used = self.art_bytes.get(tenant, 0)
         while cache and used + nbytes > self.wcfg.max_derived_bytes:
@@ -323,7 +321,7 @@ class _WorkbenchCore:
             "set": op.name,
             "size": len(cands),
             "digest": set_digest(cands),
-            "hits": hits_payload(list(cands[: self.wcfg.preview_hits])),
+            "hits": hits_payload(list(cands[:_PREVIEW_HITS])),
         }
         if self.b._flag(resp, dropped)["partial"]:
             # a set missing shards would silently corrupt every later

@@ -61,10 +61,6 @@ class WorkbenchConfig:
     max_derived_bytes: int = 1 << 15
     #: virtual seconds of idleness before a session is evicted
     session_ttl_s: float = 120.0
-    #: cache derived artifacts keyed by (tenant, set digest, epoch)
-    artifact_cache: bool = True
-    #: hits included inline in a set response (preview, not the set)
-    preview_hits: int = 10
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -75,8 +71,6 @@ class WorkbenchConfig:
             raise ValueError("max_derived_bytes must be >= 1")
         if self.session_ttl_s <= 0:
             raise ValueError("session_ttl_s must be > 0")
-        if self.preview_hits < 0:
-            raise ValueError("preview_hits must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -287,12 +281,6 @@ class WorkbenchReport(SessionReport):
     generations: dict = field(default_factory=dict)
     per_broker: list = field(default_factory=list)
     ingest: Optional[dict] = None
-
-    @property
-    def reject_rate(self) -> float:
-        return (
-            len(self.rejected) / self.served if self.served else 0.0
-        )
 
     @property
     def artifact_hit_rate(self) -> float:

@@ -241,8 +241,12 @@ def test_run_bench_baseline_cycle(tmp_path, toy_docs, canned):
     ) == 0
     # identical rerun against its own baseline: no drift
     assert run_studies(["serving"], out=out, progress=None) == 0
-    report = json.loads(out.read_text())
-    assert report["baseline"]["drift"] == []
+    assert "baseline" not in json.loads(out.read_text())
+    again = tmp_path / "b2.json"
+    assert run_studies(
+        ["serving"], out=again, baseline=out, progress=None
+    ) == 0
+    assert json.loads(again.read_text())["baseline"]["drift"] == []
 
 
 def _rerun_against_perturbed_file(tmp_path, canned, name, doc, *path):

@@ -189,12 +189,18 @@ def test_drift_exits_1_naming_the_leaf(tmp_path, canned):
     drifted["points"]["1"]["counters"]["serve.queries"] = 4.0
     drifted["info"]["wall_s"] = 99.0
     canned("fake", drifted)
+    before = out.read_bytes()
     messages = []
     assert run_studies(["fake"], out=out, progress=messages.append) == 1
     assert [m for m in messages if m.startswith("DRIFT")] == [
         "DRIFT fake.points.1.counters.serve.queries: "
         "baseline 3.0 vs measured 4.0"
     ]
+    # a failing run leaves its own baseline as it was, so it fails again
+    assert f"kept {out} unchanged: the run does not match it" in messages
+    assert out.read_bytes() == before
+    assert run_studies(["fake"], out=out, progress=None) == 1
+    assert out.read_bytes() == before
 
 
 def test_study_absent_from_baseline_is_reported(tmp_path, canned):
@@ -233,6 +239,8 @@ def test_subset_run_keeps_the_other_studies_in_its_baseline(
     report = json.loads(out.read_text())
     assert report["studies"] == before
     assert list(report["studies"]) == ["fake", "other"]
+    # the file is a baseline, not a comparison of itself
+    assert "baseline" not in report
     # a baseline named apart from --out is only compared against
     fresh = tmp_path / "b2.json"
     messages = []

@@ -106,8 +106,14 @@ def test_run_bench_roundtrip(tmp_path, toy_docs, canned):
     out = tmp_path / "b.json"
     # first run: no baseline yet, just writes the report
     assert run_studies(["runtime"], out=out, progress=None) == 0
-    # second run compares against the first
+    # second run compares against the first, which it rewrites as is
     assert run_studies(["runtime"], out=out, progress=None) == 0
-    report = json.loads(out.read_text())
+    assert "baseline" not in json.loads(out.read_text())
+    # a report written apart from its baseline records the comparison
+    again = tmp_path / "b2.json"
+    assert run_studies(
+        ["runtime"], out=again, baseline=out, progress=None
+    ) == 0
+    report = json.loads(again.read_text())
     assert report["baseline"]["drift"] == []
     assert report["baseline"]["uncompared"] == []

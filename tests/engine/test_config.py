@@ -26,7 +26,7 @@ def test_defaults_valid():
         {"projection_dim": 0},
         {"chunk_docs": 0},
         {"micro_cluster_factor": 0},
-        {"mem_expansion": 0.0},
+        {"max_restarts": -1},
         {"field_weights": {"title": -1.0}},
     ],
 )

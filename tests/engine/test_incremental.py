@@ -10,6 +10,7 @@ from repro.engine import (
     project_new_documents,
     refresh_recommended,
 )
+from repro.ingest import IngestConfig
 from repro.text import Document
 
 
@@ -127,7 +128,7 @@ def test_persisted_model_supports_incremental(model, tmp_path):
 
 
 def test_refresh_threshold_resolution(model):
-    """Explicit args beat config values beat the built-in defaults."""
+    """An explicit threshold replaces the built-in default."""
     result, _, _ = model
     alien = [
         Document(0, {"body": "zzzalpha zzzbeta"}),
@@ -136,12 +137,6 @@ def test_refresh_threshold_resolution(model):
     batch = project_new_documents(result, alien)  # 100% null
     assert refresh_recommended(batch)  # default threshold 0.25
     assert not refresh_recommended(batch, max_null_fraction=1.0)
-    strict = EngineConfig(refresh_null_fraction=0.0)
-    lax = EngineConfig(refresh_null_fraction=1.0)
-    assert refresh_recommended(batch, config=strict)
-    assert not refresh_recommended(batch, config=lax)
-    # the explicit argument wins over the config
-    assert refresh_recommended(batch, max_null_fraction=0.5, config=lax)
 
 
 def test_refresh_min_docs_gate(model):
@@ -151,12 +146,11 @@ def test_refresh_min_docs_gate(model):
     batch = project_new_documents(result, alien)
     assert refresh_recommended(batch)  # default min_docs = 1
     assert not refresh_recommended(batch, min_docs=2)
-    gated = EngineConfig(refresh_min_docs=5)
-    assert not refresh_recommended(batch, config=gated)
 
 
 def test_refresh_knob_validation():
+    """The live-ingest policy rejects thresholds it could never act on."""
     with pytest.raises(ValueError, match="refresh_null_fraction"):
-        EngineConfig(refresh_null_fraction=1.5)
+        IngestConfig(refresh_null_fraction=1.5)
     with pytest.raises(ValueError, match="refresh_min_docs"):
-        EngineConfig(refresh_min_docs=0)
+        IngestConfig(refresh_min_docs=0)
