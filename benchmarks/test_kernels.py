@@ -1,10 +1,11 @@
 """Microbenchmarks of the engine's computational kernels.
 
 These are *real-time* benchmarks (pytest-benchmark statistics) of the
-hot paths: tokenization, FAST-INV inversion, co-occurrence counts,
-signature generation, k-means assignment, PCA, the simulated runtime's
-own primitives (collectives, atomics, hashmap inserts), and the serving
-layer's term search against its exhaustive reference.
+hot paths: tokenization, the tokenize-to-id scan, FAST-INV inversion,
+co-occurrence counts, signature generation, k-means assignment, PCA,
+the simulated runtime's own primitives (collectives, atomics, hashmap
+inserts), and the serving layer's term search against its exhaustive
+reference.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.ga import GlobalArray, GlobalHashMap
 from repro.index import invert_chunk
 from repro.project import fit_pca
 from repro.runtime import Cluster
+from repro.scan import finalize_vocabulary_serial, scan_forward
 from repro.signature import (
     compute_signatures,
     count_cooccurrences,
@@ -31,6 +33,28 @@ def test_tokenizer_throughput(benchmark):
     tok = Tokenizer()
     tokens = benchmark(tok.tokens, text)
     assert len(tokens) > 10_000
+
+
+def test_scan_kernel_throughput(benchmark):
+    corpus = generate_pubmed(200_000, seed=1)
+    fields = {f: i for i, f in enumerate(corpus.field_names)}
+
+    def scan():
+        fwd, terms, _ = scan_forward(corpus.documents, Tokenizer(), fields)
+        vocab = finalize_vocabulary_serial(terms)
+        fwd.assign_gids(terms, vocab.term_to_gid)
+        return fwd, vocab
+
+    fwd, vocab = benchmark(scan)
+    tok = Tokenizer()
+    reference = [
+        vocab.term_to_gid[t]
+        for d in corpus
+        for text in d.fields.values()
+        for t in tok.tokens(text)
+    ]
+    assert len(reference) > 10_000
+    np.testing.assert_array_equal(fwd.gids, reference)
 
 
 def test_fastinv_invert_chunk(benchmark):

@@ -266,8 +266,10 @@ def run_studies(
     not run carried over unchanged (``NOT RUN``) and no ``baseline``
     block; a separate ``out`` file gets the block (commit, drift,
     uncompared) whatever the outcome.  ``update_baseline`` rewrites
-    ``out`` without reading it -- for intentional behaviour or
-    cost-model changes.
+    ``out`` without comparing -- for intentional behaviour or
+    cost-model changes -- and also carries over the studies it did not
+    run from ``out`` when that is a report (an unusable file is simply
+    replaced).
 
     Exit 2: unknown study or unusable baseline, before any study runs.
     Exit 1: a ``DRIFT <study>.<path>`` (an exact statistic changed) or
@@ -293,6 +295,12 @@ def run_studies(
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    prior = base
+    if update_baseline:
+        try:
+            prior = _load_baseline(Path(out), required=False)
+        except ValueError:
+            prior = None
     report = {
         "schema": SCHEMA,
         "commit": _git_commit(),
@@ -343,13 +351,13 @@ def run_studies(
         ]
         for name in uncompared:
             progress(f"NOT COMPARED {name}: absent from the baseline")
-    if rewrites_base:
+    if rewrites_base or (update_baseline and prior is not None):
         # a subset run must not drop the other studies from the
-        # file it rewrites: keep the baseline's documents for them
-        for name in base["studies"]:
+        # file it rewrites: keep the file's documents for them
+        for name in prior["studies"]:
             if name not in report["studies"]:
                 progress(f"NOT RUN {name}: kept from {out}")
-        report["studies"] = {**base["studies"], **report["studies"]}
+        report["studies"] = {**prior["studies"], **report["studies"]}
     if rewrites_base and failures:
         progress(f"kept {out} unchanged: the run does not match it")
     else:

@@ -41,8 +41,7 @@ from repro.runtime.errors import RankFailedError
 from repro.runtime.faults import FaultInjector
 from repro.runtime.machine import MachineSpec, Scale
 from repro.runtime.payload import payload_nbytes
-from repro.scan.forward import encode_forward
-from repro.scan.scanner import scan_documents, unique_terms
+from repro.scan.scanner import scan_forward
 from repro.scan.vocabulary import finalize_vocabulary
 from repro.signature.topicality import (
     RankedTerm,
@@ -400,11 +399,11 @@ def _engine_core(
     with ctx.region("scan"):
         if not io_charged:
             ctx.charge_io(local_bytes, concurrent_readers=ctx.nprocs)
-        scanned, sstats = scan_documents(docs, tokenizer)
+        field_to_id = {f: i for i, f in enumerate(field_names)}
+        forward, uniq, sstats = scan_forward(docs, tokenizer, field_to_id)
         ctx.charge(
             machine.scan_seconds(sstats.nbytes, sstats.ntokens) * pf
         )
-        uniq = unique_terms(scanned)
         hashmap = GlobalHashMap.create(ctx, "vocab")
         if "scan" in done:
             # skip the distributed insert RPCs: repopulate each shard
@@ -417,8 +416,7 @@ def _engine_core(
             ctx.charge(machine.unique_terms_seconds(len(uniq)))
         ctx.barrier()  # forward indexing & hashmap construction done
         vocab = finalize_vocabulary(ctx, hashmap)
-        field_to_id = {f: i for i, f in enumerate(field_names)}
-        forward = encode_forward(scanned, vocab.term_to_gid, field_to_id)
+        forward.assign_gids(uniq, vocab.term_to_gid)
         ctx.charge_cpu(sstats.ntokens * 3, Scale.STREAM)
         if ckpt is not None and "scan" not in done:
             _ckpt_write(
@@ -495,8 +493,8 @@ def _engine_core(
                 _ckpt_write(ctx, ckpt, "topic", arrays)
 
     # ------------------------------- association matrix + signatures
-    doc_gid_arrays = [d.gids for d in forward.docs]
-    my_ids = np.array([d.doc_id for d in forward.docs], dtype=np.int64)
+    doc_gid_arrays = forward.per_doc(forward.gids)
+    my_ids = forward.doc_ids
 
     if "sig" in done:
         arrays, sig_meta = _ckpt_read(ctx, ckpt, "sig")
@@ -565,12 +563,11 @@ def _dlb_cost_hints(ctx, machine, pf, forward, chunk):
     if getattr(ctx.world, "backend", "sim") != "mp":
         return None
     own = []
-    ndocs = len(forward.docs)
-    for li in range((ndocs + chunk - 1) // chunk):
-        lo = li * chunk
-        hi = min(ndocs, lo + chunk)
-        nb = machine.scaled(forward.nbytes_of_chunk(lo, hi), Scale.STREAM)
-        gsize = sum(int(d.gids.size) for d in forward.docs[lo:hi])
+    for lo in range(0, len(forward), chunk):
+        nb = machine.scaled(
+            forward.nbytes_of_chunk(lo, lo + chunk), Scale.STREAM
+        )
+        gsize = forward.ntokens_of_chunk(lo, lo + chunk)
         own.append((float(nb), float(machine.invert_seconds(gsize))))
     return (pf, own)
 
@@ -589,16 +586,9 @@ def _index_stage(
     """FAST-INV inversion with dynamic load balancing + postings
     exchange and global term statistics (paper 3.3)."""
     chunk = cfg.chunk_docs
-    nloads = (len(forward.docs) + chunk - 1) // chunk
+    nloads = (len(forward) + chunk - 1) // chunk
     load_counts = ctx.comm.allgather(nloads)
     offsets = np.concatenate([[0], np.cumsum(load_counts)])
-    # dense gid -> owning rank (postings destination)
-    owner_counts = [
-        vocab.dist.local_count(r) for r in range(ctx.nprocs)
-    ]
-    gid_owner = np.repeat(
-        np.arange(ctx.nprocs, dtype=np.int64), owner_counts
-    )
     bucket_g: list[list[np.ndarray]] = [[] for _ in range(ctx.nprocs)]
     bucket_d: list[list[np.ndarray]] = [[] for _ in range(ctx.nprocs)]
     bucket_c: list[list[np.ndarray]] = [[] for _ in range(ctx.nprocs)]
@@ -612,7 +602,7 @@ def _index_stage(
         li = int(task_id - offsets[owner])
         fwd = store[owner]
         lo = li * chunk
-        hi = min(len(fwd.docs), lo + chunk)
+        hi = lo + chunk
         if owner != ctx.rank:
             # fetch the stolen load's forward data (one-sided get)
             nb = fwd.nbytes_of_chunk(lo, hi)
@@ -630,13 +620,15 @@ def _index_stage(
         g, d = fwd.chunk_streams(lo, hi)
         t2d = invert_chunk(g, d)
         ctx.charge(machine.invert_seconds(g.size) * pf)
-        dest = gid_owner[t2d.gids]
+        # gids ascend and owners hold contiguous gid ranges, so each
+        # owner's postings are one slice
+        cuts = np.searchsorted(t2d.gids, vocab.dist.bounds).tolist()
         for r in range(ctx.nprocs):
-            mask = dest == r
-            if mask.any():
-                bucket_g[r].append(t2d.gids[mask])
-                bucket_d[r].append(t2d.keys[mask])
-                bucket_c[r].append(t2d.counts[mask])
+            a, b = cuts[r], cuts[r + 1]
+            if b > a:
+                bucket_g[r].append(t2d.gids[a:b])
+                bucket_d[r].append(t2d.keys[a:b])
+                bucket_c[r].append(t2d.counts[a:b])
         processed_loads += 1
 
     # the inner region measures each rank's inversion *busy* time

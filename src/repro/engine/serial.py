@@ -28,8 +28,7 @@ from repro.cluster.twolevel import (
 from repro.index.fastinv import invert_chunk
 from repro.index.stats import stats_from_doc_postings
 from repro.project.pca import fit_pca
-from repro.scan.forward import ForwardIndex, encode_forward
-from repro.scan.scanner import scan_documents, unique_terms
+from repro.scan.scanner import scan_forward
 from repro.scan.vocabulary import finalize_vocabulary_serial
 from repro.signature.association import (
     association_matrix,
@@ -240,12 +239,12 @@ class SerialTextEngine:
 
         # ------------------------------------------------ scan & map
         t0 = time.perf_counter()
-        scanned, scan_stats = scan_documents(corpus.documents, tokenizer)
-        vocab = finalize_vocabulary_serial(unique_terms(scanned))
         field_to_id = {f: i for i, f in enumerate(corpus.field_names)}
-        forward: ForwardIndex = encode_forward(
-            scanned, vocab.term_to_gid, field_to_id
+        forward, terms, scan_stats = scan_forward(
+            corpus.documents, tokenizer, field_to_id
         )
+        vocab = finalize_vocabulary_serial(terms)
+        forward.assign_gids(terms, vocab.term_to_gid)
         stage_seconds["scan"] = time.perf_counter() - t0
 
         # ------------------------------------------------ indexing
@@ -283,7 +282,7 @@ class SerialTextEngine:
         stage_seconds["topic"] = time.perf_counter() - t0
 
         # --------------------------------- association + signatures
-        doc_gid_arrays = [d.gids for d in forward.docs]
+        doc_gid_arrays = forward.per_doc(forward.gids)
         weight_arrays = _field_weight_arrays(forward, corpus.field_names, cfg)
         majors, topics, assoc, batch, null_fraction, rounds = (
             signature_model(
@@ -346,7 +345,7 @@ class SerialTextEngine:
             major_terms=majors,
             topic_terms=topics,
             association=assoc,
-            doc_ids=np.array([d.doc_id for d in forward.docs]),
+            doc_ids=forward.doc_ids,
             coords=coords,
             assignments=labels,
             centroids=centroids,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.index.fastinv import invert_chunk
+from repro.scan.scanner import scan_ids
 from repro.text.tokenizer import Tokenizer, TokenizerConfig
 
 #: default postings per block for block-max metadata
@@ -145,21 +146,6 @@ class TermPostings:
         )
 
 
-class _RowMemo(dict):
-    """Raw token -> major-term row, or -1 when the token maps to none."""
-
-    def __init__(self, tokenizer: Tokenizer, major_terms) -> None:
-        super().__init__()
-        self._normalize = tokenizer._normalize_uncached
-        self._term_row = {t.term: i for i, t in enumerate(major_terms)}
-
-    def __missing__(self, raw: str) -> int:
-        term = self._normalize(raw)
-        row = -1 if term is None else self._term_row.get(term, -1)
-        self[raw] = row
-        return row
-
-
 def scan_major_rows(
     documents,
     result,
@@ -167,9 +153,9 @@ def scan_major_rows(
 ) -> list[np.ndarray]:
     """Each document's major-term rows, in token order (int64 arrays).
 
-    One pass per document: its fields joined in order, lowercased and
-    split once, each raw token mapped to a major-term row through a
-    per-call memo.  Equal to tokenizing ``doc.text()`` and to
+    One :func:`repro.scan.scan_ids` pass over each document's joined
+    fields, each raw token mapped to its major-term row through the
+    kernel's memo.  Equal to tokenizing ``doc.text()`` and to
     tokenizing field by field (property-tested).
     """
     tokenizer = Tokenizer(
@@ -177,13 +163,14 @@ def scan_major_rows(
         if tokenizer_config is not None
         else TokenizerConfig()
     )
-    row_of = _RowMemo(tokenizer, result.major_terms).__getitem__
-    out: list[np.ndarray] = []
-    for doc in documents:
-        toks = tokenizer.split(doc.text())
-        rows = np.fromiter(map(row_of, toks), dtype=np.int64, count=len(toks))
-        out.append(rows[rows >= 0])
-    return out
+    # 1-based rows; terms outside the model get None and are skipped
+    row_of = {t.term: i + 1 for i, t in enumerate(result.major_terms)}
+    ids, ends = scan_ids(
+        (doc.text() for doc in documents), tokenizer, row_of.get
+    )
+    rows = ids - 1
+    bounds = [0, *ends.tolist()]
+    return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def invert_major_rows(

@@ -1,7 +1,7 @@
-"""Scan & Map stage: tokenization, forward indexing, vocabulary."""
+"""Scan & Map stage: tokenize-to-id scan, flat forward index, vocabulary."""
 
-from .forward import EncodedDocument, ForwardIndex, encode_forward
-from .scanner import ScanStats, ScannedDocument, scan_documents, unique_terms
+from .forward import ForwardIndex
+from .scanner import ScanStats, scan_forward, scan_ids
 from .vocabulary import (
     VocabMap,
     finalize_vocabulary,
@@ -9,14 +9,11 @@ from .vocabulary import (
 )
 
 __all__ = [
-    "EncodedDocument",
     "ForwardIndex",
     "ScanStats",
-    "ScannedDocument",
     "VocabMap",
-    "encode_forward",
     "finalize_vocabulary",
     "finalize_vocabulary_serial",
-    "scan_documents",
-    "unique_terms",
+    "scan_forward",
+    "scan_ids",
 ]

@@ -1,9 +1,10 @@
-"""Encoded forward index: documents as global-term-ID arrays.
+"""Flat forward index: a rank's documents as term-ID arrays.
 
-After the vocabulary is finalized, tokens become dense global term IDs
-and the forward index becomes a set of NumPy arrays -- the structure
-the inverted-file-indexing stage chunks into *loads* for dynamic load
-balancing.
+The scan writes every token's term id into one flat array; per-document
+and per-field offsets slice it.  Once the vocabulary is finalized, one
+gather turns the scan's local ids into dense global term IDs, and the
+index is the structure the inverted-file-indexing stage chunks into
+*loads* for dynamic load balancing.
 """
 
 from __future__ import annotations
@@ -13,129 +14,89 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .scanner import ScannedDocument
-
-
-@dataclass
-class EncodedDocument:
-    """One record's token stream as dense term IDs, with field slices."""
-
-    doc_id: int
-    #: all fields' term IDs concatenated in field order
-    gids: np.ndarray
-    #: ``gids[field_offsets[f]:field_offsets[f+1]]`` is field ``f``
-    field_offsets: np.ndarray
-    #: global field IDs, aligned with field slices
-    field_ids: np.ndarray
-
-    @property
-    def ntokens(self) -> int:
-        return int(self.gids.shape[0])
-
 
 @dataclass
 class ForwardIndex:
-    """A rank's forward index: encoded documents in global-doc order."""
+    """A rank's forward index, documents in global-doc order.
 
-    docs: list[EncodedDocument]
+    Document ``i`` is ``doc_ids[i]``; its tokens are
+    ``gids[doc_offsets[i]:doc_offsets[i + 1]]`` and its fields are
+    ``doc_fields[i] .. doc_fields[i + 1] - 1``.  Field ``f`` has the
+    global id ``field_ids[f]`` and the tokens
+    ``gids[field_offsets[f]:field_offsets[f + 1]]``.
+    """
+
+    doc_ids: np.ndarray
+    doc_offsets: np.ndarray
+    doc_fields: np.ndarray
+    field_offsets: np.ndarray
+    field_ids: np.ndarray
+    gids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return int(self.doc_ids.shape[0])
 
     @property
     def total_postings(self) -> int:
-        return sum(d.ntokens for d in self.docs)
+        return int(self.gids.shape[0])
+
+    def assign_gids(
+        self, terms: Sequence[str], term_to_gid: Mapping[str, int]
+    ) -> None:
+        """Replace the scan's 1-based local ids into ``terms`` with
+        their global IDs: one gather through a local -> global table."""
+        local_to_gid = np.zeros(len(terms) + 1, dtype=np.int64)
+        local_to_gid[1:] = np.fromiter(
+            map(term_to_gid.__getitem__, terms), np.int64, len(terms)
+        )
+        self.gids = local_to_gid[self.gids]
+
+    def per_doc(self, tokens: np.ndarray) -> list[np.ndarray]:
+        """Per-document views of a per-token array (e.g. ``gids``)."""
+        off = self.doc_offsets.tolist()
+        return [tokens[a:b] for a, b in zip(off[:-1], off[1:])]
+
+    def _clamp(self, lo: int, hi: int) -> tuple[int, int]:
+        n = len(self)
+        return min(lo, n), min(max(lo, hi), n)
+
+    def ntokens_of_chunk(self, lo: int, hi: int) -> int:
+        lo, hi = self._clamp(lo, hi)
+        return int(self.doc_offsets[hi] - self.doc_offsets[lo])
 
     def nbytes_of_chunk(self, lo: int, hi: int) -> int:
-        """Approximate size of documents ``[lo, hi)`` for transfer costs."""
-        return sum(
-            d.gids.nbytes + d.field_offsets.nbytes + d.field_ids.nbytes + 16
-            for d in self.docs[lo:hi]
+        """Transfer size of documents ``[lo, hi)``: per document, 8 B
+        per token, per field offset (one more than its fields) and per
+        field id, plus 16 B."""
+        lo, hi = self._clamp(lo, hi)
+        nfields = int(self.doc_fields[hi] - self.doc_fields[lo])
+        return 8 * self.ntokens_of_chunk(lo, hi) + 16 * nfields + 24 * (
+            hi - lo
         )
 
     def token_weights(
         self, nfields_global: int, field_weight_by_idx: np.ndarray
     ) -> list[np.ndarray]:
-        """Per-token weight arrays from per-field weights.
+        """Per-document token weight arrays from per-field weights.
 
         ``field_weight_by_idx[f]`` is the weight of canonical field
-        index ``f``; each document's tokens inherit their field's
-        weight (used for field-emphasized signatures).
+        index ``f``; each token inherits its field's weight (used for
+        field-emphasized signatures).
         """
-        out: list[np.ndarray] = []
-        for d in self.docs:
-            if d.ntokens == 0:
-                out.append(np.empty(0, dtype=np.float64))
-                continue
-            field_idx = d.field_ids % nfields_global
-            counts = np.diff(d.field_offsets)
-            out.append(
-                np.repeat(
-                    np.asarray(field_weight_by_idx, dtype=np.float64)[
-                        field_idx
-                    ],
-                    counts,
-                )
-            )
-        return out
+        weights = np.asarray(field_weight_by_idx, dtype=np.float64)
+        flat = np.repeat(
+            weights[self.field_ids % nfields_global],
+            np.diff(self.field_offsets),
+        )
+        return self.per_doc(flat)
 
     def chunk_streams(
         self, lo: int, hi: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (gids, doc_ids) for documents [lo, hi).
-
-        ``doc_ids`` is expanded per token, ready for FAST-INV inversion.
-        """
-        gid_parts: list[np.ndarray] = []
-        doc_parts: list[np.ndarray] = []
-        for d in self.docs[lo:hi]:
-            n = d.ntokens
-            if n == 0:
-                continue
-            gid_parts.append(d.gids)
-            doc_parts.append(np.full(n, d.doc_id, dtype=np.int64))
-        if not gid_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return np.concatenate(gid_parts), np.concatenate(doc_parts)
-
-
-def encode_forward(
-    scanned: Sequence[ScannedDocument],
-    term_to_gid: Mapping[str, int],
-    field_name_to_id: Mapping[str, int],
-) -> ForwardIndex:
-    """Turn scanned token text into dense-ID forward records."""
-    docs: list[EncodedDocument] = []
-    nfields_global = max(field_name_to_id.values(), default=-1) + 1
-    for rec in scanned:
-        offsets = [0]
-        gid_parts: list[np.ndarray] = []
-        field_ids: list[int] = []
-        for name, toks in zip(rec.field_names, rec.field_tokens):
-            gid_parts.append(
-                np.fromiter(
-                    (term_to_gid[t] for t in toks),
-                    dtype=np.int64,
-                    count=len(toks),
-                )
-            )
-            offsets.append(offsets[-1] + len(toks))
-            # a *global* field id: unique per (document, field name)
-            field_ids.append(
-                rec.doc_id * nfields_global + field_name_to_id[name]
-            )
-        gids = (
-            np.concatenate(gid_parts)
-            if gid_parts
-            else np.empty(0, dtype=np.int64)
+        """(gids, doc_ids) of documents [lo, hi), ready for FAST-INV
+        inversion: ``doc_ids`` is expanded per token."""
+        lo, hi = self._clamp(lo, hi)
+        a, b = self.doc_offsets[lo], self.doc_offsets[hi]
+        return self.gids[a:b], np.repeat(
+            self.doc_ids[lo:hi], np.diff(self.doc_offsets[lo : hi + 1])
         )
-        docs.append(
-            EncodedDocument(
-                doc_id=rec.doc_id,
-                gids=gids,
-                field_offsets=np.asarray(offsets, dtype=np.int64),
-                field_ids=np.asarray(field_ids, dtype=np.int64),
-            )
-        )
-    return ForwardIndex(docs=docs)

@@ -10,6 +10,7 @@ and the I/O cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 
@@ -20,13 +21,18 @@ class Document:
     doc_id: int
     fields: dict[str, str]
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
-        """Approximate on-disk size of this record."""
+        """Approximate on-disk size of this record (computed once: the
+        partitioner, the engine and the scan stats all read it)."""
         return sum(
             len(k) + len(v.encode("utf-8", errors="replace")) + 4
             for k, v in self.fields.items()
         )
+
+    def __getstate__(self) -> dict:
+        # the cached size is derived, not state: pickle the fields only
+        return {"doc_id": self.doc_id, "fields": self.fields}
 
     def text(self) -> str:
         """All field contents joined (field order preserved)."""

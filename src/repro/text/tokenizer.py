@@ -46,18 +46,14 @@ class TokenizerConfig:
     )
 
 
-#: per-tokenizer bound on memoized raw tokens; a corpus vocabulary is
-#: far smaller, so the cap only guards pathological unbounded streams
-NORM_CACHE_MAX = 1 << 20
-
-
 class Tokenizer:
     """Splits field text into normalized terms.
 
-    Term normalization (length band, numeric filter, stopwords,
-    stemming) is memoized per raw token: corpus token streams are
+    The engines do not call :meth:`tokens`: :func:`repro.scan.scan_ids`
+    splits with :meth:`split` and memoizes :meth:`_normalize_uncached`
+    per raw token, straight to term ids.  Corpus token streams are
     highly redundant (Zipf), so nearly every token after the first few
-    thousand documents is a cache hit that skips the regex match, the
+    thousand documents is a memo hit that skips the regex match, the
     stopword probe, and the stemmer entirely.
     """
 
@@ -70,16 +66,14 @@ class Tokenizer:
             dict.fromkeys(self.config.delimiters, " ")
         )
         self._numeric_re = re.compile(r"^[\d\-]+$")
-        #: raw (post-split, post-lowercase) token -> normalized term,
-        #: or None when the token is dropped
-        self._norm_cache: dict[str, str | None] = {}
 
     def _normalize_uncached(self, raw: str) -> str | None:
         """Reference normalization of one raw token (no memoization).
 
         Returns the normalized term, or ``None`` when the token is
-        filtered out.  The memoized path in :meth:`tokens` must agree
-        with this for every input (property-tested).
+        filtered out.  :func:`repro.scan.scan_ids` memoizes it per raw
+        token and must agree with :meth:`tokens` for every input
+        (property-tested).
         """
         cfg = self.config
         if not cfg.min_len <= len(raw) <= cfg.max_len:
@@ -103,18 +97,8 @@ class Tokenizer:
 
     def tokens(self, text: str) -> list[str]:
         """All terms of ``text`` in order (duplicates preserved)."""
-        cache = self._norm_cache
-        out: list[str] = []
-        for raw in self.split(text):
-            try:
-                term = cache[raw]
-            except KeyError:
-                term = self._normalize_uncached(raw)
-                if len(cache) < NORM_CACHE_MAX:
-                    cache[raw] = term
-            if term is not None:
-                out.append(term)
-        return out
+        terms = map(self._normalize_uncached, self.split(text))
+        return [t for t in terms if t is not None]
 
     def unique_terms(self, texts: Iterable[str]) -> set[str]:
         """Set of distinct terms across ``texts``."""

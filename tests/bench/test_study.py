@@ -249,9 +249,34 @@ def test_subset_run_keeps_the_other_studies_in_its_baseline(
     ) == 0
     assert list(json.loads(fresh.read_text())["studies"]) == ["fake"]
     assert not any(m.startswith("NOT RUN") for m in messages)
-    # --update-baseline never reads the file it rewrites
+    # --update-baseline rewrites the studies it runs and keeps the rest
     run_studies(["fake"], out=out, update_baseline=True, progress=None)
-    assert list(json.loads(out.read_text())["studies"]) == ["fake"]
+    assert list(json.loads(out.read_text())["studies"]) == ["fake", "other"]
+
+
+def test_update_baseline_of_some_studies_keeps_the_others(tmp_path, canned):
+    canned("fake", _DOC)
+    canned("other", {**_DOC, "oracles": {"kept": True}})
+    out = tmp_path / "b.json"
+    run_studies(
+        ["fake", "other"], out=out, update_baseline=True, progress=None
+    )
+    kept = json.loads(out.read_text())["studies"]["other"]
+    changed = copy.deepcopy(_DOC)
+    changed["points"]["1"]["served"] = 4
+    canned("fake", changed)
+    canned("other", {"never": "run"})
+    messages = []
+    assert run_studies(
+        ["fake"], out=out, update_baseline=True, progress=messages.append
+    ) == 0
+    assert f"NOT RUN other: kept from {out}" in messages
+    report = json.loads(out.read_text())
+    assert report["studies"] == {"fake": changed, "other": kept}
+    assert "baseline" not in report
+    # the updated file is now the baseline of both studies
+    canned("other", {**_DOC, "oracles": {"kept": True}})
+    assert run_studies(["fake", "other"], out=out, progress=None) == 0
 
 
 def test_positional_names_select_studies(tmp_path, capsys, monkeypatch):

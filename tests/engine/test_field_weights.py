@@ -91,14 +91,16 @@ def test_unlisted_fields_default_to_one():
 
 
 def test_token_weights_helper():
-    from repro.scan import encode_forward, scan_documents
-    from repro.scan.vocabulary import finalize_vocabulary_serial
-    from repro.scan.scanner import unique_terms
+    from repro.scan import finalize_vocabulary_serial, scan_forward
     from repro.text import Tokenizer
 
-    docs = [Document(0, {"a": "xx yy", "b": "zz"})]
-    scanned, _ = scan_documents(docs, Tokenizer())
-    vocab = finalize_vocabulary_serial(unique_terms(scanned))
-    fwd = encode_forward(scanned, vocab.term_to_gid, {"a": 0, "b": 1})
+    docs = [
+        Document(0, {"a": "xx yy", "b": "zz"}),
+        Document(1, {"b": "ww", "a": "vv"}),
+    ]
+    fwd, terms, _ = scan_forward(docs, Tokenizer(), {"a": 0, "b": 1})
+    vocab = finalize_vocabulary_serial(terms)
+    fwd.assign_gids(terms, vocab.term_to_gid)
     weights = fwd.token_weights(2, np.array([2.0, 5.0]))
     np.testing.assert_array_equal(weights[0], [2.0, 2.0, 5.0])
+    np.testing.assert_array_equal(weights[1], [5.0, 2.0])

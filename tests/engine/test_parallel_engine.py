@@ -12,12 +12,7 @@ from repro.engine import (
 )
 from repro.index import invert_bruteforce
 from repro.runtime import MachineSpec
-from repro.scan import (
-    encode_forward,
-    finalize_vocabulary_serial,
-    scan_documents,
-    unique_terms,
-)
+from repro.scan import finalize_vocabulary_serial, scan_forward
 from repro.text import Tokenizer
 
 
@@ -61,13 +56,13 @@ def trec_df_cf(trec_small):
     """``term -> (df, cf)`` by brute-force inversion of the whole
     forward stream, independent of chunking and of the engines."""
     tok = Tokenizer(EngineConfig().tokenizer)
-    scanned, _ = scan_documents(trec_small.documents, tok)
-    vocab = finalize_vocabulary_serial(unique_terms(scanned))
-    fwd = encode_forward(
-        scanned,
-        vocab.term_to_gid,
+    fwd, terms, _ = scan_forward(
+        trec_small.documents,
+        tok,
         {f: i for i, f in enumerate(trec_small.field_names)},
     )
+    vocab = finalize_vocabulary_serial(terms)
+    fwd.assign_gids(terms, vocab.term_to_gid)
     df = np.zeros(vocab.size, dtype=np.int64)
     cf = np.zeros(vocab.size, dtype=np.int64)
     postings = invert_bruteforce(*fwd.chunk_streams(0, len(fwd)))

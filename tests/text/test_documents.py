@@ -1,5 +1,7 @@
 """Document model and byte-balanced partitioning tests."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,25 @@ def _doc(i, text="hello world"):
 def test_document_nbytes_counts_fields():
     d = Document(doc_id=0, fields={"title": "abc", "body": "defgh"})
     assert d.nbytes == len("title") + 3 + 4 + len("body") + 5 + 4
+
+
+def test_document_nbytes_is_computed_once():
+    d = Document(doc_id=7, fields={"title": "héllo", "body": "x y"})
+    fresh = pickle.dumps(d)
+    assert "nbytes" not in d.__dict__
+    size = d.nbytes
+    assert d.__dict__["nbytes"] == size == 5 + 6 + 4 + 4 + 3 + 4
+    # a second read is the cached value, not a re-encode
+    d.__dict__["nbytes"] = -1
+    assert d.nbytes == -1
+    d.__dict__["nbytes"] = size
+    # the cache is invisible to equality and to pickling (mp backend)
+    twin = Document(doc_id=7, fields={"title": "héllo", "body": "x y"})
+    assert d == twin
+    assert pickle.dumps(d) == fresh == pickle.dumps(twin)
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and "nbytes" not in back.__dict__
+    assert back.nbytes == size
 
 
 def test_document_text_joins_fields():
