@@ -669,7 +669,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print("  (no hits: terms outside the major-term model)")
     if args.similar is not None:
         did_something = True
-        hits = session.similar_documents(args.similar, k=args.top)
+        try:
+            hits = session.similar_documents(args.similar, k=args.top)
+        except KeyError as exc:
+            raise InputError(f"--similar: {exc.args[0]}") from None
         print(f"documents similar to {args.similar}:")
         for h in hits:
             print(
@@ -678,7 +681,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             )
     if args.cluster is not None:
         did_something = True
-        s = session.cluster_summary(args.cluster)
+        try:
+            s = session.cluster_summary(args.cluster)
+        except KeyError as exc:
+            raise InputError(f"--cluster: {exc.args[0]}") from None
         print(
             f"cluster {s.cluster}: {s.size} docs; "
             f"terms: {' '.join(s.top_terms)}; "
@@ -804,8 +810,19 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _answer(store: Path, query) -> dict:
+    """``query_store``; an answer carrying ``"error"`` raises
+    :class:`InputError` naming the store."""
+    from repro.serve import query_store
+
+    response = query_store(store, query)
+    if "error" in response:
+        raise InputError(f"{store}: {response['error']}")
+    return response
+
+
 def _cmd_serve_query(args: argparse.Namespace) -> int:
-    from repro.serve import Query, query_store
+    from repro.serve import Query
 
     query = None
     if args.search is not None:
@@ -837,8 +854,7 @@ def _cmd_serve_query(args: argparse.Namespace) -> int:
         raise InputError(
             "pass one of --search/--query/--similar/--cluster/--region"
         )
-    response = query_store(args.store, query)
-    print(json.dumps(response, indent=2, sort_keys=True))
+    print(json.dumps(_answer(args.store, query), indent=2, sort_keys=True))
     return 0
 
 
@@ -846,7 +862,7 @@ def _cmd_facet_query(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.facets import FacetsUnavailableError
-    from repro.serve import Query, query_store
+    from repro.serve import Query
     from repro.serve.store import load_manifest
 
     manifest = load_manifest(args.store)
@@ -857,6 +873,13 @@ def _cmd_facet_query(args: argparse.Namespace) -> int:
             "(rebuild from a stamped corpus)",
         )
     fac = manifest.facets
+    for flag, value in (("--t0", args.t0), ("--t1", args.t1)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
+    if not -1 <= args.source < fac.n_sources:
+        raise InputError(
+            f"--source must be in [-1, {fac.n_sources}), got {args.source}"
+        )
     t0 = fac.stamp_lo if args.t0 is None else args.t0
     # the default upper bound nudges past the last stamp so the
     # half-open window convention never drops the final document
@@ -879,12 +902,9 @@ def _cmd_facet_query(args: argparse.Namespace) -> int:
         source=args.source,
         n_terms=args.top,
     )
-    response = query_store(args.store, query)
-    if "error" in response:
-        # a store the window query cannot serve, e.g. one built
-        # without postings: same convention as the unstamped case
-        raise FacetsUnavailableError(str(args.store), response["error"])
-    print(json.dumps(response, indent=2, sort_keys=True))
+    # a store the window query cannot serve, e.g. one built without
+    # postings, answers an error: same convention as the unstamped case
+    print(json.dumps(_answer(args.store, query), indent=2, sort_keys=True))
     return 0
 
 

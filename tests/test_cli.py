@@ -351,39 +351,101 @@ def test_serve_query_bad_region_spec(store_dir, capsys):
     "argv, says",
     [
         pytest.param(
-            ["serve-query", "--region", "0,0,-1"], "RADIUS >= 0",
+            ["serve-query", "--store", "{store}", "--region", "0,0,-1"],
+            "RADIUS >= 0",
             id="region-negative-radius",
         ),
         pytest.param(
-            ["serve-query", "--region", "nan,0,1"], "finite",
+            ["serve-query", "--store", "{store}", "--region", "nan,0,1"],
+            "finite",
             id="region-nan",
         ),
         pytest.param(
-            ["serve-query", "--search", "gene", "--top", "0"], "--top",
+            ["serve-query", "--store", "{store}", "--search", "gene",
+             "--top", "0"],
+            "--top",
             id="top-zero",
         ),
         pytest.param(
-            ["serve-query", "--search", "gene", "--top", "-3"], "--top",
+            ["serve-query", "--store", "{store}", "--search", "gene",
+             "--top", "-3"],
+            "--top",
             id="top-negative",
         ),
         pytest.param(
-            ["workbench-session", "--script", "{script}"],
+            ["workbench-session", "--store", "{store}", "--script",
+             "{script}"],
             "list of strings",
             id="workbench-terms-string",
+        ),
+        pytest.param(
+            ["analyze", "--results", "{results}", "--similar", "999999"],
+            "--similar: unknown doc_id 999999",
+            id="analyze-similar-unknown",
+        ),
+        pytest.param(
+            ["analyze", "--results", "{results}", "--cluster", "999"],
+            "--cluster: cluster 999 out of range",
+            id="analyze-cluster-too-big",
+        ),
+        pytest.param(
+            ["analyze", "--results", "{results}", "--cluster", "-1"],
+            "--cluster: cluster -1 out of range",
+            id="analyze-cluster-negative",
+        ),
+        pytest.param(
+            ["serve-query", "--store", "{store}", "--similar", "999999"],
+            "error: {store}: unknown doc_id 999999",
+            id="serve-query-similar-unknown",
+        ),
+        pytest.param(
+            ["serve-query", "--store", "{store}", "--cluster", "999"],
+            "error: {store}: cluster 999 out of range",
+            id="serve-query-cluster-too-big",
+        ),
+        pytest.param(
+            ["facet-query", "--store", "{stamped}", "--kind", "counts",
+             "--t0", "nan"],
+            "--t0 must be finite",
+            id="facet-query-t0-nan",
+        ),
+        pytest.param(
+            ["facet-query", "--store", "{stamped}", "--kind", "terms",
+             "--t1", "1e400"],
+            "--t1 must be finite",
+            id="facet-query-t1-overflow",
+        ),
+        pytest.param(
+            ["facet-query", "--store", "{stamped}", "--kind", "counts",
+             "--source", "99"],
+            "--source must be in [-1, 3), got 99",
+            id="facet-query-source-too-big",
+        ),
+        pytest.param(
+            ["facet-query", "--store", "{stamped}", "--kind", "counts",
+             "--source", "-5"],
+            "--source must be in [-1, 3), got -5",
+            id="facet-query-source-negative",
         ),
     ],
 )
 def test_bad_query_value_is_an_error_line(
-    argv, says, store_dir, tmp_path, capsys
+    argv, says, store_dir, results_dir, stamped_cli_store, tmp_path, capsys
 ):
     script = tmp_path / "ops.json"
     script.write_text('[{"verb": "search", "name": "a", "terms": "abc"}]')
-    argv = [a.format(script=script) for a in argv]
-    rc = main(argv[:1] + ["--store", str(store_dir)] + argv[1:])
+    paths = {
+        "store": store_dir,
+        "stamped": stamped_cli_store,
+        "results": results_dir / "result.npz",
+        "script": script,
+    }
+    rc = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: ")
-    assert says in captured.err
+    assert says.format(**paths) in captured.err
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
