@@ -101,12 +101,23 @@ _MINIMUMS: dict[str, dict[str, int]] = {
 }
 
 
-def _check_minimums(args: argparse.Namespace) -> None:
+#: the largest value of a numeric option whose cost grows past what
+#: a host can allocate (``--grid`` is a ``grid x grid`` float64 terrain
+#: per slice)
+_MAXIMUMS: dict[str, dict[str, int]] = {
+    "themeview-slices": {"grid": 1024},
+}
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    most = _MAXIMUMS.get(args.command, {})
     for dest, least in _MINIMUMS.get(args.command, {}).items():
         value = getattr(args, dest)
-        if value < least:
+        top = most.get(dest)
+        if value < least or (top is not None and value > top):
             flag = "--" + dest.replace("_", "-")
-            raise InputError(f"{flag} must be >= {least}, got {value}")
+            bound = f">= {least}" + ("" if top is None else f" and <= {top}")
+            raise InputError(f"{flag} must be {bound}, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1244,7 +1255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ingest-status": _cmd_ingest_status,
     }
     try:
-        _check_minimums(args)
+        _check_bounds(args)
         return handlers[args.command](args)
     except _typed_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,6 +121,10 @@ _CACHE_HIT_OPS = 200
 _REJECT_OPS = 50
 _RELOAD_OPS = 200
 
+#: default ``batch_max_queries`` of both tiers, equal to their default
+#: ``max_inflight``: measured best over B in {1, 2, 4, 8} (CHANGES.md)
+DEFAULT_BATCH = 8
+
 
 @dataclass(frozen=True)
 class BrokerConfig:
@@ -135,9 +139,10 @@ class BrokerConfig:
     #: resend rounds after a CommTimeoutError before degrading
     retries: int = 1
     #: max already-arrived queries, of any kind, drained into one
-    #: fan-out round (one ``(verb, params)`` pair each); 1 sends one
-    #: query per round
-    batch_max_queries: int = 1
+    #: fan-out round (one ``(verb, params)`` pair each); the default
+    #: drains every arrival the default ``max_inflight`` admits; 1
+    #: sends one query per round
+    batch_max_queries: int = DEFAULT_BATCH
 
     def __post_init__(self) -> None:
         if not self.shard_timeout_s > 0:
@@ -1221,18 +1226,25 @@ class _Broker:
         """
         key = (self.epoch,) + entry[3].key()
         if self.config.cache_capacity > 0 and key in self.cache:
-            self.c_hit.inc(self.mrank)
-            self.cache.move_to_end(key)
-            self.ctx.charge_cpu(_CACHE_HIT_OPS)
-            loop.record(entry, self.cache[key], True, self.epoch)
+            self._hit(loop, entry, key, self.cache[key])
             return None
-        self.c_miss.inc(self.mrank)
         return key
+
+    def _hit(self, loop: _Loop, entry: tuple, key: tuple, resp: dict) -> None:
+        """Record a cache hit: ``resp`` is the answer cached under
+        ``key`` (refreshed in the LRU order if still held)."""
+        if key in self.cache:
+            self.cache.move_to_end(key)
+        self.c_hit.inc(self.mrank)
+        self.ctx.charge_cpu(_CACHE_HIT_OPS)
+        loop.record(entry, resp, True, self.epoch)
 
     def _answered(
         self, loop: _Loop, entry: tuple, key: tuple, resp: dict
     ) -> None:
-        """Cache (or count as degraded) and record a computed answer."""
+        """Count the miss, cache (or count as degraded) and record a
+        computed answer."""
+        self.c_miss.inc(self.mrank)
         if resp.get("partial"):
             self.c_degraded.inc(self.mrank)
         elif self.config.cache_capacity > 0:
@@ -1258,6 +1270,11 @@ class _Broker:
         # identity; they only share the fan-out and a common finish
         # time.
         batch = [(entry, key)]
+        # per member, the member whose answer it gets: its own, or --
+        # with the cache on -- the first member with its key, whose
+        # fresh answer it hits as it would queued behind it unbatched
+        source = [0]
+        first = {key: 0}
         while (
             loop.heap
             and len(batch) < cfg.batch_max_queries
@@ -1269,10 +1286,23 @@ class _Broker:
             if member is not None:
                 key2 = self._cached(loop, member)
                 if key2 is not None:
+                    i = len(batch)
+                    if cfg.cache_capacity > 0:
+                        i = first.setdefault(key2, i)
+                    source.append(i)
                     batch.append((member, key2))
-        resps = self.execute_batch([e[3] for e, _ in batch])
-        for (member, key2), resp in zip(batch, resps):
-            self._answered(loop, member, key2, resp)
+        fanned = [i for i, src in enumerate(source) if src == i]
+        resps = dict(
+            zip(fanned, self.execute_batch([batch[i][0][3] for i in fanned]))
+        )
+        for i, (member, key2) in enumerate(batch):
+            resp = resps[source[i]]
+            if source[i] == i or resp.get("partial"):
+                # a partial answer is never cached: a repeat of it
+                # is a miss, degraded, like its first
+                self._answered(loop, member, key2, resp)
+            else:
+                self._hit(loop, member, key2, resp)
 
     def _shutdown(self) -> None:
         """End-of-session: stop the shard ranks this broker owns."""

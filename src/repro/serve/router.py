@@ -58,6 +58,7 @@ from repro.runtime.cluster import MachineSpec
 from repro.runtime.errors import CommTimeoutError, RankFailedError
 from repro.runtime.service import serve_loop
 from repro.serve.broker import (
+    DEFAULT_BATCH,
     TAG_REQ,
     TAG_RESP,
     SessionReport,
@@ -106,7 +107,7 @@ class RouterConfig:
     cache_capacity: int = 128
     #: max already-arrived queries, of any kind, drained into one
     #: shard round-trip; 1 sends one query per round
-    batch_max_queries: int = 1
+    batch_max_queries: int = DEFAULT_BATCH
 
     def __post_init__(self) -> None:
         for name in ("brokers", "vnodes", "max_inflight", "batch_max_queries"):

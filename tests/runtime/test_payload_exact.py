@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.runtime import payload_nbytes
 from repro.serve.query import Candidate
+from repro.signature.topicality import RankedTerm
 
 
 def reference_nbytes(obj: Any) -> int:
@@ -249,3 +250,59 @@ def test_dataclass_type_is_not_cached_as_an_instance():
             Defaults(5, "é")
         )
     assert payload_nbytes([Defaults, 3]) == reference_nbytes([Defaults, 3])
+
+
+@dataclass
+class Empty:
+    """No fields: 16 bytes an item in a list."""
+
+
+def _column(*extra):
+    """One field's values: mostly exact numbers, sometimes anything
+    a per-item rule must size instead."""
+    return st.one_of(st.integers(), st.floats(), *extra)
+
+
+ranked_terms = st.builds(
+    RankedTerm,
+    term=st.text(alphabet=st.characters(), max_size=10),
+    gid=_column(st.sampled_from([np.int32(4), Weight(), True, None])),
+    score=_column(st.sampled_from([np.float32(0.5), Level.LOW])),
+    df=st.integers(),
+    cf=_column(st.text(max_size=3), st.lists(st.integers(), max_size=3)),
+)
+candidates = st.builds(
+    Candidate,
+    score=_column(st.sampled_from([np.float64(2.0), "s"])),
+    row=st.integers(),
+    doc_id=st.integers(),
+    cluster=_column(st.sampled_from(list(Level))),
+)
+#: lists and tuples of one dataclass type -- and, for the per-item
+#: path, of two types or a subclass beside its base
+rows = st.one_of(
+    st.lists(ranked_terms, min_size=1, max_size=30),
+    st.lists(candidates, min_size=1, max_size=30),
+    st.lists(st.builds(Empty), max_size=4),
+    st.lists(st.one_of(candidates, ranked_terms), min_size=2, max_size=6),
+    st.lists(
+        st.one_of(st.builds(Defaults), st.just(Defaults)), max_size=4
+    ),
+).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        _nest,
+        rows,
+        st.lists(
+            st.sampled_from(["list", "tuple", "dict", "pair", "candidate"]),
+            max_size=7,
+        ),
+    )
+)
+def test_rows_of_one_dataclass_match_reference(obj):
+    """The closed form over a list of one dataclass type, at every
+    depth up to and past the bound."""
+    assert payload_nbytes(obj) == reference_nbytes(obj)

@@ -15,6 +15,8 @@ from repro.engine.serial import SerialTextEngine
 from repro.index.termindex import build_term_postings
 from repro.ingest.delta import append_generation, build_delta
 from repro.ingest.feed import FeedConfig, FeedSource
+from repro.runtime.comm import Communicator
+from repro.serve.broker import TAG_REQ, TAG_RESP
 from repro.serve.store import build_shards
 
 ENGINE_CONFIG = EngineConfig(n_major_terms=200, n_clusters=5, chunk_docs=8)
@@ -77,6 +79,26 @@ def delta_store(corpus, result, postings, tmp_path_factory):
             result, batch.documents, tokenizer_config=ENGINE_CONFIG.tokenizer
         )
         append_generation(out, [delta])
+    return out
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Every non-stop ``TAG_REQ`` request and every ``TAG_RESP`` reply
+    sent while the test runs, by tag.
+
+    Recorded at ``_deliver``, the hook every message crosses: a
+    thread-less service rank sends its replies without going through
+    ``Communicator.send``."""
+    out = {TAG_REQ: [], TAG_RESP: []}
+    deliver = Communicator._deliver
+
+    def recording(self, dest, tag, msg, now):
+        if tag in out and msg.obj[0] != "stop":
+            out[tag].append(msg.obj)
+        return deliver(self, dest, tag, msg, now)
+
+    monkeypatch.setattr(Communicator, "_deliver", recording)
     return out
 
 

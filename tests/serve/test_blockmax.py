@@ -415,7 +415,11 @@ class TestBatchedBrokerIdentity:
         )
         assert len({q.kind for s in scripts for q in s.queries}) > 1
         reference = self._answers(
-            serve(stores[4], scripts, config=BrokerConfig(max_inflight=64))
+            serve(
+                stores[4],
+                scripts,
+                config=BrokerConfig(batch_max_queries=1, max_inflight=64),
+            )
         )
         report = serve(
             stores[4],

@@ -11,10 +11,7 @@ each message structurally, never by pickling.
 import pickle
 from types import SimpleNamespace
 
-import pytest
-
 from repro.runtime import payload
-from repro.runtime.comm import Communicator
 from repro.runtime.payload import payload_nbytes
 from repro.serve.broker import (
     SHARD_OPS,
@@ -27,26 +24,6 @@ from repro.serve.router import RouterConfig, serve_replicated
 from repro.serve.store import load_manifest
 from repro.serve.workload import generate_workload, store_profile
 from repro.workbench import generate_analyst_workload, serve_workbench
-
-
-@pytest.fixture
-def sent(monkeypatch):
-    """Every non-stop ``TAG_REQ`` request and every ``TAG_RESP`` reply
-    sent while the test runs, by tag.
-
-    Recorded at ``_deliver``, the hook every message crosses: a
-    thread-less service rank sends its replies without going through
-    ``Communicator.send``."""
-    out = {TAG_REQ: [], TAG_RESP: []}
-    deliver = Communicator._deliver
-
-    def recording(self, dest, tag, msg, now):
-        if tag in out and msg.obj[0] != "stop":
-            out[tag].append(msg.obj)
-        return deliver(self, dest, tag, msg, now)
-
-    monkeypatch.setattr(Communicator, "_deliver", recording)
-    return out
 
 
 def _workload(store, seed=11):

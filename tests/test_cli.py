@@ -657,6 +657,10 @@ def test_unknown_command_rejected():
             "--grid", id="themeview-grid-zero",
         ),
         pytest.param(
+            ["themeview-slices", "--store", "{tmp}/s", "--grid", "100000"],
+            "--grid", id="themeview-grid-huge",
+        ),
+        pytest.param(
             ["workbench-serve", "--store", "{tmp}/s", "--tenants", "0"],
             "--tenants", id="workbench-serve-tenants-zero",
         ),
