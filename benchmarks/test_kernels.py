@@ -37,10 +37,9 @@ def test_tokenizer_throughput(benchmark):
 
 def test_scan_kernel_throughput(benchmark):
     corpus = generate_pubmed(200_000, seed=1)
-    fields = {f: i for i, f in enumerate(corpus.field_names)}
 
     def scan():
-        fwd, terms, _ = scan_forward(corpus.documents, Tokenizer(), fields)
+        fwd, terms, _ = scan_forward(corpus.documents, Tokenizer())
         vocab = finalize_vocabulary_serial(terms)
         fwd.assign_gids(terms, vocab.term_to_gid)
         return fwd, vocab

@@ -105,9 +105,7 @@ def test_chrome_trace_export(benchmark, out_dir):
     def run_and_export():
         machine = MachineSpec().with_scale(wl.corpus.workload_scale())
         parts = partition_documents(wl.corpus.documents, 8)
-        sim = Cluster(8, machine).run(
-            _engine_rank_main, parts, wl.corpus.field_names, cfg
-        )
+        sim = Cluster(8, machine).run(_engine_rank_main, parts, cfg)
         sim.tracer.write_chrome_trace(out_dir / "trace.json")
         return sim
 

@@ -4,8 +4,8 @@
 Demonstrates the engine as a downstream user would deploy it:
 
 1. write a mixed corpus to ``.jsonl`` source files,
-2. read the sources back and run the *parallel* engine (8 simulated
-   processors),
+2. run the *parallel* engine over the files (8 simulated processors,
+   each scanning its own share of the sources),
 3. export the ThemeView terrain as PGM image + JSON, and the document
    coordinates as CSV -- "the final primary product of the text
    engine" (paper §2.1, step 9).
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.datasets import generate_pubmed, generate_trec
 from repro.engine import EngineConfig, ParallelTextEngine
-from repro.text import merge_corpora, read_corpus, write_corpus
+from repro.text import write_corpus
 from repro.viz import (
     build_themeview,
     export_json,
@@ -41,13 +41,14 @@ def main(out_dir: Path) -> None:
 
     # 2. scan the sources and process on 8 simulated processors
     sources = [
-        read_corpus(out_dir / "sources" / "pubmed.jsonl"),
-        read_corpus(out_dir / "sources" / "gov2.jsonl"),
+        out_dir / "sources" / "pubmed.jsonl",
+        out_dir / "sources" / "gov2.jsonl",
     ]
-    corpus = merge_corpora("mixed-sources", sources)
-    print(f"merged corpus: {len(corpus)} documents")
     config = EngineConfig(n_major_terms=400, n_clusters=8)
-    result = ParallelTextEngine(8, config=config).run(corpus)
+    result = ParallelTextEngine(8, config=config).run_files(
+        sources, corpus_name="mixed-sources"
+    )
+    print(f"scanned {result.n_docs} documents from {len(sources)} files")
     print(result.summary())
 
     # 3. exports

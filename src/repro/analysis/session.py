@@ -152,11 +152,6 @@ class AnalysisSession:
         result: EngineResult,
         postings: Optional[TermPostings] = None,
     ):
-        if result.signatures is None:
-            raise ValueError(
-                "AnalysisSession needs signatures; run the engine with "
-                "keep_signatures=True"
-            )
         self.result = result
         self._sigs = result.signatures
         self._coords = result.coords

@@ -1,4 +1,4 @@
-"""The bench studies: eight seeded workloads on one mechanism.
+"""The bench studies: seven seeded workloads on one mechanism.
 
 Each function below is registered with :func:`repro.bench.study.study`
 and returns one document of exact virtual statistics, ``info`` wall
@@ -6,12 +6,6 @@ clocks and named ``oracles`` (see :mod:`repro.bench.study` for what
 the runner does with them).  Default sizes are the module constants;
 tests pass toy sizes as keyword arguments.
 
-``runtime``
-    the generated-PubMed pipeline at P in {1, 4, 8, 16} under both
-    execution backends (``sim`` -- the single-process virtual-time
-    simulator, ``mp`` -- one OS process per rank): end-to-end and
-    per-stage virtual seconds and runtime counter totals, which the
-    two backends must agree on to the last bit.
 ``serving``
     one closed-loop workload replayed through the broker at P in
     {1, 2, 4, 8} shards, then at the largest count under a crash plan
@@ -49,6 +43,10 @@ tests pass toy sizes as keyword arguments.
     vs static load balancing and the §3.3 strategy ablation.  The
     figure tables are the exact records, the sweep points' runtime
     counter totals ride along, and every shape claim is an oracle.
+    The 2.75 GB PubMed sweep points at P in {4, 8, 16} run again under
+    the ``mp`` execution backend (one OS process per rank): their
+    end-to-end and per-stage virtual seconds and counter totals must
+    equal the ``sim`` (single-process simulator) run's to the last bit.
 """
 
 from __future__ import annotations
@@ -71,11 +69,7 @@ from repro.bench.figures import (
     run_all_sweeps,
     shape_oracles,
 )
-from repro.bench.harness import (
-    PAPER_PROCS,
-    default_figure_config,
-    make_workload,
-)
+from repro.bench.harness import PAPER_PROCS, PUBMED_SIZES
 from repro.bench.study import (
     CORPUS_SEED,
     Fixture,
@@ -110,9 +104,6 @@ from repro.workbench import (
 )
 
 WORKLOAD_SEED = 7
-
-RUNTIME_PROCS = (1, 4, 8, 16)
-RUNTIME_DOWNSCALE = 10_000.0
 
 SERVING_SHARDS = (1, 2, 4, 8)
 SERVING_CLIENTS = 4
@@ -162,10 +153,7 @@ _DASHBOARD_SPAN_S = 600.0
 _DASHBOARD_KNOBS = dict(
     n_clients=10,
     polls_per_client=8,
-    window_fraction=0.25,
     mean_poll_s=0.01,
-    search_fraction=0.25,
-    source_fraction=0.25,
     n_terms=6,
 )
 #: the stamped feed appended as the store's second generation (and
@@ -207,6 +195,8 @@ PAPER_DOWNSCALE = 10_000.0
 PAPER_SEED = 7
 PAPER_FIG9_PROCS = 8
 PAPER_FIG9_BYTES = 3_000_000
+#: processor counts of the smallest PubMed sweep re-run under mp
+PAPER_MP_PROCS = (4, 8, 16)
 
 
 def reap_children(timeout: float = 5.0) -> list[str]:
@@ -306,57 +296,6 @@ def _matrix_and_crash(
             "crash_run_degrades": pt["degraded"] > 0,
         },
     }
-
-
-@study("runtime")
-def runtime(
-    fixture, progress, procs=RUNTIME_PROCS, downscale=RUNTIME_DOWNSCALE
-) -> dict:
-    """Engine virtual time per backend and processor count."""
-    workload = make_workload(
-        "pubmed", "pubmed", 2.75e9, downscale=downscale, seed=7
-    )
-    doc: dict = {}
-    try:
-        for backend in ("sim", "mp"):
-            config = dataclasses.replace(
-                default_figure_config(), backend=backend
-            )
-            doc[backend] = {}
-            for p in procs:
-                engine = ParallelTextEngine(
-                    p, machine=MachineSpec(), config=config
-                )
-                t0 = time.perf_counter()
-                result = engine.run(workload.corpus)
-                wall = time.perf_counter() - t0
-                doc[backend][str(p)] = {
-                    "virtual_seconds": float(result.timings.wall_time),
-                    "stages_virtual_seconds": {
-                        k: float(v)
-                        for k, v in result.timings.component_seconds.items()
-                    },
-                    "counters": counter_totals(result.metrics),
-                    "info": {"wall_s": round(wall, 6)},
-                }
-                if progress:
-                    progress(
-                        f"runtime [{backend}] P={p}: {wall:.3f}s real, "
-                        f"{result.timings.wall_time:.2f}s virtual"
-                    )
-    finally:
-        leaked = reap_children()
-        if leaked and progress:  # pragma: no cover - pathological
-            progress(f"warning: unreaped child processes: {leaked}")
-    doc["oracles"] = {
-        # the backends run identical code against identical virtual
-        # machines: any difference is a broken bit-exactness contract
-        "sim_equals_mp": not compare(doc["sim"], doc["mp"]),
-        "counters_recorded": all(
-            pt["counters"] for b in ("sim", "mp") for pt in doc[b].values()
-        ),
-    }
-    return doc
 
 
 @study("serving")
@@ -870,6 +809,47 @@ def ingest(
     return doc
 
 
+def _engine_point(result) -> dict:
+    """Virtual seconds, per stage too, and counter totals of a run."""
+    return {
+        "virtual_seconds": float(result.timings.wall_time),
+        "stages_virtual_seconds": {
+            k: float(v) for k, v in result.timings.component_seconds.items()
+        },
+        "counters": counter_totals(result.metrics),
+    }
+
+
+def _backends(sweep, procs, progress) -> dict:
+    """The sweep's (``sim``) points at ``procs`` and the same runs
+    under the ``mp`` backend."""
+    config = dataclasses.replace(sweep.config, backend="mp")
+    doc: dict = {"sim": {}, "mp": {}}
+    try:
+        for p in procs:
+            doc["sim"][str(p)] = _engine_point(sweep.results[p])
+            t0 = time.perf_counter()
+            result = ParallelTextEngine(
+                p, machine=MachineSpec(), config=config
+            ).run(sweep.workload.corpus)
+            wall = time.perf_counter() - t0
+            doc["mp"][str(p)] = {
+                **_engine_point(result),
+                "info": {"wall_s": round(wall, 6)},
+            }
+            if progress:
+                progress(
+                    f"{sweep.workload.dataset} {sweep.workload.label} "
+                    f"[mp] P={p}: {wall:.3f}s real, "
+                    f"{result.timings.wall_time:.2f}s virtual"
+                )
+    finally:
+        leaked = reap_children()
+        if leaked and progress:  # pragma: no cover - pathological
+            progress(f"warning: unreaped child processes: {leaked}")
+    return doc
+
+
 @study("paper")
 def paper(
     fixture,
@@ -880,8 +860,10 @@ def paper(
     seed=PAPER_SEED,
     fig9_procs=PAPER_FIG9_PROCS,
     fig9_bytes=PAPER_FIG9_BYTES,
+    mp_procs=PAPER_MP_PROCS,
 ) -> dict:
-    """The paper's figures: records, sweep counters, shape oracles."""
+    """The paper's figures: records, sweep counters, shape oracles,
+    and the sim == mp check on the smallest PubMed sweep."""
     t0 = time.perf_counter()
     sweeps = run_all_sweeps(
         downscale=downscale,
@@ -889,6 +871,9 @@ def paper(
         config=config,
         seed=seed,
         progress=progress,
+    )
+    backends = _backends(
+        sweeps[("pubmed", PUBMED_SIZES[0][0])], mp_procs, progress
     )
     figures = {
         "figure5": figure5(sweeps),
@@ -914,6 +899,13 @@ def paper(
             }
             for (dataset, label), sweep in sweeps.items()
         },
-        "oracles": shape_oracles(figures),
+        "backends": backends,
+        "oracles": {
+            **shape_oracles(figures),
+            # the backends run identical code against identical
+            # virtual machines: any difference is a broken
+            # bit-exactness contract
+            "sim_equals_mp": not compare(backends["sim"], backends["mp"]),
+        },
         "info": {"wall_s": round(time.perf_counter() - t0, 6)},
     }

@@ -33,11 +33,6 @@ class Dendrogram:
             )
         return self._labels_after(self.n_points - k)
 
-    def cut_height(self, height: float) -> np.ndarray:
-        """Labels after applying all merges with distance <= height."""
-        n_apply = int(np.searchsorted(self.heights, height, side="right"))
-        return self._labels_after(n_apply)
-
     def _labels_after(self, n_merges: int) -> np.ndarray:
         parent = np.arange(self.n_points + n_merges)
 

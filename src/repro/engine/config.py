@@ -6,6 +6,14 @@ from dataclasses import dataclass, field
 
 from repro.text.tokenizer import TokenizerConfig
 
+#: micro-clusters per final cluster for the hierarchical methods
+MICRO_CLUSTER_FACTOR = 4
+#: Lloyd iteration cap and centroid-shift tolerance of both engines
+KMEANS_MAX_ITER = 40
+KMEANS_TOL = 1e-7
+#: checkpoint-restart attempts before a faulted run gives up
+MAX_RESTARTS = 8
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -23,9 +31,6 @@ class EngineConfig:
     topic_fraction: float = 0.10
     #: terms must appear in at least this many documents to be candidates
     min_df: int = 2
-    #: drop boilerplate terms present in more than this fraction of
-    #: documents (1.0 = keep everything)
-    max_df_fraction: float = 1.0
     #: adaptive dimensionality (§4.2 remedy): double N while too many
     #: signatures are null
     adapt_dimensionality: bool = True
@@ -38,10 +43,6 @@ class EngineConfig:
     #: micro-clusters: "single" | "complete" | "average" (§3.5's
     #: "other types of clustering")
     cluster_method: str = "kmeans"
-    #: micro-clusters per final cluster for hierarchical methods
-    micro_cluster_factor: int = 4
-    kmeans_max_iter: int = 40
-    kmeans_tol: float = 1e-7
     #: size of the replicated seeding sample
     kmeans_sample: int = 256
     seed: int = 0
@@ -62,15 +63,6 @@ class EngineConfig:
     #: GA-atomic dynamic load balancing on (paper) or off (baseline)
     dynamic_load_balancing: bool = True
 
-    # --- field emphasis -----------------------------------------------------
-    #: per-field token weights for signature generation (e.g.
-    #: {"title": 3.0}); unlisted fields weigh 1.0.  None = uniform.
-    field_weights: "dict[str, float] | None" = None
-
-    # --- outputs ---------------------------------------------------------
-    keep_signatures: bool = True
-    keep_term_stats: bool = True
-
     # --- fault tolerance -----------------------------------------------------
     #: fault scenario replayed against the run (None = fault-free);
     #: see :class:`repro.runtime.faults.FaultPlan`
@@ -78,8 +70,6 @@ class EngineConfig:
     #: directory for stage checkpoints; None = a temporary directory,
     #: auto-created when the plan injects crashes
     checkpoint_dir: "str | None" = None
-    #: give up after this many checkpoint-restart attempts
-    max_restarts: int = 8
 
     # --- tokenization -------------------------------------------------------
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
@@ -95,8 +85,6 @@ class EngineConfig:
             raise ValueError("topic_fraction must be in (0, 1]")
         if self.min_df < 1:
             raise ValueError("min_df must be >= 1")
-        if not 0.0 < self.max_df_fraction <= 1.0:
-            raise ValueError("max_df_fraction must be in (0, 1]")
         if self.max_major_terms < self.n_major_terms:
             raise ValueError(
                 "max_major_terms must be >= n_major_terms"
@@ -105,21 +93,9 @@ class EngineConfig:
             raise ValueError("max_null_fraction must be in [0, 1]")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
-        if self.kmeans_max_iter < 1:
-            raise ValueError("kmeans_max_iter must be >= 1")
-        if self.kmeans_tol < 0:
-            raise ValueError("kmeans_tol must be >= 0")
         if self.kmeans_sample < 1:
             raise ValueError("kmeans_sample must be >= 1")
         if self.projection_dim < 1:
             raise ValueError("projection_dim must be >= 1")
         if self.chunk_docs < 1:
             raise ValueError("chunk_docs must be >= 1")
-        if self.micro_cluster_factor < 1:
-            raise ValueError("micro_cluster_factor must be >= 1")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.field_weights is not None and any(
-            w < 0 for w in self.field_weights.values()
-        ):
-            raise ValueError("field_weights must be non-negative")

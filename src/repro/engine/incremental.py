@@ -65,10 +65,7 @@ def project_new_documents(
     """Place ``documents`` into ``result``'s signature space and view.
 
     Requires the result to carry its fitted projection (results from
-    this package's engines always do).  Field-emphasis weighting is not
-    applied here: a streamed record is scored on its full text, so for
-    models built with ``field_weights`` the incremental placement is an
-    unweighted approximation.
+    this package's engines always do).
     """
     return project_major_rows(
         result,

@@ -54,11 +54,10 @@ from repro.text.tokenizer import Tokenizer
 from repro.cluster.twolevel import merge_micro_clusters
 
 from .checkpoint import StageCheckpointer
-from .config import EngineConfig
+from .config import KMEANS_MAX_ITER, KMEANS_TOL, MAX_RESTARTS, EngineConfig
 from .persist import terms_from_arrays, terms_to_arrays
 from .results import EngineResult
 from .serial import (
-    _field_weight_arrays as _sig_weight_arrays,
     cluster_sizes,
     sample_indices,
     signature_model,
@@ -98,11 +97,10 @@ class ParallelTextEngine:
         machine = replace(
             self.machine, workload_scale=corpus.workload_scale()
         )
-        field_names = corpus.field_names
 
         def make_args(nlive: int) -> tuple:
             parts = partition_documents(corpus.documents, nlive)
-            return (parts, field_names, self.config)
+            return (parts, self.config)
 
         sim, recovery = self._run_with_recovery(
             machine, _engine_rank_main, make_args
@@ -217,7 +215,7 @@ class ParallelTextEngine:
                         }
                     )
                     nlive -= max(1, len(exc.failed))
-                    if nlive < 1 or recovery["restarts"] > cfg.max_restarts:
+                    if nlive < 1 or recovery["restarts"] > MAX_RESTARTS:
                         raise
         finally:
             if tmpdir is not None:
@@ -246,14 +244,11 @@ class ParallelTextEngine:
 def _engine_rank_main(
     ctx: RankContext,
     parts: list[list[Document]],
-    field_names: list[str],
     cfg: EngineConfig,
     ckpt: StageCheckpointer | None = None,
 ):
     """SPMD entry for in-memory corpora (pre-partitioned documents)."""
-    return _engine_core(
-        ctx, parts[ctx.rank], field_names, cfg, io_charged=False, ckpt=ckpt
-    )
+    return _engine_core(ctx, parts[ctx.rank], cfg, io_charged=False, ckpt=ckpt)
 
 
 def _files_rank_main(
@@ -263,8 +258,8 @@ def _files_rank_main(
     ckpt: StageCheckpointer | None = None,
 ):
     """SPMD entry for on-disk sources: each process scans its own
-    list of source files (paper §3.2), then global document IDs and
-    the field-name table are established collectively."""
+    list of source files (paper §3.2), then global document IDs are
+    established collectively."""
     import os
 
     from repro.text.formats import read_source
@@ -285,23 +280,7 @@ def _files_rank_main(
             Document(doc_id=offset + i, fields=d.fields)
             for i, d in enumerate(local_docs)
         ]
-        # deterministic global field-name table (rank order, first seen)
-        local_names: list[str] = []
-        seen: set[str] = set()
-        for d in docs:
-            for name in d.fields:
-                if name not in seen:
-                    seen.add(name)
-                    local_names.append(name)
-        gathered = ctx.comm.allgather(local_names)
-        field_names: list[str] = []
-        for part in gathered:
-            for name in part:
-                if name not in field_names:
-                    field_names.append(name)
-    return _engine_core(
-        ctx, docs, field_names, cfg, io_charged=True, ckpt=ckpt
-    )
+    return _engine_core(ctx, docs, cfg, io_charged=True, ckpt=ckpt)
 
 
 def _ckpt_write(
@@ -380,7 +359,6 @@ def _ranked_from_saved(arrays, prefix: str, term_to_gid) -> list[RankedTerm]:
 def _engine_core(
     ctx: RankContext,
     docs: list[Document],
-    field_names: list[str],
     cfg: EngineConfig,
     io_charged: bool,
     ckpt: StageCheckpointer | None = None,
@@ -399,8 +377,7 @@ def _engine_core(
     with ctx.region("scan"):
         if not io_charged:
             ctx.charge_io(local_bytes, concurrent_readers=ctx.nprocs)
-        field_to_id = {f: i for i, f in enumerate(field_names)}
-        forward, uniq, sstats = scan_forward(docs, tokenizer, field_to_id)
+        forward, uniq, sstats = scan_forward(docs, tokenizer)
         ctx.charge(
             machine.scan_seconds(sstats.nbytes, sstats.ntokens) * pf
         )
@@ -510,7 +487,7 @@ def _engine_core(
     else:
         majors, topics, assoc, sigs, null_fraction, rounds = _sig_stage(
             ctx, cfg, machine, pf, candidates, doc_gid_arrays,
-            n_docs, forward, field_names, sstats,
+            n_docs, sstats,
         )
         if ckpt is not None:
             gathered_sigs = ctx.comm.gather(
@@ -713,7 +690,6 @@ def _topic_stage(
         n_docs=n_docs,
         min_df=cfg.min_df,
         limit=cfg.max_major_terms,
-        max_df_fraction=cfg.max_df_fraction,
     )
     # global merge-sort of per-owner tops, broadcast to all (3.4)
     cand_nbytes = payload_nbytes(cands_local)
@@ -747,8 +723,6 @@ def _sig_stage(
     candidates,
     doc_gid_arrays,
     n_docs: int,
-    forward,
-    field_names,
     sstats,
 ):
     """Association matrix + knowledge signatures (paper 3.4)."""
@@ -771,13 +745,11 @@ def _sig_stage(
             * pf
         )
 
-    weight_arrays = _sig_weight_arrays(forward, field_names, cfg)
     majors, topics, assoc, batch, null_fraction, rounds = signature_model(
         candidates,
         doc_gid_arrays,
         n_docs,
         cfg,
-        doc_weight_arrays=weight_arrays,
         reduce_counts=reduce_counts,
         reduce_nulls=reduce_nulls,
         am_scope=lambda: ctx.region("am"),
@@ -835,7 +807,7 @@ def _clusproj_and_assemble(
         # Dhillon-Modha distributed k-means: local assign, allreduce
         # of per-cluster partial sums and counts
         n_iter = 0
-        for n_iter in range(1, cfg.kmeans_max_iter + 1):
+        for n_iter in range(1, KMEANS_MAX_ITER + 1):
             labels, sq = assign_points(sigs, centroids)
             ctx.charge(
                 machine.flops_seconds(
@@ -863,7 +835,7 @@ def _clusproj_and_assemble(
             centroids, shift = ctx.replicated(
                 ("clusproj.step", n_iter), _step
             )
-            if shift <= cfg.kmeans_tol:
+            if shift <= KMEANS_TOL:
                 break
         labels, sq = assign_points(sigs, centroids)
         if cfg.cluster_method != "kmeans":
@@ -909,14 +881,10 @@ def _clusproj_and_assemble(
         )
 
     # --------------------------- result assembly (bookkeeping, rank 0)
-    sig_pieces = None
-    if cfg.keep_signatures:
-        sig_pieces = ctx.comm.gather((my_ids, sigs), root=0, nbytes_hint=0.0)
-    stats_pieces = None
-    if cfg.keep_term_stats:
-        stats_pieces = ctx.comm.gather(
-            (local_terms, stats.df, stats.cf), root=0, nbytes_hint=0.0
-        )
+    sig_pieces = ctx.comm.gather((my_ids, sigs), root=0, nbytes_hint=0.0)
+    stats_pieces = ctx.comm.gather(
+        (local_terms, stats.df, stats.cf), root=0, nbytes_hint=0.0
+    )
     if ctx.rank != 0:
         return None
 
@@ -926,17 +894,13 @@ def _clusproj_and_assemble(
         [np.asarray(p[2], dtype=np.int64) for p in gathered]
     )
     order = np.argsort(all_ids)
-    signatures = None
-    if sig_pieces is not None:
-        sig_ids = np.concatenate([p[0] for p in sig_pieces])
-        sig_mat = np.vstack([p[1] for p in sig_pieces])
-        signatures = sig_mat[np.argsort(sig_ids)]
-    term_stats = None
-    if stats_pieces is not None:
-        term_stats = {}
-        for terms_part, df_part, cf_part in stats_pieces:
-            for t, dfv, cfv in zip(terms_part, df_part, cf_part):
-                term_stats[t] = (int(dfv), int(cfv))
+    sig_ids = np.concatenate([p[0] for p in sig_pieces])
+    sig_mat = np.vstack([p[1] for p in sig_pieces])
+    signatures = sig_mat[np.argsort(sig_ids)]
+    term_stats = {}
+    for terms_part, df_part, cf_part in stats_pieces:
+        for t, dfv, cfv in zip(terms_part, df_part, cf_part):
+            term_stats[t] = (int(dfv), int(cfv))
     return dict(
         n_docs=int(n_docs),
         vocab_size=vocab.size,

@@ -70,8 +70,9 @@ def save_result(result: EngineResult, path: PathLike) -> None:
         "null_fraction": result.null_fraction,
         "adapt_rounds": result.adapt_rounds,
         "meta": result.meta,
-        "has_signatures": result.signatures is not None,
-        "has_term_stats": result.term_stats is not None,
+        # every result carries both; the flags stay in the format
+        "has_signatures": True,
+        "has_term_stats": True,
     }
     if result.timings is not None:
         meta["timings"] = {
@@ -88,21 +89,19 @@ def save_result(result: EngineResult, path: PathLike) -> None:
     }
     for k, v in terms_to_arrays(result.major_terms).items():
         arrays[f"major_{k}"] = v
-    if result.signatures is not None:
-        arrays["signatures"] = result.signatures
+    arrays["signatures"] = result.signatures
     if result.projection is not None:
         arrays["pca_mean"] = result.projection.mean
         arrays["pca_components"] = result.projection.components
         arrays["pca_variance"] = result.projection.explained_variance
-    if result.term_stats is not None:
-        terms = sorted(result.term_stats)
-        arrays["stats_terms"] = np.array(terms, dtype=object)
-        arrays["stats_df"] = np.array(
-            [result.term_stats[t][0] for t in terms], dtype=np.int64
-        )
-        arrays["stats_cf"] = np.array(
-            [result.term_stats[t][1] for t in terms], dtype=np.int64
-        )
+    terms = sorted(result.term_stats)
+    arrays["stats_terms"] = np.array(terms, dtype=object)
+    arrays["stats_df"] = np.array(
+        [result.term_stats[t][0] for t in terms], dtype=np.int64
+    )
+    arrays["stats_cf"] = np.array(
+        [result.term_stats[t][1] for t in terms], dtype=np.int64
+    )
     if result.metrics is not None:
         # stored as its own entry (not in _meta_json): the snapshot is
         # large and carries its own schema version ("repro-metrics/1")
@@ -129,9 +128,6 @@ def load_result(path: PathLike) -> EngineResult:
             }
         )
         topics = majors[: meta["n_topics"]]
-        signatures = (
-            z["signatures"] if meta.get("has_signatures") else None
-        )
         projection = None
         if "pca_mean" in z:
             projection = PCATransform(
@@ -139,14 +135,12 @@ def load_result(path: PathLike) -> EngineResult:
                 components=z["pca_components"],
                 explained_variance=z["pca_variance"],
             )
-        term_stats = None
-        if meta.get("has_term_stats"):
-            term_stats = {
-                str(t): (int(df), int(cf))
-                for t, df, cf in zip(
-                    z["stats_terms"], z["stats_df"], z["stats_cf"]
-                )
-            }
+        term_stats = {
+            str(t): (int(df), int(cf))
+            for t, df, cf in zip(
+                z["stats_terms"], z["stats_df"], z["stats_cf"]
+            )
+        }
         metrics = None
         if "_metrics_json" in z:
             metrics = json.loads(str(z["_metrics_json"][()]))
@@ -176,7 +170,7 @@ def load_result(path: PathLike) -> EngineResult:
             null_fraction=float(meta["null_fraction"]),
             adapt_rounds=int(meta["adapt_rounds"]),
             projection=projection,
-            signatures=signatures,
+            signatures=z["signatures"],
             term_stats=term_stats,
             timings=timings,
             metrics=metrics,

@@ -51,12 +51,13 @@ class EngineResult:
     #: number of times the adaptive-dimensionality loop doubled N
     adapt_rounds: int
 
+    #: (n_docs, M) signatures, doc order
+    signatures: np.ndarray
+    #: term -> (df, cf) over the whole collection
+    term_stats: dict[str, tuple[int, int]]
+
     #: the fitted centroid-PCA projection (None in legacy results)
     projection: Optional[PCATransform] = None
-    #: (n_docs, M) signatures, doc order (None unless keep_signatures)
-    signatures: Optional[np.ndarray] = None
-    #: term -> (df, cf) over the whole collection (None unless kept)
-    term_stats: Optional[dict[str, tuple[int, int]]] = None
 
     timings: Optional[StageTimings] = None
     #: runtime metrics snapshot (schema "repro-metrics/1"; see

@@ -43,7 +43,12 @@ from repro.signature.topicality import (
 from repro.text.documents import Corpus
 from repro.text.tokenizer import Tokenizer
 
-from .config import EngineConfig
+from .config import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
+    MICRO_CLUSTER_FACTOR,
+    EngineConfig,
+)
 from .results import EngineResult
 from .timings import StageTimings
 
@@ -60,18 +65,6 @@ def sample_indices(n_docs: int, sample_size: int) -> np.ndarray:
     return np.unique(
         np.linspace(0, n_docs - 1, num=take).astype(np.int64)
     )
-
-
-def _field_weight_arrays(forward, field_names, config: EngineConfig):
-    """Per-token weight arrays when field emphasis is configured."""
-    if not config.field_weights:
-        return None
-    nfields = max(1, len(field_names))
-    weights = np.array(
-        [config.field_weights.get(name, 1.0) for name in field_names],
-        dtype=np.float64,
-    )
-    return forward.token_weights(nfields, weights)
 
 
 def _stage_timer(stage_seconds: dict[str, float], name: str):
@@ -97,7 +90,7 @@ def cluster_sizes(config: EngineConfig, n_docs: int) -> tuple[int, int]:
     """(final cluster count, k-means micro-cluster count) for a run.
 
     Plain k-means uses one level; hierarchical methods cluster
-    ``micro_cluster_factor`` times as many micro-clusters first and
+    :data:`MICRO_CLUSTER_FACTOR` times as many micro-clusters first and
     merge them (see :mod:`repro.cluster.twolevel`).  Raises on unknown
     methods so both engines validate identically.
     """
@@ -110,14 +103,9 @@ def cluster_sizes(config: EngineConfig, n_docs: int) -> tuple[int, int]:
     k_goal = max(1, min(config.n_clusters, n_docs))
     if method == "kmeans":
         return k_goal, k_goal
-    k_fine = max(
-        1,
-        min(
-            config.n_clusters * max(1, config.micro_cluster_factor),
-            n_docs,
-        ),
+    return k_goal, max(
+        1, min(config.n_clusters * MICRO_CLUSTER_FACTOR, n_docs)
     )
-    return k_goal, k_fine
 
 
 def signature_model(
@@ -131,7 +119,6 @@ def signature_model(
     docvec_scope=None,
     charge_am=None,
     charge_docvec=None,
-    doc_weight_arrays=None,
     once=None,
 ):
     """Association-matrix + signature construction with the paper's
@@ -203,12 +190,7 @@ def signature_model(
                 ),
             )
         with docvec_scope():
-            batch = compute_signatures(
-                doc_gid_arrays,
-                table,
-                assoc,
-                doc_weight_arrays=doc_weight_arrays,
-            )
+            batch = compute_signatures(doc_gid_arrays, table, assoc)
             if charge_docvec is not None:
                 charge_docvec(batch)
             n_null_global = reduce_nulls(batch.n_null)
@@ -239,10 +221,7 @@ class SerialTextEngine:
 
         # ------------------------------------------------ scan & map
         t0 = time.perf_counter()
-        field_to_id = {f: i for i, f in enumerate(corpus.field_names)}
-        forward, terms, scan_stats = scan_forward(
-            corpus.documents, tokenizer, field_to_id
-        )
+        forward, terms, scan_stats = scan_forward(corpus.documents, tokenizer)
         vocab = finalize_vocabulary_serial(terms)
         forward.assign_gids(terms, vocab.term_to_gid)
         stage_seconds["scan"] = time.perf_counter() - t0
@@ -277,20 +256,17 @@ class SerialTextEngine:
             n_docs=n_docs,
             min_df=cfg.min_df,
             limit=cfg.max_major_terms,
-            max_df_fraction=cfg.max_df_fraction,
         )
         stage_seconds["topic"] = time.perf_counter() - t0
 
         # --------------------------------- association + signatures
         doc_gid_arrays = forward.per_doc(forward.gids)
-        weight_arrays = _field_weight_arrays(forward, corpus.field_names, cfg)
         majors, topics, assoc, batch, null_fraction, rounds = (
             signature_model(
                 candidates,
                 doc_gid_arrays,
                 n_docs,
                 cfg,
-                doc_weight_arrays=weight_arrays,
                 am_scope=_stage_timer(stage_seconds, "am"),
                 docvec_scope=_stage_timer(stage_seconds, "docvec"),
             )
@@ -303,12 +279,7 @@ class SerialTextEngine:
         sample = sigs[sample_indices(n_docs, cfg.kmeans_sample)]
         rng = np.random.default_rng(cfg.seed)
         seeds = kmeanspp_seeds(sample, k_fine, rng)
-        km = lloyd(
-            sigs,
-            seeds,
-            max_iter=cfg.kmeans_max_iter,
-            tol=cfg.kmeans_tol,
-        )
+        km = lloyd(sigs, seeds, max_iter=KMEANS_MAX_ITER, tol=KMEANS_TOL)
         if cfg.cluster_method == "kmeans":
             labels, centroids, inertia = km.labels, km.centroids, km.inertia
         else:
@@ -326,12 +297,10 @@ class SerialTextEngine:
         coords = transform.project(sigs)
         stage_seconds["clusproj"] = time.perf_counter() - t0
 
-        term_stats = None
-        if cfg.keep_term_stats:
-            term_stats = {
-                term: (int(stats.df[g]), int(stats.cf[g]))
-                for term, g in vocab.term_to_gid.items()
-            }
+        term_stats = {
+            term: (int(stats.df[g]), int(stats.cf[g]))
+            for term, g in vocab.term_to_gid.items()
+        }
         timings = StageTimings(
             component_seconds=stage_seconds,
             wall_time=time.perf_counter() - t_start,
@@ -354,7 +323,7 @@ class SerialTextEngine:
             null_fraction=null_fraction,
             adapt_rounds=rounds,
             projection=transform,
-            signatures=sigs if cfg.keep_signatures else None,
+            signatures=sigs,
             term_stats=term_stats,
             timings=timings,
             meta={"scan_tokens": scan_stats.ntokens},

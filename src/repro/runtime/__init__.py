@@ -39,7 +39,6 @@ from .metrics import (
     MetricsSchemaError,
     comm_matrix,
     counter_totals,
-    merge_snapshots,
     render_report,
     stage_imbalance,
     to_prometheus,
@@ -76,7 +75,6 @@ __all__ = [
     "MetricsSchemaError",
     "comm_matrix",
     "counter_totals",
-    "merge_snapshots",
     "render_report",
     "stage_imbalance",
     "to_prometheus",

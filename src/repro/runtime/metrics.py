@@ -36,11 +36,8 @@ Snapshot schema
 ---------------
 :meth:`MetricsRegistry.snapshot` returns a JSON-native dict versioned
 by ``schema`` (currently ``"repro-metrics/1"``); see
-:func:`validate_snapshot`.  :func:`merge_snapshots` combines snapshots
-(counters/histograms add, gauges take the max) and is associative and
-order-independent, so partial snapshots may be aggregated in any
-order.  :func:`to_prometheus` renders the Prometheus text exposition
-format for scraping.
+:func:`validate_snapshot`.  :func:`to_prometheus` renders the
+Prometheus text exposition format for scraping.
 
 Text report
 -----------
@@ -319,127 +316,6 @@ def validate_snapshot(snap: dict) -> dict:
         if section not in snap:
             raise MetricsSchemaError(f"snapshot missing {section!r}")
     return snap
-
-
-def _merge_values(a_doc: dict, b_doc: dict, kind: str) -> dict:
-    """Merge two family documents of the same name."""
-    if a_doc.get("labels") != b_doc.get("labels"):
-        raise MetricsSchemaError(
-            f"label mismatch: {a_doc.get('labels')} vs {b_doc.get('labels')}"
-        )
-    if kind == "histogram" and a_doc.get("bounds") != b_doc.get("bounds"):
-        raise MetricsSchemaError(
-            f"histogram bounds mismatch: {a_doc.get('bounds')} vs "
-            f"{b_doc.get('bounds')}"
-        )
-    merged: dict[tuple, dict] = {}
-    for entry in list(a_doc["values"]) + list(b_doc["values"]):
-        k = (entry["rank"], tuple(entry["key"]))
-        cur = merged.get(k)
-        if cur is None:
-            merged[k] = {
-                key: (list(v) if isinstance(v, list) else v)
-                for key, v in entry.items()
-            }
-        elif kind == "histogram":
-            cur["counts"] = [
-                x + y for x, y in zip(cur["counts"], entry["counts"])
-            ]
-            cur["sum"] += entry["sum"]
-            cur["count"] += entry["count"]
-        elif kind == "gauge":
-            cur["value"] = max(cur["value"], entry["value"])
-        else:
-            cur["value"] += entry["value"]
-    out = dict(a_doc)
-    out["values"] = sorted(
-        merged.values(), key=lambda e: (e["rank"], e["key"])
-    )
-    return out
-
-
-def merge_snapshots(a: dict, b: dict) -> dict:
-    """Combine two snapshots of the same world shape.
-
-    Counters and histograms add, gauges take the elementwise maximum,
-    and stage seconds/deltas add -- all associative, commutative
-    operations, so merging any number of partial snapshots yields the
-    same result in any order (property-tested).
-    """
-    validate_snapshot(a)
-    validate_snapshot(b)
-    if a["nprocs"] != b["nprocs"]:
-        raise MetricsSchemaError(
-            f"cannot merge snapshots with nprocs {a['nprocs']} and "
-            f"{b['nprocs']}"
-        )
-    out = {"schema": SCHEMA, "nprocs": a["nprocs"]}
-    for section, kind in (
-        ("counters", "counter"),
-        ("gauges", "gauge"),
-        ("histograms", "histogram"),
-    ):
-        merged: dict[str, dict] = {}
-        for name in sorted(set(a[section]) | set(b[section])):
-            in_a, in_b = name in a[section], name in b[section]
-            if in_a and in_b:
-                merged[name] = _merge_values(
-                    a[section][name], b[section][name], kind
-                )
-            else:
-                src = a[section][name] if in_a else b[section][name]
-                merged[name] = {
-                    **src,
-                    "values": sorted(
-                        src["values"], key=lambda e: (e["rank"], e["key"])
-                    ),
-                }
-        out[section] = merged
-    stages: dict[str, dict] = {}
-    for stage in sorted(set(a["stages"]) | set(b["stages"])):
-        sa = a["stages"].get(stage)
-        sb = b["stages"].get(stage)
-        if sa is None or sb is None:
-            src = sa if sa is not None else sb
-            stages[stage] = {
-                "seconds": list(src["seconds"]),
-                "blocked_seconds": list(src["blocked_seconds"]),
-                "counters": {
-                    name: {
-                        "values": sorted(
-                            doc["values"],
-                            key=lambda e: (e["rank"], e["key"]),
-                        )
-                    }
-                    for name, doc in src["counters"].items()
-                },
-            }
-            continue
-        counters: dict[str, dict] = {}
-        for name in sorted(set(sa["counters"]) | set(sb["counters"])):
-            da = sa["counters"].get(name, {"values": []})
-            db = sb["counters"].get(name, {"values": []})
-            counters[name] = {
-                "values": _merge_values(
-                    {"labels": None, "values": da["values"]},
-                    {"labels": None, "values": db["values"]},
-                    "counter",
-                )["values"]
-            }
-        stages[stage] = {
-            "seconds": [
-                x + y for x, y in zip(sa["seconds"], sb["seconds"])
-            ],
-            "blocked_seconds": [
-                x + y
-                for x, y in zip(
-                    sa["blocked_seconds"], sb["blocked_seconds"]
-                )
-            ],
-            "counters": counters,
-        }
-    out["stages"] = stages
-    return out
 
 
 def _sum(snap: dict, name: str, by: tuple[int, ...] = ()):

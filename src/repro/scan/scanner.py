@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class ScanStats:
     ndocs: int = 0
     nbytes: int = 0
     ntokens: int = 0
-    nfields: int = 0
 
 
 def scan_ids(
@@ -73,18 +72,14 @@ def scan_ids(
 
 
 def scan_forward(
-    documents: Sequence[Document],
-    tokenizer: Tokenizer,
-    field_name_to_id: Mapping[str, int],
+    documents: Sequence[Document], tokenizer: Tokenizer
 ) -> tuple[ForwardIndex, list[str], ScanStats]:
     """Forward-index ``documents`` in one tokenize-to-id pass.
 
     Returns ``(forward, terms, stats)``: ``forward.gids`` holds 1-based
     local ids into ``terms`` (the distinct terms, first seen first)
     until :meth:`~repro.scan.forward.ForwardIndex.assign_gids` maps
-    them to the finalized vocabulary.  A field's global id is
-    ``doc_id * nfields + field_name_to_id[name]``: unique per
-    (document, field name).
+    them to the finalized vocabulary.
     """
     terms: dict[str, int] = {}  # term -> 1-based id, first seen first
     ids, ends = scan_ids(
@@ -92,30 +87,17 @@ def scan_forward(
         tokenizer,
         lambda term: terms.setdefault(term, len(terms) + 1),
     )
-    nfields_global = max(field_name_to_id.values(), default=-1) + 1
-    field_ids = np.array(
-        [
-            doc.doc_id * nfields_global + field_name_to_id[name]
-            for doc in documents
-            for name in doc.fields
-        ],
-        dtype=np.int64,
-    )
     doc_fields = np.zeros(len(documents) + 1, dtype=np.int64)
     np.cumsum([len(doc.fields) for doc in documents], out=doc_fields[1:])
-    field_offsets = np.concatenate([np.zeros(1, np.int64), ends])
     forward = ForwardIndex(
         doc_ids=np.array([d.doc_id for d in documents], dtype=np.int64),
-        doc_offsets=field_offsets[doc_fields],
+        doc_offsets=np.concatenate([np.zeros(1, np.int64), ends])[doc_fields],
         doc_fields=doc_fields,
-        field_offsets=field_offsets,
-        field_ids=field_ids,
         gids=ids,
     )
     stats = ScanStats(
         ndocs=len(documents),
         nbytes=sum(d.nbytes for d in documents),
         ntokens=int(ids.size),
-        nfields=int(field_ids.size),
     )
     return forward, list(terms), stats

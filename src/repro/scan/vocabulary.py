@@ -42,9 +42,6 @@ class VocabMap:
     def size(self) -> int:
         return len(self.gid_to_term)
 
-    def owner_of_gid(self, gid: int) -> int:
-        return self.dist.owner_of(gid)
-
 
 def finalize_vocabulary(ctx: RankContext, hashmap: GlobalHashMap) -> VocabMap:
     """Collectively assign dense global IDs (all ranks call).

@@ -125,6 +125,10 @@ _RELOAD_OPS = 200
 #: ``max_inflight``: measured best over B in {1, 2, 4, 8} (CHANGES.md)
 DEFAULT_BATCH = 8
 
+#: resend rounds after a silent fan-out round before its shards are
+#: dropped (both tiers)
+RETRIES = 1
+
 
 @dataclass(frozen=True)
 class BrokerConfig:
@@ -136,8 +140,6 @@ class BrokerConfig:
     max_inflight: int = 8
     #: LRU result-cache capacity (entries); 0 disables caching
     cache_capacity: int = 128
-    #: resend rounds after a CommTimeoutError before degrading
-    retries: int = 1
     #: max already-arrived queries, of any kind, drained into one
     #: fan-out round (one ``(verb, params)`` pair each); the default
     #: drains every arrival the default ``max_inflight`` admits; 1
@@ -151,8 +153,6 @@ class BrokerConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
         if self.batch_max_queries < 1:
             raise ValueError("batch_max_queries must be >= 1")
 
@@ -1132,7 +1132,7 @@ class _Broker:
                         self.live.remove(s)
                 continue
             except CommTimeoutError:
-                if resends < cfg.retries:
+                if resends < RETRIES:
                     resends += 1
                     for s in sorted(pending):
                         send(s)

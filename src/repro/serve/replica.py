@@ -139,14 +139,6 @@ class ReplicaMap:
         """Ordered worker ids hosting ``shard`` (primary first)."""
         return self.assignments[shard]
 
-    def shards_of(self, worker: int) -> tuple[int, ...]:
-        """Shards hosted (at any replica slot) by ``worker``."""
-        return tuple(
-            s
-            for s in range(self.nshards)
-            if worker in self.assignments[s]
-        )
-
     def to_dict(self) -> dict:
         """JSON-friendly form for reports and manifests."""
         return {

@@ -27,7 +27,8 @@ Failure handling replaces flagged degradation with failover:
 - A silent shard (``CommTimeoutError`` after ``hedge_delay_s``) gets a
   *hedged* duplicate request on the next replica; the first answer
   wins and stragglers are drained by query id.  The silent worker is
-  marked SUSPECT for ``probation_s`` virtual seconds and deprioritized.
+  marked SUSPECT for :data:`PROBATION_S` virtual seconds and
+  deprioritized.
 - Only when a shard has no replica left does the broker drop it and
   flag the response partial -- with ``replicas=1`` this reduces
   exactly to the single-copy tier's flagged-degradation behavior.
@@ -59,6 +60,7 @@ from repro.runtime.errors import CommTimeoutError, RankFailedError
 from repro.runtime.service import serve_loop
 from repro.serve.broker import (
     DEFAULT_BATCH,
+    RETRIES,
     TAG_REQ,
     TAG_RESP,
     SessionReport,
@@ -76,6 +78,13 @@ TAG_REPORT = 105
 #: modelled router-side routing cost per client script (abstract ops)
 _ROUTE_OPS = 50
 
+#: placement, client-routing and backoff-jitter seed
+SEED = 0
+#: base of the jittered failover/retry backoff (virtual seconds)
+RETRY_JITTER_S = 0.05
+#: how long a timeout keeps a worker SUSPECT (virtual seconds)
+PROBATION_S = 10.0
+
 
 @dataclass(frozen=True)
 class RouterConfig:
@@ -87,20 +96,10 @@ class RouterConfig:
     workers: int = 0
     #: replicas per shard; 0 means the store manifest's ``replication``
     replicas: int = 0
-    #: virtual nodes per worker on the placement ring
-    vnodes: int = 16
-    #: placement / routing hash seed
-    seed: int = 0
     #: virtual seconds before a silent shard gets a hedged duplicate
     hedge_delay_s: float = 1.0
     #: virtual seconds a post-hedge round waits before retrying
     shard_timeout_s: float = 5.0
-    #: resend rounds after hedging before dropping a shard
-    retries: int = 1
-    #: base of the jittered failover/retry backoff (virtual seconds)
-    retry_jitter_s: float = 0.05
-    #: how long a timeout keeps a worker SUSPECT (virtual seconds)
-    probation_s: float = 10.0
     #: per-broker in-flight depth admitting priority-0 queries
     max_inflight: int = 8
     #: per-broker LRU result-cache capacity; 0 disables caching
@@ -110,18 +109,15 @@ class RouterConfig:
     batch_max_queries: int = DEFAULT_BATCH
 
     def __post_init__(self) -> None:
-        for name in ("brokers", "vnodes", "max_inflight", "batch_max_queries"):
+        for name in ("brokers", "max_inflight", "batch_max_queries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("workers", "replicas", "retries", "cache_capacity"):
+        for name in ("workers", "replicas", "cache_capacity"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("hedge_delay_s", "shard_timeout_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("retry_jitter_s", "probation_s"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,8 @@ class _TierBroker(_Broker):
         self.rmap = rmap
         self.broker_idx = ctx.rank - 1
         self.worker_base = 1 + config.brokers
-        self.health = ReplicaHealth(probation_s=config.probation_s)
-        self.rng = np.random.default_rng((config.seed, ctx.rank))
+        self.health = ReplicaHealth(probation_s=PROBATION_S)
+        self.rng = np.random.default_rng((SEED, ctx.rank))
         self.n_failover = 0
         self.n_hedge = 0
         m = ctx.metrics
@@ -259,7 +255,7 @@ class _TierBroker(_Broker):
 
     def _jitter(self, attempt: int) -> None:
         """Charge a seeded, jittered backoff before a re-send."""
-        base = self.config.retry_jitter_s * max(1, attempt)
+        base = RETRY_JITTER_S * max(1, attempt)
         self.ctx.charge(base * float(self.rng.uniform(0.5, 1.5)))
 
     # -- replica-aware fan-out -----------------------------------------
@@ -346,7 +342,7 @@ class _TierBroker(_Broker):
                             self.c_hedge.inc(self.mrank)
                             _send(s, nxt)
                     continue
-                if resends < cfg.retries:
+                if resends < RETRIES:
                     resends += 1
                     self._jitter(resends)
                     for s in sorted(pending):
@@ -437,7 +433,7 @@ def _router_rank(
     # exactly one broker
     for script in scripts:
         owner = getattr(script, ident[0])
-        assign[broker_of_client(owner, nbrokers, cfg.seed)].append(script)
+        assign[broker_of_client(owner, nbrokers, SEED)].append(script)
     for b in range(nbrokers):
         ctx.charge_cpu(_ROUTE_OPS * max(1, len(assign[b])))
         ctx.comm.send(1 + b, tuple(assign[b]), tag=TAG_SCRIPTS)
@@ -543,13 +539,7 @@ def tier_roles(
     replicas = cfg.replicas or max(1, manifest.replication)
     workers = cfg.workers or max(manifest.nshards, replicas)
     cfg = replace(cfg, replicas=replicas, workers=workers)
-    rmap = ReplicaMap.place(
-        manifest.nshards,
-        replicas,
-        workers,
-        vnodes=cfg.vnodes,
-        seed=cfg.seed,
-    )
+    rmap = ReplicaMap.place(manifest.nshards, replicas, workers, seed=SEED)
 
     def worker(ctx):
         handler = _ShardWorker(ctx, model, rmap, cfg.brokers).start()

@@ -906,20 +906,6 @@ class StoreManifest:
     def base_nbytes(self) -> int:
         return sum(s.nbytes for s in self.shards)
 
-    def shard_of_row(self, row: int) -> int:
-        """Index of the base shard whose rank owns a global row.
-
-        Delta rows map to the *serving* shard (their ``owner``), not a
-        base row range.
-        """
-        for i, s in enumerate(self.shards):
-            if s.row_lo <= row < s.row_hi:
-                return i
-        for d in self.deltas:
-            if d.row_lo <= row < d.row_hi:
-                return d.owner
-        raise KeyError(f"row {row} outside store of {self.n_docs} docs")
-
 
 def _manifest_from_data(path: str, data: dict) -> StoreManifest:
     """Decode a manifest document; every field is required."""
@@ -1202,11 +1188,6 @@ def build_shards(
     """
     if replication < 1:
         raise ValueError(f"replication must be >= 1, got {replication}")
-    if result.signatures is None:
-        raise ValueError(
-            "build_shards needs signatures; run the engine with "
-            "keep_signatures=True"
-        )
     if nshards < 1:
         raise ValueError(f"nshards must be >= 1, got {nshards}")
     n_docs = int(result.doc_ids.shape[0])

@@ -13,14 +13,15 @@ Query mix and skew follow the interactive-analysis shape: term
 searches and pseudo-signature queries over a rank-biased term pool
 (frequent model terms are queried more), k-NN jumps from recently
 "read" documents, cluster summaries, and landscape-region probes.  A
-configurable fraction of queries repeats from a small hot pool, which
-is what gives the result cache something to do.
+fixed fraction of queries repeats from a small hot pool, which is what
+gives the result cache something to do.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,33 @@ DEFAULT_MIX: dict[str, float] = {
     "cluster": 0.15,
     "region": 0.15,
 }
+
+#: share of :func:`generate_workload` queries repeated from a shared
+#: pool of ``HOT_POOL`` popular queries (cache fodder)
+HOT_FRACTION = 0.3
+HOT_POOL = 8
+
+#: dashboard poll mix over the window query kinds (sums to 1)
+DASHBOARD_MIX: dict[str, float] = {
+    "facet_counts": 0.45,
+    "window_terms": 0.35,
+    "emerging": 0.20,
+}
+#: a dashboard client's window, as a share of the store's stamp range
+WINDOW_FRACTION = 0.25
+#: share of dashboard polls that are classic search-mix queries
+SEARCH_FRACTION = 0.25
+#: share of the other polls restricted to one seeded source region
+SOURCE_FRACTION = 0.25
+
+#: :func:`generate_zipf_workload`: distinct queries in the pool, the
+#: truncated-Zipf exponent of their popularity, the mean think time,
+#: and the admission classes clients are tagged with, by weight
+ZIPF_POOL = 64
+ZIPF_S = 1.3
+ZIPF_THINK_S = 0.2
+ZIPF_PRIORITIES = (0, 1, 2)
+ZIPF_PRIORITY_WEIGHTS = (0.2, 0.5, 0.3)
 
 
 @dataclass(frozen=True)
@@ -105,13 +133,25 @@ def _rank_biased_term(rng: np.random.Generator, terms: tuple[str, ...]) -> str:
     return terms[min(r - 1, n - 1)]
 
 
+def _cdf(mix: dict[str, float]) -> tuple[list[str], np.ndarray]:
+    """Sorted kinds of a query mix and their cumulative shares."""
+    kinds = sorted(mix)
+    weights = np.array([mix[k] for k in kinds], dtype=np.float64)
+    return kinds, np.cumsum(weights / weights.sum())
+
+
+def _draw(rng: np.random.Generator, choices: Sequence, cum: np.ndarray):
+    """One of ``choices``, drawn by the cumulative shares ``cum``."""
+    return choices[int(np.searchsorted(cum, rng.random(), side="right"))]
+
+
 def _make_query(
     rng: np.random.Generator,
     profile: StoreProfile,
     kinds: list[str],
     cum: np.ndarray,
 ) -> Query:
-    kind = kinds[int(np.searchsorted(cum, rng.random(), side="right"))]
+    kind = _draw(rng, kinds, cum)
     if kind in ("search", "query"):
         n_terms = 1 + int(rng.integers(0, 3))
         terms = tuple(
@@ -133,63 +173,26 @@ def _make_query(
     return Query(kind="region", x=x, y=y, radius=radius)
 
 
-def _client_priorities(
-    n_clients: int,
-    seed: int,
-    priority_classes: tuple[int, ...],
-    priority_weights: tuple[float, ...] | None,
-) -> list[int]:
-    """Seeded per-client priority assignment.
-
-    Drawn from a *separate* rng stream (derived from ``seed``) so
-    tagging a workload with priorities never perturbs its query or
-    think-time draws -- the byte-identity of an untagged workload is
-    load-bearing for every baseline comparison.
-    """
-    if len(priority_classes) == 1:
-        return [int(priority_classes[0])] * n_clients
-    if any(p < 0 for p in priority_classes):
-        raise ValueError(
-            f"priority classes must be >= 0: {priority_classes}"
-        )
-    if priority_weights is None:
-        weights = np.full(len(priority_classes), 1.0)
-    else:
-        if len(priority_weights) != len(priority_classes):
-            raise ValueError(
-                "priority_weights must match priority_classes: "
-                f"{priority_weights} vs {priority_classes}"
+def _scripts(sessions, priorities=None) -> list[ClientScript]:
+    """One :class:`ClientScript` per client from its ``(query,
+    think_s)`` pairs, drawn client by client in order."""
+    scripts: list[ClientScript] = []
+    for c, pairs in enumerate(sessions):
+        pairs = list(pairs)
+        scripts.append(
+            ClientScript(
+                client=c,
+                queries=tuple(q for q, _ in pairs),
+                think_s=tuple(t for _, t in pairs),
+                priority=0 if priorities is None else priorities[c],
             )
-        weights = np.array(priority_weights, dtype=np.float64)
-    if weights.sum() <= 0:
-        raise ValueError(f"priority weights have no mass: {priority_weights}")
-    rng = np.random.default_rng((seed, 0x70))
-    cum = np.cumsum(weights / weights.sum())
-    return [
-        int(
-            priority_classes[
-                int(np.searchsorted(cum, rng.random(), side="right"))
-            ]
         )
-        for _ in range(n_clients)
-    ]
+    return scripts
 
 
-def client_tenants(
-    n_clients: int, seed: int, n_tenants: int
-) -> list[int]:
-    """Seeded per-client tenant assignment.
-
-    Mirrors :func:`_client_priorities`: tenants come from a *separate*
-    rng stream derived from ``seed`` (a distinct stream key, so
-    tenant-tagging composes with priority-tagging), and the default
-    single tenant draws nothing at all -- an untagged workload's query
-    and think-time streams stay byte-identical.
-    """
-    if n_tenants <= 1:
-        return [0] * n_clients
-    rng = np.random.default_rng((seed, 0x7E))
-    return [int(rng.integers(n_tenants)) for _ in range(n_clients)]
+def _require_queryable(profile: StoreProfile) -> None:
+    if not profile.terms and not profile.doc_ids:
+        raise ValueError("store profile is empty; nothing to query")
 
 
 def generate_workload(
@@ -198,72 +201,38 @@ def generate_workload(
     queries_per_client: int = 25,
     seed: int = 0,
     mix: dict[str, float] | None = None,
-    hot_fraction: float = 0.3,
-    hot_pool: int = 8,
     mean_think_s: float = 0.05,
-    priority_classes: tuple[int, ...] = (0,),
-    priority_weights: tuple[float, ...] | None = None,
-    n_tenants: int = 1,
 ) -> list[ClientScript]:
     """Generate a seeded closed-loop workload over a store profile.
 
-    ``hot_fraction`` of queries repeat from a shared ``hot_pool`` of
-    popular queries (cache fodder); the rest are fresh draws.  Think
-    times are exponential with mean ``mean_think_s`` virtual seconds.
-    ``priority_classes`` (with optional ``priority_weights``) tags
-    each client with a seeded admission class; ``n_tenants`` tags each
-    client with a seeded workbench tenant.  The defaults (one class,
-    one tenant) leave every script at priority 0 / tenant 0 and the
-    query stream byte-identical to untagged workloads.
+    :data:`HOT_FRACTION` of queries repeat from a shared pool of
+    :data:`HOT_POOL` popular queries (cache fodder); the rest are fresh
+    draws from ``mix`` (default :data:`DEFAULT_MIX`).  Think times are
+    exponential with mean ``mean_think_s`` virtual seconds.
     """
-    if not profile.terms and not profile.doc_ids:
-        raise ValueError("store profile is empty; nothing to query")
+    _require_queryable(profile)
     mix = dict(DEFAULT_MIX if mix is None else mix)
     bad = sorted(set(mix) - set(DEFAULT_MIX))
     if bad:
         raise ValueError(f"unknown query kinds in mix: {bad}")
-    kinds = sorted(mix)
-    weights = np.array([mix[k] for k in kinds], dtype=np.float64)
-    if weights.sum() <= 0:
+    if sum(mix.values()) <= 0:
         raise ValueError(f"query mix has no mass: {mix}")
-    cum = np.cumsum(weights / weights.sum())
-    priorities = _client_priorities(
-        n_clients, seed, priority_classes, priority_weights
-    )
-    tenants = client_tenants(n_clients, seed, n_tenants)
+    kinds, cum = _cdf(mix)
     rng = np.random.default_rng(seed)
-    pool = [
-        _make_query(rng, profile, kinds, cum) for _ in range(hot_pool)
-    ]
-    scripts: list[ClientScript] = []
-    for c in range(n_clients):
-        queries: list[Query] = []
-        think: list[float] = []
-        for _ in range(queries_per_client):
-            if pool and rng.random() < hot_fraction:
-                q = pool[int(rng.integers(len(pool)))]
-            else:
-                q = _make_query(rng, profile, kinds, cum)
-            queries.append(q)
-            think.append(float(rng.exponential(mean_think_s)))
-        scripts.append(
-            ClientScript(
-                client=c,
-                queries=tuple(queries),
-                think_s=tuple(think),
-                priority=priorities[c],
-                tenant=tenants[c],
-            )
+    pool = [_make_query(rng, profile, kinds, cum) for _ in range(HOT_POOL)]
+
+    def query() -> Query:
+        if pool and rng.random() < HOT_FRACTION:
+            return pool[int(rng.integers(len(pool)))]
+        return _make_query(rng, profile, kinds, cum)
+
+    return _scripts(
+        (
+            (query(), float(rng.exponential(mean_think_s)))
+            for _ in range(queries_per_client)
         )
-    return scripts
-
-
-#: default dashboard poll mix over the window query kinds (sums to 1)
-DASHBOARD_MIX: dict[str, float] = {
-    "facet_counts": 0.45,
-    "window_terms": 0.35,
-    "emerging": 0.20,
-}
+        for _ in range(n_clients)
+    )
 
 
 def generate_dashboard_workload(
@@ -271,30 +240,23 @@ def generate_dashboard_workload(
     n_clients: int = 12,
     polls_per_client: int = 10,
     seed: int = 0,
-    window_fraction: float = 0.25,
     mean_poll_s: float = 0.02,
-    search_fraction: float = 0.25,
-    source_fraction: float = 0.25,
     n_terms: int = 8,
-    mix: dict[str, float] | None = None,
-    priority_classes: tuple[int, ...] = (0,),
-    priority_weights: tuple[float, ...] | None = None,
-    n_tenants: int = 1,
 ) -> list[ClientScript]:
     """Generate the dashboard workload class over a *stamped* store.
 
     Many clients poll sliding-window queries at high rate: each client
-    owns a window of ``window_fraction`` of the store's stamp range at
-    a seeded phase offset, and every poll slides it forward so the last
-    poll's window ends at the range's upper bound -- the "live
+    owns a window of :data:`WINDOW_FRACTION` of the store's stamp range
+    at a seeded phase offset, and every poll slides it forward so the
+    last poll's window ends at the range's upper bound -- the "live
     dashboard tailing the feed" shape.  Polls draw their kind from
-    ``mix`` (over ``facet_counts`` / ``window_terms`` / ``emerging``),
-    a ``source_fraction`` of them restrict to one seeded source
-    region, and a ``search_fraction`` of polls interleave classic
-    search-mix traffic so dashboards contend with interactive
-    analysis.  Think times are exponential with mean ``mean_poll_s``
-    (high-rate polling).  Fully deterministic in ``(profile, seed,
-    knobs)``; raises ``ValueError`` on unstamped profiles.
+    :data:`DASHBOARD_MIX`, :data:`SOURCE_FRACTION` of them restrict to
+    one seeded source region, and :data:`SEARCH_FRACTION` of polls
+    interleave classic search-mix traffic so dashboards contend with
+    interactive analysis.  Think times are exponential with mean
+    ``mean_poll_s`` (high-rate polling).  Fully deterministic in
+    ``(profile, seed, knobs)``; raises ``ValueError`` on unstamped
+    profiles.
     """
     if profile.facet_range is None or profile.n_sources < 1:
         raise ValueError(
@@ -302,59 +264,27 @@ def generate_dashboard_workload(
             "facet range and source count (build the store from a "
             "stamped corpus)"
         )
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError(
-            f"window_fraction must be in (0, 1], got {window_fraction}"
-        )
-    if not 0.0 <= search_fraction < 1.0:
-        raise ValueError(
-            f"search_fraction must be in [0, 1), got {search_fraction}"
-        )
-    if not 0.0 <= source_fraction <= 1.0:
-        raise ValueError(
-            f"source_fraction must be in [0, 1], got {source_fraction}"
-        )
-    mix = dict(DASHBOARD_MIX if mix is None else mix)
-    bad = sorted(set(mix) - set(DASHBOARD_MIX))
-    if bad:
-        raise ValueError(f"unknown dashboard query kinds in mix: {bad}")
-    kinds = sorted(mix)
-    weights = np.array([mix[k] for k in kinds], dtype=np.float64)
-    if weights.sum() <= 0:
-        raise ValueError(f"dashboard mix has no mass: {mix}")
-    cum = np.cumsum(weights / weights.sum())
-    search_kinds = sorted(DEFAULT_MIX)
-    search_weights = np.array(
-        [DEFAULT_MIX[k] for k in search_kinds], dtype=np.float64
-    )
-    search_cum = np.cumsum(search_weights / search_weights.sum())
-    priorities = _client_priorities(
-        n_clients, seed, priority_classes, priority_weights
-    )
-    tenants = client_tenants(n_clients, seed, n_tenants)
+    kinds, cum = _cdf(DASHBOARD_MIX)
+    search_kinds, search_cum = _cdf(DEFAULT_MIX)
     lo, hi = profile.facet_range
     span = max(hi - lo, 1e-9)
-    window = span * window_fraction
+    window = span * WINDOW_FRACTION
     rng = np.random.default_rng(seed)
-    scripts: list[ClientScript] = []
-    for c in range(n_clients):
+
+    def polls():
         # each client's window starts at a seeded phase and slides so
         # its final poll ends exactly at the stamp range's upper bound
         phase = float(rng.random()) * (span - window)
         t1_first = lo + phase + window
         slide = (hi - t1_first) / max(1, polls_per_client - 1)
-        queries: list[Query] = []
-        think: list[float] = []
         for i in range(polls_per_client):
-            if search_fraction and rng.random() < search_fraction:
+            if SEARCH_FRACTION and rng.random() < SEARCH_FRACTION:
                 q = _make_query(rng, profile, search_kinds, search_cum)
             else:
-                kind = kinds[
-                    int(np.searchsorted(cum, rng.random(), side="right"))
-                ]
+                kind = _draw(rng, kinds, cum)
                 t1 = t1_first + i * slide
                 source = -1
-                if source_fraction and rng.random() < source_fraction:
+                if SOURCE_FRACTION and rng.random() < SOURCE_FRACTION:
                     source = int(rng.integers(profile.n_sources))
                 q = Query(
                     kind=kind,
@@ -363,18 +293,21 @@ def generate_dashboard_workload(
                     t1=t1,
                     source=source,
                 )
-            queries.append(q)
-            think.append(float(rng.exponential(mean_poll_s)))
-        scripts.append(
-            ClientScript(
-                client=c,
-                queries=tuple(queries),
-                think_s=tuple(think),
-                priority=priorities[c],
-                tenant=tenants[c],
-            )
-        )
-    return scripts
+            yield q, float(rng.exponential(mean_poll_s))
+
+    return _scripts(polls() for _ in range(n_clients))
+
+
+def _zipf_priorities(n_clients: int, seed: int) -> list[int]:
+    """Seeded per-client admission classes.
+
+    Drawn from a *separate* rng stream (derived from ``seed``), so the
+    tags never perturb the query or think-time draws.
+    """
+    weights = np.array(ZIPF_PRIORITY_WEIGHTS, dtype=np.float64)
+    cum = np.cumsum(weights / weights.sum())
+    rng = np.random.default_rng((seed, 0x70))
+    return [_draw(rng, ZIPF_PRIORITIES, cum) for _ in range(n_clients)]
 
 
 def generate_zipf_workload(
@@ -382,63 +315,31 @@ def generate_zipf_workload(
     n_clients: int = 100,
     queries_per_client: int = 4,
     seed: int = 0,
-    mix: dict[str, float] | None = None,
-    pool_size: int = 64,
-    zipf_s: float = 1.3,
-    mean_think_s: float = 0.2,
-    priority_classes: tuple[int, ...] = (0, 1, 2),
-    priority_weights: tuple[float, ...] | None = (0.2, 0.5, 0.3),
-    n_tenants: int = 1,
 ) -> list[ClientScript]:
     """Generate a Zipf hot-spot workload (the scaling-study shape).
 
-    Every query is drawn from a fixed pool of ``pool_size`` distinct
-    queries with truncated-Zipf(``zipf_s``) popularity: a handful of
-    head queries dominate (cache- and replica-contention fodder) with
-    a long tail of rare ones.  Clients are tagged with seeded
-    priority classes for the shedding study.  Fully deterministic in
-    ``(profile, seed, knobs)`` like :func:`generate_workload`.
+    Every query is drawn from a fixed pool of :data:`ZIPF_POOL`
+    distinct queries with truncated-Zipf(:data:`ZIPF_S`) popularity: a
+    handful of head queries dominate (cache- and replica-contention
+    fodder) with a long tail of rare ones.  Clients are tagged with
+    seeded priority classes for the shedding study.  Fully
+    deterministic in ``(profile, seed, knobs)`` like
+    :func:`generate_workload`.
     """
-    if not profile.terms and not profile.doc_ids:
-        raise ValueError("store profile is empty; nothing to query")
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    if zipf_s <= 1.0:
-        raise ValueError(f"zipf_s must be > 1, got {zipf_s}")
-    mix = dict(DEFAULT_MIX if mix is None else mix)
-    bad = sorted(set(mix) - set(DEFAULT_MIX))
-    if bad:
-        raise ValueError(f"unknown query kinds in mix: {bad}")
-    kinds = sorted(mix)
-    weights = np.array([mix[k] for k in kinds], dtype=np.float64)
-    if weights.sum() <= 0:
-        raise ValueError(f"query mix has no mass: {mix}")
-    cum = np.cumsum(weights / weights.sum())
-    priorities = _client_priorities(
-        n_clients, seed, priority_classes, priority_weights
-    )
-    tenants = client_tenants(n_clients, seed, n_tenants)
+    _require_queryable(profile)
+    kinds, cum = _cdf(DEFAULT_MIX)
     rng = np.random.default_rng(seed)
-    pool = [
-        _make_query(rng, profile, kinds, cum) for _ in range(pool_size)
-    ]
-    scripts: list[ClientScript] = []
-    for c in range(n_clients):
-        queries: list[Query] = []
-        think: list[float] = []
-        for _ in range(queries_per_client):
-            # rank-1 is the hottest query; truncate the unbounded
-            # Zipf draw onto the pool's tail bucket
-            rank = min(int(rng.zipf(zipf_s)), pool_size)
-            queries.append(pool[rank - 1])
-            think.append(float(rng.exponential(mean_think_s)))
-        scripts.append(
-            ClientScript(
-                client=c,
-                queries=tuple(queries),
-                think_s=tuple(think),
-                priority=priorities[c],
-                tenant=tenants[c],
+    pool = [_make_query(rng, profile, kinds, cum) for _ in range(ZIPF_POOL)]
+    # rank 1 is the hottest query; truncate the unbounded Zipf draw
+    # onto the pool's tail bucket
+    sessions = (
+        (
+            (
+                pool[min(int(rng.zipf(ZIPF_S)), ZIPF_POOL) - 1],
+                float(rng.exponential(ZIPF_THINK_S)),
             )
+            for _ in range(queries_per_client)
         )
-    return scripts
+        for _ in range(n_clients)
+    )
+    return _scripts(sessions, _zipf_priorities(n_clients, seed))

@@ -21,7 +21,7 @@ making the final matrix bit-identical for every processor count.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,16 +57,14 @@ def major_row_table(major_gids: Sequence[int]) -> np.ndarray:
 def major_blocks(
     doc_gid_arrays: Sequence[np.ndarray],
     table: np.ndarray,
-    doc_weight_arrays: Optional[Sequence[np.ndarray]] = None,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Major-term hits of each block of at most :data:`BLOCK_DOCS` docs.
 
-    Yields ``(lo, nb, doc, rows, weights)``: the block covers documents
+    Yields ``(lo, nb, doc, rows)``: the block covers documents
     ``lo .. lo + nb - 1``; ``doc[k]`` (block-local) and ``rows[k]``
     (canonical major row) locate the k-th hit, in token order within
-    each document, and ``weights`` holds the hits' token weights (None
-    when ``doc_weight_arrays`` is None).  One table lookup serves the
-    whole block's concatenated gid stream.
+    each document.  One table lookup serves the whole block's
+    concatenated gid stream.
     """
     last = table.size - 1
     for lo in range(0, len(doc_gid_arrays), BLOCK_DOCS):
@@ -79,12 +77,7 @@ def major_blocks(
         hit = rows >= 0
         lengths = [g.size for g in block]
         doc = np.repeat(np.arange(nb, dtype=np.int64), lengths)[hit]
-        weights = None
-        if doc_weight_arrays is not None:
-            weights = np.concatenate(
-                doc_weight_arrays[lo : lo + BLOCK_DOCS]
-            ).astype(np.float64, copy=False)[hit]
-        yield lo, nb, doc, rows[hit], weights
+        yield lo, nb, doc, rows[hit]
 
 
 def count_cooccurrences(
@@ -108,7 +101,7 @@ def count_cooccurrences(
     """
     counts = np.zeros((n_major, n_topics), dtype=np.int64)
     step = max(1, PRODUCT_ENTRIES // max(1, n_topics))
-    for _, nb, doc, rows, _ in major_blocks(doc_gid_arrays, table):
+    for _, nb, doc, rows in major_blocks(doc_gid_arrays, table):
         if rows.size == 0:
             continue
         presence = np.zeros((nb, n_major), dtype=np.float32)

@@ -17,7 +17,7 @@ paper's adaptive-dimensionality remedy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,53 +42,29 @@ def compute_signatures(
     doc_gid_arrays: Sequence[np.ndarray],
     table: np.ndarray,
     association: np.ndarray,
-    doc_weight_arrays: Optional[Sequence[np.ndarray]] = None,
 ) -> SignatureBatch:
     """L1-normalized frequency-weighted signature per document.
 
     ``table`` is the gid -> canonical-row lookup of
     :func:`repro.signature.association.major_row_table`; ``association``
-    is the global (n_major, n_topics) matrix.
-
-    ``doc_weight_arrays`` (optional, aligned token-for-token with
-    ``doc_gid_arrays``) lets the engine weight occurrences by their
-    field -- e.g. counting title terms several times, the standard
-    IN-SPIRE-style emphasis of high-signal fields.  Omitted, every
-    occurrence counts once.
+    is the global (n_major, n_topics) matrix.  Every occurrence of a
+    major term counts once.
 
     Documents run in blocks.  A block's term frequencies are one
-    ``bincount`` over (document, row) bins in token order, so each bin
-    sums its weights in the same order as a per-document count; the
+    ``bincount`` over (document, row) bins, exact integers; the
     block's signatures are one stacked matmul, which still issues one
     ``vector @ matrix`` gemv per document.  The bytes therefore equal a
     per-document loop's; a single ``TF @ A`` gemm would move the last
     bits.
     """
     ndocs = len(doc_gid_arrays)
-    if doc_weight_arrays is not None:
-        if len(doc_weight_arrays) != ndocs:
-            raise ValueError(
-                f"{len(doc_weight_arrays)} doc weight arrays for "
-                f"{ndocs} documents"
-            )
-        for i, (gids, weights) in enumerate(
-            zip(doc_gid_arrays, doc_weight_arrays)
-        ):
-            if np.shape(weights) != np.shape(gids):
-                raise ValueError(
-                    f"doc weights must align with doc gids (document {i})"
-                )
     n_major, n_topics = association.shape
     out = np.zeros((ndocs, n_topics), dtype=np.float64)
     null_mask = np.ones(ndocs, dtype=bool)
-    for lo, nb, doc, rows, weights in major_blocks(
-        doc_gid_arrays, table, doc_weight_arrays
-    ):
+    for lo, nb, doc, rows in major_blocks(doc_gid_arrays, table):
         if rows.size == 0:
             continue
-        tf = np.bincount(
-            doc * n_major + rows, weights=weights, minlength=nb * n_major
-        )
+        tf = np.bincount(doc * n_major + rows, minlength=nb * n_major)
         tf = tf.astype(np.float64, copy=False).reshape(nb, n_major)
         sig = (tf[:, None, :] @ association)[:, 0, :]
         norm = sig.sum(axis=1)

@@ -87,21 +87,15 @@ def local_candidates(
     n_docs: int,
     min_df: int,
     limit: int,
-    max_df_fraction: float = 1.0,
 ) -> list[RankedTerm]:
     """A rank's top candidate major terms from its owned stats block.
 
     ``terms[i]`` corresponds to dense gid ``gid_lo + i``.  Because each
     owner contributes its own top ``limit``, the global top ``limit``
     is contained in the union of the per-owner candidate lists.
-
-    ``max_df_fraction`` optionally drops boilerplate terms that appear
-    in more than that fraction of the documents (they carry no
-    discriminating power and only widen the association matrix).
     """
     scores = condensation_scores(df, cf, n_docs)
-    df_cap = max(min_df, int(np.floor(max_df_fraction * n_docs)))
-    eligible = np.flatnonzero((df >= min_df) & (df <= df_cap))
+    eligible = np.flatnonzero(df >= min_df)
     if eligible.size == 0:
         return []
     if eligible.size > limit:

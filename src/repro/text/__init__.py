@@ -10,7 +10,7 @@ from .formats import (
     write_medline,
     write_trec_sgml,
 )
-from .io import merge_corpora, read_corpus, write_corpus
+from .io import read_corpus, write_corpus
 from .stopwords import DEFAULT_STOPWORDS
 from .tokenizer import Tokenizer, TokenizerConfig
 
@@ -20,7 +20,6 @@ __all__ = [
     "Document",
     "Tokenizer",
     "TokenizerConfig",
-    "merge_corpora",
     "parse_medline",
     "parse_trec_sgml",
     "read_medline",

@@ -64,15 +64,6 @@ class Corpus:
         """Generated (actual) byte size of the corpus."""
         return sum(d.nbytes for d in self.documents)
 
-    @property
-    def field_names(self) -> list[str]:
-        """Union of field names across documents, first-seen order."""
-        seen: dict[str, None] = {}
-        for d in self.documents:
-            for k in d.fields:
-                seen.setdefault(k, None)
-        return list(seen)
-
     def workload_scale(self) -> float:
         """Bytes-represented per byte-generated (>= 1.0)."""
         if self.represented_bytes is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 from .documents import Corpus, Document
 
@@ -67,24 +67,4 @@ def read_corpus(path: PathLike) -> Corpus:
         documents=documents,
         represented_bytes=represented,
         meta=meta,
-    )
-
-
-def merge_corpora(name: str, corpora: Iterable[Corpus]) -> Corpus:
-    """Concatenate several corpora, renumbering document IDs."""
-    documents: list[Document] = []
-    represented = 0.0
-    any_represented = False
-    for c in corpora:
-        for d in c:
-            documents.append(Document(doc_id=len(documents), fields=d.fields))
-        if c.represented_bytes is not None:
-            represented += c.represented_bytes
-            any_represented = True
-        else:
-            represented += c.nbytes
-    return Corpus(
-        name=name,
-        documents=documents,
-        represented_bytes=represented if any_represented else None,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -99,10 +98,3 @@ class Tokenizer:
         """All terms of ``text`` in order (duplicates preserved)."""
         terms = map(self._normalize_uncached, self.split(text))
         return [t for t in terms if t is not None]
-
-    def unique_terms(self, texts: Iterable[str]) -> set[str]:
-        """Set of distinct terms across ``texts``."""
-        seen: set[str] = set()
-        for t in texts:
-            seen.update(self.tokens(t))
-        return seen

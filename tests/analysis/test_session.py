@@ -16,16 +16,6 @@ def session():
     return AnalysisSession(result), corpus
 
 
-def test_requires_signatures():
-    corpus = generate_pubmed(40_000, seed=1)
-    cfg = EngineConfig(
-        n_major_terms=60, n_clusters=3, keep_signatures=False
-    )
-    res = SerialTextEngine(cfg).run(corpus)
-    with pytest.raises(ValueError, match="keep_signatures"):
-        AnalysisSession(res)
-
-
 def test_nearest_documents_orders_by_distance(session):
     sess, _ = session
     x, y = sess.result.coords[0][:2]

@@ -16,7 +16,6 @@ TOY_LABEL = "2s-3w-2b-r2-c4"
 #: toy sizes per study; a study registered without an entry here fails
 #: ``test_study.py::test_every_study_has_a_toy_config``
 TOY = {
-    "runtime": dict(procs=(1, 2), downscale=50_000.0),
     "serving": dict(shards=(1, 2), n_clients=2, queries_per_client=6),
     "replica": dict(matrix=(TOY_ROW,)),
     "workbench": dict(shards=(1, 2)),
@@ -38,6 +37,7 @@ TOY = {
         seed=5,
         fig9_procs=4,
         fig9_bytes=800_000,
+        mp_procs=(2, 8),
     ),
 }
 

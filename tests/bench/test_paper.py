@@ -56,7 +56,10 @@ PERTURBATIONS = {
 
 def test_toy_oracles_all_hold(toy_docs):
     doc = toy_docs["paper"]
-    assert doc["oracles"] == shape_oracles(doc["figures"])
+    assert doc["oracles"] == {
+        **shape_oracles(doc["figures"]),
+        "sim_equals_mp": True,
+    }
     assert [k for k, ok in doc["oracles"].items() if not ok] == []
 
 
@@ -71,7 +74,8 @@ def test_oracles_cover_every_figure(toy_docs):
         "ablation_ga_queue_beats_static",
         "ablation_ga_queue_beats_master_worker_at_max_p",
     } <= set(names)
-    assert len(names) == 51
+    # 51 shape oracles and the backend check
+    assert len(names) == 52
 
 
 @pytest.mark.parametrize("case", sorted(PERTURBATIONS))

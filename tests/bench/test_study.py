@@ -75,7 +75,7 @@ def test_info_leaves_never_drift(name, toy_docs):
     for path, _value, drifts in _drifts_per_leaf(base, True):
         assert drifts == [], path
     assert compare({**base, "info": {"host": "a"}}, base) == []
-    if name in ("runtime", "pruning"):
+    if name in ("paper", "pruning"):
         assert any("wall_s" in path for path, _ in _leaves(base, True))
 
 

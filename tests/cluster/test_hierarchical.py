@@ -43,17 +43,6 @@ def test_cut_k_out_of_range():
         dend.cut_k(6)
 
 
-def test_cut_height():
-    pts = _three_groups()
-    dend = agglomerative(pts, linkage="single")
-    # cutting below the smallest merge keeps all singletons
-    labels = dend.cut_height(0.05)
-    assert len(set(labels.tolist())) == 5
-    # cutting above everything yields one cluster
-    labels = dend.cut_height(1e9)
-    assert len(set(labels.tolist())) == 1
-
-
 def test_heights_nondecreasing_single_linkage():
     rng = np.random.default_rng(0)
     pts = rng.random((12, 3))

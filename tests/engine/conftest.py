@@ -13,7 +13,6 @@ def small_config():
         n_major_terms=120,
         n_clusters=5,
         kmeans_sample=48,
-        kmeans_max_iter=25,
         chunk_docs=4,
     )
 

@@ -44,7 +44,7 @@ def test_hierarchical_uses_micro_clusters(pubmed_small):
     """The two-level path must actually produce coarser groupings than
     the micro-cluster count."""
     res = SerialTextEngine(
-        _cfg("complete", micro_cluster_factor=4)
+        _cfg("complete")
     ).run(pubmed_small)
     assert res.centroids.shape[0] <= 4
 

@@ -20,14 +20,10 @@ def test_defaults_valid():
         {"max_null_fraction": -0.1},
         {"max_null_fraction": 1.5},
         {"n_clusters": 0},
-        {"kmeans_max_iter": 0},
-        {"kmeans_tol": -1e-9},
         {"kmeans_sample": 0},
         {"projection_dim": 0},
         {"chunk_docs": 0},
-        {"micro_cluster_factor": 0},
-        {"max_restarts": -1},
-        {"field_weights": {"title": -1.0}},
+        {"backend": "gpu"},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -42,9 +38,7 @@ def test_valid_edge_values():
         topic_fraction=1.0,
         min_df=1,
         n_clusters=1,
-        kmeans_tol=0.0,
         projection_dim=1,
-        field_weights={"title": 0.0},
     )
 
 

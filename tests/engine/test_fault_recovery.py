@@ -15,6 +15,7 @@ from repro.engine import (
     EngineConfig,
     ParallelTextEngine,
     SerialTextEngine,
+    parallel,
 )
 from repro.runtime import (
     CrashFault,
@@ -176,13 +177,12 @@ def test_straggler_changes_time_not_model(
 
 
 def test_restart_budget_exhaustion_raises(
-    pubmed_small, small_config, stage_mid_times
+    pubmed_small, small_config, stage_mid_times, monkeypatch
 ):
     plan = FaultPlan(
         faults=(CrashFault(rank=2, at_time=stage_mid_times["scan"]),)
     )
-    cfg = dataclasses.replace(
-        small_config, fault_plan=plan, max_restarts=0
-    )
+    cfg = dataclasses.replace(small_config, fault_plan=plan)
+    monkeypatch.setattr(parallel, "MAX_RESTARTS", 0)
     with pytest.raises(RankFailedError):
         ParallelTextEngine(NPROCS, config=cfg).run(pubmed_small)

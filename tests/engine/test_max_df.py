@@ -1,13 +1,7 @@
-"""max_df_fraction boilerplate-filter tests."""
+"""No document-frequency ceiling: a term in every document stays a
+candidate major term."""
 
-import numpy as np
-import pytest
-
-from repro.engine import (
-    EngineConfig,
-    ParallelTextEngine,
-    SerialTextEngine,
-)
+from repro.engine import EngineConfig, SerialTextEngine
 from repro.text import Corpus, Document
 
 
@@ -30,45 +24,7 @@ def _corpus():
     return Corpus("maxdf", docs)
 
 
-def _cfg(**kw):
-    return EngineConfig(
-        n_major_terms=12, min_df=1, n_clusters=2, kmeans_sample=8, **kw
-    )
-
-
-def test_boilerplate_excluded_when_filtered():
-    res = SerialTextEngine(_cfg(max_df_fraction=0.9)).run(_corpus())
-    assert "boilerplate" not in res.major_term_strings
-
-
 def test_boilerplate_kept_by_default():
-    res = SerialTextEngine(_cfg()).run(_corpus())
+    cfg = EngineConfig(n_major_terms=12, min_df=1, n_clusters=2, kmeans_sample=8)
+    res = SerialTextEngine(cfg).run(_corpus())
     assert "boilerplate" in res.major_term_strings
-
-
-def test_parallel_applies_same_filter():
-    cfg = _cfg(max_df_fraction=0.9)
-    s = SerialTextEngine(cfg).run(_corpus())
-    p = ParallelTextEngine(3, config=cfg).run(_corpus())
-    assert p.major_term_strings == s.major_term_strings
-    np.testing.assert_array_equal(p.signatures, s.signatures)
-
-
-def test_local_candidates_max_df_unit():
-    from repro.signature import local_candidates
-
-    terms = ["everywhere", "clumped"]
-    df = np.array([100, 5])
-    cf = np.array([150, 20])
-    out = local_candidates(
-        terms, 0, df, cf, n_docs=100, min_df=1, limit=10,
-        max_df_fraction=0.5,
-    )
-    assert [t.term for t in out] == ["clumped"]
-
-
-def test_invalid_fraction_rejected():
-    with pytest.raises(ValueError):
-        EngineConfig(max_df_fraction=0.0)
-    with pytest.raises(ValueError):
-        EngineConfig(max_df_fraction=1.2)

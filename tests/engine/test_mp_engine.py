@@ -12,13 +12,14 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import generate_pubmed
 from repro.engine import (
     EngineConfig,
     ParallelTextEngine,
+    parallel,
     save_result,
 )
 from repro.runtime import CrashFault, FaultPlan, RankFailedError
@@ -59,6 +60,8 @@ def test_engine_digests_match_across_backends(
     seed=st.integers(min_value=0, max_value=50),
     nprocs=st.integers(min_value=2, max_value=4),
 )
+# one rank: the engine's P = 1 point under both backends
+@example(nbytes=30_000, seed=7, nprocs=1)
 def test_small_corpora_agree_on_digests(
     tmp_path_factory, nbytes, seed, nprocs
 ):
@@ -69,7 +72,6 @@ def test_small_corpora_agree_on_digests(
         n_major_terms=80,
         n_clusters=4,
         kmeans_sample=32,
-        kmeans_max_iter=10,
         chunk_docs=4,
     )
     digests = {}
@@ -90,17 +92,15 @@ def scan_mid_time(pubmed_small, small_config):
 
 
 def test_crash_fault_plan_surfaces_same_error(
-    pubmed_small, small_config, scan_mid_time
+    pubmed_small, small_config, scan_mid_time, monkeypatch
 ):
     """A scan-stage crash reports the same rank and stage either way."""
     plan = FaultPlan(faults=(CrashFault(rank=2, at_time=scan_mid_time),))
+    monkeypatch.setattr(parallel, "MAX_RESTARTS", 0)
     errs = {}
     for backend in ("sim", "mp"):
         cfg = dataclasses.replace(
-            small_config,
-            fault_plan=plan,
-            max_restarts=0,
-            backend=backend,
+            small_config, fault_plan=plan, backend=backend
         )
         with pytest.raises(RankFailedError) as ei:
             ParallelTextEngine(NPROCS, config=cfg).run(pubmed_small)

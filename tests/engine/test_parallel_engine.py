@@ -56,11 +56,7 @@ def trec_df_cf(trec_small):
     """``term -> (df, cf)`` by brute-force inversion of the whole
     forward stream, independent of chunking and of the engines."""
     tok = Tokenizer(EngineConfig().tokenizer)
-    fwd, terms, _ = scan_forward(
-        trec_small.documents,
-        tok,
-        {f: i for i, f in enumerate(trec_small.field_names)},
-    )
+    fwd, terms, _ = scan_forward(trec_small.documents, tok)
     vocab = finalize_vocabulary_serial(terms)
     fwd.assign_gids(terms, vocab.term_to_gid)
     df = np.zeros(vocab.size, dtype=np.int64)

@@ -57,24 +57,6 @@ def test_roundtrip_timings(result, tmp_path):
     )
 
 
-def test_roundtrip_without_optionals(tmp_path):
-    from repro.datasets import generate_pubmed
-
-    corpus = generate_pubmed(40_000, seed=2)
-    cfg = EngineConfig(
-        n_major_terms=60,
-        n_clusters=3,
-        keep_signatures=False,
-        keep_term_stats=False,
-    )
-    res = SerialTextEngine(cfg).run(corpus)
-    path = tmp_path / "r.npz"
-    save_result(res, path)
-    back = load_result(path)
-    assert back.signatures is None
-    assert back.term_stats is None
-
-
 def test_loaded_result_supports_analysis(result, tmp_path):
     from repro.analysis import AnalysisSession
 

@@ -11,7 +11,7 @@ from repro.engine import (
 )
 from repro.text import (
     Corpus,
-    merge_corpora,
+    Document,
     write_corpus,
     write_medline,
     write_trec_sgml,
@@ -34,7 +34,8 @@ def source_files(tmp_path_factory):
         p = root / f"part{i}.jsonl"
         write_corpus(c, p)
         paths.append(p)
-    merged = merge_corpora("sources", corpora)
+    docs = [d.fields for c in corpora for d in c]
+    merged = Corpus("sources", [Document(i, f) for i, f in enumerate(docs)])
     return paths, merged
 
 

@@ -160,18 +160,6 @@ def test_empty_vocab_raises():
         SerialTextEngine(EngineConfig(min_df=1)).run(corpus)
 
 
-def test_keep_flags(pubmed_small):
-    cfg = EngineConfig(
-        n_major_terms=50,
-        n_clusters=3,
-        keep_signatures=False,
-        keep_term_stats=False,
-    )
-    res = SerialTextEngine(cfg).run(pubmed_small)
-    assert res.signatures is None
-    assert res.term_stats is None
-
-
 def test_projection_dim_3(pubmed_small):
     cfg = EngineConfig(n_major_terms=50, n_clusters=4, projection_dim=3)
     res = SerialTextEngine(cfg).run(pubmed_small)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.runtime.metrics import counter_totals, render_report
 from repro.cli import main
+from repro.serve import workload as serve_workload
 from repro.serve.broker import query_store, serve
 from repro.serve.query import Query, canonical_response
 from repro.serve.workload import (
@@ -199,14 +200,11 @@ def test_dashboard_workload_rejects_unstamped_profile(plain_store):
         generate_dashboard_workload(profile)
 
 
-def test_dashboard_windows_slide_forward(stamped_stores):
+def test_dashboard_windows_slide_forward(stamped_stores, monkeypatch):
+    monkeypatch.setattr(serve_workload, "SEARCH_FRACTION", 0.0)
     profile = store_profile(stamped_stores[2])
     scripts = generate_dashboard_workload(
-        profile,
-        n_clients=4,
-        polls_per_client=6,
-        seed=2,
-        search_fraction=0.0,
+        profile, n_clients=4, polls_per_client=6, seed=2
     )
     lo, hi = profile.facet_range
     for script in scripts:

@@ -51,18 +51,6 @@ def test_append_generation_manifest(result, make_store, feed_batches):
     assert manifest.shards == base.shards
 
 
-def test_shard_of_row_covers_deltas(result, make_store, feed_batches):
-    store = make_store(2)
-    manifest = _publish(result, store, feed_batches, n=2)
-    base_docs = manifest.base_n_docs
-    assert manifest.shard_of_row(0) == 0
-    for d in manifest.deltas:
-        assert manifest.shard_of_row(d.row_lo) == d.owner
-    with pytest.raises(KeyError):
-        manifest.shard_of_row(manifest.n_docs)
-    assert base_docs < manifest.n_docs
-
-
 def test_old_generations_stay_readable(result, make_store, feed_batches):
     store = make_store(2)
     _publish(result, store, feed_batches, n=2)

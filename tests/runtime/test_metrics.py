@@ -4,8 +4,6 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.runtime import Cluster
 from repro.runtime.metrics import (
@@ -14,7 +12,6 @@ from repro.runtime.metrics import (
     MetricsSchemaError,
     comm_matrix,
     counter_totals,
-    merge_snapshots,
     render_report,
     stage_imbalance,
     to_prometheus,
@@ -126,124 +123,6 @@ class TestSnapshotSchema:
 
     def test_current_schema_constant(self):
         assert _empty_snapshot()["schema"] == SCHEMA == "repro-metrics/1"
-
-
-def _snap_from_events(events, nprocs=2):
-    """Build a snapshot from (rank, key, value) counter events."""
-    reg = MetricsRegistry(nprocs)
-    fam = reg.counter("c", ("peer", "dir"))
-    hist = reg.histogram("h", bounds=(1.0, 10.0))
-    for rank, peer, value in events:
-        fam.inc(rank, value, key=(peer, "sent"))
-        hist.observe(rank, abs(value))
-    return reg.snapshot()
-
-
-# Values are dyadic (multiples of 0.5) so float64 addition is exact:
-# the associativity/commutativity assertions compare canonical JSON
-# byte-for-byte, which arbitrary floats would violate in the last ULP.
-_event = st.tuples(
-    st.integers(0, 1),
-    st.integers(0, 1),
-    st.integers(-200, 200).map(lambda n: n / 2.0),
-)
-
-
-class TestMerge:
-    def test_counters_add_gauges_max(self):
-        a = MetricsRegistry(2)
-        a.counter("c").inc(0, 1.0)
-        a.gauge("g").set(0, 5.0)
-        b = MetricsRegistry(2)
-        b.counter("c").inc(0, 2.0)
-        b.gauge("g").set(0, 3.0)
-        m = merge_snapshots(a.snapshot(), b.snapshot())
-        assert m["counters"]["c"]["values"][0]["value"] == 3.0
-        assert m["gauges"]["g"]["values"][0]["value"] == 5.0
-
-    def test_disjoint_families_union(self):
-        a = MetricsRegistry(2)
-        a.counter("only_a").inc(0, 1.0)
-        b = MetricsRegistry(2)
-        b.counter("only_b").inc(1, 2.0)
-        m = merge_snapshots(a.snapshot(), b.snapshot())
-        assert set(m["counters"]) == {"only_a", "only_b"}
-
-    def test_stage_sections_merge(self):
-        a = MetricsRegistry(2)
-        a.record_stage("s", 0, 1.0, 0.5, {("c", ()): 1.0})
-        b = MetricsRegistry(2)
-        b.record_stage("s", 0, 2.0, 0.0, {("c", ()): 4.0})
-        b.record_stage("t", 1, 3.0, 0.0, {})
-        m = merge_snapshots(a.snapshot(), b.snapshot())
-        assert m["stages"]["s"]["seconds"] == [3.0, 0.0]
-        assert m["stages"]["s"]["counters"]["c"]["values"][0]["value"] == 5.0
-        assert m["stages"]["t"]["seconds"] == [0.0, 3.0]
-
-    def test_nprocs_mismatch_rejected(self):
-        with pytest.raises(MetricsSchemaError, match="nprocs"):
-            merge_snapshots(_empty_snapshot(2), _empty_snapshot(4))
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        a = MetricsRegistry(1)
-        a.histogram("h", bounds=(1.0,)).observe(0, 0.5)
-        b = MetricsRegistry(1)
-        b.histogram("h", bounds=(2.0,)).observe(0, 0.5)
-        with pytest.raises(MetricsSchemaError, match="bounds"):
-            merge_snapshots(a.snapshot(), b.snapshot())
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        xs=st.lists(_event, max_size=12),
-        ys=st.lists(_event, max_size=12),
-        zs=st.lists(_event, max_size=12),
-    )
-    def test_merge_associative_and_commutative(self, xs, ys, zs):
-        """(a+b)+c == a+(b+c) and a+b == b+a, byte for byte.
-
-        This is what makes partial snapshots aggregatable in any
-        order (the hypothesis-property satellite of the issue).
-        """
-        a, b, c = (
-            _snap_from_events(ev) for ev in (xs, ys, zs)
-        )
-
-        def digest(s):
-            return json.dumps(s, sort_keys=True)
-
-        left = merge_snapshots(merge_snapshots(a, b), c)
-        right = merge_snapshots(a, merge_snapshots(b, c))
-        assert digest(left) == digest(right)
-        assert digest(merge_snapshots(a, b)) == digest(
-            merge_snapshots(b, a)
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(xs=st.lists(_event, max_size=12))
-    def test_merge_with_empty_is_identity(self, xs):
-        a = _snap_from_events(xs)
-        merged = merge_snapshots(a, _empty_snapshot())
-        assert json.dumps(merged["counters"], sort_keys=True) == json.dumps(
-            a["counters"], sort_keys=True
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        xs=st.lists(_event, max_size=10), ys=st.lists(_event, max_size=10)
-    )
-    def test_split_then_merge_equals_combined(self, xs, ys):
-        """Recording events in one registry == merging two halves."""
-        combined = _snap_from_events(xs + ys)
-        merged = merge_snapshots(
-            _snap_from_events(xs), _snap_from_events(ys)
-        )
-        ca = combined["counters"]["c"]["values"]
-        cm = merged["counters"]["c"]["values"]
-        assert [(e["rank"], e["key"]) for e in ca] == [
-            (e["rank"], e["key"]) for e in cm
-        ]
-        for ea, em in zip(ca, cm):
-            assert em["value"] == pytest.approx(ea["value"], abs=1e-9)
 
 
 class TestDerivedReports:

@@ -69,9 +69,7 @@ def test_engine_utilization_accessible():
     corpus = generate_pubmed(60_000, seed=3)
     cfg = EngineConfig(n_major_terms=80, n_clusters=3, kmeans_sample=24)
     parts = partition_documents(corpus.documents, 4)
-    sim = Cluster(4, MachineSpec()).run(
-        _engine_rank_main, parts, corpus.field_names, cfg
-    )
+    sim = Cluster(4, MachineSpec()).run(_engine_rank_main, parts, cfg)
     u = sim.utilization
     assert np.all(u > 0.0) and np.all(u <= 1.0)
     assert u.mean() > 0.4  # mostly-busy ranks on a balanced corpus

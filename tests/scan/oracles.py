@@ -60,7 +60,6 @@ def scan_documents(documents, tokenizer):
         stats.ndocs += 1
         stats.nbytes += rec.nbytes
         stats.ntokens += rec.ntokens
-        stats.nfields += len(rec.field_names)
     return scanned, stats
 
 
@@ -118,15 +117,3 @@ def chunk_streams(docs, lo: int, hi: int):
         np.concatenate([np.full(d.ntokens, d.doc_id, np.int64) for d in part]),
     )
 
-
-def token_weights(docs, nfields_global: int, field_weight_by_idx):
-    """Per-document token weights: each token takes its field's."""
-    weights = np.asarray(field_weight_by_idx, dtype=np.float64)
-    return [
-        np.repeat(
-            weights[d.field_ids % nfields_global], np.diff(d.field_offsets)
-        )
-        if d.ntokens
-        else np.empty(0, np.float64)
-        for d in docs
-    ]

@@ -5,8 +5,6 @@ import numpy as np
 from repro.scan import finalize_vocabulary_serial, scan_forward
 from repro.text import Document, Tokenizer
 
-FIELDS = {"title": 0, "body": 1}
-
 
 def _docs():
     return [
@@ -15,27 +13,26 @@ def _docs():
     ]
 
 
-def _forward(docs=None, fields=FIELDS):
-    fwd, terms, _ = scan_forward(docs or _docs(), Tokenizer(), fields)
+def _forward(docs=None):
+    fwd, terms, _ = scan_forward(docs or _docs(), Tokenizer())
     vocab = finalize_vocabulary_serial(terms)
     fwd.assign_gids(terms, vocab.term_to_gid)
     return fwd
 
 
 def test_scan_tokenizes_per_field():
-    fwd, terms, stats = scan_forward(_docs(), Tokenizer(), FIELDS)
+    fwd, terms, stats = scan_forward(_docs(), Tokenizer())
     # 1-based local ids, first seen first
     assert terms == ["alpha", "beta", "gamma", "delta"]
     np.testing.assert_array_equal(fwd.gids, [1, 2, 2, 3, 3, 4, 1, 4])
-    np.testing.assert_array_equal(fwd.field_offsets, [0, 2, 5, 6, 8])
+    np.testing.assert_array_equal(fwd.doc_offsets, [0, 5, 8])
     assert stats.ndocs == 2
     assert stats.ntokens == 5 + 3
-    assert stats.nfields == 4
     assert stats.nbytes == sum(d.nbytes for d in _docs())
 
 
 def test_unique_terms_sorted():
-    _, terms, _ = scan_forward(_docs(), Tokenizer(), FIELDS)
+    _, terms, _ = scan_forward(_docs(), Tokenizer())
     vocab = finalize_vocabulary_serial(terms)
     assert vocab.gid_to_term == ["alpha", "beta", "delta", "gamma"]
 
@@ -55,10 +52,7 @@ def test_encode_forward_gids_and_fields():
     np.testing.assert_array_equal(d0, [0, 1, 1, 3, 3])
     np.testing.assert_array_equal(fwd.doc_offsets, [0, 5, 8])
     np.testing.assert_array_equal(fwd.doc_fields, [0, 2, 4])
-    # global field ids: doc * 2 fields + {0, 1}
-    np.testing.assert_array_equal(fwd.field_ids, [0, 1, 2, 3])
     np.testing.assert_array_equal(fwd.doc_ids, [0, 1])
-    assert fwd.total_postings == 8
 
 
 def test_chunk_streams_expand_per_token():
@@ -75,7 +69,7 @@ def test_chunk_streams_empty_range():
 
 
 def test_empty_document_encodes():
-    fwd = _forward([Document(0, {"body": "..."})], {"body": 0})
+    fwd = _forward([Document(0, {"body": "..."})])
     assert fwd.ntokens_of_chunk(0, 1) == 0
     g, d = fwd.chunk_streams(0, 1)
     assert g.size == d.size == 0

@@ -54,6 +54,6 @@ def test_owner_of_gid_matches_distribution():
     vocabs = _run(3, [[f"q{i}" for i in range(30)]] * 3)
     v = vocabs[0]
     for gid in range(v.size):
-        owner = v.owner_of_gid(gid)
+        owner = v.dist.owner_of(gid)
         lo, hi = v.dist.local_range(owner)
         assert lo <= gid < hi

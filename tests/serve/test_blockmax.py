@@ -44,6 +44,7 @@ from repro.serve.store import (
     load_model,
     write_container,
 )
+from repro.serve import workload as serve_workload
 from repro.serve.workload import generate_workload, store_profile
 
 
@@ -394,7 +395,7 @@ class TestBatchedBrokerIdentity:
         assert batched.makespan < solo.makespan
 
     def test_drain_admits_caches_and_stops_like_the_solo_path(
-        self, stores
+        self, stores, monkeypatch
     ):
         """The batch drain under pressure: members rejected by
         admission and members answered from the cache (seed 5 at
@@ -404,13 +405,13 @@ class TestBatchedBrokerIdentity:
         Every served answer must still be the answer the same query
         gets unbatched with roomy admission, and the pump's accounting
         must balance."""
+        monkeypatch.setattr(serve_workload, "HOT_FRACTION", 0.5)
+        monkeypatch.setattr(serve_workload, "HOT_POOL", 4)
         scripts = generate_workload(
             store_profile(stores[4]),
             n_clients=8,
             queries_per_client=12,
             seed=5,
-            hot_fraction=0.5,
-            hot_pool=4,
             mean_think_s=0.0,
         )
         assert len({q.kind for s in scripts for q in s.queries}) > 1

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from repro.runtime.faults import CrashFault, FaultPlan
+from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
 from repro.runtime.metrics import counter_totals, render_report
 from repro.serve.broker import (
     QUERY_OPS,
+    RETRIES,
     SHARD_OPS,
+    TAG_REQ,
     BrokerConfig,
     execute_shard_op,
     query_store,
@@ -155,6 +157,26 @@ class TestFaultDegradation:
         text = render_report(report.metrics)
         assert "serving layer" in text
         assert "degraded responses" in text
+
+    def test_silent_shard_is_resent_then_dropped(self, stores, sent):
+        """A live shard whose replies never arrive in time gets the
+        round resent ``RETRIES`` times, then drops out of the answer."""
+        plan = FaultPlan(
+            faults=(StragglerFault(rank=2, factor=1e4),)
+        )
+        report = serve(
+            stores[2],
+            [_script([Query(kind="cluster", cluster=0)])],
+            config=BrokerConfig(shard_timeout_s=1.0),
+            faults=plan,
+        )
+        assert report.served == 1 and report.failed_ranks == []
+        response = report.responses[0]["response"]
+        assert response["partial"]
+        assert response["failed_shards"] == [1]
+        to_shard = [req for req in sent[TAG_REQ] if req[2] == 1]
+        assert len(to_shard) == 1 + RETRIES
+        assert len({req[0] for req in to_shard}) == 1  # one query id
 
     def test_crash_all_but_one_shard_still_answers(self, stores):
         queries = [

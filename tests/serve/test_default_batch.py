@@ -17,6 +17,7 @@ from repro.runtime.faults import CrashFault, FaultPlan
 from repro.runtime.metrics import counter_totals
 from repro.serve.broker import TAG_REQ, BrokerConfig, serve
 from repro.serve.query import canonical_response
+from repro.serve import workload as serve_workload
 from repro.serve.router import RouterConfig, serve_replicated
 from repro.serve.workload import generate_workload, store_profile
 
@@ -33,14 +34,13 @@ def _answers(report):
     }
 
 
-def _workload(store, seed=21, **kw):
+def _workload(store, seed=21):
     return generate_workload(
         store_profile(store),
         n_clients=8,
         queries_per_client=10,
         seed=seed,
         mean_think_s=0.0,
-        **kw,
     )
 
 
@@ -106,14 +106,17 @@ def _repeats(requests) -> int:
     )
 
 
-def test_repeated_keys_in_a_drain_fan_out_once(stores, sent):
+def test_repeated_keys_in_a_drain_fan_out_once(stores, sent, monkeypatch):
     """Hot keys at zero think time: several clients send the same
     query into one drain.  It runs the shard kernels once; the
     repeats are cache hits, so the answers and the number of cache
     lookups are those of one query per round, and no more bytes are
     scanned."""
     store_dir = stores[4]
-    scripts = _workload(store_dir, seed=5, hot_fraction=0.7, hot_pool=3)
+    # drive the hot pool up so repeats share drains
+    monkeypatch.setattr(serve_workload, "HOT_FRACTION", 0.7)
+    monkeypatch.setattr(serve_workload, "HOT_POOL", 3)
+    scripts = _workload(store_dir, seed=5)
 
     # without a cache nothing is merged: the drains do repeat keys
     serve(store_dir, scripts, config=BrokerConfig(cache_capacity=0))

@@ -63,15 +63,6 @@ class TestPlacement:
             8, 2, (0, 1, 2, 3)
         )
 
-    def test_shards_of_inverts_workers_for(self):
-        m = ReplicaMap.place(12, 2, 5)
-        for w in m.workers:
-            for s in m.shards_of(w):
-                assert w in m.workers_for(s)
-        for s in range(12):
-            for w in m.workers_for(s):
-                assert s in m.shards_of(w)
-
     def test_to_dict_json_clean(self):
         m = ReplicaMap.place(4, 2, 3)
         d = json.loads(json.dumps(m.to_dict()))

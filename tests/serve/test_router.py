@@ -15,6 +15,7 @@ from repro.runtime.faults import (
     StragglerFault,
 )
 from repro.runtime.metrics import counter_totals, render_report
+from repro.serve import workload as serve_workload
 from repro.serve.broker import BrokerConfig, _ShardWorker, serve
 from repro.serve.query import canonical_response
 from repro.serve.replica import ReplicaMap
@@ -183,15 +184,21 @@ class TestHedging:
         assert totals["serve.replica.suspect"] == report.suspicions
 
 
+def _thinkless_zipf(profile, **kw):
+    """A Zipf workload whose clients never think: an overload."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serve_workload, "ZIPF_THINK_S", 0.0)
+        return generate_zipf_workload(profile, **kw)
+
+
 class TestShedding:
     @pytest.fixture(scope="class")
     def overloaded(self, replicated_store):
-        scripts = generate_zipf_workload(
+        scripts = _thinkless_zipf(
             store_profile(replicated_store),
             n_clients=40,
             queries_per_client=3,
             seed=5,
-            mean_think_s=0.0,
         )
         cfg = RouterConfig(**{**_TIER, "max_inflight": 4})
         return scripts, serve_replicated(
@@ -231,12 +238,8 @@ class TestShedding:
             issued = {p: 0 for p in (0, 1, 2)}
             shed = {p: 0 for p in (0, 1, 2)}
             for seed in range(8):
-                scripts = generate_zipf_workload(
-                    profile,
-                    n_clients=40,
-                    queries_per_client=3,
-                    seed=seed,
-                    mean_think_s=0.0,
+                scripts = _thinkless_zipf(
+                    profile, n_clients=40, queries_per_client=3, seed=seed
                 )
                 report = serve_replicated(
                     replicated_store, scripts, config=cfg
@@ -372,6 +375,7 @@ from repro.runtime.faults import CrashFault, FaultPlan
 from repro.serve.query import canonical_response
 from repro.serve.router import RouterConfig, serve_replicated
 from repro.serve.store import build_shards
+from repro.serve import workload as serve_workload
 from repro.serve.workload import generate_zipf_workload, store_profile
 
 cfg = EngineConfig(n_major_terms=120, n_clusters=4, chunk_docs=8)
@@ -380,9 +384,9 @@ result = SerialTextEngine(cfg).run(corpus)
 postings = build_term_postings(corpus, result, cfg.tokenizer)
 store = sys.argv[1]
 build_shards(result, store, 4, postings=postings, replication=2)
+serve_workload.ZIPF_THINK_S = 0.0  # every client arrives at once
 scripts = generate_zipf_workload(
-    store_profile(store), n_clients=20, queries_per_client=3, seed=9,
-    mean_think_s=0.0,
+    store_profile(store), n_clients=20, queries_per_client=3, seed=9
 )
 plan = FaultPlan(faults=(CrashFault(rank=4, at_call=10),))
 report = serve_replicated(

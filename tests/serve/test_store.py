@@ -241,18 +241,6 @@ class TestManifest:
         for a, b in zip(manifest.shards, manifest.shards[1:]):
             assert a.row_hi == b.row_lo
 
-    def test_shard_of_row(self, stores):
-        manifest = load_manifest(stores[4])
-        for row in (0, manifest.n_docs - 1):
-            i = manifest.shard_of_row(row)
-            assert (
-                manifest.shards[i].row_lo
-                <= row
-                < manifest.shards[i].row_hi
-            )
-        with pytest.raises(KeyError):
-            manifest.shard_of_row(manifest.n_docs)
-
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ShardFormatError):
             load_manifest(tmp_path)
@@ -343,13 +331,6 @@ class TestBuildShards:
             np.testing.assert_array_equal(
                 shard.postings.tf, expect.tf
             )
-
-    def test_requires_signatures(self, result, tmp_path):
-        from dataclasses import replace
-
-        stripped = replace(result, signatures=None)
-        with pytest.raises(ValueError, match="signatures"):
-            build_shards(stripped, tmp_path / "s", 2)
 
     def test_rejects_bad_shard_count(self, result, tmp_path):
         with pytest.raises(ValueError, match="nshards"):

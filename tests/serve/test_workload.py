@@ -4,10 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.serve import workload as serve_workload
 from repro.serve.query import FACET_QUERY_KINDS, QUERY_KINDS
 from repro.serve.workload import (
     DEFAULT_MIX,
+    ZIPF_POOL,
     generate_workload,
+    generate_zipf_workload,
     store_profile,
 )
 
@@ -101,8 +104,6 @@ class TestGenerateWorkload:
             n_clients=4,
             queries_per_client=30,
             seed=9,
-            hot_fraction=0.5,
-            hot_pool=4,
         )
         keys = [q.key() for s in scripts for q in s.queries]
         assert len(set(keys)) < len(keys)
@@ -121,90 +122,37 @@ class TestPriorities:
         scripts = generate_workload(profile, n_clients=6, seed=3)
         assert all(s.priority == 0 for s in scripts)
 
-    def test_tagging_never_perturbs_queries(self, profile):
+    def test_tagging_never_perturbs_queries(self, profile, monkeypatch):
         """Priorities draw from a separate rng stream.
 
         The query/think streams of a tagged workload must stay
         byte-identical to the untagged one -- the serving baselines
         depend on exactly this.
         """
-        plain = generate_workload(profile, n_clients=8, seed=3)
-        tagged = generate_workload(
-            profile,
-            n_clients=8,
-            seed=3,
-            priority_classes=(0, 1, 2),
-            priority_weights=(0.2, 0.5, 0.3),
-        )
+        tagged = generate_zipf_workload(profile, n_clients=8, seed=3)
+        monkeypatch.setattr(serve_workload, "ZIPF_PRIORITIES", (0,))
+        monkeypatch.setattr(serve_workload, "ZIPF_PRIORITY_WEIGHTS", (1.0,))
+        plain = generate_zipf_workload(profile, n_clients=8, seed=3)
         for a, b in zip(plain, tagged):
             assert a.queries == b.queries
             assert a.think_s == b.think_s
+        assert {s.priority for s in plain} == {0}
         assert {s.priority for s in tagged} <= {0, 1, 2}
 
     def test_default_single_tenant_is_zero(self, profile):
         scripts = generate_workload(profile, n_clients=6, seed=3)
         assert all(s.tenant == 0 for s in scripts)
 
-    def test_tenant_tagging_never_perturbs_queries(self, profile):
-        """Tenants draw from a separate rng stream.
-
-        Like priority tagging, turning on multi-tenancy must leave
-        the query/think/priority streams byte-identical -- the
-        untagged serving baselines depend on exactly this.
-        """
-        plain = generate_workload(profile, n_clients=8, seed=3)
-        tagged = generate_workload(
-            profile, n_clients=8, seed=3, n_tenants=3
-        )
-        for a, b in zip(plain, tagged):
-            assert a.queries == b.queries
-            assert a.think_s == b.think_s
-            assert a.priority == b.priority
-        assert {s.tenant for s in tagged} <= {0, 1, 2}
-
-    def test_tenants_seeded_and_distinct_from_priorities(self, profile):
-        kw = dict(
-            n_clients=30,
-            seed=5,
-            n_tenants=3,
-            priority_classes=(0, 1, 2),
-        )
-        a = generate_workload(profile, **kw)
-        b = generate_workload(profile, **kw)
-        assert [s.tenant for s in a] == [s.tenant for s in b]
-        # both streams are seeded from the same workload seed but must
-        # not mirror each other (distinct hash-salted streams)
-        assert [s.tenant for s in a] != [s.priority for s in a]
-
     def test_priorities_seeded(self, profile):
-        kw = dict(
-            n_clients=30, seed=5, priority_classes=(0, 1, 2)
-        )
-        a = generate_workload(profile, **kw)
-        b = generate_workload(profile, **kw)
+        a = generate_zipf_workload(profile, n_clients=30, seed=5)
+        b = generate_zipf_workload(profile, n_clients=30, seed=5)
         assert [s.priority for s in a] == [s.priority for s in b]
-
-    def test_weight_validation(self, profile):
-        with pytest.raises(ValueError, match="match"):
-            generate_workload(
-                profile,
-                priority_classes=(0, 1),
-                priority_weights=(1.0,),
-            )
-        with pytest.raises(ValueError, match="mass"):
-            generate_workload(
-                profile,
-                priority_classes=(0, 1),
-                priority_weights=(0.0, 0.0),
-            )
-        with pytest.raises(ValueError, match=">= 0"):
-            generate_workload(profile, priority_classes=(-1, 0))
+        c = generate_zipf_workload(profile, n_clients=30, seed=6)
+        assert [s.priority for s in a] != [s.priority for s in c]
 
 
 class TestZipfWorkload:
     def test_seeded_determinism(self, profile):
-        from repro.serve.workload import generate_zipf_workload
-
         a = generate_zipf_workload(profile, n_clients=20, seed=3)
         b = generate_zipf_workload(profile, n_clients=20, seed=3)
         assert a == b
@@ -212,33 +160,17 @@ class TestZipfWorkload:
     def test_head_queries_dominate(self, profile):
         from collections import Counter
 
-        from repro.serve.workload import generate_zipf_workload
-
         scripts = generate_zipf_workload(
-            profile,
-            n_clients=50,
-            queries_per_client=10,
-            seed=1,
-            pool_size=32,
+            profile, n_clients=50, queries_per_client=10, seed=1
         )
         counts = Counter(
             q.key() for s in scripts for q in s.queries
         )
         # queries come from a bounded pool and the head is hot
-        assert len(counts) <= 32
+        assert len(counts) <= ZIPF_POOL
         top = counts.most_common(1)[0][1]
-        assert top > (50 * 10) // 32  # far above a uniform share
+        assert top > (50 * 10) // ZIPF_POOL  # far above a uniform share
 
     def test_priority_classes_assigned(self, profile):
-        from repro.serve.workload import generate_zipf_workload
-
         scripts = generate_zipf_workload(profile, n_clients=60, seed=2)
         assert {s.priority for s in scripts} == {0, 1, 2}
-
-    def test_validation(self, profile):
-        from repro.serve.workload import generate_zipf_workload
-
-        with pytest.raises(ValueError, match="zipf_s"):
-            generate_zipf_workload(profile, zipf_s=1.0)
-        with pytest.raises(ValueError, match="pool_size"):
-            generate_zipf_workload(profile, pool_size=0)

@@ -68,7 +68,6 @@ def per_doc_signatures(
     major_gids_sorted: np.ndarray,
     major_positions: np.ndarray,
     association: np.ndarray,
-    doc_weight_arrays: Optional[list[np.ndarray]] = None,
 ) -> SignatureBatch:
     """L1-normalized frequency-weighted signature, one document at a time."""
     n_major, n_topics = association.shape
@@ -82,17 +81,7 @@ def per_doc_signatures(
             hit = major_gids_sorted[pos] == gids
             rows = major_positions[pos[hit]]
             if rows.size:
-                if doc_weight_arrays is not None:
-                    weights = np.asarray(
-                        doc_weight_arrays[i], dtype=np.float64
-                    )
-                    tf = np.bincount(
-                        rows, weights=weights[hit], minlength=n_major
-                    )
-                else:
-                    tf = np.bincount(rows, minlength=n_major).astype(
-                        np.float64
-                    )
+                tf = np.bincount(rows, minlength=n_major).astype(np.float64)
                 sig = tf @ association
                 norm = sig.sum()
                 if norm > 0.0:

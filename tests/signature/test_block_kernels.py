@@ -29,20 +29,20 @@ from tests.signature.oracles import (
 )
 
 
-def oracle(docs, major_gids, n_topics, assoc, weights=None):
+def oracle(docs, major_gids, n_topics, assoc):
     sg, pos = major_lookup_arrays(major_gids)
     counts = cooccurrence_counts(
         [doc_presence_indices(g, sg, pos) for g in docs],
         len(major_gids),
         n_topics,
     )
-    return counts, per_doc_signatures(docs, sg, pos, assoc, weights)
+    return counts, per_doc_signatures(docs, sg, pos, assoc)
 
 
-def blocked(docs, major_gids, n_topics, assoc, weights=None):
+def blocked(docs, major_gids, n_topics, assoc):
     table = major_row_table(major_gids)
     counts = count_cooccurrences(docs, table, len(major_gids), n_topics)
-    return counts, compute_signatures(docs, table, assoc, weights)
+    return counts, compute_signatures(docs, table, assoc)
 
 
 def assert_identical(got, want):
@@ -50,9 +50,9 @@ def assert_identical(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_matches_oracle(docs, major_gids, n_topics, assoc, weights=None):
-    want_counts, want = oracle(docs, major_gids, n_topics, assoc, weights)
-    got_counts, got = blocked(docs, major_gids, n_topics, assoc, weights)
+def assert_matches_oracle(docs, major_gids, n_topics, assoc):
+    want_counts, want = oracle(docs, major_gids, n_topics, assoc)
+    got_counts, got = blocked(docs, major_gids, n_topics, assoc)
     assert_identical(got_counts, want_counts)
     assert_identical(got.signatures, want.signatures)
     assert_identical(got.null_mask, want.null_mask)
@@ -92,31 +92,26 @@ def workloads(draw):
     work=workloads(),
     block=st.integers(min_value=1, max_value=5),
     product=st.integers(min_value=1, max_value=40),
-    weighted=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_block_kernels_equal_per_document_oracles(
-    work, block, product, weighted, seed
+    work, block, product, seed
 ):
     major_gids, n_topics, doc_lists = work
     rng = np.random.default_rng(seed)
     docs = [np.array(d, dtype=np.int64) for d in doc_lists]
     assoc = random_model(rng, major_gids, n_topics, zero_rows=0.3)
-    weights = None
-    if weighted:
-        weights = [rng.random(d.size) * 3.0 for d in docs]
     # small products split the count product into slices of rows
     with mock.patch.object(
         association_mod, "BLOCK_DOCS", block
     ), mock.patch.object(association_mod, "PRODUCT_ENTRIES", product):
-        assert_matches_oracle(docs, major_gids, n_topics, assoc, weights)
+        assert_matches_oracle(docs, major_gids, n_topics, assoc)
 
 
 @pytest.mark.parametrize(
     "n_docs", [0, BLOCK_DOCS - 1, BLOCK_DOCS, BLOCK_DOCS + 1]
 )
-@pytest.mark.parametrize("weighted", [False, True])
-def test_engine_shape_matches_oracle_at_block_edges(n_docs, weighted):
+def test_engine_shape_matches_oracle_at_block_edges(n_docs):
     """N = 1 500, M = 150 as in the engine; mixed null and live docs."""
     rng = np.random.default_rng(n_docs)
     major_gids = rng.choice(6_000, size=1_500, replace=False).tolist()
@@ -124,12 +119,8 @@ def test_engine_shape_matches_oracle_at_block_edges(n_docs, weighted):
         rng.integers(0, 8_000, size=rng.integers(0, 120)).astype(np.int64)
         for _ in range(n_docs)
     ]
-    weights = None
-    if weighted:
-        field_weights = np.array([1.0, 3.0, 0.7])
-        weights = [field_weights[rng.integers(0, 3, d.size)] for d in docs]
     assoc = random_model(rng, major_gids, 150, zero_rows=0.2)
-    assert_matches_oracle(docs, major_gids, 150, assoc, weights)
+    assert_matches_oracle(docs, major_gids, 150, assoc)
 
 
 def test_adaptive_cap_shape_matches_oracle():
@@ -141,7 +132,7 @@ def test_adaptive_cap_shape_matches_oracle():
         for _ in range(BLOCK_DOCS + 1)
     ]
     assoc = random_model(rng, major_gids, 640, zero_rows=0.2)
-    assert_matches_oracle(docs, major_gids, 640, assoc, None)
+    assert_matches_oracle(docs, major_gids, 640, assoc)
 
 
 def test_all_topics_and_empty_documents():
@@ -177,26 +168,3 @@ def test_negative_gids_are_rejected():
         compute_signatures(docs, table, np.ones((2, 1)))
     with pytest.raises(ValueError, match="non-negative"):
         major_row_table([2, -3])
-
-
-def _docs():
-    # doc 0 holds a major term, doc 1 none
-    return [np.array([4, 4], dtype=np.int64), np.array([8], dtype=np.int64)]
-
-
-@pytest.mark.parametrize(
-    "weights",
-    [
-        # misaligned weights on the document without a major term
-        [np.ones(2), np.ones(3)],
-        # more weight arrays than documents
-        [np.ones(2), np.ones(1), np.ones(1)],
-        # fewer weight arrays than documents
-        [np.ones(2)],
-    ],
-    ids=["misaligned-null-doc", "too-many", "too-few"],
-)
-def test_bad_weights_raise_value_error(weights):
-    table = major_row_table([4])
-    with pytest.raises(ValueError, match="weight"):
-        compute_signatures(_docs(), table, np.ones((1, 1)), weights)

@@ -20,7 +20,8 @@ from repro.engine import (
     save_result,
 )
 from repro.text import (
-    merge_corpora,
+    Corpus,
+    Document,
     read_source,
     write_medline,
     write_trec_sgml,
@@ -45,9 +46,10 @@ def pipeline(tmp_path_factory):
     write_medline(med, root / "pubmed.med")
     write_trec_sgml(gov, root / "gov2.trec")
 
-    # 2. scan the sources back and merge
+    # 2. scan the sources back and concatenate, renumbering the docs
     sources = [read_source(root / "pubmed.med"), read_source(root / "gov2.trec")]
-    corpus = merge_corpora("mixed", sources)
+    fields = [d.fields for c in sources for d in c]
+    corpus = Corpus("mixed", [Document(i, f) for i, f in enumerate(fields)])
 
     # 3. parallel engine
     cfg = EngineConfig(n_major_terms=150, n_clusters=5, kmeans_sample=48)
@@ -81,7 +83,7 @@ def test_sources_roundtrip_preserved_documents(pipeline):
     corpus = pipeline["corpus"]
     assert len(corpus) > 30
     # mixed corpus carries both field families
-    names = corpus.field_names
+    names = {name for d in corpus.documents for name in d.fields}
     assert "abstract" in names  # pubmed part
     assert "url" in names or "body" in names  # trec part
 
@@ -137,7 +139,7 @@ def test_chrome_trace_of_engine_run(pipeline, tmp_path):
     corpus = pipeline["corpus"]
     parts = partition_documents(corpus.documents, 3)
     sim = Cluster(3, MachineSpec()).run(
-        _engine_rank_main, parts, corpus.field_names, pipeline["cfg"]
+        _engine_rank_main, parts, pipeline["cfg"]
     )
     path = tmp_path / "trace.json"
     sim.tracer.write_chrome_trace(path)

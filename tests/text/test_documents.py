@@ -48,17 +48,6 @@ def test_corpus_len_iter_getitem():
     assert c[1].doc_id == 1
 
 
-def test_corpus_field_names_first_seen_order():
-    c = Corpus(
-        "c",
-        [
-            Document(0, {"b": "x", "a": "y"}),
-            Document(1, {"a": "y", "c": "z"}),
-        ],
-    )
-    assert c.field_names == ["b", "a", "c"]
-
-
 def test_workload_scale_default_and_declared():
     c = Corpus("c", [_doc(0)])
     assert c.workload_scale() == 1.0

@@ -3,7 +3,6 @@
 from repro.text import (
     Corpus,
     Document,
-    merge_corpora,
     read_corpus,
     write_corpus,
 )
@@ -58,11 +57,3 @@ def test_unicode_content_roundtrips(tmp_path):
     path = tmp_path / "u.jsonl"
     write_corpus(c, path)
     assert read_corpus(path)[0].fields["body"] == "naïve café 中文"
-
-
-def test_merge_corpora_renumbers_and_sums_represented():
-    a = Corpus("a", [Document(0, {"x": "one"})], represented_bytes=100.0)
-    b = Corpus("b", [Document(0, {"x": "two"}), Document(1, {"x": "three"})])
-    m = merge_corpora("ab", [a, b])
-    assert [d.doc_id for d in m] == [0, 1, 2]
-    assert m.represented_bytes == 100.0 + b.nbytes

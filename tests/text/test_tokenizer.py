@@ -67,11 +67,6 @@ def test_empty_and_whitespace_only():
     assert t.tokens("... !!! ???") == []
 
 
-def test_unique_terms():
-    t = tok()
-    assert t.unique_terms(["cat dog", "dog fish"]) == {"cat", "dog", "fish"}
-
-
 @settings(max_examples=200)
 @given(st.text(max_size=400))
 def test_tokens_always_within_config(text):
