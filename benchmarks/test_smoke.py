@@ -183,18 +183,17 @@ def test_workbench_sessions_and_transcripts(base, tmp_path):
                    ("--derive", "relations")):
         cli(base, "workbench-session", "--store", "store/", "--search",
             " ".join(terms[:2]), *derive)
-    for backend in ("sim", "mp"):
-        for mode, slow in (("fast", False), ("slow", True)):
-            # raw sim snapshots too: thread-less service ranks vs their threaded reference
-            snap = ("--metrics-out", f"{mode}.json") if backend == "sim" else ()
-            cli(tmp_path, "workbench-serve", "--store", base / "store", "--seed", "7",
-                "--backend", backend, "--transcript", f"{backend}_{mode}.bin", *snap,
-                slow=slow)
-    fast_sim, *others = ((tmp_path / f"{b}_{m}.bin").read_bytes()
-                         for b in ("sim", "mp") for m in ("fast", "slow"))
-    assert others == [fast_sim] * 3
-    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "slow.json").read_bytes()
-    fast, slow = (cli(tmp_path, "metrics-report", "--snapshot", f"{m}.json").stdout
+    runs = [(b, m, slow) for b in ("sim", "mp") for m, slow in (("fast", False), ("slow", True))]
+    for backend, mode, slow in runs:
+        # raw snapshots too: thread-less service ranks vs their threaded
+        # reference, and sim vs one process per rank
+        cli(tmp_path, "workbench-serve", "--store", base / "store", "--seed", "7",
+            "--backend", backend, "--transcript", f"{backend}_{mode}.bin",
+            "--metrics-out", f"{backend}_{mode}.json", slow=slow)
+    for ext in ("bin", "json"):
+        fast_sim, *others = ((tmp_path / f"{b}_{m}.{ext}").read_bytes() for b, m, _ in runs)
+        assert others == [fast_sim] * 3, ext
+    fast, slow = (cli(tmp_path, "metrics-report", "--snapshot", f"sim_{m}.json").stdout
                   for m in ("fast", "slow"))
     assert b"workbench tier (analyst sessions):" in fast
     assert fast == slow

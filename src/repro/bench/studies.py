@@ -530,9 +530,10 @@ def dashboard(fixture, progress, shards=DASHBOARD_SHARDS) -> dict:
     one seeded dashboard workload (sliding-window polls mixed with
     search traffic) at every count.  Exact-transcript oracles:
     canonical answers must be byte-identical across shard counts,
-    under the slowpath scheduler, under the ``mp`` backend, and
-    between fastpath/slowpath while the same feed is ingested *live*
-    (with a stamped compaction mid-run).
+    under the slowpath scheduler, and between fastpath/slowpath while
+    the same feed is ingested *live* (with a stamped compaction
+    mid-run); under the ``mp`` backend the whole point (latencies,
+    makespan, counters) must match as well.
     """
     stamped = Fixture(
         fixture.tmp,
@@ -632,7 +633,8 @@ def dashboard(fixture, progress, shards=DASHBOARD_SHARDS) -> dict:
                 a == answers[shards[0]] for a in answers.values()
             ),
             "answers_equal_under_slowpath": _answers(slow) == answers[p],
-            "answers_equal_under_mp": _answers(mp) == answers[p],
+            "equal_under_mp": _answers(mp) == answers[p]
+            and facet_point(p, mp) == points[str(p)],
             "churn_answers_equal_under_slowpath": _answers(churn_fast)
             == _answers(churn_slow),
         },

@@ -11,7 +11,7 @@ its own counter, then scans the other ranks' counters round-robin,
 stealing their remaining loads.
 
 Compared with the master–worker alternative
-(:mod:`repro.baselines.masterworker`), no process ever serves as a
+(:func:`repro.baselines.loadbalance.run_master_worker`), no process ever serves as a
 bottleneck: claiming a task is a single one-sided atomic.
 
 Fault tolerance: under fault injection each claimed chunk carries a

@@ -93,10 +93,6 @@ class Communicator:
     rendezvous.
     """
 
-    #: whether :meth:`recv_any` is available (the mp backend's
-    #: endpoint overrides this to False)
-    supports_recv_any = True
-
     def __init__(
         self, world: World, sched: Scheduler, machine: MachineSpec, rank: int
     ):
@@ -172,15 +168,21 @@ class Communicator:
         receivable by ``dest``, waking ``dest`` if it is blocked on
         this channel."""
         key = (self.rank, dest, tag)
-        self.world.mailboxes.setdefault(key, deque()).append(msg)
+        box = self.world.mailboxes.setdefault(key, deque())
+        box.append(msg)
         if dest == self.rank:
             # a rank cannot be blocked receiving from itself while it
             # is running, so there is no waiter to look up or wake
             return
-        waiter = self.world.recv_waiters.pop(key, None)
-        if waiter is not None and self.sched.is_blocked(waiter):
+        waiter = self.world.recv_waiters.get(key)
+        if waiter is None or box[0].arrival > self.sched.deadline(waiter):
+            # (the channel's next message arriving after the receive
+            # gives up stays buffered, and the deadline fires)
+            return
+        del self.world.recv_waiters[key]
+        if self.sched.is_blocked(waiter):
             # (a recv_any waiter may already have been woken through a
-            # different channel; popping its registration is enough)
+            # different channel; dropping its registration is enough)
             self.sched.wake(
                 waiter, msg.arrival + self.machine.recv_overhead_seconds()
             )
@@ -202,16 +204,23 @@ class Communicator:
         """Receive the next message from ``source``; blocks if none.
 
         With a ``timeout`` (or a world default set by an active fault
-        plan), a receive that stays unmatched for that many virtual
-        seconds raises :class:`RankFailedError` (the sender crashed) or
-        :class:`CommTimeoutError` (sender alive but silent).
+        plan), a receive whose next message does not arrive within that
+        many virtual seconds raises :class:`RankFailedError` (the sender
+        crashed) or :class:`CommTimeoutError` (sender alive but silent);
+        a message arriving later stays buffered for the next receive.
         """
         self._check_peer(source)
         self.sched.wait_turn(self.rank)
         box = self._inbox(source, tag)
-        if box:
+        if box and box[0].arrival <= self._limit(timeout):
             return self._take(source, box)
         return self._wait_recv(source, tag, timeout)
+
+    def _limit(self, timeout: Optional[float]) -> float:
+        """The latest arrival a receive issued now can take: a message
+        arriving after the receive's deadline leaves it to time out."""
+        eff = self._effective_timeout(timeout)
+        return float("inf") if eff is None else self.sched.now(self.rank) + eff
 
     def _take(self, source: int, box: deque) -> Any:
         """Receive the first message already waiting in ``box``."""
@@ -255,8 +264,8 @@ class Communicator:
         """Finish a receive that blocked: take the message, or raise
         when the deadline fired first."""
         if timed_out:
-            # No sender ran before the deadline (a send would have
-            # woken us and cleared it), so the box is still empty.
+            # No message due by the deadline was sent (it would have
+            # woken us and cleared it); a later one stays buffered.
             self.world.recv_waiters.pop((source, self.rank, tag), None)
             self._raise_timeout(detail, [source], eff)
         msg = self._inbox(source, tag).popleft()
@@ -279,7 +288,7 @@ class Communicator:
         for s in srcs:
             self._check_peer(s)
         self.sched.wait_turn(self.rank)
-        found = self._pop_earliest(srcs, tag)
+        found = self._pop_earliest(srcs, tag, self._limit(timeout))
         if found is not None:
             return found
         # register interest on every channel, then block
@@ -300,14 +309,15 @@ class Communicator:
                 del self.world.recv_waiters[key]
         if timed_out:
             self._raise_timeout(detail, srcs, eff)
-        found = self._pop_earliest(srcs, tag)
+        found = self._pop_earliest(srcs, tag, float("inf"))
         assert found is not None, "woken without a deliverable message"
         return found
 
     def _pop_earliest(
-        self, srcs: Sequence[int], tag: int
+        self, srcs: Sequence[int], tag: int, limit: float
     ) -> Optional[tuple[int, Any]]:
-        """Pop the earliest-arrival buffered message among sources."""
+        """Pop the earliest-arrival buffered message among sources,
+        if it arrives by ``limit``."""
         best_src: Optional[int] = None
         best_arrival = 0.0
         for s in srcs:
@@ -317,7 +327,7 @@ class Communicator:
             arrival = box[0].arrival
             if best_src is None or arrival < best_arrival:
                 best_src, best_arrival = s, arrival
-        if best_src is None:
+        if best_src is None or best_arrival > limit:
             return None
         return best_src, self._take(best_src, self._inbox(best_src, tag))
 

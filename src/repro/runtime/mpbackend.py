@@ -29,18 +29,19 @@ which is precisely when the simulator's turn order would have run the
 send first.
 
 The contract covers the engine and every program that avoids
-``recv_any``.  It does not cover serving yet: a serving session under
-mp gives the same answers as under the simulator, but its virtual
-latencies and metrics snapshot differ, because the broker receives
-shard replies in sorted order where the simulator uses ``recv_any``.
+``recv_any``, single-copy serving included: the broker receives shard
+replies one shard at a time, in shard order, on both backends, so a
+``serve`` or ``serve_workbench`` session gives the same responses,
+virtual latencies and metrics snapshot under mp as under the
+simulator.
 
 Known, documented divergences (see docs/architecture.md §12): which
 rank *raises* a ``CollectiveMismatchError``, recovery wall-clock
 metadata after mid-run crashes, and alive-but-silent
 ``CommTimeoutError`` detection (the parent instead reports a deadlock
-through its watchdog).  ``recv_any`` is not supported under mp (the
-engine does not use it; serving brokers fall back to sequential
-receives).
+through its watchdog, and hands over a message that arrives past a
+receive's deadline).  ``recv_any`` is not supported under mp: only the
+replicated serving tier calls it, and that tier runs on the simulator.
 """
 
 from __future__ import annotations
@@ -491,10 +492,6 @@ class MpCommunicator(Communicator):
     the collective rendezvous.  Self-sends keep the simulator's
     in-process mailbox.
     """
-
-    #: callers that fan out (broker tiers) select a deterministic
-    #: sequential-recv path when this is False
-    supports_recv_any = False
 
     # -- point to point -------------------------------------------------
     def _deliver(self, dest: int, tag: int, msg: Message, now: float) -> None:

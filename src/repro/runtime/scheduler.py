@@ -352,6 +352,12 @@ class Scheduler:
         with self._lock:
             return self._state[rank] == _BLOCKED
 
+    def deadline(self, rank: int) -> float:
+        """When ``rank``'s pending block times out (``inf``: never)."""
+        with self._lock:
+            t = self._deadline[rank]
+        return float("inf") if t is None else t
+
     def wake(self, rank: int, at_time: float) -> None:
         """Make a blocked rank runnable again at virtual time ``at_time``.
 

@@ -147,7 +147,7 @@ class InlineService:
         self._turn()
         comm, src, tag = self.ctx.comm, self.service.source, self.service.tag
         box = comm._inbox(src, tag)
-        if box:
+        if box and box[0].arrival <= comm._limit(None):
             return self._answer(comm._take(src, box))
         self._wait = comm._expect(src, tag, None)
         self.blocked = True

@@ -1101,50 +1101,33 @@ class _Broker:
             # single-copy tier: shard s lives on rank s + 1
             ctx.comm.send(s + 1, (qid, epoch, s, ops), tag=TAG_REQ)
 
-        for s in targets:
-            send(s)
-        pending = set(targets)
         got: dict[int, list] = {}
-        if not getattr(ctx.comm, "supports_recv_any", True):
-            # mp backend: no recv_any, but mp runs are fault-free, so a
-            # plain per-shard receive in sorted order is equivalent --
-            # responses carry no timing fields and the merge iterates
-            # shards in sorted order, so response bytes are unchanged.
-            for s in sorted(pending):
-                _rqid, shard_idx, payloads = ctx.comm.recv(
-                    s + 1, tag=TAG_RESP
-                )
-                got[shard_idx] = payloads
-            return got, []
-        resends = 0
-        while pending:
-            try:
-                src, msg = ctx.comm.recv_any(
-                    sources=sorted(s + 1 for s in pending),
-                    tag=TAG_RESP,
-                    timeout=cfg.shard_timeout_s,
-                )
-            except RankFailedError as exc:
-                dead = [r - 1 for r in exc.failed if r - 1 in pending]
-                for s in dead:
-                    pending.discard(s)
-                    if s in self.live:
-                        self.live.remove(s)
-                continue
-            except CommTimeoutError:
-                if resends < RETRIES:
-                    resends += 1
-                    for s in sorted(pending):
-                        send(s)
-                    continue
+        pending = sorted(targets)
+        for _round in range(1 + RETRIES):
+            for s in pending:
+                send(s)
+            # one receive per shard, in shard order, on every backend
+            # (the merge folds the replies in that order anyway); the
+            # round shares one deadline, however many shards are silent
+            deadline, silent = ctx.now + cfg.shard_timeout_s, []
+            for s in pending:
+                try:
+                    reply = (None,)
+                    while reply[0] != qid:  # a late answer to a past round
+                        reply = ctx.comm.recv(
+                            s + 1,
+                            tag=TAG_RESP,
+                            timeout=max(0.0, deadline - ctx.now),
+                        )
+                    got[s] = reply[2]
+                except RankFailedError:
+                    self.live.remove(s)
+                except CommTimeoutError:
+                    silent.append(s)
+            if not silent:
                 break
-            rqid, shard_idx, payloads = msg
-            if rqid != qid:
-                continue  # stale answer from a retried round
-            got[shard_idx] = payloads
-            pending.discard(shard_idx)
-        dropped = sorted(pending)
-        return got, dropped
+            pending = silent
+        return got, silent
 
     def _flag(self, resp: dict, dropped: list[int]) -> dict:
         """Mark a response that is missing any shard's documents.
@@ -1446,10 +1429,9 @@ def serve(
     its outcome is attached as ``report.ingest``.
 
     ``backend`` selects the runtime execution backend (``"sim"`` or
-    ``"mp"``).  Answers are identical across backends; virtual
-    latencies and the metrics snapshot are not, because the mp broker
-    receives shard replies in sorted order instead of by ``recv_any``
-    (see the mp backend's determinism contract).
+    ``"mp"``).  A fault-free session is the same program on both:
+    responses, virtual latencies, makespan and the metrics snapshot
+    are byte-identical (see the mp backend's determinism contract).
 
     The store is opened once, here: every rank shares the one model.
     """

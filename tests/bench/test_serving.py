@@ -104,7 +104,7 @@ def test_dashboard_study(toy_docs):
     assert doc["oracles"] == {
         "answers_equal_across_shards": True,
         "answers_equal_under_slowpath": True,
-        "answers_equal_under_mp": True,
+        "equal_under_mp": True,
         "churn_answers_equal_under_slowpath": True,
     }
     assert doc["churn"]["live_compactions"] > 0

@@ -5,6 +5,8 @@ matter which writer persisted them: a fresh ``build_shards``, an
 ``append_generation`` publish, or a ``compact_store`` rewrite.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.ingest.delta import extend_result
 from repro.ingest.compact import compact_store
 from repro.ingest.delta import append_generation, build_delta
 from repro.ingest.feed import FeedConfig, FeedSource
-from repro.runtime.metrics import counter_totals
 from repro.serve.broker import serve
 from repro.serve.query import Query, canonical_response
 from repro.serve.store import (
@@ -24,7 +25,13 @@ from repro.serve.store import (
     load_manifest,
     load_model,
 )
-from repro.serve.workload import ClientScript, store_profile
+from repro.serve.workload import (
+    ClientScript,
+    generate_dashboard_workload,
+    generate_workload,
+    store_profile,
+)
+from repro.workbench import generate_analyst_workload, serve_workbench
 
 from .conftest import ENGINE_CONFIG, N_SOURCES
 
@@ -289,17 +296,81 @@ def test_serve_sim_matches_mp_on_two_generations(two_gen_store, feed_batches):
     assert sim.served == 16
     assert {r["generation"] for r in sim.responses} == {2}
     assert not any(r["response"].get("error") for r in sim.responses)
-    assert [canonical_response(r) for r in sim.responses] == [
-        canonical_response(r) for r in mp.responses
-    ]
-    # the mp fan-out receives shards in sorted order rather than as
-    # they answer: that moves the broker's wait, never a count
-    sim_counts, mp_counts = (
-        {k: v for k, v in counter_totals(r.metrics).items()
-         if k != "sched.blocked_seconds"}
-        for r in (sim, mp)
+    assert _whole(sim) == _whole(mp)
+
+
+def _whole(report):
+    """Everything a session reports, metrics snapshot included."""
+    return (
+        [canonical_response(r) for r in report.responses],
+        report.latencies,
+        report.makespan,
+        report.generations,
+        report.rejected,
+        json.dumps(report.metrics, sort_keys=True),
     )
-    assert sim_counts == mp_counts
+
+
+@pytest.fixture(scope="module")
+def gen_stores(result, postings, facets, feed_batches, tmp_path_factory):
+    """Stamped stores with two published generations, by shard count."""
+    built = {}
+    for p in (1, 4):
+        store = tmp_path_factory.mktemp(f"gens-{p}") / "store"
+        build_shards(result, store, p, postings=postings, facets=facets)
+        for corpus, _arrival in feed_batches:
+            delta = build_delta(
+                result,
+                corpus.documents,
+                tokenizer_config=ENGINE_CONFIG.tokenizer,
+                facets=extract_facets(corpus),
+            )
+            append_generation(store, [delta], published_s=0.0)
+        built[p] = store
+    return built
+
+
+SESSIONS = {
+    "default": lambda store, backend: serve(
+        store,
+        generate_workload(
+            store_profile(store), n_clients=3, queries_per_client=6, seed=5
+        ),
+        backend=backend,
+    ),
+    "dashboard": lambda store, backend: serve(
+        store,
+        generate_dashboard_workload(
+            store_profile(store), n_clients=4, polls_per_client=4, seed=5
+        ),
+        backend=backend,
+    ),
+    "analyst": lambda store, backend: serve_workbench(
+        store,
+        generate_analyst_workload(
+            store_profile(store),
+            sessions_per_tenant=1,
+            ops_per_session=5,
+            seed=3,
+        ),
+        backend=backend,
+    ),
+}
+
+
+@pytest.mark.parametrize("session", sorted(SESSIONS))
+@pytest.mark.parametrize("nshards", [1, 4])
+@pytest.mark.parametrize("kind", ["static", "two_generations"])
+def test_sessions_sim_match_mp(
+    stamped_stores, gen_stores, kind, nshards, session
+):
+    """Single-copy serving is one program on both backends: responses,
+    latencies, makespan, generations and the metrics snapshot agree."""
+    store = (stamped_stores if kind == "static" else gen_stores)[nshards]
+    run = SESSIONS[session]
+    sim = run(store, "sim")
+    assert sim.served > 0
+    assert _whole(sim) == _whole(run(store, "mp"))
 
 
 def test_one_manifest_read_per_call(two_gen_store, monkeypatch):

@@ -25,6 +25,7 @@ from repro.runtime import (
     StragglerFault,
     TransientRpcError,
 )
+from repro.runtime.scheduler import SLOWPATH_ENV
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +169,67 @@ def test_recv_any_timeout():
 
     with pytest.raises(CommTimeoutError):
         Cluster(3).run(program)
+
+
+@pytest.fixture(params=["fast", "slow"])
+def sched_path(request, monkeypatch):
+    """Run the test under both scheduler mechanisms."""
+    if request.param == "slow":
+        monkeypatch.setenv(SLOWPATH_ENV, "1")
+    else:
+        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
+
+
+#: every message from rank 1 to rank 0 arrives 10 virtual seconds late
+LATE_FROM_1 = FaultPlan(faults=(MessageDelayFault(extra_s=10.0, src=1, dst=0),))
+
+
+@pytest.mark.parametrize("wait_s", [0.0, 0.5], ids=["blocked", "buffered"])
+def test_recv_deadline_beats_late_arrival(sched_path, wait_s):
+    """A message arriving after the receive's deadline leaves the
+    receive timed out at the deadline, whether the receiver was
+    already blocked when it was sent or finds it buffered; the message
+    stays in the mailbox for the next receive."""
+
+    def program(ctx):
+        if ctx.rank == 1:
+            ctx.comm.send(0, "late")
+            return None
+        ctx.charge(wait_s)
+        with pytest.raises(CommTimeoutError):
+            ctx.comm.recv(source=1, timeout=1.0)
+        timed_out_at = ctx.now
+        return timed_out_at, ctx.comm.recv(source=1), ctx.now
+
+    res = Cluster(2, faults=LATE_FROM_1).run(program)
+    timed_out_at, msg, done = res.rank_results[0]
+    assert timed_out_at == wait_s + 1.0
+    assert msg == "late" and done > 10.0
+
+
+def test_recv_any_deadline_beats_late_arrival(sched_path):
+    """``recv_any`` skips a buffered message that arrives after its
+    deadline: it times out when nothing else is due, and takes an
+    on-time message from another source before the late one."""
+
+    def program(ctx):
+        if ctx.rank == 1:
+            ctx.comm.send(0, "late")
+        elif ctx.rank == 2:
+            ctx.charge(2.0)
+            ctx.comm.send(0, "on time")
+        else:
+            with pytest.raises(CommTimeoutError):
+                ctx.comm.recv_any(sources=[1, 2], timeout=1.0)
+            timed_out_at = ctx.now
+            first = ctx.comm.recv_any(sources=[1, 2], timeout=5.0)
+            return timed_out_at, first, ctx.comm.recv_any(sources=[1, 2])
+
+    res = Cluster(3, faults=LATE_FROM_1).run(program)
+    timed_out_at, first, second = res.rank_results[0]
+    assert timed_out_at == 1.0
+    assert first == (2, "on time")
+    assert second == (1, "late")
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.runtime import (
     CommTimeoutError,
     CrashFault,
     FaultPlan,
+    MessageDelayFault,
     RankFailedError,
     RuntimeMisuseError,
     StragglerFault,
@@ -178,6 +179,40 @@ def test_service_deadline_fails_the_run(monkeypatch, slowpath):
     with pytest.raises(CommTimeoutError) as exc:
         _run(monkeypatch, slowpath, plan, think=0.1)
     assert exc.value.rank in SERVICES
+
+
+@pytest.mark.parametrize("slowpath", [False, True])
+@pytest.mark.parametrize("buffered", [False, True], ids=["blocked", "buffered"])
+def test_service_deadline_beats_a_late_request(monkeypatch, slowpath, buffered):
+    """A request that arrives after the service's receive deadline
+    times the service out, inline and threaded alike -- whether the
+    service waits for it or, still busy with the previous request,
+    finds it buffered."""
+
+    def make(ctx):
+        def handler(src, msg):
+            if msg == "stop":
+                return None
+            ctx.charge(2.0 if buffered else 0.0)
+            return []
+
+        return handler
+
+    def client(ctx):
+        ctx.comm.send(1, "on time", tag=REQ)
+        ctx.charge(0.0 if buffered else 0.5)
+        ctx.comm.send(1, "late", tag=REQ)
+        ctx.comm.send(1, "stop", tag=REQ)
+
+    _scheduler(monkeypatch, slowpath)
+    # every request but the one sent at t=0 arrives 5 s late
+    late = MessageDelayFault(extra_s=5.0, src=0, dst=1, t_start=1e-9)
+    plan = FaultPlan(faults=(late,), comm_timeout_s=1.0)
+    with pytest.raises(CommTimeoutError) as exc:
+        Cluster(2, faults=plan).run(
+            client, services={1: Service(make, tag=REQ)}
+        )
+    assert exc.value.rank == 1
 
 
 @pytest.mark.parametrize("slowpath", [False, True])

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
+from repro.runtime.faults import (
+    CrashFault,
+    FaultPlan,
+    MessageDelayFault,
+    StragglerFault,
+)
 from repro.runtime.metrics import counter_totals, render_report
 from repro.serve.broker import (
     QUERY_OPS,
@@ -177,6 +182,72 @@ class TestFaultDegradation:
         to_shard = [req for req in sent[TAG_REQ] if req[2] == 1]
         assert len(to_shard) == 1 + RETRIES
         assert len({req[0] for req in to_shard}) == 1  # one query id
+
+    @pytest.mark.parametrize("slowpath", ["0", "1"])
+    def test_delayed_shard_is_resent_then_dropped(
+        self, stores, sent, monkeypatch, slowpath
+    ):
+        """A reply that arrives after the shard timeout counts as
+        silence: the broker gives up at the deadline rather than
+        waiting for the late reply, on both scheduler mechanisms."""
+        monkeypatch.setenv("REPRO_SCHED_SLOWPATH", slowpath)
+        plan = FaultPlan(
+            faults=(MessageDelayFault(extra_s=10.0, src=2, dst=0),)
+        )
+        report = serve(
+            stores[2],
+            [_script([Query(kind="cluster", cluster=0)])],
+            config=BrokerConfig(shard_timeout_s=1.0),
+            faults=plan,
+        )
+        response = report.responses[0]["response"]
+        assert response["partial"]
+        assert response["failed_shards"] == [1]
+        assert report.latencies[0] < 3.0
+        to_shard = [req for req in sent[TAG_REQ] if req[2] == 1]
+        assert len(to_shard) == 1 + RETRIES
+
+    @pytest.mark.parametrize(
+        "fault, windows",
+        [
+            (lambda r: CrashFault(rank=r, at_time=0.0), 1),
+            (lambda r: StragglerFault(rank=r, factor=1e4), 1 + RETRIES),
+        ],
+        ids=["dead", "silent"],
+    )
+    def test_failing_shards_share_the_round_deadline(
+        self, stores, fault, windows
+    ):
+        """Two shards failing together cost one shard timeout per
+        round, not one each."""
+        plan = FaultPlan(faults=(fault(2), fault(4)))
+        report = serve(
+            stores[4],
+            [_script([Query(kind="cluster", cluster=0)])],
+            config=BrokerConfig(shard_timeout_s=1.0),
+            faults=plan,
+        )
+        assert report.responses[0]["response"]["failed_shards"] == [1, 3]
+        assert windows <= report.latencies[0] < windows + 0.5
+
+    def test_late_replies_to_a_dropped_round_are_skipped(self, stores):
+        """Replies that miss their round stay buffered; the next round
+        skips them by query id and answers in full."""
+        plan = FaultPlan(
+            faults=(MessageDelayFault(extra_s=10.0, src=2, dst=0, t_end=1.5),)
+        )
+        q0, q1 = (Query(kind="cluster", cluster=c) for c in (0, 1))
+        config = BrokerConfig(shard_timeout_s=1.0)
+        report = serve(
+            stores[2],
+            [ClientScript(client=0, queries=(q0, q1), think_s=(0.0, 20.0))],
+            config=config,
+            faults=plan,
+        )
+        first, second = (r["response"] for r in report.responses)
+        assert first["failed_shards"] == [1]
+        clean = serve(stores[2], [_script([q1])], config=config)
+        assert second == clean.responses[0]["response"]
 
     def test_crash_all_but_one_shard_still_answers(self, stores):
         queries = [
