@@ -268,6 +268,12 @@ class Communicator:
             # woken us and cleared it); a later one stays buffered.
             self.world.recv_waiters.pop((source, self.rank, tag), None)
             self._raise_timeout(detail, [source], eff)
+        return self._accept(source, tag)
+
+    def _accept(self, source: int, tag: int) -> Any:
+        """Take ``source``'s first message after a wake-up: the waker's
+        :meth:`_deliver` already advanced this rank's clock past its
+        arrival and receive overhead, so only the accounting is left."""
         msg = self._inbox(source, tag).popleft()
         self._account_recv(source, msg.nbytes)
         return msg.obj
@@ -288,9 +294,9 @@ class Communicator:
         for s in srcs:
             self._check_peer(s)
         self.sched.wait_turn(self.rank)
-        found = self._pop_earliest(srcs, tag, self._limit(timeout))
-        if found is not None:
-            return found
+        src = self._earliest(srcs, tag, self._limit(timeout))
+        if src is not None:
+            return src, self._take(src, self._inbox(src, tag))
         # register interest on every channel, then block
         keys = []
         for s in srcs:
@@ -309,15 +315,15 @@ class Communicator:
                 del self.world.recv_waiters[key]
         if timed_out:
             self._raise_timeout(detail, srcs, eff)
-        found = self._pop_earliest(srcs, tag, float("inf"))
-        assert found is not None, "woken without a deliverable message"
-        return found
+        src = self._earliest(srcs, tag, float("inf"))
+        assert src is not None, "woken without a deliverable message"
+        return src, self._accept(src, tag)
 
-    def _pop_earliest(
+    def _earliest(
         self, srcs: Sequence[int], tag: int, limit: float
-    ) -> Optional[tuple[int, Any]]:
-        """Pop the earliest-arrival buffered message among sources,
-        if it arrives by ``limit``."""
+    ) -> Optional[int]:
+        """The source whose buffered message arrives first among
+        ``srcs``, if it arrives by ``limit``."""
         best_src: Optional[int] = None
         best_arrival = 0.0
         for s in srcs:
@@ -329,7 +335,7 @@ class Communicator:
                 best_src, best_arrival = s, arrival
         if best_src is None or best_arrival > limit:
             return None
-        return best_src, self._take(best_src, self._inbox(best_src, tag))
+        return best_src
 
     def _account_recv(self, src: int, nbytes: float) -> None:
         """Record one delivered message from rank ``src``."""

@@ -15,9 +15,8 @@ are recognised by identity of type before the ``isinstance`` chain,
 exact-``int``/``float`` items of a list or tuple and fields of a
 dataclass are counted inline (16 bytes each) without a recursive call,
 each dataclass type's field names are looked up once and cached, and a
-list or tuple of one dataclass type (a shard reply's candidates, the
-topic stage's ranked terms) is sized field by field across its items
-in closed form.
+list or tuple of one dataclass type (the topic stage's ranked terms)
+is sized field by field across its items in closed form.
 """
 
 from __future__ import annotations

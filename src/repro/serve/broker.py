@@ -6,11 +6,12 @@ ingest-driver rank, see below).  Rank 0 is the broker; rank ``r`` with
 containers.  The broker runs a closed-loop discrete-event simulation of
 the client scripts: queries arrive in (virtual arrival time, client)
 order, pass bounded-in-flight admission control and an LRU result
-cache, then fan out to the live shard ranks; per-shard candidate lists
-merge with the same (score, global row) tie-breaking a global stable
-argsort applies, so the merged answer is bit-identical to the
-single-result :class:`~repro.analysis.session.AnalysisSession` path at
-every shard count.
+cache, then fan out to the live shard ranks; ranked shards reply with
+score/row/doc/cluster columns, which merge with the same
+(score, global row) tie-breaking a global stable argsort applies, so
+the merged answer is bit-identical to the single-result
+:class:`~repro.analysis.session.AnalysisSession` path at every shard
+count.
 
 Generational serving (live ingest): when the store is generational --
 or an ingest plan runs alongside in an extra rank ``nshards + 1`` --
@@ -96,7 +97,6 @@ from repro.serve.query import (
     Query,
     ShardStore,
     hits_payload,
-    merge_asc,
     merge_desc,
     topk_int_score_row,
 )
@@ -274,8 +274,10 @@ def _window_tf(seg, p):
     return slots, scanned
 
 
-def _cat_cands(_model, _p, parts) -> list:
-    return [c for part in parts for c in part[0]]
+def _cat_hits(_model, _p, parts, col: int = 0) -> tuple:
+    """Combine rule: the segments' ranked hit columns (``part[col]``),
+    concatenated column by column."""
+    return tuple(map(np.concatenate, zip(*(part[col] for part in parts))))
 
 
 def _int_sum(shape: Callable) -> Callable:
@@ -300,11 +302,8 @@ def _first_unit(_model, _p, parts):
     return next(found, (None, -1))
 
 
-def _sum_cluster(_model, _p, parts):
-    return (
-        sum(part[0] for part in parts),
-        [c for part in parts for c in part[1]],
-    )
+def _sum_cluster(model, p, parts):
+    return sum(part[0] for part in parts), _cat_hits(model, p, parts, 1)
 
 
 def _cat_region(model, _p, parts):
@@ -356,7 +355,7 @@ SHARD_OPS: dict[str, ShardOp] = {
             p["k"],
             restrict_rows=p.get("restrict_rows"),
         ),
-        _cat_cands,
+        _cat_hits,
         cpu=_scan_cost(16, 4),
         prunes=True,
     ),
@@ -367,7 +366,7 @@ SHARD_OPS: dict[str, ShardOp] = {
             p.get("skip_row", -1),
             restrict_rows=p.get("restrict_rows"),
         ),
-        _cat_cands,
+        _cat_hits,
         flops=lambda _m, p, segs, _out, _s: (
             2 * sum(s.n_docs for s in segs) * p["unit"].shape[0]
         ),
@@ -729,12 +728,12 @@ def _derive_window(pair: bool) -> Callable:
     return derive
 
 
-def merge_ranked(ctx, got: dict, k: int, overhead_ops: int, merge=merge_desc):
-    """Global top-``k`` of per-shard candidate lists, merged in sorted
-    shard order and charged per candidate plus ``overhead_ops``."""
+def merge_ranked(ctx, got: dict, k: int, overhead_ops: int):
+    """Global top-``k`` of per-shard hit columns, merged in sorted
+    shard order and charged per hit plus ``overhead_ops``."""
     per_shard = [got[s] for s in sorted(got)]
-    cands = merge(per_shard, k)
-    ctx.charge_cpu(sum(len(p) for p in per_shard) + overhead_ops)
+    cands = merge_desc(per_shard, k)
+    ctx.charge_cpu(sum(p[0].size for p in per_shard) + overhead_ops)
     return cands
 
 
@@ -751,7 +750,6 @@ def _merge_cluster(b, query, params, got, dropped):
         {s: got[s][1] for s in got},
         min(query.n_docs, size),
         _DISPATCH_OPS,
-        merge_asc,
     )
     resp = {
         "kind": "cluster",

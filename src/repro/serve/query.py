@@ -9,14 +9,16 @@ row data, which is what makes the broker's merged answers bit-identical
 to the single-result reference path (the acceptance criterion of the
 serving layer).
 
-Each operator returns per-document *candidates* keyed by
-``(score, global_row)`` so the broker can merge shards' top-k lists
-with the same deterministic tie-breaking a global stable argsort would
-apply, plus the number of payload bytes it scanned (the accounting
-input for ``serve.shard.bytes_scanned``).
+Each ranked operator (``op_search``, ``op_matvec``, ``op_cluster``)
+returns its top hits as :data:`Hits` -- four equal-length columns
+(score f64, global row i64, doc id i64, cluster i64) -- so the broker
+can merge shards' top-k with the same ``(-score, row)`` tie-breaking a
+global stable argsort would apply, plus the number of payload bytes it
+scanned (the accounting input for ``serve.shard.bytes_scanned``).
 
-The broker-side merge helpers and the canonical response serialization
-(used by the determinism byte-compare tests) also live here.
+The broker-side merge (the one place a :class:`Candidate` is built)
+and the canonical response serialization (used by the determinism
+byte-compare tests) also live here.
 """
 
 from __future__ import annotations
@@ -120,12 +122,18 @@ class Query:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One shard-local scored document, keyed for the global merge."""
+    """One merged hit: a scored document of a ranked answer."""
 
     score: float
     row: int  # global document row
     doc_id: int
     cluster: int
+
+
+#: a ranked shard reply: ``(score f64, global row i64, doc id i64,
+#: cluster i64)`` columns, one entry per hit, in :class:`Candidate`
+#: field order
+Hits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class ShardStore:
@@ -197,37 +205,15 @@ class ShardStore:
             )
         return self._facets
 
-    def _candidates(
-        self, local_idx: np.ndarray, scores: np.ndarray
-    ) -> list[Candidate]:
-        local_idx = np.asarray(local_idx, dtype=np.int64)
-        return self._candidate_list(
-            local_idx,
-            np.asarray(scores, dtype=np.float64)[local_idx],
+    def _hits(self, local: np.ndarray, scores: np.ndarray) -> Hits:
+        """Reply columns of local rows ``local`` scored ``scores``."""
+        local = np.asarray(local, dtype=np.int64)
+        return (
+            np.asarray(scores, dtype=np.float64),
+            self.row_lo + local,
+            np.asarray(self.doc_ids[local], dtype=np.int64),
+            np.asarray(self.assignments[local], dtype=np.int64),
         )
-
-    def _candidate_list(
-        self, local_idx: np.ndarray, cand_scores: np.ndarray
-    ) -> list[Candidate]:
-        """Candidates from parallel (local row, score) arrays.
-
-        Gathers every field with array indexing and one ``tolist`` per
-        column -- same values and ordering as the old per-candidate
-        loop, without the per-element numpy scalar boxing.
-        """
-        local_idx = np.asarray(local_idx, dtype=np.int64)
-        rows = (self.row_lo + local_idx).tolist()
-        scores = np.asarray(cand_scores, dtype=np.float64).tolist()
-        docs = np.asarray(self.doc_ids, dtype=np.int64)[
-            local_idx
-        ].tolist()
-        clusters = np.asarray(self.assignments, dtype=np.int64)[
-            local_idx
-        ].tolist()
-        return [
-            Candidate(score=s, row=r, doc_id=d, cluster=c)
-            for s, r, d, c in zip(scores, rows, docs, clusters)
-        ]
 
     # ------------------------------------------------------------------
     # operators (shard-local halves)
@@ -262,7 +248,7 @@ class ShardStore:
         k: int,
         skip_row: int = -1,
         restrict_rows: Optional[np.ndarray] = None,
-    ) -> tuple[list[Candidate], int]:
+    ) -> tuple[Hits, int]:
         """Local cosine top-k against a unit query vector.
 
         ``skip_row`` (a *global* row) masks the query document itself
@@ -279,13 +265,10 @@ class ShardStore:
             local = self._local_restrict(restrict_rows)
             sims_r = sims[local]
             sel = topk_score_row(sims_r, local, k)
-            return (
-                self._candidate_list(local[sel], sims_r[sel]),
-                self.unit.nbytes,
-            )
+            return self._hits(local[sel], sims_r[sel]), self.unit.nbytes
         take = min(k, sims.shape[0])
         idx = topk_desc(sims, take)
-        return self._candidates(idx, sims), self.unit.nbytes
+        return self._hits(idx, sims[idx]), self.unit.nbytes
 
     def op_search(
         self,
@@ -294,14 +277,14 @@ class ShardStore:
         k: int,
         pruned: bool = True,
         restrict_rows: Optional[np.ndarray] = None,
-    ) -> tuple[list[Candidate], int, int]:
+    ) -> tuple[Hits, int, int]:
         """Local tf·icf ranked search over the shard's postings.
 
-        Returns ``(candidates, bytes scanned, blocks skipped)``.  With
+        Returns ``(hits, bytes scanned, blocks skipped)``.  With
         ``pruned`` (the default), runs :func:`topk_search` and reports
         only the posting bytes it actually decoded; ``pruned=False`` is
         the exhaustive reference (fully-decoded postings, 0 blocks
-        skipped by definition).  Both return bit-identical candidates.
+        skipped by definition).  Both return bit-identical hits.
 
         ``restrict_rows`` (global rows) limits the ranking to a result
         set's members (the workbench ``refine`` path).  Restricted
@@ -321,17 +304,13 @@ class ShardStore:
             local = local[pos]
             sc = sc[pos]
             sel = topk_score_row(sc, local, k)
-            return (
-                self._candidate_list(local[sel], sc[sel]),
-                scanned_postings * 16,
-                0,
-            )
+            return self._hits(local[sel], sc[sel]), scanned_postings * 16, 0
         if pruned:
             idx, cand_scores, scanned_postings, skipped = topk_search(
                 self.blocks, term_rows, icf, k
             )
             return (
-                self._candidate_list(idx, cand_scores),
+                self._hits(idx, cand_scores),
                 scanned_postings * 16,
                 skipped,
             )
@@ -344,31 +323,26 @@ class ShardStore:
         idx = topk_desc(scores, take)
         idx = idx[scores[idx] > 0]
         # each posting stores a delta-coded row and a tf (8 bytes each)
-        return self._candidates(idx, scores), scanned_postings * 16, 0
+        return self._hits(idx, scores[idx]), scanned_postings * 16, 0
 
     def op_cluster(
         self, cluster: int, n_docs: int
-    ) -> tuple[int, list[Candidate], int]:
-        """Local member count + nearest-to-centroid candidates."""
+    ) -> tuple[int, Hits, int]:
+        """Local member count + the members nearest the centroid.
+
+        The hits score ``-d2`` (negation is exact), so the broker
+        merges representatives by ascending ``(d2, row)`` through the
+        same ``(-score, row)`` rule as every ranked answer.
+        """
         centroid = self.model.centroids[cluster]
         members = np.flatnonzero(self.assignments == cluster)
-        scanned = self.assignments.nbytes
-        if members.size == 0:
-            return 0, [], scanned
         d2 = centroid_distances(self.signatures[members], centroid)
-        take = min(n_docs, members.size)
-        idx = topk_asc(d2, take)
-        cands = [
-            Candidate(
-                score=float(d2[j]),
-                row=self.row_lo + int(members[j]),
-                doc_id=int(self.doc_ids[members[j]]),
-                cluster=cluster,
-            )
-            for j in idx
-        ]
-        return int(members.size), cands, scanned + members.size * (
-            self.signatures.shape[1] * 8
+        idx = topk_asc(d2, min(n_docs, members.size))
+        return (
+            int(members.size),
+            self._hits(members[idx], -d2[idx]),
+            self.assignments.nbytes
+            + members.size * (self.signatures.shape[1] * 8),
         )
 
     def op_region(
@@ -589,34 +563,28 @@ def topk_search(
 # ----------------------------------------------------------------------
 # broker-side merges
 # ----------------------------------------------------------------------
-def merge_desc(
-    per_shard: list[list[Candidate]], k: int
-) -> list[Candidate]:
+def merge_desc(per_shard: list[Hits], k: int) -> list[Candidate]:
     """Global top-k by (score desc, global row asc).
 
-    Equivalent to a stable global argsort on descending score: shard
-    lists are already row-ordered within equal scores, so selecting
-    the concatenation through the shared ``(-score, row)`` helper
-    reproduces the reference order.
+    Equivalent to a stable global argsort on descending score: one
+    ``(-score, row)`` selection over the concatenated shard columns
+    reproduces the reference order.  Only the ``k`` selected hits
+    become :class:`Candidate`\\ s, built from ``tolist`` values so
+    every field is a Python ``float`` / ``int``.
     """
-    merged = [c for cands in per_shard for c in cands]
-    if not merged:
+    if not per_shard:
         return []
-    sel = topk_score_row(
-        np.array([c.score for c in merged], dtype=np.float64),
-        np.array([c.row for c in merged], dtype=np.int64),
-        k,
+    score, row, doc, cluster = map(np.concatenate, zip(*per_shard))
+    sel = topk_score_row(score, row, k)
+    return list(
+        map(
+            Candidate,
+            score[sel].tolist(),
+            row[sel].tolist(),
+            doc[sel].tolist(),
+            cluster[sel].tolist(),
+        )
     )
-    return [merged[int(i)] for i in sel]
-
-
-def merge_asc(
-    per_shard: list[list[Candidate]], k: int
-) -> list[Candidate]:
-    """Global bottom-k by (score asc, global row asc)."""
-    merged = [c for cands in per_shard for c in cands]
-    merged.sort(key=lambda c: (c.score, c.row))
-    return merged[:k]
 
 
 def topk_int_score_row(

@@ -1,7 +1,8 @@
 """Workbench session state: scripts, result sets, algebra, quotas.
 
 A *result set* is a named tuple of serving-layer
-:class:`~repro.serve.query.Candidate`\\ s held in the canonical
+:class:`~repro.serve.query.Candidate`\\ s -- the hits the broker's
+merge builds from the shards' reply columns -- held in the canonical
 ``(-score, row)`` order (selected through the shared
 :func:`repro.index.termindex.topk_score_row` helper, so set algebra
 cannot drift from the broker's merge order).  Set combinators score a

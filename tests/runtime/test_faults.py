@@ -232,6 +232,34 @@ def test_recv_any_deadline_beats_late_arrival(sched_path):
     assert second == (1, "late")
 
 
+@pytest.mark.parametrize("wait_s", [0.0, 2.0], ids=["blocked", "buffered"])
+def test_recv_any_of_one_source_is_recv(sched_path, wait_s):
+    """``recv_any([s])`` ends when ``recv(s)`` ends and records the
+    same metrics, whether the receiver blocks before the message is
+    sent or finds it buffered: the receive overhead is paid once."""
+
+    def run(wildcard: bool):
+        def program(ctx):
+            if ctx.rank == 1:
+                ctx.charge(1.0)
+                ctx.comm.send(0, list(range(8)))
+                return None
+            ctx.charge(wait_s)
+            if wildcard:
+                got = ctx.comm.recv_any([1])
+            else:
+                got = (1, ctx.comm.recv(1))
+            return got, ctx.now
+
+        res = Cluster(2).run(program)
+        return res.rank_results[0], res.metrics.snapshot()
+
+    (got, done), metrics = run(wildcard=False)
+    assert got == (1, list(range(8)))
+    assert done > max(1.0, wait_s)
+    assert run(wildcard=True) == ((got, done), metrics)
+
+
 # ----------------------------------------------------------------------
 # stragglers, delays, drops, FS stalls
 # ----------------------------------------------------------------------

@@ -198,7 +198,7 @@ class TestBlockmaxExactness:
 
 class TestRestrictedSearch:
     """Refine: dense run accumulation restricted to a set gives the
-    candidates and scanned bytes of the full-decode path it replaced."""
+    hits and scanned bytes of the full-decode path it replaced."""
 
     @staticmethod
     def _full_decode(shard, term_rows, icf, k, restrict_rows):
@@ -208,7 +208,7 @@ class TestRestrictedSearch:
         sc = scores[local]
         local, sc = local[sc > 0], sc[sc > 0]
         sel = topk_score_row(sc, local, k)
-        return shard._candidate_list(local[sel], sc[sel]), scanned * 16
+        return shard._hits(local[sel], sc[sel]), scanned * 16
 
     @pytest.mark.parametrize("nshards", (1, 2))
     def test_restricted_matches_full_decode(self, stores, nshards):
@@ -227,23 +227,24 @@ class TestRestrictedSearch:
         ]
         for anchor in queries:
             rows = np.sort(
-                [
-                    c.row
-                    for shard in shards
-                    for c in shard.op_search(anchor, icf, 12)[0]
-                ]
-            ).astype(np.int64)
+                np.concatenate(
+                    [shard.op_search(anchor, icf, 12)[0][1] for shard in shards]
+                )
+            )
             for restrict in (rows, np.arange(model.n_docs), rows[:0]):
                 for term_rows in queries:
                     k = max(1, int(restrict.size))
                     for shard in shards:
-                        cands, scanned, skipped = shard.op_search(
+                        hits, scanned, skipped = shard.op_search(
                             term_rows, icf, k, restrict_rows=restrict
                         )
-                        want = self._full_decode(
+                        want, want_scanned = self._full_decode(
                             shard, term_rows, icf, k, restrict
                         )
-                        assert (cands, scanned) == want
+                        assert scanned == want_scanned
+                        for col, want_col in zip(hits, want, strict=True):
+                            assert col.dtype == want_col.dtype
+                            assert np.array_equal(col, want_col)
                         assert skipped == 0
 
 

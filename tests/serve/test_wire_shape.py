@@ -4,14 +4,20 @@ Every ``TAG_REQ`` message a broker sends (other than ``stop``) must be
 ``(qid, epoch, shard, ops)`` with ``ops`` a non-empty tuple of
 ``(verb, params)`` pairs -- on a static store, on a store with
 published deltas, in the replicated tier and in the workbench.  Every
-reply is ``(qid, shard, [payload, ...])``.  The wire sizer must size
-each message structurally, never by pickling.
+reply is ``(qid, shard, [payload, ...])``, and the payload of a ranked
+verb (``search``, ``matvec``, ``cluster``) carries its hits as four
+equal-length array columns, never per-hit objects.  The wire sizer
+must size each message structurally, never by pickling.
 """
 
 import pickle
 from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
 from repro.runtime import payload
+from repro.runtime.comm import Communicator
 from repro.runtime.payload import payload_nbytes
 from repro.serve.broker import (
     SHARD_OPS,
@@ -36,7 +42,59 @@ def _workload(store, seed=11):
     )
 
 
-def _assert_one_shape(sent, epochs, monkeypatch):
+@pytest.fixture
+def routed(sent, monkeypatch):
+    """``(sender, receiver, tag, message)`` of every message that
+    ``sent`` records, so each reply can be matched to its request."""
+    out = []
+    deliver = Communicator._deliver
+
+    def recording(self, dest, tag, msg, now):
+        if tag in sent and msg.obj[0] != "stop":
+            out.append((self.rank, dest, tag, msg.obj))
+        return deliver(self, dest, tag, msg, now)
+
+    monkeypatch.setattr(Communicator, "_deliver", recording)
+    return out
+
+
+#: ranked verb -> where its payload holds the hit columns
+_HITS = {
+    "search": lambda payload: payload,
+    "matvec": lambda payload: payload,
+    "cluster": lambda payload: payload[1],
+}
+
+
+def _assert_hit_columns(routed):
+    """Every ranked payload of a reply is ``(score f64, row i64, doc
+    i64, cluster i64)`` arrays of one length."""
+    verbs = {}
+    for src, dest, tag, msg in routed:
+        if tag == TAG_REQ:
+            qid, _epoch, shard, ops = msg
+            verbs[(src, dest, qid, shard)] = [verb for verb, _p in ops]
+    checked = 0
+    for src, dest, tag, msg in routed:
+        if tag != TAG_RESP:
+            continue
+        qid, shard, payloads = msg
+        ops = verbs[(dest, src, qid, shard)]
+        assert len(ops) == len(payloads)
+        for verb, out in zip(ops, payloads):
+            if verb not in _HITS:
+                continue
+            cols = _HITS[verb](out)
+            assert type(cols) is tuple and len(cols) == 4
+            assert all(type(c) is np.ndarray for c in cols)
+            assert [c.dtype for c in cols] == [np.float64] + [np.int64] * 3
+            assert len({c.shape for c in cols}) == 1 and cols[0].ndim == 1
+            checked += 1
+    assert checked
+
+
+def _assert_one_shape(sent, epochs, monkeypatch, routed):
+    _assert_hit_columns(routed)
     requests, replies = sent[TAG_REQ], sent[TAG_RESP]
     assert requests and replies
     for req in requests:
@@ -69,38 +127,38 @@ def _assert_one_shape(sent, epochs, monkeypatch):
     assert pickled == []
 
 
-def test_static_store(stores, sent, monkeypatch):
+def test_static_store(stores, sent, routed, monkeypatch):
     serve(stores[4], _workload(stores[4]))
-    _assert_one_shape(sent, {0}, monkeypatch)
+    _assert_one_shape(sent, {0}, monkeypatch, routed)
 
 
-def test_static_store_batched(stores, sent, monkeypatch):
+def test_static_store_batched(stores, sent, routed, monkeypatch):
     serve(
         stores[4],
         _workload(stores[4]),
         config=BrokerConfig(batch_max_queries=4, max_inflight=64),
     )
     assert any(len(req[3]) > 1 for req in sent[TAG_REQ])
-    _assert_one_shape(sent, {0}, monkeypatch)
+    _assert_one_shape(sent, {0}, monkeypatch, routed)
 
 
-def test_store_with_published_deltas(delta_store, sent, monkeypatch):
+def test_store_with_published_deltas(delta_store, sent, routed, monkeypatch):
     generation = load_manifest(delta_store).generation
     assert generation > 0
     serve(delta_store, _workload(delta_store))
-    _assert_one_shape(sent, {generation}, monkeypatch)
+    _assert_one_shape(sent, {generation}, monkeypatch, routed)
 
 
-def test_replicated_tier(replicated_store, sent, monkeypatch):
+def test_replicated_tier(replicated_store, sent, routed, monkeypatch):
     serve_replicated(
         replicated_store,
         _workload(replicated_store),
         config=RouterConfig(brokers=2, workers=4, replicas=2),
     )
-    _assert_one_shape(sent, {0}, monkeypatch)
+    _assert_one_shape(sent, {0}, monkeypatch, routed)
 
 
-def test_workbench(stores, sent, monkeypatch):
+def test_workbench(stores, sent, routed, monkeypatch):
     scripts = generate_analyst_workload(
         store_profile(stores[4]),
         n_tenants=2,
@@ -109,4 +167,4 @@ def test_workbench(stores, sent, monkeypatch):
         seed=3,
     )
     serve_workbench(stores[4], scripts)
-    _assert_one_shape(sent, {0}, monkeypatch)
+    _assert_one_shape(sent, {0}, monkeypatch, routed)
